@@ -3,8 +3,10 @@
 Configurations are JSON documents holding either two explicit atoms (two
 coupling points each, as ``{"phase": ..., "rate": ...}``) or a ``symmetric``
 shortcut (topology, phi, gamma) that expands to the canonical four-point
-geometry.  Sweeps are dispatched over an optional worker pool and rows are
-always written in grid order, so output files are deterministic.
+geometry.  A sweep over ``delta_a`` builds its config once and evaluates
+the whole grid in one array call; a ``phi`` sweep builds a new config per
+grid point.  Rows are always written in grid order, so output files are
+deterministic.  ``--jobs`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success, 2 config/usage violation, 3 numerical failure from a
 module (error forwarded verbatim), 4 I/O failure.
@@ -14,11 +16,11 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import jsonschema
@@ -36,7 +38,12 @@ from .core import (
     classify_topology,
     symmetric_config,
 )
-from .scattering import amplitudes_general, peak_minimum_loci, solve_real_space
+from .scattering import (
+    _amplitude_arrays,
+    amplitudes_general,
+    peak_minimum_loci,
+    solve_real_space,
+)
 
 DEFAULT_ORACLE_TOL = 1e-10
 
@@ -144,7 +151,6 @@ class RunSpec:
     sweep: SweepSpec | None
     out_path: str | None
     fmt: str
-    jobs: int
 
 
 def oracle_tolerance() -> float:
@@ -173,11 +179,19 @@ def expand_symmetric(shortcut: dict) -> dict:
     }
 
 
+@functools.cache
+def _schema_validator():
+    """Validator for CONFIG_SCHEMA, built (and the schema checked) on first use."""
+    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    cls.check_schema(CONFIG_SCHEMA)
+    return cls(CONFIG_SCHEMA)
+
+
 def validate_config(raw: dict) -> None:
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    """Raise ConfigError with the error ``jsonschema.validate`` would report."""
+    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}") from error
 
 
 def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:
@@ -211,12 +225,14 @@ def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:
     return SystemConfig(atom_a=built[0], atom_b=built[1], delta_ab=delta_ab)
 
 
-def _drive_from(raw: dict, detuning: float | None = None) -> lindblad.DriveSpec:
+def _drive_from(raw: dict) -> lindblad.DriveSpec:
     drive = raw.get("drive")
     if drive is None:
         raise ConfigError("this command needs a 'drive' entry in the config")
-    det = detuning if detuning is not None else float(drive.get("detuning", 0.0))
-    return lindblad.DriveSpec(amplitude_sq=float(drive["alpha_sq"]), frequency_detuning=det)
+    return lindblad.DriveSpec(
+        amplitude_sq=float(drive["alpha_sq"]),
+        frequency_detuning=float(drive.get("detuning", 0.0)),
+    )
 
 
 def _fmt(value) -> str:
@@ -228,24 +244,21 @@ def _fmt(value) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Per-row workers (module level so they pickle for the process pool)
+# Rows
 # ---------------------------------------------------------------------------
 
 
-def _spectrum_row(args: tuple[dict, float]) -> list:
-    raw, delta = args
-    pt = amplitudes_general(build_system(raw), delta)
-    return [delta, pt.t.real, pt.t.imag, pt.r.real, pt.r.imag, pt.T, pt.R]
+def _amplitude_rows(grid: np.ndarray, t: np.ndarray, r: np.ndarray) -> list[list]:
+    columns = (grid, t.real, t.imag, r.real, r.imag, np.abs(t) ** 2, np.abs(r) ** 2)
+    return np.column_stack(columns).tolist()
 
 
-def _spectrum_phi_row(args: tuple[dict, float, float]) -> list:
-    raw, phi, delta = args
+def _spectrum_phi_row(raw: dict, phi: float, delta: float) -> list:
     pt = amplitudes_general(build_system(raw, phi_override=phi), delta)
     return [phi, pt.t.real, pt.t.imag, pt.r.real, pt.r.imag, pt.T, pt.R]
 
 
-def _characteristics_row(args: tuple[dict, float | None]) -> list:
-    raw, phi = args
+def _characteristics_row(raw: dict, phi: float | None) -> list:
     ch = characteristics(build_system(raw, phi_override=phi))
     head = [] if phi is None else [phi]
     return head + [
@@ -254,8 +267,7 @@ def _characteristics_row(args: tuple[dict, float | None]) -> list:
     ]
 
 
-def _loci_row(args: tuple[dict, float]) -> list:
-    raw, phi = args
+def _loci_row(raw: dict, phi: float) -> list:
     cfg = build_system(raw, phi_override=phi)
     loci = peak_minimum_loci(
         classify_topology(cfg), phi, cfg.atom_a.points[0].bare_rate
@@ -264,13 +276,12 @@ def _loci_row(args: tuple[dict, float]) -> list:
     return [phi, peaks[0], peaks[1], math.nan if loci.minimum is None else loci.minimum]
 
 
-def _fano_row(args: tuple[dict, float]) -> list:
-    raw, phi = args
+def _fano_row(raw: dict, phi: float) -> list:
     cfg = build_system(raw, phi_override=phi)
     topology = classify_topology(cfg)
     gamma = cfg.atom_a.points[0].bare_rate
     pair = fano.lorentz_decompose(topology, phi, gamma)
-    regime = fano.fano_regime(topology, phi, gamma)
+    regime = fano._pair_regime(pair, gamma)
     q = f_scale = center = width = math.nan
     if regime != "none":
         fit = fano.fano_fit(pair)
@@ -282,33 +293,29 @@ def _fano_row(args: tuple[dict, float]) -> list:
     ]
 
 
-def _eit_spectrum_row(args: tuple[dict, float]) -> list:
-    raw, delta = args
-    cfg = build_system(raw)
+def _eit_spectrum_rows(cfg: SystemConfig, grid: np.ndarray) -> list[list]:
     verdict = eit.classify_eit(cfg)
     if verdict.scheme is eit.Scheme.SINGLE_ATOM:
-        pt = eit.single_atom_eit_amplitudes(cfg, delta)
+        pt = eit.single_atom_eit_amplitudes(cfg, grid)
     elif verdict.scheme is eit.Scheme.COLLECTIVE_SA:
-        ch = characteristics(cfg)
         pt = eit.collective_eit_amplitudes(
-            eit.sa_basis(cfg, delta),
+            eit.sa_basis(cfg, grid),
             verdict.dark_state,
-            delta_a=delta,
-            r_phase=cmath.exp(1j * ch.alpha_a),
+            delta_a=grid,
+            r_phase=cmath.exp(1j * characteristics(cfg).alpha_a),
             rate_unit=cfg.rate_unit,
         )
     else:
         raise eit.EitPreconditionError(
             "configuration supports no EIT scheme; use 'spectrum' instead"
         )
-    return [delta, pt.t.real, pt.t.imag, pt.r.real, pt.r.imag, pt.T, pt.R]
+    return _amplitude_rows(grid, pt.t, pt.r)
 
 
-def _master_row(args: tuple[dict, float]) -> list:
-    raw, delta = args
-    cfg = build_system(raw)
-    res = lindblad.scattering_from_master(cfg, _drive_from(raw, detuning=delta))
-    return [delta, res.T, res.R, res.inelastic_flux, res.conservation_residual]
+def _master_rows(raw: dict, grid: np.ndarray) -> list[list]:
+    sweep = lindblad.master_sweep(build_system(raw), _drive_from(raw).amplitude_sq, grid)
+    columns = (grid, sweep.T, sweep.R, sweep.inelastic_flux, sweep.conservation_residual)
+    return np.column_stack(columns).tolist()
 
 
 def _random_system(rng: np.random.Generator) -> SystemConfig:
@@ -329,14 +336,6 @@ def _random_system(rng: np.random.Generator) -> SystemConfig:
 # ---------------------------------------------------------------------------
 # Command execution
 # ---------------------------------------------------------------------------
-
-
-def _map_rows(worker, payloads, jobs: int) -> list[list]:
-    if jobs <= 1:
-        return [worker(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        chunk = max(1, len(payloads) // (4 * jobs))
-        return list(pool.map(worker, payloads, chunksize=chunk))
 
 
 def run(spec: RunSpec) -> int:
@@ -372,57 +371,46 @@ def run(spec: RunSpec) -> int:
         _write_json(spec.out_path, payload)
         return 0
 
-    default_grid = np.linspace(-6.0, 6.0, 2001)
+    grid = spec.sweep.grid() if spec.sweep else np.linspace(-6.0, 6.0, 2001)
+    phis = [float(p) for p in grid] if variable == "phi" else []
     if spec.command == "spectrum":
         if variable == "phi":
             delta = float(raw.get("drive", {}).get("detuning", 0.0))
-            payloads = [(raw, float(p), delta) for p in spec.sweep.grid()]
             header = ["phi", "re_t", "im_t", "re_r", "im_r", "T", "R"]
-            rows = _map_rows(_spectrum_phi_row, payloads, spec.jobs)
+            rows = [_spectrum_phi_row(raw, phi, delta) for phi in phis]
         else:
-            grid = spec.sweep.grid() if spec.sweep else default_grid
-            payloads = [(raw, float(d)) for d in grid]
             header = ["delta_a", "re_t", "im_t", "re_r", "im_r", "T", "R"]
-            rows = _map_rows(_spectrum_row, payloads, spec.jobs)
+            rows = _amplitude_rows(grid, *_amplitude_arrays(build_system(raw), grid))
     elif spec.command == "characteristics":
         names = ["lamb_a", "lamb_b", "gamma_a", "gamma_b", "g_ab", "gamma_ab", "alpha_a", "alpha_b"]
         if variable == "phi":
-            payloads = [(raw, float(p)) for p in spec.sweep.grid()]
             header = ["phi"] + names
+            rows = [_characteristics_row(raw, phi) for phi in phis]
         else:
-            payloads = [(raw, None)]
             header = names
-        rows = _map_rows(_characteristics_row, payloads, spec.jobs)
+            rows = [_characteristics_row(raw, None)]
     elif spec.command == "loci":
-        payloads = [(raw, float(p)) for p in spec.sweep.grid()]
         header = ["phi", "peak_1", "peak_2", "minimum"]
-        rows = _map_rows(_loci_row, payloads, spec.jobs)
+        rows = [_loci_row(raw, phi) for phi in phis]
     elif spec.command == "fano":
-        payloads = [(raw, float(p)) for p in spec.sweep.grid()]
         header = [
             "phi", "delta_plus", "delta_minus", "gamma_plus", "gamma_minus",
             "re_chi_plus", "im_chi_plus", "re_chi_minus", "im_chi_minus",
             "regime", "q", "f_scale", "center", "width",
         ]
-        rows = _map_rows(_fano_row, payloads, spec.jobs)
+        rows = [_fano_row(raw, phi) for phi in phis]
     elif spec.command == "eit-spectrum":
-        grid = spec.sweep.grid() if spec.sweep else default_grid
-        payloads = [(raw, float(d)) for d in grid]
         header = ["delta_a", "re_t", "im_t", "re_r", "im_r", "T", "R"]
-        rows = _map_rows(_eit_spectrum_row, payloads, spec.jobs)
+        rows = _eit_spectrum_rows(build_system(raw), grid)
     elif spec.command == "master-sweep":
-        grid = spec.sweep.grid() if spec.sweep else default_grid
-        payloads = [(raw, float(d)) for d in grid]
         header = ["delta_a", "T", "R", "F", "residual"]
-        rows = _map_rows(_master_row, payloads, spec.jobs)
+        rows = _master_rows(raw, grid)
     elif spec.command == "inelastic-spectrum":
         cfg = build_system(raw)
-        result = lindblad.inelastic_spectrum(cfg, _drive_from(raw), spec.sweep.grid())
+        result = lindblad.inelastic_spectrum(cfg, _drive_from(raw), grid)
         header = ["nu", "s_transmit", "s_reflect", "s_total"]
-        rows = [
-            [float(n), float(st), float(sr), float(st + sr)]
-            for n, st, sr in zip(result.nu, result.s_transmit, result.s_reflect)
-        ]
+        columns = (result.nu, result.s_transmit, result.s_reflect, result.s_total)
+        rows = np.column_stack(columns).tolist()
     else:  # pragma: no cover - command list is closed
         raise ConfigError(f"unhandled command {spec.command!r}")
 
@@ -545,7 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sweep", help="sweep grid VAR:START:STOP:POINTS")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--jobs", type=int, default=1, help="worker pool size")
+    parser.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility and ignored: every sweep runs in this process",
+    )
     return parser
 
 
@@ -562,7 +553,6 @@ def main(argv: list[str] | None = None) -> int:
             sweep=sweep,
             out_path=args.out,
             fmt=fmt,
-            jobs=max(1, args.jobs),
         )
         return run(spec)
     except ConfigError as exc:

@@ -26,6 +26,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .core import (
     GawqedError,
     SystemConfig,
@@ -94,7 +96,7 @@ class EitVerdict:
     note: str | None = None
 
 
-def sa_basis(cfg: SystemConfig, delta_a: float) -> SABasisQuantities:
+def sa_basis(cfg: SystemConfig, delta_a: float | np.ndarray) -> SABasisQuantities:
     """Quantities of the master equation rewritten in the S/A collective basis.
 
     With sigma_S,A = (sigma_a +- sigma_b)/sqrt(2):
@@ -103,16 +105,21 @@ def sa_basis(cfg: SystemConfig, delta_a: float) -> SABasisQuantities:
     Gamma_SA = (Gamma_a - Gamma_b)/2,
     Delta_S,A = (delta'_a + delta'_b)/2 -+ g_ab, and
     Omega_S,A = (Omega_a +- Omega_b)/sqrt(2) at unit drive amplitude.
+
+    ``delta_a`` may be an array; Delta_S and Delta_A then follow its shape.
+    g_SA does not depend on the probe detuning and is evaluated at
+    delta_a = 0, so it stays one number.
     """
     ch = characteristics(cfg)
     d_a, d_b = detunings(cfg, delta_a)
     eff_a = d_a - ch.lamb_a
     eff_b = d_b - ch.lamb_b
+    eff_a0, eff_b0 = -ch.lamb_a, cfg.delta_ab - ch.lamb_b
     theta_ref = min(p for atom in (cfg.atom_a, cfg.atom_b) for p in atom.phases)
     omega_a = math.sqrt(2.0) * cmath.exp(-1j * theta_ref) * atom_phasor(cfg.atom_a)
     omega_b = math.sqrt(2.0) * cmath.exp(-1j * theta_ref) * atom_phasor(cfg.atom_b)
     return SABasisQuantities(
-        g_sa=-0.5 * (eff_a - eff_b),
+        g_sa=-0.5 * (eff_a0 - eff_b0),
         gamma_s=0.5 * (ch.gamma_a + ch.gamma_b) + ch.gamma_ab,
         gamma_a_mode=0.5 * (ch.gamma_a + ch.gamma_b) - ch.gamma_ab,
         gamma_sa=0.5 * (ch.gamma_a - ch.gamma_b),
@@ -126,7 +133,7 @@ def sa_basis(cfg: SystemConfig, delta_a: float) -> SABasisQuantities:
 def collective_eit_amplitudes(
     q: SABasisQuantities,
     dark: DarkState,
-    delta_a: float = math.nan,
+    delta_a: float | np.ndarray = math.nan,
     r_phase: complex = 1.0,
     rate_unit: float = 1.0,
 ) -> ScatterPoint:
@@ -136,7 +143,9 @@ def collective_eit_amplitudes(
     a nonzero control g_SA.  ``r_phase`` multiplies r: the printed two-mode
     form fixes r only up to the configuration's overall reflection phase
     exp(i alpha_a); pass that phasor to reproduce the general amplitudes
-    exactly, including phase.
+    exactly, including phase.  ``q`` may come from :func:`sa_basis` on an
+    array of detunings; the fields of the result then are arrays of that
+    shape.  The preconditions involve only detuning-independent quantities.
     """
     ztol = ZERO_RATE_TOL * rate_unit
     if dark is DarkState.S:
@@ -159,13 +168,17 @@ def collective_eit_amplitudes(
     return _scatter_point(delta_a, t, r)
 
 
-def single_atom_eit_amplitudes(cfg: SystemConfig, delta_a: float) -> ScatterPoint:
+def single_atom_eit_amplitudes(
+    cfg: SystemConfig, delta_a: float | np.ndarray
+) -> ScatterPoint:
     """EIT amplitudes when one atom is interference-decoupled from the guide.
 
     Requires one atom's decay and the collective decay to vanish while the
     exchange coupling g_ab stays nonzero; transparency sits at the dark
     atom's Lamb-shifted resonance.  The reflection carries the bright atom's
     phase factor, so the result matches the general amplitudes exactly.
+    ``delta_a`` may be an array; the fields of the result then are arrays of
+    its shape.
     """
     ch = characteristics(cfg)
     ztol = ZERO_RATE_TOL * cfg.rate_unit

@@ -236,7 +236,11 @@ def lorentz_decompose(topology: Topology, phi: float, gamma: float = 1.0) -> Lor
 def fano_regime(topology: Topology, phi: float, gamma: float = 1.0) -> str:
     """Which channel dominates at width ratio > 10: 'plus_dominant',
     'minus_dominant', or 'none' (including fully decoupled phases)."""
-    pair = lorentz_decompose(topology, phi, gamma)
+    return _pair_regime(lorentz_decompose(topology, phi, gamma), gamma)
+
+
+def _pair_regime(pair: LorentzPair, gamma: float) -> str:
+    """The width-ratio rule of :func:`fano_regime` on a decomposed pair."""
     g_p, g_m = pair.gamma_plus, pair.gamma_minus
     tiny = 1e-12 * gamma
     # a numerically zero width means either a decoupled configuration or a

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GawqedError, SystemConfig, characteristics, detunings
+from .core import GawqedError, SystemConfig, characteristics
 
 #: eigenvalues with modulus below this count as stationary directions
 STATIONARY_TOL = 1e-10
@@ -30,6 +30,7 @@ BASIS = ("gg", "ge", "eg", "ee")
 
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 _ID2 = np.eye(2, dtype=complex)
+_ID4 = np.eye(4, dtype=complex)
 SIGMA_MINUS_A = np.kron(_SM, _ID2)
 SIGMA_MINUS_B = np.kron(_ID2, _SM)
 
@@ -105,17 +106,42 @@ def _unvec(x: np.ndarray) -> np.ndarray:
     return x.reshape(4, 4, order="F")
 
 
-def _left_multiply(op: np.ndarray) -> np.ndarray:
-    return np.kron(np.eye(4, dtype=complex), op)
+def _commutator(h: np.ndarray) -> np.ndarray:
+    """Superoperator for rho -> -i [h, rho]."""
+    return -1j * (np.kron(_ID4, h) - np.kron(h.T, _ID4))
 
 
-def _right_multiply(op: np.ndarray) -> np.ndarray:
-    return np.kron(op.T, np.eye(4, dtype=complex))
+def _dissipator(sj: np.ndarray, sk: np.ndarray) -> np.ndarray:
+    """Superoperator for rho -> sj rho sk^+ - {sj^+ sk, rho} / 2."""
+    k = sj.conj().T @ sk
+    return np.kron(sk.conj(), sj) - 0.5 * (np.kron(_ID4, k) + np.kron(k.T, _ID4))
 
 
-def _sandwich(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Superoperator for rho -> left @ rho @ right."""
-    return np.kron(right.T, left)
+_SP_A, _SP_B = SIGMA_MINUS_A.conj().T, SIGMA_MINUS_B.conj().T
+_N_A, _N_B = _SP_A @ SIGMA_MINUS_A, _SP_B @ SIGMA_MINUS_B
+
+#: the generator is sum_k coefficient_k * _SUPEROPS[k]; the coefficients are
+#: listed in :func:`_liouvillian_parts`
+_SUPEROPS = np.stack([
+    _commutator(_N_A),
+    _commutator(_N_B),
+    _commutator(_SP_A @ SIGMA_MINUS_B + _SP_B @ SIGMA_MINUS_A),
+    _commutator(_SP_A),
+    _commutator(SIGMA_MINUS_A),
+    _commutator(_SP_B),
+    _commutator(SIGMA_MINUS_B),
+    _dissipator(SIGMA_MINUS_A, SIGMA_MINUS_A),
+    _dissipator(SIGMA_MINUS_B, SIGMA_MINUS_B),
+    _dissipator(SIGMA_MINUS_A, SIGMA_MINUS_B) + _dissipator(SIGMA_MINUS_B, SIGMA_MINUS_A),
+])
+
+#: d L / d delta: the drive detuning enters only through -delta (n_a + n_b)
+_DETUNING_GENERATOR = -(_SUPEROPS[0] + _SUPEROPS[1])
+
+_TRACE_ROW = _vec(_ID4).conj()
+
+#: generators per batched eigvals/solve call; bounds the memory of long sweeps
+_BLOCK = 256
 
 
 def _rabi_amplitudes(cfg: SystemConfig, alpha: float) -> tuple[complex, complex]:
@@ -132,6 +158,30 @@ def _rabi_amplitudes(cfg: SystemConfig, alpha: float) -> tuple[complex, complex]
     return omegas[0], omegas[1]
 
 
+def _liouvillian_parts(cfg: SystemConfig, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(L0, L1) with L(delta) = L0 + delta * L1 exactly, delta the drive detuning.
+
+    H = lamb_a n_a + (lamb_b - delta_ab) n_b + g_ab (s_a^+ s_b + s_b^+ s_a)
+    - (i/2) sum_j (Omega_j s_j^+ - Omega_j^* s_j) - delta (n_a + n_b), and the
+    dissipators carry Gamma_a, Gamma_b and Gamma_ab.
+    """
+    ch = characteristics(cfg)
+    om_a, om_b = _rabi_amplitudes(cfg, alpha)
+    coefficients = np.array([
+        ch.lamb_a,
+        ch.lamb_b - cfg.delta_ab,
+        ch.g_ab,
+        -0.5j * om_a,
+        0.5j * om_a.conjugate(),
+        -0.5j * om_b,
+        0.5j * om_b.conjugate(),
+        ch.gamma_a,
+        ch.gamma_b,
+        ch.gamma_ab,
+    ])
+    return np.tensordot(coefficients, _SUPEROPS, axes=1), _DETUNING_GENERATOR
+
+
 def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
     """Assemble the 16 x 16 Lindblad generator in the drive rotating frame.
 
@@ -139,41 +189,62 @@ def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
     g_ab and the position-phased Rabi drives; dissipation consists of the two
     individual decays and the collective cross terms weighted by Gamma_ab.
     """
-    ch = characteristics(cfg)
-    d_a, d_b = detunings(cfg, drive.frequency_detuning)
-    om_a, om_b = _rabi_amplitudes(cfg, drive.alpha)
+    l0, l1 = _liouvillian_parts(cfg, drive.alpha)
+    return l0 + drive.frequency_detuning * l1
 
-    n_a = SIGMA_MINUS_A.conj().T @ SIGMA_MINUS_A
-    n_b = SIGMA_MINUS_B.conj().T @ SIGMA_MINUS_B
-    h = (
-        -(d_a - ch.lamb_a) * n_a
-        - (d_b - ch.lamb_b) * n_b
-        + ch.g_ab
-        * (
-            SIGMA_MINUS_A.conj().T @ SIGMA_MINUS_B
-            + SIGMA_MINUS_B.conj().T @ SIGMA_MINUS_A
-        )
-    )
-    for om, sm in ((om_a, SIGMA_MINUS_A), (om_b, SIGMA_MINUS_B)):
-        h += -0.5j * (om * sm.conj().T - np.conj(om) * sm)
 
-    liouv = -1j * (_left_multiply(h) - _right_multiply(h))
-    for gamma, sm in ((ch.gamma_a, SIGMA_MINUS_A), (ch.gamma_b, SIGMA_MINUS_B)):
-        k = sm.conj().T @ sm
-        liouv += gamma * (
-            _sandwich(sm, sm.conj().T)
-            - 0.5 * (_left_multiply(k) + _right_multiply(k))
+def _steady_states(liouv: np.ndarray) -> np.ndarray:
+    """Stationary density matrices of a (N, 16, 16) stack of generators.
+
+    Each generator gets every check of :func:`steady_state`; the first
+    generator of the stack that fails one raises that check's error.
+    """
+    count = len(liouv)
+    n_zero = np.sum(np.abs(np.linalg.eigvals(liouv)) < STATIONARY_TOL, axis=-1)
+    unique = n_zero == 1
+    x = np.zeros((count, 16), dtype=complex)
+    if np.any(unique):
+        mat = liouv[unique]
+        mat[:, 0, :] = _TRACE_ROW
+        rhs = np.zeros((len(mat), 16, 1), dtype=complex)
+        rhs[:, 0] = 1.0
+        x[unique] = np.linalg.solve(mat, rhs)[..., 0]
+    rho = x.reshape(count, 4, 4).transpose(0, 2, 1)  # column-stacked vec
+    rho_h = rho.conj().transpose(0, 2, 1)
+
+    residual = np.linalg.norm(np.einsum("nij,nj->ni", liouv, x), axis=-1)
+    scale = np.maximum(1.0, np.linalg.norm(liouv, axis=(-2, -1)))
+    failures = [
+        ~unique,
+        residual > 1e-9 * scale,
+        np.max(np.abs(rho - rho_h), axis=(-2, -1)) > 1e-12,
+        np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > 1e-12,
+    ]
+    hermitian = 0.5 * (rho + rho_h)
+    # positivity is tested only where the other checks passed, as in a
+    # point-by-point run: eigvalsh raises on the NaN a failed solve leaves
+    negative = np.zeros(count, dtype=bool)
+    checked = ~np.logical_or.reduce(failures)
+    if np.any(checked):
+        negative[checked] = np.min(np.linalg.eigvalsh(hermitian[checked]), axis=-1) < -1e-10
+    failures.append(negative)
+
+    failed = np.logical_or.reduce(failures)
+    if np.any(failed):
+        k = int(np.argmax(failed))
+        if not unique[k]:
+            raise SteadyStateError(
+                f"steady state is not unique: {n_zero[k]} stationary directions "
+                "(decoupled or purely Hamiltonian dynamics)"
+            )
+        messages = (
+            f"stationarity residual {residual[k]:.2e} too large",
+            "steady state is not Hermitian",
+            "steady state trace deviates from 1",
+            "steady state has a negative eigenvalue",
         )
-    for sj, sk in (
-        (SIGMA_MINUS_A, SIGMA_MINUS_B),
-        (SIGMA_MINUS_B, SIGMA_MINUS_A),
-    ):
-        k = sj.conj().T @ sk
-        liouv += ch.gamma_ab * (
-            _sandwich(sj, sk.conj().T)
-            - 0.5 * (_left_multiply(k) + _right_multiply(k))
-        )
-    return liouv
+        raise SteadyStateError(next(m for f, m in zip(failures[1:], messages) if f[k]))
+    return hermitian
 
 
 def steady_state(liouvillian: np.ndarray) -> SteadyState:
@@ -184,31 +255,7 @@ def steady_state(liouvillian: np.ndarray) -> SteadyState:
     eigenvalue is degenerate (e.g. a decoherence-free configuration whose
     dynamics is purely Hamiltonian) or the solution is unphysical.
     """
-    eigvals = np.linalg.eigvals(liouvillian)
-    n_zero = int(np.sum(np.abs(eigvals) < STATIONARY_TOL))
-    if n_zero != 1:
-        raise SteadyStateError(
-            f"steady state is not unique: {n_zero} stationary directions "
-            "(decoupled or purely Hamiltonian dynamics)"
-        )
-    mat = liouvillian.copy()
-    trace_row = _vec(np.eye(4, dtype=complex)).conj()
-    mat[0, :] = trace_row
-    rhs = np.zeros(16, dtype=complex)
-    rhs[0] = 1.0
-    rho = _unvec(np.linalg.solve(mat, rhs))
-
-    residual = np.linalg.norm(liouvillian @ _vec(rho))
-    scale = max(1.0, np.linalg.norm(liouvillian))
-    if residual > 1e-9 * scale:
-        raise SteadyStateError(f"stationarity residual {residual:.2e} too large")
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        raise SteadyStateError("steady state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-12:
-        raise SteadyStateError("steady state trace deviates from 1")
-    if np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) < -1e-10:
-        raise SteadyStateError("steady state has a negative eigenvalue")
-    return SteadyState(rho=0.5 * (rho + rho.conj().T))
+    return SteadyState(rho=_steady_states(liouvillian[None])[0])
 
 
 def _output_coefficients(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, complex]:
@@ -235,6 +282,60 @@ def _channel_operator(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[0] * SIGMA_MINUS_A + coeffs[1] * SIGMA_MINUS_B
 
 
+@dataclass(frozen=True)
+class MasterSweep:
+    """Master-equation observables on a grid of drive detunings.
+
+    Every field holds one entry per grid point; ``rho`` is the (N, 4, 4)
+    stack of steady states.  The entries are those of
+    :class:`LindbladResult`.
+    """
+
+    detuning: np.ndarray
+    rho: np.ndarray
+    t: np.ndarray
+    r: np.ndarray
+    T: np.ndarray
+    R: np.ndarray
+    inelastic_flux: np.ndarray
+    conservation_residual: np.ndarray
+
+
+def master_sweep(
+    cfg: SystemConfig, amplitude_sq: float, detuning: np.ndarray
+) -> MasterSweep:
+    """Steady-state transmission, reflection and inelastic flux on a detuning grid.
+
+    Uses L(delta) = L0 + delta L1: the generator is assembled once and the
+    steady states are solved as stacks of ``_BLOCK`` points, grid order kept,
+    so the first failing point raises as a point-by-point sweep would.
+    """
+    if amplitude_sq <= 0.0:
+        raise GawqedError("master-equation scattering requires a nonzero drive")
+    detuning = np.atleast_1d(np.asarray(detuning, dtype=float))
+    alpha = math.sqrt(amplitude_sq)
+    l0, l1 = _liouvillian_parts(cfg, alpha)
+    rho = np.concatenate([
+        _steady_states(l0 + detuning[start:start + _BLOCK, None, None] * l1)
+        for start in range(0, len(detuning), _BLOCK)
+    ])
+
+    c_t, c_r, through_phase = _output_coefficients(cfg)
+    flux = np.zeros(len(detuning))
+    amplitudes = []
+    for coeffs, offset in ((c_t, through_phase * alpha), (c_r, 0.0)):
+        op = _channel_operator(coeffs)
+        mean = np.einsum("nij,ji->n", rho, op)
+        second = np.einsum("nij,ji->n", rho, op.conj().T @ op).real
+        flux += second - np.abs(mean) ** 2
+        amplitudes.append((offset + mean) / alpha)
+    t, r = amplitudes
+
+    big_t, big_r = np.abs(t) ** 2, np.abs(r) ** 2
+    residual = np.abs(flux / amplitude_sq - (1.0 - big_t - big_r))
+    return MasterSweep(detuning, rho, t, r, big_t, big_r, flux, residual)
+
+
 def scattering_from_master(cfg: SystemConfig, drive: DriveSpec) -> LindbladResult:
     """Steady-state transmission, reflection, and inelastic flux.
 
@@ -242,35 +343,18 @@ def scattering_from_master(cfg: SystemConfig, drive: DriveSpec) -> LindbladResul
     flux F is the frequency-integrated incoherent output, computed from the
     equal-time second moments (for a stationary process this equals the
     integral of the inelastic power spectrum).  ``conservation_residual`` is
-    |F / |alpha|^2 - (1 - T - R)|.
+    |F / |alpha|^2 - (1 - T - R)|.  This is the one-point case of
+    :func:`master_sweep`.
     """
-    if drive.amplitude_sq <= 0.0:
-        raise GawqedError("scattering_from_master requires a nonzero drive")
-    steady = steady_state(build_liouvillian(cfg, drive))
-    rho = steady.rho
-    alpha = drive.alpha
-
-    c_t, c_r, through_phase = _output_coefficients(cfg)
-    flux = 0.0
-    amplitudes = []
-    for coeffs, offset in ((c_t, through_phase * alpha), (c_r, 0.0)):
-        op = _channel_operator(coeffs)
-        mean = complex(np.trace(rho @ op))
-        second = float(np.real(np.trace(rho @ op.conj().T @ op)))
-        flux += second - abs(mean) ** 2
-        amplitudes.append((offset + mean) / alpha)
-    t, r = amplitudes
-
-    big_t, big_r = abs(t) ** 2, abs(r) ** 2
-    residual = abs(flux / drive.amplitude_sq - (1.0 - big_t - big_r))
+    sweep = master_sweep(cfg, drive.amplitude_sq, drive.frequency_detuning)
     return LindbladResult(
-        steady=steady,
-        t=t,
-        r=r,
-        T=big_t,
-        R=big_r,
-        inelastic_flux=flux,
-        conservation_residual=residual,
+        steady=SteadyState(rho=sweep.rho[0]),
+        t=complex(sweep.t[0]),
+        r=complex(sweep.r[0]),
+        T=float(sweep.T[0]),
+        R=float(sweep.R[0]),
+        inelastic_flux=float(sweep.inelastic_flux[0]),
+        conservation_residual=float(sweep.conservation_residual[0]),
     )
 
 

@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from gawqed import Topology, peak_minimum_loci
-from gawqed.cli import build_system, expand_symmetric, main, validate_config
+import jsonschema
+
+from gawqed import Topology, peak_minimum_loci, solve_real_space
+from gawqed.cli import CONFIG_SCHEMA, build_system, expand_symmetric, main, validate_config
 from gawqed.core import ConfigError
 
 
@@ -55,6 +57,24 @@ class TestConfig:
     def test_schema_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             validate_config({"symmetric": {"topology": "separate", "phi": 1.0}, "bogus": 1})
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"symmetric": {"topology": "twisted", "phi": "x"}, "bogus": 1},
+            {"delta_ab": "1", "symmetric": {"topology": "nested"}},
+            {"drive": {"alpha_sq": -1, "x": 2}},
+        ],
+        ids=["unknown-key", "missing-phi", "no-geometry"],
+    )
+    def test_schema_messages_match_jsonschema(self, raw):
+        # each config breaks several rules; the one reported is jsonschema's
+        # best match, which is not the first error found
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(raw, CONFIG_SCHEMA)
+        with pytest.raises(ConfigError) as got:
+            validate_config(raw)
+        assert str(got.value) == f"config schema violation: {expected.value.message}"
 
     def test_build_explicit(self):
         raw = {
@@ -177,6 +197,45 @@ class TestCommands:
         b = np.loadtxt(out2, delimiter=",", skiprows=1)
         np.testing.assert_allclose(a, b, atol=1e-10)
 
+    @pytest.mark.parametrize(
+        "command, raw",
+        [
+            ("spectrum", {"symmetric": {"topology": "nested", "phi": 1.0472}}),
+            ("spectrum", {
+                "atoms": [
+                    {"points": [{"phase": 0.0, "rate": 1.0}, {"phase": 1.9, "rate": 0.6}]},
+                    {"points": [{"phase": 0.8, "rate": 0.4}, {"phase": 2.7, "rate": 1.3}]},
+                ],
+                "delta_ab": 0.7,
+            }),
+            ("eit-spectrum", {"symmetric": {"topology": "nested", "phi": math.pi / 2}, "delta_ab": -1.0}),
+            ("eit-spectrum", {
+                "atoms": [
+                    {"points": [{"phase": 0.0, "rate": 1.0}, {"phase": math.pi, "rate": 1.0}]},
+                    {"points": [{"phase": 0.25 * math.pi, "rate": 10.0},
+                                {"phase": 0.75 * math.pi, "rate": 10.0}]},
+                ],
+                "delta_ab": 10.0,
+            }),
+        ],
+        ids=["spectrum-nested", "spectrum-explicit", "eit-collective", "eit-single-atom"],
+    )
+    def test_delta_sweep_matches_real_space(self, tmp_path, command, raw):
+        path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        path.write_text(json.dumps(raw))
+        argv = ["--config", str(path), "--command", command,
+                "--sweep", "delta_a:-6:6:201", "--out", str(out)]
+        assert main(argv) == 0
+        cfg = build_system(raw)
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert len(data) == 201
+        for delta, re_t, im_t, re_r, im_r, big_t, big_r in data:
+            ref = solve_real_space(cfg, delta)
+            assert abs(complex(re_t, im_t) - ref.t) < 1e-10
+            assert abs(complex(re_r, im_r) - ref.r) < 1e-10
+            assert big_t == pytest.approx(abs(ref.t) ** 2, abs=1e-10)
+            assert big_r == pytest.approx(abs(ref.r) ** 2, abs=1e-10)
+
     def test_master_sweep_and_conservation(self, sep_config):
         proc = invoke(
             "--config", sep_config, "--command", "master-sweep", "--sweep", "delta_a:0:1:5"
@@ -238,6 +297,18 @@ class TestExitCodes:
         assert proc.returncode == 3
         record = json.loads(proc.stderr)
         assert record["error"] == "EitPreconditionError"
+
+    def test_master_sweep_without_steady_state_is_3(self, tmp_path, capsys):
+        # separate phi = pi: both atoms decouple, the dynamics is purely Hamiltonian
+        path = tmp_path / "dark.json"
+        path.write_text(json.dumps({
+            "symmetric": {"topology": "separate", "phi": math.pi},
+            "drive": {"alpha_sq": 0.04},
+        }))
+        argv = ["--config", str(path), "--command", "master-sweep", "--sweep", "delta_a:-1:1:5"]
+        assert main(argv) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "SteadyStateError"
 
     def test_io_failure_is_4(self, tmp_path):
         proc = invoke("--config", str(tmp_path / "missing.json"), "--command", "spectrum")

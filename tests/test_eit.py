@@ -189,6 +189,36 @@ class TestSingleAtomAmplitudes:
         assert ch.g_ab == pytest.approx(0.0, abs=1e-9)
 
 
+class TestArrayEvaluation:
+    def test_single_atom_grid_matches_points(self):
+        cfg = nested_single_atom(-2.5)
+        grid = np.linspace(-6, 6, 41)
+        arr = single_atom_eit_amplitudes(cfg, grid)
+        for k, delta in enumerate(grid):
+            one = single_atom_eit_amplitudes(cfg, float(delta))
+            assert abs(arr.t[k] - one.t) < 1e-14
+            assert abs(arr.r[k] - one.r) < 1e-14
+            assert abs(arr.R[k] - one.R) < 1e-14
+
+    def test_collective_grid_matches_points(self):
+        cfg = symmetric_config(Topology.NESTED, np.pi / 2, delta_ab=-1.0)
+        phase = cmath.exp(1j * characteristics(cfg).alpha_a)
+        grid = np.linspace(-6, 6, 41)
+        arr = collective_eit_amplitudes(sa_basis(cfg, grid), DarkState.S, grid, phase)
+        for k, delta in enumerate(grid):
+            q = sa_basis(cfg, float(delta))
+            one = collective_eit_amplitudes(q, DarkState.S, float(delta), phase)
+            assert abs(arr.t[k] - one.t) < 1e-14
+            assert abs(arr.r[k] - one.r) < 1e-14
+
+    def test_control_coupling_is_one_number_on_a_grid(self):
+        cfg = symmetric_config(Topology.SEPARATE, np.pi / 2, delta_ab=1.0)
+        q = sa_basis(cfg, np.linspace(-6, 6, 41))
+        assert np.ndim(q.g_sa) == 0
+        assert q.g_sa == sa_basis(cfg, 0.0).g_sa
+        assert np.shape(q.delta_s) == (41,)
+
+
 class TestClassify:
     def test_separate_collective_eit(self):
         v = classify_eit(symmetric_config(Topology.SEPARATE, np.pi / 2, delta_ab=1.0))

@@ -16,10 +16,17 @@ from gawqed import (
     steady_state,
     symmetric_config,
 )
+from gawqed.core import detunings
 from gawqed.lindblad import (
+    _BLOCK,
+    SIGMA_MINUS_A,
+    SIGMA_MINUS_B,
     SteadyStateError,
+    _liouvillian_parts,
+    _rabi_amplitudes,
     _vec,
     incoherent_channel_flux,
+    master_sweep,
 )
 
 from conftest import random_system
@@ -37,7 +44,52 @@ def single_atom_eit_config():
     return SystemConfig(atom_a, atom_b, delta_ab=np.sin(2 * np.pi))
 
 
+def reference_liouvillian(cfg, drive):
+    """The generator assembled term by term from Kronecker products."""
+    eye = np.eye(4, dtype=complex)
+
+    def left(op):
+        return np.kron(eye, op)
+
+    def right(op):
+        return np.kron(op.T, eye)
+
+    def sandwich(l_op, r_op):
+        return np.kron(r_op.T, l_op)
+
+    ch = characteristics(cfg)
+    d_a, d_b = detunings(cfg, drive.frequency_detuning)
+    om_a, om_b = _rabi_amplitudes(cfg, drive.alpha)
+    sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
+    h = (
+        -(d_a - ch.lamb_a) * (sa.conj().T @ sa)
+        - (d_b - ch.lamb_b) * (sb.conj().T @ sb)
+        + ch.g_ab * (sa.conj().T @ sb + sb.conj().T @ sa)
+    )
+    for om, sm in ((om_a, sa), (om_b, sb)):
+        h += -0.5j * (om * sm.conj().T - np.conj(om) * sm)
+    liouv = -1j * (left(h) - right(h))
+    for rate, sj, sk in (
+        (ch.gamma_a, sa, sa), (ch.gamma_b, sb, sb), (ch.gamma_ab, sa, sb), (ch.gamma_ab, sb, sa)
+    ):
+        k = sj.conj().T @ sk
+        liouv += rate * (sandwich(sj, sk.conj().T) - 0.5 * (left(k) + right(k)))
+    return liouv
+
+
 class TestGenerator:
+    def test_affine_in_drive_detuning(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            cfg = random_system(rng)
+            drive = DriveSpec(float(rng.uniform(1e-4, 0.1)), float(rng.uniform(-6, 6)))
+            reference = reference_liouvillian(cfg, drive)
+            l0, l1 = _liouvillian_parts(cfg, drive.alpha)
+            affine = l0 + drive.frequency_detuning * l1
+            bound = 1e-15 * np.linalg.norm(reference)
+            assert np.max(np.abs(affine - reference)) <= bound
+            assert np.max(np.abs(build_liouvillian(cfg, drive) - reference)) <= bound
+
     def test_trace_preservation(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -139,6 +191,28 @@ class TestScattering:
     def test_zero_drive_rejected(self):
         with pytest.raises(Exception, match="nonzero drive"):
             scattering_from_master(symmetric_config(Topology.SEPARATE, 0.3), DriveSpec(0.0, 0.0))
+
+
+class TestMasterSweep:
+    def test_matches_one_point_calls(self):
+        # more points than one block, so the block boundary is crossed
+        cfg = random_system(np.random.default_rng(13))
+        grid = np.linspace(-6, 6, _BLOCK + 45)
+        sweep = master_sweep(cfg, 0.02, grid)
+        for k, delta in enumerate(grid):
+            one = scattering_from_master(cfg, DriveSpec(0.02, float(delta)))
+            assert np.max(np.abs(sweep.rho[k] - one.steady.rho)) <= 1e-14
+            for name in ("t", "r", "T", "R", "inelastic_flux", "conservation_residual"):
+                assert abs(getattr(sweep, name)[k] - getattr(one, name)) <= 1e-14
+
+    def test_degenerate_point_raises(self):
+        cfg = symmetric_config(Topology.BRAIDED, np.pi / 2)
+        with pytest.raises(SteadyStateError, match="not unique"):
+            master_sweep(cfg, 0.01, np.linspace(-1, 1, 5))
+
+    def test_zero_drive_rejected(self):
+        with pytest.raises(Exception, match="nonzero drive"):
+            master_sweep(symmetric_config(Topology.SEPARATE, 0.3), 0.0, np.zeros(3))
 
 
 class TestQuench:
