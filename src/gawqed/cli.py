@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
 
 from . import eit, fano, lindblad
@@ -59,59 +57,20 @@ COMMANDS = (
     "oracle-check",
 )
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "atoms": {
-            "type": "array",
-            "minItems": 2,
-            "maxItems": 2,
-            "items": {
-                "type": "object",
-                "properties": {
-                    "points": {
-                        "type": "array",
-                        "minItems": 2,
-                        "maxItems": 2,
-                        "items": {
-                            "type": "object",
-                            "properties": {
-                                "phase": {"type": "number"},
-                                "rate": {"type": "number", "minimum": 0},
-                            },
-                            "required": ["phase", "rate"],
-                            "additionalProperties": False,
-                        },
-                    }
-                },
-                "required": ["points"],
-                "additionalProperties": False,
-            },
-        },
-        "delta_ab": {"type": "number"},
-        "drive": {
-            "type": "object",
-            "properties": {
-                "alpha_sq": {"type": "number", "minimum": 0},
-                "detuning": {"type": "number"},
-            },
-            "required": ["alpha_sq"],
-            "additionalProperties": False,
-        },
-        "symmetric": {
-            "type": "object",
-            "properties": {
-                "topology": {"enum": ["separate", "braided", "nested"]},
-                "phi": {"type": "number"},
-                "gamma": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["topology", "phi"],
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-    "oneOf": [{"required": ["atoms"]}, {"required": ["symmetric"]}],
+#: per config section: (required keys, optional keys)
+CONFIG_KEYS = {
+    "config": ((), ("atoms", "delta_ab", "drive", "symmetric")),
+    "symmetric": (("topology", "phi"), ("gamma",)),
+    "drive": (("alpha_sq",), ("detuning",)),
+    "atom": (("points",), ()),
+    "point": (("phase", "rate"), ()),
 }
+
+#: numeric keys (each name belongs to one section) and their lower bound
+CONFIG_NUMBERS = {"delta_ab": None, "phi": None, "gamma": "> 0", "alpha_sq": ">= 0",
+                  "detuning": None, "phase": None, "rate": ">= 0"}
+
+TOPOLOGIES = [t.value for t in Topology]
 
 #: sweep variables each command accepts (None = runs without a sweep)
 SWEEP_VARIABLES = {
@@ -179,19 +138,73 @@ def expand_symmetric(shortcut: dict) -> dict:
     }
 
 
-@functools.cache
-def _schema_validator():
-    """Validator for CONFIG_SCHEMA, built (and the schema checked) on first use."""
-    cls = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-    cls.check_schema(CONFIG_SCHEMA)
-    return cls(CONFIG_SCHEMA)
+def _violation(message: str) -> ConfigError:
+    return ConfigError(f"config schema violation: {message}")
 
 
-def validate_config(raw: dict) -> None:
-    """Raise ConfigError with the error ``jsonschema.validate`` would report."""
-    error = jsonschema.exceptions.best_match(_schema_validator().iter_errors(raw))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}") from error
+def _object(value) -> dict:
+    if not isinstance(value, dict):
+        raise _violation(f"{value!r} is not of type 'object'")
+    return value
+
+
+def _pair(value) -> list:
+    if not isinstance(value, list):
+        raise _violation(f"{value!r} is not of type 'array'")
+    if len(value) != 2:
+        raise _violation(f"{value!r} is too {'short' if len(value) < 2 else 'long'}")
+    return value
+
+
+def _unknown_keys(section: dict, kind: str) -> None:
+    required, optional = CONFIG_KEYS[kind]
+    extras = sorted(key for key in section if key not in required + optional)
+    if extras:
+        verb = "was" if len(extras) == 1 else "were"
+        raise _violation(
+            f"Additional properties are not allowed ({', '.join(map(repr, extras))} {verb} unexpected)"
+        )
+
+
+def validate_config(raw) -> None:
+    """Raise ConfigError on the first violation of the config format.
+
+    Checks run in a fixed order: unknown top-level keys, exactly one of
+    ``atoms``/``symmetric``, required keys in each section, unknown keys in
+    each section, then types and bounds (bools are not numbers).  Messages
+    use the wording of JSON Schema validators.
+    """
+    _unknown_keys(_object(raw), "config")
+    if ("atoms" in raw) == ("symmetric" in raw):
+        if "atoms" in raw:
+            raise _violation(
+                f"{raw!r} is valid under each of {{'required': ['symmetric']}}, {{'required': ['atoms']}}"
+            )
+        raise _violation(f"{raw!r} is not valid under any of the given schemas")
+    sections = [("config", raw)]
+    sections += [(kind, _object(raw[kind])) for kind in ("symmetric", "drive") if kind in raw]
+    for atom in _pair(raw["atoms"]) if "atoms" in raw else ():
+        sections.append(("atom", _object(atom)))
+        if "points" in atom:
+            sections += [("point", _object(point)) for point in _pair(atom["points"])]
+    for kind, section in sections:
+        for key in CONFIG_KEYS[kind][0]:
+            if key not in section:
+                raise _violation(f"{key!r} is a required property")
+    for kind, section in sections:
+        _unknown_keys(section, kind)
+    for _, section in sections:
+        for key, value in section.items():
+            if key == "topology" and value not in TOPOLOGIES:
+                raise _violation(f"{value!r} is not one of {TOPOLOGIES!r}")
+            if key not in CONFIG_NUMBERS:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise _violation(f"{value!r} is not of type 'number'")
+            if CONFIG_NUMBERS[key] == ">= 0" and value < 0:
+                raise _violation(f"{value!r} is less than the minimum of 0")
+            if CONFIG_NUMBERS[key] == "> 0" and value <= 0:
+                raise _violation(f"{value!r} is less than or equal to the minimum of 0")
 
 
 def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:

@@ -241,71 +241,16 @@ def _maximum_symmetric_geometry(cfg: SystemConfig) -> tuple[Topology, float] | N
         return None
 
 
-def maximum_symmetric_quantities(
-    topology: Topology, phi: float, delta_ab: float, gamma: float = 1.0
-) -> SABasisQuantities:
-    """Published per-topology closed forms of the S/A quantities.
-
-    Equal bare rates gamma, equal spacing phi, leftmost point at phase 0.
-    Detunings and drives are reported at probe detuning delta_a = 0 and unit
-    drive amplitude.  Note: for the nested topology the published
-    g_SA = delta_ab/2 + gamma (sin phi - sin 3 phi)/2 carries the opposite
-    Lamb-shift sign from the general basis change in :func:`sa_basis`; this
-    function reproduces the published form.
-    """
-    c1, c2, c3 = math.cos(phi), math.cos(2 * phi), math.cos(3 * phi)
-    gamma_s = gamma * (2 + 3 * c1 + 2 * c2 + c3)
-    if topology is Topology.SEPARATE:
-        g_sa = 0.5 * delta_ab
-        gamma_a_mode = gamma * (2 + c1 - 2 * c2 - c3)
-        gamma_sa = 0.0
-        lamb_a = lamb_b = gamma * math.sin(phi)
-        g_ab = 0.5 * gamma * (math.sin(phi) + 2 * math.sin(2 * phi) + math.sin(3 * phi))
-    elif topology is Topology.BRAIDED:
-        g_sa = 0.5 * delta_ab
-        gamma_a_mode = gamma * (2 - 3 * c1 + 2 * c2 - c3)
-        gamma_sa = 0.0
-        lamb_a = lamb_b = gamma * math.sin(2 * phi)
-        g_ab = 0.5 * gamma * (3 * math.sin(phi) + math.sin(3 * phi))
-    elif topology is Topology.NESTED:
-        g_sa = 0.5 * delta_ab + 0.5 * gamma * (math.sin(phi) - math.sin(3 * phi))
-        gamma_a_mode = gamma * (2 - c1 - 2 * c2 + c3)
-        gamma_sa = gamma * (c3 - c1)
-        lamb_a, lamb_b = gamma * math.sin(3 * phi), gamma * math.sin(phi)
-        g_ab = gamma * (math.sin(phi) + math.sin(2 * phi))
-    else:  # pragma: no cover - Enum is closed
-        raise GawqedError(f"unknown topology {topology!r}")
-    eff_a, eff_b = -lamb_a, (delta_ab - lamb_b)
-    mean = 0.5 * (eff_a + eff_b)
-    phase_pairs = {
-        Topology.SEPARATE: ((0.0, phi), (2 * phi, 3 * phi)),
-        Topology.BRAIDED: ((0.0, 2 * phi), (phi, 3 * phi)),
-        Topology.NESTED: ((0.0, 3 * phi), (phi, 2 * phi)),
-    }[topology]
-    w_a, w_b = (
-        math.sqrt(gamma) * (cmath.exp(1j * p[0]) + cmath.exp(1j * p[1]))
-        for p in phase_pairs
-    )
-    omega_a, omega_b = math.sqrt(2.0) * w_a, math.sqrt(2.0) * w_b
-    return SABasisQuantities(
-        g_sa=g_sa,
-        gamma_s=gamma_s,
-        gamma_a_mode=gamma_a_mode,
-        gamma_sa=gamma_sa,
-        delta_s=mean - g_ab,
-        delta_a_mode=mean + g_ab,
-        omega_s=(omega_a + omega_b) / math.sqrt(2.0),
-        omega_a_mode=(omega_a - omega_b) / math.sqrt(2.0),
-    )
-
-
 def classify_eit(cfg: SystemConfig) -> EitVerdict:
     """Detect which EIT scheme (if any) the configuration supports.
 
     Checks the collective-mode preconditions first, then the single-atom
     ones; if both hold simultaneously the collective scheme is reported with
     a note.  For maximum-symmetric geometries the control strength follows
-    the published closed forms (see :func:`maximum_symmetric_quantities`).
+    the published closed form g_SA = delta_ab/2, plus
+    gamma (sin phi - sin 3 phi)/2 for the nested topology; that nested term
+    has the opposite Lamb-shift sign to the exact basis change in
+    :func:`sa_basis`.
     The regime label comes from the root criterion; a vanishing control
     coupling (no effective control field) is reported as NotApplicable even
     when the dark/bright structure exists.
@@ -316,9 +261,10 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
     sym = _maximum_symmetric_geometry(cfg)
     g_sa = q.g_sa
     if sym is not None:
-        g_sa = maximum_symmetric_quantities(
-            sym[0], sym[1], cfg.delta_ab, cfg.atom_a.points[0].bare_rate
-        ).g_sa
+        topology, phi = sym
+        g_sa = 0.5 * cfg.delta_ab
+        if topology is Topology.NESTED:
+            g_sa += 0.5 * cfg.atom_a.points[0].bare_rate * (math.sin(phi) - math.sin(3 * phi))
 
     mean_lamb = 0.5 * (ch.lamb_a + ch.lamb_b)
 

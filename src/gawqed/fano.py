@@ -1,16 +1,16 @@
 """Two-channel Lorentzian decomposition and Fano-lineshape analysis.
 
-The reflection amplitude of the symmetric (equal rates, equal spacing,
-degenerate atoms) configuration has exactly two complex poles, so it splits
-exactly into two Lorentzian channels r = r_plus + r_minus.  When one channel
-is much broader than the other, the narrow channel interferes with the quasi
-continuum of the broad one and the reflectance near the narrow resonance is a
-standard Fano profile R = F (q + eps)^2 / (1 + eps^2).
+The reflection amplitude has exactly two complex poles, the eigenvalues of
+the 2 x 2 effective Hamiltonian of the atoms, so it splits exactly into two
+Lorentzian channels r = r_plus + r_minus.  When one channel is much broader
+than the other, the narrow channel interferes with the quasi continuum of the
+broad one and the reflectance near the narrow resonance is a standard Fano
+profile R = F (q + eps)^2 / (1 + eps^2).
 
-This module provides the closed-form channel parameters per topology, the
-Fano fit parameters, a regime classifier (operationalising "much broader" as
-a width ratio above 10), and the vacuum-Rabi-splitting approximation used to
-probe the nearly decoherence-free braided point.
+This module provides the channel parameters from the poles and residues of
+r, the Fano fit parameters, a regime classifier (operationalising "much
+broader" as a width ratio above 10), and the vacuum-Rabi-splitting
+approximation used to probe the nearly decoherence-free braided point.
 """
 
 from __future__ import annotations
@@ -21,8 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GawqedError, Topology
-from .scattering import ScatterPoint, _scatter_point, _topology_amplitude_arrays
+from .core import (
+    GawqedError,
+    SystemConfig,
+    Topology,
+    atom_phasor,
+    characteristics,
+    symmetric_config,
+)
+from .scattering import ScatterPoint, _amplitude_arrays, _reflection_numerator, _scatter_point
 
 #: width ratio above which the broad channel counts as a continuum
 WIDTH_RATIO_THRESHOLD = 10.0
@@ -30,13 +37,16 @@ WIDTH_RATIO_THRESHOLD = 10.0
 #: residual bound asserted for the two-Lorentzian reconstruction identity
 DECOMPOSITION_TOL = 1e-10
 
+#: probe detunings of the reconstruction check, in units of the largest bare rate
+_PROBE = np.linspace(-6.0, 6.0, 61)
+
 
 class FanoRegimeError(GawqedError):
     """Fano-fit preconditions (width hierarchy, nonzero narrow width) fail."""
 
 
 class DecompositionError(GawqedError):
-    """The closed-form channel parameters fail the reconstruction identity."""
+    """The channel parameters fail the reconstruction identity."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +67,8 @@ class LorentzPair:
     def reconstruct(self, delta: np.ndarray) -> np.ndarray:
         """r_plus(delta) + r_minus(delta) on an array of detunings.
 
-        A channel with vanishing weight chi * Gamma is identically zero and is
+        Each channel is evaluated in pole form, -i chi Gamma / (delta - z) with
+        z = Delta_ch - i Gamma.  A channel with vanishing weight chi * Gamma is identically zero and is
         evaluated as such (its Lorentzian form would be 0/0 on resonance).
         """
         d = np.asarray(delta, dtype=float)
@@ -68,7 +79,7 @@ class LorentzPair:
         ):
             if chi * width == 0.0:
                 continue
-            total = total + chi * width / (1j * (d - centre) - width)
+            total = total + (-1j * chi * width) / (d - complex(centre, -width))
         return total
 
 
@@ -90,147 +101,66 @@ class FanoFit:
         return self.f_scale * (self.q + e) ** 2 / (1.0 + e**2)
 
 
-def _nested_pair(phi: float, gamma: float) -> LorentzPair:
-    """Closed-form nested-topology channels, including the auxiliary coefficients.
+def lorentz_pair(cfg: SystemConfig) -> LorentzPair:
+    """Exact two-Lorentzian channel parameters of r for any configuration.
 
-    tan(2 zeta) fixes zeta only up to a quarter turn and the prefactor angle
-    only up to a half turn; the principal branch of zeta together with the
-    angle branch selected by :func:`lorentz_decompose`'s residual check makes
-    the reconstruction exact.
+    The poles of r in the probe detuning delta_a are the eigenvalues
+    z = Delta - i Gamma of the effective Hamiltonian
+    H = [[lamb_a - i Gamma_a/2, c], [c, lamb_b - delta_ab - i Gamma_b/2]],
+    c = g_ab - i Gamma_ab/2, and each channel's prefactor is chi = i Res / Gamma
+    with Res the residue of r at its pole.  'plus' is the pole whose
+    eigenvector overlaps more with the symmetric mode (sigma_a + sigma_b)/sqrt(2):
+    with z = mean +- s and s^2 = ((H_aa - H_bb)/2)^2 + c^2, that is mean + s
+    when Re(s c*) > 0.  On a tie (Re(s c*) = 0, e.g. c = 0) plus is mean + s
+    for the principal square root s.  A channel of (numerically) zero width,
+    or one whose pole coincides with the other, gets chi = 0.
+
+    Raises :class:`DecompositionError` for a negative width or when the pair
+    misses the general amplitude by more than ``DECOMPOSITION_TOL`` on a probe
+    grid spanning +-6 times the largest bare rate.
     """
-    s1, c1 = math.sin(phi), math.cos(phi)
-    c2, c3 = math.cos(2 * phi), math.cos(3 * phi)
-    big_a = math.sqrt((1 - 3 * c1) ** 2 + 4 * s1**2)
-    zeta = 0.5 * math.atan2(2 * s1, 1 - 3 * c1)
-    half_cos = abs(math.cos(phi / 2))
-    root = math.sqrt(2 * big_a) * half_cos
+    ch = characteristics(cfg)
+    scale = max(cfg.atom_a.rates + cfg.atom_b.rates)
+    h_aa = complex(ch.lamb_a, -0.5 * ch.gamma_a)
+    h_bb = complex(ch.lamb_b - cfg.delta_ab, -0.5 * ch.gamma_b)
+    c = complex(ch.g_ab, -0.5 * ch.gamma_ab)
+    mean, half = 0.5 * (h_aa + h_bb), 0.5 * (h_aa - h_bb)
+    s = cmath.sqrt(half * half + c * c)
+    if (s * c.conjugate()).real < 0.0:
+        s = -s
+    poles = (mean + s, mean - s)
+    widths = tuple(-z.imag for z in poles)
+    if min(widths) < -1e-12 * scale:
+        raise DecompositionError(f"negative channel width: {widths}")
 
-    centre_d = 0.5 * (s1 + math.sin(3 * phi))
-    centre_g = 1 + 0.5 * c1 + 0.5 * c3
-    d_plus = gamma * (centre_d - root * math.cos(2 * phi + zeta))
-    d_minus = gamma * (centre_d + root * math.cos(2 * phi + zeta))
-    g_plus = gamma * (centre_g + root * math.sin(2 * phi + zeta))
-    g_minus = gamma * (centre_g - root * math.sin(2 * phi + zeta))
-
-    lam1 = -(1 / (4 * math.sqrt(2 * big_a))) * half_cos * (
-        5 * math.sin(3 * phi) - 2 * math.sin(4 * phi) + math.sin(5 * phi)
-    )
-    lam2 = math.sqrt(2 / big_a) * half_cos**3 * (2 * c1 - c2 - 2) ** 2
-    lam3 = math.sqrt(2 / big_a) * half_cos * (2 * c1 - c2 - 2)
-    core = (lam1 * (g_plus - g_minus) + lam2 * (d_plus - d_minus)) * gamma
-    prod = g_plus * g_minus
-    theta = math.atan2(lam3 * prod, core)
-    chi = math.sqrt((core / prod) ** 2 + lam3**2) if prod != 0.0 else 0.0
-
-    chi_plus = chi * cmath.exp(1j * (phi - zeta + theta))
-    chi_minus = chi * cmath.exp(1j * (phi - zeta - theta))
-    return LorentzPair(d_plus, d_minus, g_plus, g_minus, chi_plus, chi_minus)
-
-
-def _pair_from_residues(phi: float, gamma: float, base: LorentzPair) -> LorentzPair:
-    """Nested channel prefactors from the exact reflection-pole residues."""
-    e1 = cmath.exp(1j * phi)
-
-    def numerator(z: complex) -> complex:
-        return (
-            4j
-            * e1**3
-            * gamma
-            * math.cos(phi / 2) ** 2
-            * (
-                z * (2 - 2 * math.cos(phi) + math.cos(2 * phi))
-                - gamma * (math.sin(phi) - math.sin(2 * phi))
-            )
-        )
-
-    z_plus = complex(base.delta_plus, -base.gamma_plus)
-    z_minus = complex(base.delta_minus, -base.gamma_minus)
+    w_a, w_b = atom_phasor(cfg.atom_a), atom_phasor(cfg.atom_b)
     chis = []
-    for z_here, z_other, width in (
-        (z_plus, z_minus, base.gamma_plus),
-        (z_minus, z_plus, base.gamma_minus),
-    ):
-        if width < 1e-12 * gamma or abs(z_here - z_other) < 1e-12 * gamma:
-            chis.append(0.0 + 0.0j)
-            continue
-        residue = numerator(z_here) / (-(z_here - z_other))
-        chis.append(1j * residue / width)
-    return LorentzPair(
-        base.delta_plus, base.delta_minus, base.gamma_plus, base.gamma_minus,
-        chis[0], chis[1],
-    )
+    for z_here, z_other, width in zip(poles, poles[::-1], widths):
+        r_num = _reflection_numerator(ch, w_a, w_b, 1j * (z_here - h_aa), 1j * (z_here - h_bb))
+        dark = width <= 1e-12 * scale or abs(z_here - z_other) <= 1e-12 * scale
+        chis.append(0j if dark else 1j * (r_num / (-(z_here - z_other))) / width)
+    pair = LorentzPair(poles[0].real, poles[1].real, *widths, *chis)
+
+    probe = _PROBE * scale
+    _, r_exact = _amplitude_arrays(cfg, probe, ch)
+    residual = float(np.max(np.abs(pair.reconstruct(probe) - r_exact)))
+    if not residual <= DECOMPOSITION_TOL:
+        raise DecompositionError(
+            f"reconstruction residual {residual:.2e} exceeds {DECOMPOSITION_TOL}"
+        )
+    return pair
 
 
 def lorentz_decompose(topology: Topology, phi: float, gamma: float = 1.0) -> LorentzPair:
     """Exact two-Lorentzian channel parameters of r for the symmetric case.
 
-    For separate/braided topologies the prefactors are +-e^{3 i phi}; for the
-    nested topology the auxiliary-coefficient construction is used and the
-    half-turn branch of the prefactor angle is chosen, per channel pair, as
-    the one that drives the reconstruction residual against the exact
-    reflection amplitude below ``DECOMPOSITION_TOL`` on a probe grid.
+    :func:`lorentz_pair` on :func:`~gawqed.core.symmetric_config`; errors
+    name the spacing ``phi``.
     """
-    s1, c1, c2 = math.sin(phi), math.cos(phi), math.cos(2 * phi)
-    if topology is Topology.SEPARATE:
-        pair = LorentzPair(
-            delta_plus=gamma * s1 * (1 + 2 * c1 + 2 * c1 * c1),
-            delta_minus=gamma * s1 * (1 - 2 * c1 - 2 * c1 * c1),
-            gamma_plus=gamma * (1 + c1) * (1 + c2),
-            gamma_minus=gamma * (1 + c1) * (1 - c2),
-            chi_plus=cmath.exp(3j * phi),
-            chi_minus=-cmath.exp(3j * phi),
-        )
-        candidates = [pair]
-    elif topology is Topology.BRAIDED:
-        pair = LorentzPair(
-            delta_plus=gamma * (math.sin(2 * phi) + 1.5 * s1 + 0.5 * math.sin(3 * phi)),
-            delta_minus=gamma * (math.sin(2 * phi) - 1.5 * s1 - 0.5 * math.sin(3 * phi)),
-            gamma_plus=gamma * (1 + c2) * (1 + c1),
-            gamma_minus=gamma * (1 + c2) * (1 - c1),
-            chi_plus=cmath.exp(3j * phi),
-            chi_minus=-cmath.exp(3j * phi),
-        )
-        candidates = [pair]
-    elif topology is Topology.NESTED:
-        base = _nested_pair(phi, gamma)
-        flipped = LorentzPair(
-            base.delta_plus,
-            base.delta_minus,
-            base.gamma_plus,
-            base.gamma_minus,
-            -base.chi_plus,
-            -base.chi_minus,
-        )
-        candidates = [base, flipped]
-        if min(base.gamma_plus, base.gamma_minus) < 1e-9 * gamma:
-            # the printed prefactor formulas are 0/0 when a channel width
-            # vanishes; take the limit through the exact pole residues (the
-            # zero-width channel never contributes, its prefactor is a
-            # convention)
-            candidates.append(_pair_from_residues(phi, gamma, base))
-    else:  # pragma: no cover - Enum is closed
-        raise GawqedError(f"unknown topology {topology!r}")
-
-    if candidates[0].gamma_plus < -1e-12 * gamma or candidates[0].gamma_minus < -1e-12 * gamma:
-        raise DecompositionError(
-            f"negative channel width at phi={phi}: "
-            f"({candidates[0].gamma_plus}, {candidates[0].gamma_minus})"
-        )
-
-    probe = np.linspace(-6.0, 6.0, 61) * gamma
-    _, r_exact = _topology_amplitude_arrays(topology, phi, probe, gamma)
-    best, best_res = None, math.inf
-    for cand in candidates:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            res = float(np.nanmax(np.abs(cand.reconstruct(probe) - r_exact)))
-        if res < best_res:
-            best, best_res = cand, res
-    if best_res > DECOMPOSITION_TOL:
-        raise DecompositionError(
-            f"reconstruction residual {best_res:.2e} at phi={phi} exceeds "
-            f"{DECOMPOSITION_TOL} for every prefactor branch"
-        )
-    return best
+    try:
+        return lorentz_pair(symmetric_config(topology, phi, gamma=gamma))
+    except DecompositionError as exc:
+        raise DecompositionError(f"{exc} at phi={phi}") from exc
 
 
 def fano_regime(topology: Topology, phi: float, gamma: float = 1.0) -> str:

@@ -282,6 +282,15 @@ def _channel_operator(coeffs: np.ndarray) -> np.ndarray:
     return coeffs[0] * SIGMA_MINUS_A + coeffs[1] * SIGMA_MINUS_B
 
 
+def _channel_moments(rho: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<b> and the incoherent flux <b^+ b> - |<b>|^2 of the channel operator
+    b = sum_j coeffs[j] sigma_j^- on a (N, 4, 4) stack of states."""
+    op = _channel_operator(coeffs)
+    mean = np.einsum("nij,ji->n", rho, op)
+    second = np.einsum("nij,ji->n", rho, op.conj().T @ op).real
+    return mean, second - np.abs(mean) ** 2
+
+
 @dataclass(frozen=True)
 class MasterSweep:
     """Master-equation observables on a grid of drive detunings.
@@ -324,10 +333,8 @@ def master_sweep(
     flux = np.zeros(len(detuning))
     amplitudes = []
     for coeffs, offset in ((c_t, through_phase * alpha), (c_r, 0.0)):
-        op = _channel_operator(coeffs)
-        mean = np.einsum("nij,ji->n", rho, op)
-        second = np.einsum("nij,ji->n", rho, op.conj().T @ op).real
-        flux += second - np.abs(mean) ** 2
+        mean, channel_flux = _channel_moments(rho, coeffs)
+        flux += channel_flux
         amplitudes.append((offset + mean) / alpha)
     t, r = amplitudes
 
@@ -404,14 +411,10 @@ def inelastic_spectrum(
 
 
 def incoherent_channel_flux(cfg: SystemConfig, drive: DriveSpec) -> tuple[float, float]:
-    """Equal-time incoherent flux of each channel (the spectrum's integral)."""
-    steady = steady_state(build_liouvillian(cfg, drive))
-    rho = steady.rho
+    """Equal-time incoherent flux of each channel (the spectrum's integral).
+
+    The one-point case of the per-channel moments of :func:`master_sweep`.
+    """
+    rho = steady_state(build_liouvillian(cfg, drive)).rho[None]
     c_t, c_r, _ = _output_coefficients(cfg)
-    out = []
-    for coeffs in (c_t, c_r):
-        op = _channel_operator(coeffs)
-        mean = complex(np.trace(rho @ op))
-        second = float(np.real(np.trace(rho @ op.conj().T @ op)))
-        out.append(second - abs(mean) ** 2)
-    return out[0], out[1]
+    return float(_channel_moments(rho, c_t)[1][0]), float(_channel_moments(rho, c_r)[1][0])

@@ -11,9 +11,8 @@ Two independent routes to the same spectra live here:
 
 The second is the oracle: it knows nothing about Lamb shifts or collective
 decays, only about delta couplings at four positions, so agreement between the
-two is a strong end-to-end check.  Per-topology specialisations for the
-equal-rate, equal-spacing case and the analytic peak / minimum loci complete
-the module.
+two is a strong end-to-end check.  The analytic peak / minimum loci of the
+equal-rate, equal-spacing case complete the module.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from .core import (
     Topology,
     atom_phasor,
     characteristics,
-    classify_topology,
-    symmetric_config,
 )
 
 #: |denominator| below this (times rate_unit^2) counts as a real-axis pole.
@@ -44,10 +41,6 @@ DECOUPLE_TOL = 1e-12
 
 class PoleError(GawqedError):
     """The scattering denominator vanished on the real axis."""
-
-
-class SymmetryError(GawqedError):
-    """A configuration violates the equal-rate / equal-spacing assumption."""
 
 
 class OracleSingularError(GawqedError):
@@ -79,6 +72,16 @@ class RealSpaceSolution:
 
 def _scatter_point(delta_a: float, t: complex, r: complex) -> ScatterPoint:
     return ScatterPoint(delta_a=delta_a, t=t, r=r, T=abs(t) ** 2, R=abs(r) ** 2)
+
+
+def _reflection_numerator(ch: CharQuantities, w_a: complex, w_b: complex, ka, kb):
+    """Numerator of r over den = ka kb - (Gamma_ab/2 + i g_ab)^2.
+
+    ka = i (delta - H_aa) and kb = i (delta - H_bb) with H_jj the diagonal of
+    the effective Hamiltonian; delta may be complex, so this also gives r's
+    residues at its poles.
+    """
+    return 0.5 * w_b**2 * ka + 0.5 * w_a**2 * kb + (1j * ch.g_ab + 0.5 * ch.gamma_ab) * w_a * w_b
 
 
 def _amplitude_arrays(
@@ -119,11 +122,7 @@ def _amplitude_arrays(
     cross = 0.5 * ch.gamma_ab + 1j * ch.g_ab
     den = ka * kb - cross**2
     t_num = -da * db + 0.25 * (ch.gamma_ab**2 - ch.gamma_a * ch.gamma_b) + ch.g_ab**2
-    r_num = (
-        0.5 * w_b**2 * ka
-        + 0.5 * w_a**2 * kb
-        + (1j * ch.g_ab + 0.5 * ch.gamma_ab) * w_a * w_b
-    )
+    r_num = _reflection_numerator(ch, w_a, w_b, ka, kb)
     removable = np.abs(den) < POLE_TOL * unit**2
     if np.any(removable):
         # a zero-width (dark) resonance puts a simple denominator zero on the
@@ -159,96 +158,6 @@ def amplitudes_general(cfg: SystemConfig, delta_a: float) -> ScatterPoint:
     """
     t, r = _amplitude_arrays(cfg, np.asarray(float(delta_a)))
     return _scatter_point(float(delta_a), complex(t), complex(r))
-
-
-# ---------------------------------------------------------------------------
-# Per-topology closed forms (equal rates, equal spacing, leftmost phase 0)
-# ---------------------------------------------------------------------------
-
-
-def _topology_amplitude_arrays(
-    topology: Topology, phi: float, delta: np.ndarray, gamma: float = 1.0
-) -> tuple[np.ndarray, np.ndarray]:
-    d = np.asarray(delta, dtype=float)
-    g = gamma
-    e1 = cmath.exp(1j * phi)
-    if topology is Topology.SEPARATE:
-        den = (1j * d - g * (1 + e1)) ** 2 - (0.5 * g * e1 * (1 + e1) ** 2) ** 2
-        t_num = -((d - g * math.sin(phi)) ** 2)
-        r_num = (
-            4j
-            * e1**3
-            * g
-            * math.cos(phi / 2) ** 2
-            * (d * math.cos(2 * phi) + g * (math.sin(phi) + math.sin(2 * phi)))
-        )
-    elif topology is Topology.BRAIDED:
-        den = (1j * d - g * (1 + e1**2)) ** 2 - (0.5 * g * (3 * e1 + e1**3)) ** 2
-        t_num = -((d - g * math.sin(2 * phi)) ** 2) + g**2 * (
-            math.sin(2 * phi) ** 2 + math.sin(phi) ** 2
-        )
-        r_num = (
-            4j
-            * e1**3
-            * g
-            * math.cos(phi) ** 2
-            * (d * math.cos(phi) + g * math.sin(phi))
-        )
-    else:
-        den = (1j * d - g * (1 + e1**3)) * (1j * d - g * (1 + e1)) - (
-            g * e1 * (1 + e1)
-        ) ** 2
-        t_num = -(d - g * math.sin(3 * phi)) * (d - g * math.sin(phi)) + g**2 * (
-            math.sin(phi) + math.sin(2 * phi)
-        ) ** 2
-        r_num = (
-            4j
-            * e1**3
-            * g
-            * math.cos(phi / 2) ** 2
-            * (
-                d * (2 - 2 * math.cos(phi) + math.cos(2 * phi))
-                - g * (math.sin(phi) - math.sin(2 * phi))
-            )
-        )
-    small = np.abs(den) < POLE_TOL * gamma**2
-    if np.any(small):
-        # The closed forms share zeros of numerator and denominator exactly at
-        # the decoupling phases; fall back to the general route there.
-        cfg = symmetric_config(topology, phi, gamma=gamma)
-        return _amplitude_arrays(cfg, d)
-    return t_num / den, r_num / den
-
-
-def _check_symmetric(cfg: SystemConfig, phi: float) -> None:
-    unit = cfg.rate_unit
-    tol = 1e-9 * max(1.0, abs(phi))
-    rates = cfg.atom_a.rates + cfg.atom_b.rates
-    if max(rates) - min(rates) > 1e-9 * unit:
-        raise SymmetryError("bare rates are not all equal")
-    if abs(cfg.delta_ab) > 1e-9 * unit:
-        raise SymmetryError("atoms are detuned (delta_ab != 0)")
-    phases = sorted(p for atom in (cfg.atom_a, cfg.atom_b) for p in atom.phases)
-    expected = [k * phi for k in range(4)]
-    if any(abs(p - e) > tol for p, e in zip(phases, expected)):
-        raise SymmetryError(
-            f"points are not at (0, phi, 2 phi, 3 phi) with phi={phi}: {phases}"
-        )
-
-
-def amplitudes_topology(cfg: SystemConfig, delta: float, phi: float) -> ScatterPoint:
-    """Specialised amplitudes for an equal-rate, equal-spacing configuration.
-
-    ``cfg`` must have all bare rates equal, neighbouring points spaced by
-    ``phi`` starting at phase 0, and ``delta_ab = 0``; otherwise
-    :class:`SymmetryError` is raised.  Agrees with :func:`amplitudes_general`
-    to machine precision on its domain.
-    """
-    _check_symmetric(cfg, phi)
-    topology = classify_topology(cfg)
-    gamma = cfg.atom_a.points[0].bare_rate
-    t, r = _topology_amplitude_arrays(topology, phi, np.asarray(float(delta)), gamma)
-    return _scatter_point(float(delta), complex(t), complex(r))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,3 @@
-import numpy as np
+"""Shared test helpers."""
 
-from gawqed import CouplingPoint, GiantAtom, SystemConfig, Topology
-
-
-def random_system(rng: np.random.Generator, topology: Topology | None = None) -> SystemConfig:
-    """Random two-atom configuration with unequal rates and detuned atoms."""
-    kinds = (Topology.SEPARATE, Topology.BRAIDED, Topology.NESTED)
-    kind = topology if topology is not None else kinds[int(rng.integers(3))]
-    th = np.sort(rng.uniform(0.0, 4.0 * np.pi, 4))
-    rates = rng.uniform(0.05, 3.0, 4)
-    if kind is Topology.SEPARATE:
-        pa, pb = (th[0], th[1]), (th[2], th[3])
-    elif kind is Topology.BRAIDED:
-        pa, pb = (th[0], th[2]), (th[1], th[3])
-    else:
-        pa, pb = (th[0], th[3]), (th[1], th[2])
-    atom_a = GiantAtom("a", (CouplingPoint(pa[0], rates[0]), CouplingPoint(pa[1], rates[1])))
-    atom_b = GiantAtom("b", (CouplingPoint(pb[0], rates[2]), CouplingPoint(pb[1], rates[3])))
-    return SystemConfig(atom_a, atom_b, delta_ab=float(rng.uniform(-4.0, 4.0)))
+from gawqed.cli import _random_system as random_system  # noqa: F401

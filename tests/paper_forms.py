@@ -1,0 +1,163 @@
+"""The paper's per-topology closed forms, kept as reference oracles.
+
+Equal bare rates gamma, equal spacing phi, leftmost point at phase 0
+(arXiv 2201.05329).  The package computes every quantity here from the
+characteristic quantities and the poles of the effective Hamiltonian; the
+tests compare it against these published expressions.
+"""
+
+import cmath
+import math
+
+import numpy as np
+
+from gawqed import SABasisQuantities, SystemConfig, Topology, classify_topology, symmetric_config
+from gawqed.core import GawqedError
+from gawqed.scattering import POLE_TOL, ScatterPoint, _amplitude_arrays, _scatter_point
+
+
+class SymmetryError(GawqedError):
+    """A configuration violates the equal-rate / equal-spacing assumption."""
+
+
+def _topology_amplitude_arrays(
+    topology: Topology, phi: float, delta: np.ndarray, gamma: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
+    d = np.asarray(delta, dtype=float)
+    g = gamma
+    e1 = cmath.exp(1j * phi)
+    if topology is Topology.SEPARATE:
+        den = (1j * d - g * (1 + e1)) ** 2 - (0.5 * g * e1 * (1 + e1) ** 2) ** 2
+        t_num = -((d - g * math.sin(phi)) ** 2)
+        r_num = (
+            4j
+            * e1**3
+            * g
+            * math.cos(phi / 2) ** 2
+            * (d * math.cos(2 * phi) + g * (math.sin(phi) + math.sin(2 * phi)))
+        )
+    elif topology is Topology.BRAIDED:
+        den = (1j * d - g * (1 + e1**2)) ** 2 - (0.5 * g * (3 * e1 + e1**3)) ** 2
+        t_num = -((d - g * math.sin(2 * phi)) ** 2) + g**2 * (
+            math.sin(2 * phi) ** 2 + math.sin(phi) ** 2
+        )
+        r_num = (
+            4j
+            * e1**3
+            * g
+            * math.cos(phi) ** 2
+            * (d * math.cos(phi) + g * math.sin(phi))
+        )
+    else:
+        den = (1j * d - g * (1 + e1**3)) * (1j * d - g * (1 + e1)) - (
+            g * e1 * (1 + e1)
+        ) ** 2
+        t_num = -(d - g * math.sin(3 * phi)) * (d - g * math.sin(phi)) + g**2 * (
+            math.sin(phi) + math.sin(2 * phi)
+        ) ** 2
+        r_num = (
+            4j
+            * e1**3
+            * g
+            * math.cos(phi / 2) ** 2
+            * (
+                d * (2 - 2 * math.cos(phi) + math.cos(2 * phi))
+                - g * (math.sin(phi) - math.sin(2 * phi))
+            )
+        )
+    small = np.abs(den) < POLE_TOL * gamma**2
+    if np.any(small):
+        # The closed forms share zeros of numerator and denominator exactly at
+        # the decoupling phases; fall back to the general route there.
+        cfg = symmetric_config(topology, phi, gamma=gamma)
+        return _amplitude_arrays(cfg, d)
+    return t_num / den, r_num / den
+
+
+def _check_symmetric(cfg: SystemConfig, phi: float) -> None:
+    unit = cfg.rate_unit
+    tol = 1e-9 * max(1.0, abs(phi))
+    rates = cfg.atom_a.rates + cfg.atom_b.rates
+    if max(rates) - min(rates) > 1e-9 * unit:
+        raise SymmetryError("bare rates are not all equal")
+    if abs(cfg.delta_ab) > 1e-9 * unit:
+        raise SymmetryError("atoms are detuned (delta_ab != 0)")
+    phases = sorted(p for atom in (cfg.atom_a, cfg.atom_b) for p in atom.phases)
+    expected = [k * phi for k in range(4)]
+    if any(abs(p - e) > tol for p, e in zip(phases, expected)):
+        raise SymmetryError(
+            f"points are not at (0, phi, 2 phi, 3 phi) with phi={phi}: {phases}"
+        )
+
+
+def amplitudes_topology(cfg: SystemConfig, delta: float, phi: float) -> ScatterPoint:
+    """Specialised amplitudes for an equal-rate, equal-spacing configuration.
+
+    ``cfg`` must have all bare rates equal, neighbouring points spaced by
+    ``phi`` starting at phase 0, and ``delta_ab = 0``; otherwise
+    :class:`SymmetryError` is raised.  Agrees with :func:`amplitudes_general`
+    to machine precision on its domain.
+    """
+    _check_symmetric(cfg, phi)
+    topology = classify_topology(cfg)
+    gamma = cfg.atom_a.points[0].bare_rate
+    t, r = _topology_amplitude_arrays(topology, phi, np.asarray(float(delta)), gamma)
+    return _scatter_point(float(delta), complex(t), complex(r))
+
+
+def maximum_symmetric_quantities(
+    topology: Topology, phi: float, delta_ab: float, gamma: float = 1.0
+) -> SABasisQuantities:
+    """Published per-topology closed forms of the S/A quantities.
+
+    Equal bare rates gamma, equal spacing phi, leftmost point at phase 0.
+    Detunings and drives are reported at probe detuning delta_a = 0 and unit
+    drive amplitude.  Note: for the nested topology the published
+    g_SA = delta_ab/2 + gamma (sin phi - sin 3 phi)/2 carries the opposite
+    Lamb-shift sign from the general basis change in :func:`sa_basis`; this
+    function reproduces the published form.
+    """
+    c1, c2, c3 = math.cos(phi), math.cos(2 * phi), math.cos(3 * phi)
+    gamma_s = gamma * (2 + 3 * c1 + 2 * c2 + c3)
+    if topology is Topology.SEPARATE:
+        g_sa = 0.5 * delta_ab
+        gamma_a_mode = gamma * (2 + c1 - 2 * c2 - c3)
+        gamma_sa = 0.0
+        lamb_a = lamb_b = gamma * math.sin(phi)
+        g_ab = 0.5 * gamma * (math.sin(phi) + 2 * math.sin(2 * phi) + math.sin(3 * phi))
+    elif topology is Topology.BRAIDED:
+        g_sa = 0.5 * delta_ab
+        gamma_a_mode = gamma * (2 - 3 * c1 + 2 * c2 - c3)
+        gamma_sa = 0.0
+        lamb_a = lamb_b = gamma * math.sin(2 * phi)
+        g_ab = 0.5 * gamma * (3 * math.sin(phi) + math.sin(3 * phi))
+    elif topology is Topology.NESTED:
+        g_sa = 0.5 * delta_ab + 0.5 * gamma * (math.sin(phi) - math.sin(3 * phi))
+        gamma_a_mode = gamma * (2 - c1 - 2 * c2 + c3)
+        gamma_sa = gamma * (c3 - c1)
+        lamb_a, lamb_b = gamma * math.sin(3 * phi), gamma * math.sin(phi)
+        g_ab = gamma * (math.sin(phi) + math.sin(2 * phi))
+    else:  # pragma: no cover - Enum is closed
+        raise GawqedError(f"unknown topology {topology!r}")
+    eff_a, eff_b = -lamb_a, (delta_ab - lamb_b)
+    mean = 0.5 * (eff_a + eff_b)
+    phase_pairs = {
+        Topology.SEPARATE: ((0.0, phi), (2 * phi, 3 * phi)),
+        Topology.BRAIDED: ((0.0, 2 * phi), (phi, 3 * phi)),
+        Topology.NESTED: ((0.0, 3 * phi), (phi, 2 * phi)),
+    }[topology]
+    w_a, w_b = (
+        math.sqrt(gamma) * (cmath.exp(1j * p[0]) + cmath.exp(1j * p[1]))
+        for p in phase_pairs
+    )
+    omega_a, omega_b = math.sqrt(2.0) * w_a, math.sqrt(2.0) * w_b
+    return SABasisQuantities(
+        g_sa=g_sa,
+        gamma_s=gamma_s,
+        gamma_a_mode=gamma_a_mode,
+        gamma_sa=gamma_sa,
+        delta_s=mean - g_ab,
+        delta_a_mode=mean + g_ab,
+        omega_s=(omega_a + omega_b) / math.sqrt(2.0),
+        omega_a_mode=(omega_a - omega_b) / math.sqrt(2.0),
+    )

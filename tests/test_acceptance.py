@@ -22,7 +22,6 @@ from gawqed import (
     collective_eit_amplitudes,
     lambda_reference,
     lorentz_decompose,
-    maximum_symmetric_quantities,
     peak_minimum_loci,
     rabi_approximation,
     sa_basis,
@@ -30,9 +29,9 @@ from gawqed import (
     solve_real_space,
     symmetric_config,
 )
-from gawqed.scattering import _topology_amplitude_arrays
 
 from conftest import random_system
+from paper_forms import _topology_amplitude_arrays, maximum_symmetric_quantities
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

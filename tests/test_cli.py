@@ -1,7 +1,10 @@
+import copy
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +12,107 @@ import pytest
 import jsonschema
 
 from gawqed import Topology, peak_minimum_loci, solve_real_space
-from gawqed.cli import CONFIG_SCHEMA, build_system, expand_symmetric, main, validate_config
+from gawqed.cli import build_system, expand_symmetric, main, validate_config
 from gawqed.core import ConfigError
+
+#: the config format as a JSON Schema: the oracle for ``validate_config``
+CONFIG_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "atoms": {
+            "type": "array",
+            "minItems": 2,
+            "maxItems": 2,
+            "items": {
+                "type": "object",
+                "properties": {
+                    "points": {
+                        "type": "array",
+                        "minItems": 2,
+                        "maxItems": 2,
+                        "items": {
+                            "type": "object",
+                            "properties": {
+                                "phase": {"type": "number"},
+                                "rate": {"type": "number", "minimum": 0},
+                            },
+                            "required": ["phase", "rate"],
+                            "additionalProperties": False,
+                        },
+                    }
+                },
+                "required": ["points"],
+                "additionalProperties": False,
+            },
+        },
+        "delta_ab": {"type": "number"},
+        "drive": {
+            "type": "object",
+            "properties": {
+                "alpha_sq": {"type": "number", "minimum": 0},
+                "detuning": {"type": "number"},
+            },
+            "required": ["alpha_sq"],
+            "additionalProperties": False,
+        },
+        "symmetric": {
+            "type": "object",
+            "properties": {
+                "topology": {"enum": ["separate", "braided", "nested"]},
+                "phi": {"type": "number"},
+                "gamma": {"type": "number", "exclusiveMinimum": 0},
+            },
+            "required": ["topology", "phi"],
+            "additionalProperties": False,
+        },
+    },
+    "additionalProperties": False,
+    "oneOf": [{"required": ["atoms"]}, {"required": ["symmetric"]}],
+}
+
+#: valid configs the agreement test mutates
+VALID_CONFIGS = [
+    {
+        "symmetric": {"topology": "separate", "phi": 1.0, "gamma": 2.0},
+        "delta_ab": 0.5,
+        "drive": {"alpha_sq": 0.04, "detuning": 0.1},
+    },
+    {
+        "atoms": [
+            {"points": [{"phase": 0.0, "rate": 1.0}, {"phase": 1.0, "rate": 2.0}]},
+            {"points": [{"phase": 2.0, "rate": 1.5}, {"phase": 3.0, "rate": 0}]},
+        ],
+        "delta_ab": -1,
+        "drive": {"alpha_sq": 0},
+    },
+]
+
+MUTANT_VALUES = [None, True, 0, -1, 0.0, -0.5, 2.5, float("nan"), "x", "nested", [], [1, 2], {},
+                 {"phase": 0.0, "rate": 1.0}, {"topology": "braided", "phi": 1.0}]
+MUTANT_KEYS = ["bogus", "atoms", "symmetric", "drive", "delta_ab", "gamma", "detuning",
+               "points", "phase", "rate", "alpha_sq", "topology", "phi"]
+
+
+def mutate(raw, rng):
+    """``raw`` with one value replaced, key or item deleted, key added or item appended."""
+    raw = copy.deepcopy(raw)
+    containers = [raw]
+    for node in containers:
+        children = node.values() if isinstance(node, dict) else node
+        containers += [c for c in children if isinstance(c, (dict, list))]
+    node = containers[int(rng.integers(len(containers)))]
+    keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+    value = copy.deepcopy(MUTANT_VALUES[int(rng.integers(len(MUTANT_VALUES)))])
+    action = int(rng.integers(4))
+    if action == 0 and keys:
+        node[keys[int(rng.integers(len(keys)))]] = value
+    elif action == 1 and keys:
+        del node[keys[int(rng.integers(len(keys)))]]
+    elif isinstance(node, dict):
+        node[MUTANT_KEYS[int(rng.integers(len(MUTANT_KEYS)))]] = value
+    else:
+        node.append(copy.deepcopy(node[0]) if node and action == 2 else value)
+    return raw
 
 
 def invoke(*args, env=None):
@@ -75,6 +177,34 @@ class TestConfig:
         with pytest.raises(ConfigError) as got:
             validate_config(raw)
         assert str(got.value) == f"config schema violation: {expected.value.message}"
+
+    def test_validator_agrees_with_jsonschema(self):
+        rng = np.random.default_rng(5)
+        oracle = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+        verdicts = []
+        for k in range(3000):
+            raw = VALID_CONFIGS[k % 2]
+            for _ in range(1 + k % 3):
+                raw = mutate(raw, rng)
+            valid = oracle.is_valid(raw)
+            try:
+                validate_config(raw)
+                accepted = True
+            except ConfigError:
+                accepted = False
+            assert accepted == valid, raw
+            verdicts.append(valid)
+        # both outcomes are well represented
+        assert min(sum(verdicts), len(verdicts) - sum(verdicts)) >= 100
+
+    def test_import_loads_numpy_alone(self):
+        code = "import sys, gawqed.cli; print([m for m in ('jsonschema', 'scipy') if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+        assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
     def test_build_explicit(self):
         raw = {

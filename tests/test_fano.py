@@ -5,15 +5,19 @@ import pytest
 
 from gawqed import (
     Topology,
-    amplitudes_topology,
+    characteristics,
     fano_fit,
     fano_regime,
     lorentz_decompose,
+    lorentz_pair,
     rabi_approximation,
+    solve_real_space,
     symmetric_config,
 )
 from gawqed.fano import FanoRegimeError, LorentzPair
-from gawqed.scattering import _topology_amplitude_arrays
+
+from conftest import random_system
+from paper_forms import _topology_amplitude_arrays, amplitudes_topology
 
 
 def exact_r(kind, phi, delta):
@@ -87,6 +91,46 @@ class TestDecomposition:
         np.testing.assert_allclose(
             pair.reconstruct(delta), exact_r(Topology.NESTED, 0.0, delta), atol=1e-10
         )
+
+
+class TestPoleCore:
+    @pytest.mark.parametrize("kind", [Topology.SEPARATE, Topology.NESTED])
+    def test_mirror_flips_centres_and_keeps_labels(self, kind):
+        # phi -> 2 pi - phi conjugates the effective Hamiltonian up to a sign:
+        # centres flip, widths and the plus/minus assignment stay
+        for phi in np.linspace(0.05, np.pi - 0.05, 60):
+            pair = lorentz_decompose(kind, float(phi))
+            mirror = lorentz_decompose(kind, float(2 * np.pi - phi))
+            assert mirror.delta_plus == pytest.approx(-pair.delta_plus, abs=1e-12)
+            assert mirror.delta_minus == pytest.approx(-pair.delta_minus, abs=1e-12)
+            assert mirror.gamma_plus == pytest.approx(pair.gamma_plus, abs=1e-12)
+            assert mirror.gamma_minus == pytest.approx(pair.gamma_minus, abs=1e-12)
+            assert fano_regime(kind, float(2 * np.pi - phi)) == fano_regime(kind, float(phi))
+
+    def test_general_configs_match_real_space(self):
+        # unequal rates and detuned atoms: no closed form exists, the
+        # real-space solve is the oracle
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            cfg = random_system(rng)
+            pair = lorentz_pair(cfg)
+            for delta in rng.uniform(-6.0, 6.0, 5):
+                rebuilt = complex(pair.reconstruct(float(delta)))
+                assert abs(rebuilt - solve_real_space(cfg, float(delta)).r) < 1e-10
+
+    def test_plus_is_symmetric_mode_nested(self):
+        cfg = symmetric_config(Topology.NESTED, 1.5 * np.pi)
+        ch = characteristics(cfg)
+        c = ch.g_ab - 0.5j * ch.gamma_ab
+        h = np.array([[ch.lamb_a - 0.5j * ch.gamma_a, c], [c, ch.lamb_b - 0.5j * ch.gamma_b]])
+        values, vectors = np.linalg.eig(h)
+        pair = lorentz_decompose(Topology.NESTED, 1.5 * np.pi)
+        for centre, width, s_like in (
+            (pair.delta_plus, pair.gamma_plus, True),
+            (pair.delta_minus, pair.gamma_minus, False),
+        ):
+            v = vectors[:, np.argmin(np.abs(values - complex(centre, -width)))]
+            assert (abs(v[0] + v[1]) > abs(v[0] - v[1])) == s_like
 
 
 class TestRegime:

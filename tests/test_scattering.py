@@ -9,15 +9,14 @@ from gawqed import (
     SystemConfig,
     Topology,
     amplitudes_general,
-    amplitudes_topology,
     characteristics,
     peak_minimum_loci,
     solve_real_space,
     symmetric_config,
 )
-from gawqed.scattering import SymmetryError, _topology_amplitude_arrays
 
 from conftest import random_system
+from paper_forms import SymmetryError, _topology_amplitude_arrays, amplitudes_topology
 
 
 class TestGeneralAmplitudes:
