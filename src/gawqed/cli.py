@@ -4,9 +4,13 @@ Configurations are JSON documents holding either two explicit atoms (two
 coupling points each, as ``{"phase": ..., "rate": ...}``) or a ``symmetric``
 shortcut (topology, phi, gamma) that expands to the canonical four-point
 geometry.  A sweep over ``delta_a`` builds its config once and evaluates
-the whole grid in one array call; a ``phi`` sweep builds a new config per
-grid point.  Rows are always written in grid order, so output files are
-deterministic.  ``--jobs`` is accepted for compatibility and ignored.
+the whole grid in one array call.  The ``spectrum`` and ``characteristics``
+``phi`` sweeps build the symmetric geometries of the whole grid as one
+stack of arrays; ``loci`` and ``fano`` build one config per grid point.
+``oracle-check`` draws its random configs in blocks of 128 and evaluates
+the closed form and the real-space solve on each block as one stack.  Rows
+are always written in grid order, so output files are deterministic.
+``--jobs`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success, 2 config/usage violation, 3 numerical failure from a
 module (error forwarded verbatim), 4 I/O failure.
@@ -29,21 +33,28 @@ from .core import (
     ConfigError,
     CouplingPoint,
     GawqedError,
+    Geometries,
     GiantAtom,
     SystemConfig,
     Topology,
     characteristics,
     classify_topology,
     symmetric_config,
+    symmetric_geometries,
 )
 from .scattering import (
     _amplitude_arrays,
+    _real_space_arrays,
     amplitudes_general,
     peak_minimum_loci,
     solve_real_space,
 )
 
 DEFAULT_ORACLE_TOL = 1e-10
+
+#: random configs drawn and evaluated together by ``oracle-check`` (each
+#: config of a block holds ~6 kB of arrays while the block is solved)
+ORACLE_BLOCK = 128
 
 COMMANDS = (
     "characteristics",
@@ -207,6 +218,12 @@ def validate_config(raw) -> None:
                 raise _violation(f"{value!r} is less than or equal to the minimum of 0")
 
 
+def _phi_sweep_shortcut(raw: dict) -> dict:
+    if "symmetric" not in raw:
+        raise ConfigError("phi sweeps need the symmetric shortcut in the config")
+    return raw["symmetric"]
+
+
 def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:
     """SystemConfig from a validated raw config document.
 
@@ -214,14 +231,11 @@ def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:
     (used by phi sweeps); it is rejected for explicit-geometry configs.
     """
     delta_ab = float(raw.get("delta_ab", 0.0))
-    if "symmetric" in raw:
-        shortcut = dict(raw["symmetric"])
-        if phi_override is not None:
-            shortcut["phi"] = phi_override
-        atoms = expand_symmetric(shortcut)["atoms"]
+    if phi_override is not None:
+        atoms = expand_symmetric(dict(_phi_sweep_shortcut(raw), phi=phi_override))["atoms"]
+    elif "symmetric" in raw:
+        atoms = expand_symmetric(raw["symmetric"])["atoms"]
     else:
-        if phi_override is not None:
-            raise ConfigError("phi sweeps need the symmetric shortcut in the config")
         atoms = raw["atoms"]
     built = []
     for label, spec in zip("ab", atoms):
@@ -236,6 +250,17 @@ def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:
             )
         )
     return SystemConfig(atom_a=built[0], atom_b=built[1], delta_ab=delta_ab)
+
+
+def _phi_geometries(raw: dict, phis: np.ndarray) -> Geometries:
+    """The configs ``build_system(raw, phi)`` for every phi, as one stack."""
+    shortcut = _phi_sweep_shortcut(raw)
+    return symmetric_geometries(
+        Topology(shortcut["topology"]),
+        phis,
+        float(shortcut.get("gamma", 1.0)),
+        float(raw.get("delta_ab", 0.0)),
+    )
 
 
 def _drive_from(raw: dict) -> lindblad.DriveSpec:
@@ -266,22 +291,16 @@ def _amplitude_rows(grid: np.ndarray, t: np.ndarray, r: np.ndarray) -> list[list
     return np.column_stack(columns).tolist()
 
 
-def _spectrum_phi_row(raw: dict, phi: float, delta: float) -> list:
-    pt = amplitudes_general(build_system(raw, phi_override=phi), delta)
-    return [phi, pt.t.real, pt.t.imag, pt.r.real, pt.r.imag, pt.T, pt.R]
-
-
-def _characteristics_row(raw: dict, phi: float | None) -> list:
-    ch = characteristics(build_system(raw, phi_override=phi))
-    head = [] if phi is None else [phi]
-    return head + [
-        ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b,
-        ch.g_ab, ch.gamma_ab, ch.alpha_a, ch.alpha_b,
-    ]
+def _characteristic_values(ch) -> list[float]:
+    return [ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b, ch.g_ab, ch.gamma_ab, ch.alpha_a, ch.alpha_b]
 
 
 def _loci_row(raw: dict, phi: float) -> list:
     cfg = build_system(raw, phi_override=phi)
+    if cfg.delta_ab != 0.0:
+        raise ConfigError(
+            f"the analytic loci hold for delta_ab = 0 only, got delta_ab={cfg.delta_ab}"
+        )
     loci = peak_minimum_loci(
         classify_topology(cfg), phi, cfg.atom_a.points[0].bare_rate
     )
@@ -291,9 +310,11 @@ def _loci_row(raw: dict, phi: float) -> list:
 
 def _fano_row(raw: dict, phi: float) -> list:
     cfg = build_system(raw, phi_override=phi)
-    topology = classify_topology(cfg)
     gamma = cfg.atom_a.points[0].bare_rate
-    pair = fano.lorentz_decompose(topology, phi, gamma)
+    try:
+        pair = fano.lorentz_pair(cfg)
+    except fano.DecompositionError as exc:
+        raise fano.DecompositionError(f"{exc} at phi={phi}") from exc
     regime = fano._pair_regime(pair, gamma)
     q = f_scale = center = width = math.nan
     if regime != "none":
@@ -390,18 +411,22 @@ def run(spec: RunSpec) -> int:
         if variable == "phi":
             delta = float(raw.get("drive", {}).get("detuning", 0.0))
             header = ["phi", "re_t", "im_t", "re_r", "im_r", "T", "R"]
-            rows = [_spectrum_phi_row(raw, phi, delta) for phi in phis]
+            geoms = _phi_geometries(raw, grid)
         else:
             header = ["delta_a", "re_t", "im_t", "re_r", "im_r", "T", "R"]
-            rows = _amplitude_rows(grid, *_amplitude_arrays(build_system(raw), grid))
+            geoms, delta = Geometries.of([build_system(raw)]), grid
+        rows = _amplitude_rows(grid, *_amplitude_arrays(geoms, delta))
     elif spec.command == "characteristics":
         names = ["lamb_a", "lamb_b", "gamma_a", "gamma_b", "g_ab", "gamma_ab", "alpha_a", "alpha_b"]
         if variable == "phi":
             header = ["phi"] + names
-            rows = [_characteristics_row(raw, phi) for phi in phis]
+            rows = [
+                [phi] + _characteristic_values(ch)
+                for phi, (ch, _, _) in zip(phis, _phi_geometries(raw, grid).quantities())
+            ]
         else:
             header = names
-            rows = [_characteristics_row(raw, None)]
+            rows = [_characteristic_values(characteristics(build_system(raw)))]
     elif spec.command == "loci":
         header = ["phi", "peak_1", "peak_2", "minimum"]
         rows = [_loci_row(raw, phi) for phi in phis]
@@ -431,20 +456,41 @@ def run(spec: RunSpec) -> int:
     return 0
 
 
+def _oracle_deviations(cfgs: list[SystemConfig], deltas: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """|t - t_oracle| and |r - r_oracle| of the closed form against the
+    real-space solve, config by config, evaluated as one stack.
+
+    Errors are those of checking config after config, closed form first:
+    when the stack fails, the configs are rerun one by one so that the first
+    failing config raises.
+    """
+    geoms, delta = Geometries.of(cfgs), np.array(deltas)
+    try:
+        t, r = _amplitude_arrays(geoms, delta)
+        x = _real_space_arrays(geoms, delta)
+    except GawqedError:
+        for cfg, delta_a in zip(cfgs, deltas):
+            amplitudes_general(cfg, delta_a)
+            solve_real_space(cfg, delta_a)
+        raise
+    return np.abs(t - x[:, 3]), np.abs(r - x[:, 4])
+
+
 def _run_oracle_check(spec: RunSpec) -> int:
     count = spec.sweep.points if spec.sweep else 100
     tol = oracle_tolerance()
     rng = np.random.default_rng(0)
     rows = []
     worst = 0.0
-    for index in range(count):
-        cfg = _random_system(rng)
-        delta = float(rng.uniform(-6.0, 6.0))
-        gen = amplitudes_general(cfg, delta)
-        orc = solve_real_space(cfg, delta)
-        dev_t, dev_r = abs(gen.t - orc.t), abs(gen.r - orc.r)
-        worst = max(worst, dev_t, dev_r)
-        rows.append([index, classify_topology(cfg).value, delta, dev_t, dev_r])
+    for start in range(0, count, ORACLE_BLOCK):
+        cfgs, deltas = [], []
+        for _ in range(min(ORACLE_BLOCK, count - start)):
+            cfgs.append(_random_system(rng))
+            deltas.append(float(rng.uniform(-6.0, 6.0)))
+        dev_t, dev_r = (dev.tolist() for dev in _oracle_deviations(cfgs, deltas))
+        worst = max(worst, *dev_t, *dev_r)
+        for index, (cfg, delta, d_t, d_r) in enumerate(zip(cfgs, deltas, dev_t, dev_r), start):
+            rows.append([index, classify_topology(cfg).value, delta, d_t, d_r])
     header = ["index", "topology", "delta_a", "dev_t", "dev_r"]
     if spec.fmt == "json":
         _write_json(

@@ -16,7 +16,8 @@ interference-built quantities per configuration:
 * ``gamma_ab``         -- correlated (collective) decay,
 * ``alpha_a, alpha_b`` -- phase factors entering the reflection amplitude.
 
-These are computed by :func:`characteristics`.
+These are computed by :func:`characteristics`; :class:`Geometries` holds N
+configurations as arrays for the stacked kernels.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 
 class GawqedError(Exception):
@@ -157,20 +161,53 @@ class CharQuantities:
     alpha_b: float
 
 
+def _phasor(phases, rates) -> complex:
+    return sum(math.sqrt(g) * cmath.exp(1j * th) for th, g in zip(phases, rates))
+
+
 def atom_phasor(atom: GiantAtom) -> complex:
     """Coupling phasor w_j = sum_n sqrt(gamma_jn) exp(i theta_jn).
 
     |w_j|^2 is the atom's total decay rate Gamma_j and arg(w_j) is half the
     phase factor alpha_j used in the reflection amplitude.
     """
-    return sum(
-        math.sqrt(p.bare_rate) * cmath.exp(1j * p.phase_coord) for p in atom.points
-    )
+    return _phasor(atom.phases, atom.rates)
 
 
-def _lamb_shift(atom: GiantAtom) -> float:
-    (th1, th2), (g1, g2) = atom.phases, atom.rates
+def _lamb_shift(phases, rates) -> float:
+    (th1, th2), (g1, g2) = phases, rates
     return math.sqrt(g1 * g2) * math.sin(abs(th2 - th1))
+
+
+def _quantities(phases, rates) -> tuple[CharQuantities, complex, complex]:
+    """Characteristic quantities and coupling phasors (w_a, w_b) of one geometry.
+
+    ``phases`` and ``rates`` are ((a1, a2), (b1, b2)).  This is scalar code
+    on purpose: libm's atan2, hypot and pow round differently in the last
+    bit from numpy's vectorised versions, and every output of the package
+    starts from these numbers.
+    """
+    (pa, pb), (ga, gb) = phases, rates
+    w_a, w_b = _phasor(pa, ga), _phasor(pb, gb)
+    g_ab = 0.0
+    gamma_ab = 0.0
+    for tha, ra in zip(pa, ga):
+        for thb, rb in zip(pb, gb):
+            root = math.sqrt(ra * rb)
+            d = thb - tha
+            g_ab += 0.5 * root * math.sin(abs(d))
+            gamma_ab += root * math.cos(d)
+    ch = CharQuantities(
+        lamb_a=_lamb_shift(pa, ga),
+        lamb_b=_lamb_shift(pb, gb),
+        gamma_a=abs(w_a) ** 2,
+        gamma_b=abs(w_b) ** 2,
+        g_ab=g_ab,
+        gamma_ab=gamma_ab,
+        alpha_a=2.0 * cmath.phase(w_a),
+        alpha_b=2.0 * cmath.phase(w_b),
+    )
+    return ch, w_a, w_b
 
 
 def characteristics(cfg: SystemConfig) -> CharQuantities:
@@ -183,28 +220,40 @@ def characteristics(cfg: SystemConfig) -> CharQuantities:
     sin|dtheta| / 2 to the exchange coupling g_ab and cos(dtheta) to the
     collective decay Gamma_ab, where dtheta is the separation of that pair.
     """
-    w_a = atom_phasor(cfg.atom_a)
-    w_b = atom_phasor(cfg.atom_b)
+    a, b = cfg.atom_a, cfg.atom_b
+    return _quantities((a.phases, b.phases), (a.rates, b.rates))[0]
 
-    g_ab = 0.0
-    gamma_ab = 0.0
-    for tha, ga in zip(cfg.atom_a.phases, cfg.atom_a.rates):
-        for thb, gb in zip(cfg.atom_b.phases, cfg.atom_b.rates):
-            root = math.sqrt(ga * gb)
-            d = thb - tha
-            g_ab += 0.5 * root * math.sin(abs(d))
-            gamma_ab += root * math.cos(d)
 
-    return CharQuantities(
-        lamb_a=_lamb_shift(cfg.atom_a),
-        lamb_b=_lamb_shift(cfg.atom_b),
-        gamma_a=abs(w_a) ** 2,
-        gamma_b=abs(w_b) ** 2,
-        g_ab=g_ab,
-        gamma_ab=gamma_ab,
-        alpha_a=2.0 * cmath.phase(w_a),
-        alpha_b=2.0 * cmath.phase(w_b),
-    )
+@dataclass(frozen=True)
+class Geometries:
+    """A stack of N configurations as arrays, the input of the stacked kernels.
+
+    ``phases`` and ``rates`` have shape (N, 2, 2), indexed [geometry, atom
+    (a, b), point]; ``delta_ab`` and ``rate_unit`` have shape (N,).  Build it
+    with :meth:`of` from configs or with :func:`symmetric_geometries`, so that
+    every row is a valid :class:`SystemConfig`.
+    """
+
+    phases: np.ndarray
+    rates: np.ndarray
+    delta_ab: np.ndarray
+    rate_unit: np.ndarray
+
+    @classmethod
+    def of(cls, cfgs: Sequence[SystemConfig]) -> "Geometries":
+        points = np.array(
+            [(c.atom_a.phases, c.atom_b.phases, c.atom_a.rates, c.atom_b.rates) for c in cfgs],
+            dtype=float,
+        )
+        scalars = np.array([(c.delta_ab, c.rate_unit) for c in cfgs], dtype=float)
+        return cls(points[:, :2], points[:, 2:], scalars[:, 0], scalars[:, 1])
+
+    def __len__(self) -> int:
+        return len(self.delta_ab)
+
+    def quantities(self) -> list[tuple[CharQuantities, complex, complex]]:
+        """(characteristics, w_a, w_b) of each geometry, in stack order."""
+        return [_quantities(p, g) for p, g in zip(self.phases.tolist(), self.rates.tolist())]
 
 
 def detunings(cfg: SystemConfig, delta_a: float) -> tuple[float, float]:
@@ -237,6 +286,14 @@ def classify_topology(cfg: SystemConfig) -> Topology:
     )
 
 
+#: indices into the phases (0, phi, 2 phi, 3 phi) of each atom's two points
+_SYMMETRIC_POINTS = {
+    Topology.SEPARATE: ((0, 1), (2, 3)),
+    Topology.BRAIDED: ((0, 2), (1, 3)),
+    Topology.NESTED: ((0, 3), (1, 2)),
+}
+
+
 def symmetric_config(
     topology: Topology,
     phi: float,
@@ -252,14 +309,36 @@ def symmetric_config(
     * braided:  a at (0, 2 phi), b at (phi, 3 phi)
     * nested:   a at (0, 3 phi), b at (phi, 2 phi)
     """
-    if topology is Topology.SEPARATE:
-        pa, pb = (0.0, phi), (2.0 * phi, 3.0 * phi)
-    elif topology is Topology.BRAIDED:
-        pa, pb = (0.0, 2.0 * phi), (phi, 3.0 * phi)
-    elif topology is Topology.NESTED:
-        pa, pb = (0.0, 3.0 * phi), (phi, 2.0 * phi)
-    else:  # pragma: no cover - Enum is closed
-        raise TopologyError(f"unknown topology {topology!r}")
-    atom_a = GiantAtom("a", (CouplingPoint(pa[0], gamma), CouplingPoint(pa[1], gamma)))
-    atom_b = GiantAtom("b", (CouplingPoint(pb[0], gamma), CouplingPoint(pb[1], gamma)))
+    steps = (0.0, phi, 2.0 * phi, 3.0 * phi)
+    atom_a, atom_b = (
+        GiantAtom(label, tuple(CouplingPoint(steps[k], gamma) for k in points))
+        for label, points in zip("ab", _SYMMETRIC_POINTS[topology])
+    )
     return SystemConfig(atom_a=atom_a, atom_b=atom_b, delta_ab=delta_ab)
+
+
+def symmetric_geometries(
+    topology: Topology,
+    phi: np.ndarray,
+    gamma: float = 1.0,
+    delta_ab: float = 0.0,
+) -> Geometries:
+    """:func:`symmetric_config` on a 1-D array of spacings, as one stack.
+
+    A spacing gives a valid geometry exactly when it is >= 0 and 3 phi is
+    finite; the first one that does not raises the ConfigError of
+    :func:`symmetric_config` for it, and so do invalid ``gamma`` or
+    ``delta_ab``.
+    """
+    phi = np.asarray(phi, dtype=float)
+    invalid = ~((phi >= 0.0) & np.isfinite(3.0 * phi))
+    # raises for the first invalid spacing, else checks gamma and delta_ab
+    symmetric_config(topology, float(phi[np.argmax(invalid)]), gamma, delta_ab)
+    steps = np.stack([np.zeros_like(phi), phi, 2.0 * phi, 3.0 * phi], axis=-1)
+    count = len(phi)
+    return Geometries(
+        phases=steps[:, _SYMMETRIC_POINTS[topology]],
+        rates=np.full((count, 2, 2), float(gamma)),
+        delta_ab=np.full(count, float(delta_ab)),
+        rate_unit=np.ones(count),
+    )

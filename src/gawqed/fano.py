@@ -23,13 +23,18 @@ import numpy as np
 
 from .core import (
     GawqedError,
+    Geometries,
     SystemConfig,
     Topology,
-    atom_phasor,
-    characteristics,
     symmetric_config,
 )
-from .scattering import ScatterPoint, _amplitude_arrays, _reflection_numerator, _scatter_point
+from .scattering import (
+    ScatterPoint,
+    _amplitude_arrays,
+    _closed_form_terms,
+    _reflection_numerator,
+    _scatter_point,
+)
 
 #: width ratio above which the broad channel counts as a continuum
 WIDTH_RATIO_THRESHOLD = 10.0
@@ -119,7 +124,9 @@ def lorentz_pair(cfg: SystemConfig) -> LorentzPair:
     misses the general amplitude by more than ``DECOMPOSITION_TOL`` on a probe
     grid spanning +-6 times the largest bare rate.
     """
-    ch = characteristics(cfg)
+    geoms = Geometries.of([cfg])
+    quantities = geoms.quantities()
+    (ch, w_a, w_b), = quantities
     scale = max(cfg.atom_a.rates + cfg.atom_b.rates)
     h_aa = complex(ch.lamb_a, -0.5 * ch.gamma_a)
     h_bb = complex(ch.lamb_b - cfg.delta_ab, -0.5 * ch.gamma_b)
@@ -133,16 +140,16 @@ def lorentz_pair(cfg: SystemConfig) -> LorentzPair:
     if min(widths) < -1e-12 * scale:
         raise DecompositionError(f"negative channel width: {widths}")
 
-    w_a, w_b = atom_phasor(cfg.atom_a), atom_phasor(cfg.atom_b)
+    _, _, _, p_a, p_b, q, _ = _closed_form_terms(ch, w_a, w_b)
     chis = []
     for z_here, z_other, width in zip(poles, poles[::-1], widths):
-        r_num = _reflection_numerator(ch, w_a, w_b, 1j * (z_here - h_aa), 1j * (z_here - h_bb))
+        r_num = _reflection_numerator(p_a, p_b, q, 1j * (z_here - h_aa), 1j * (z_here - h_bb))
         dark = width <= 1e-12 * scale or abs(z_here - z_other) <= 1e-12 * scale
         chis.append(0j if dark else 1j * (r_num / (-(z_here - z_other))) / width)
     pair = LorentzPair(poles[0].real, poles[1].real, *widths, *chis)
 
     probe = _PROBE * scale
-    _, r_exact = _amplitude_arrays(cfg, probe, ch)
+    _, r_exact = _amplitude_arrays(geoms, probe, quantities)
     residual = float(np.max(np.abs(pair.reconstruct(probe) - r_exact)))
     if not residual <= DECOMPOSITION_TOL:
         raise DecompositionError(

@@ -17,7 +17,6 @@ equal-rate, equal-spacing case complete the module.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -26,10 +25,9 @@ import numpy as np
 from .core import (
     CharQuantities,
     GawqedError,
+    Geometries,
     SystemConfig,
     Topology,
-    atom_phasor,
-    characteristics,
 )
 
 #: |denominator| below this (times rate_unit^2) counts as a real-axis pole.
@@ -74,78 +72,114 @@ def _scatter_point(delta_a: float, t: complex, r: complex) -> ScatterPoint:
     return ScatterPoint(delta_a=delta_a, t=t, r=r, T=abs(t) ** 2, R=abs(r) ** 2)
 
 
-def _reflection_numerator(ch: CharQuantities, w_a: complex, w_b: complex, ka, kb):
+def _reflection_numerator(p_a, p_b, q, ka, kb):
     """Numerator of r over den = ka kb - (Gamma_ab/2 + i g_ab)^2.
 
     ka = i (delta - H_aa) and kb = i (delta - H_bb) with H_jj the diagonal of
-    the effective Hamiltonian; delta may be complex, so this also gives r's
+    the effective Hamiltonian, and (p_a, p_b, q) the reflection terms of
+    :func:`_closed_form_terms`; delta may be complex, so this also gives r's
     residues at its poles.
     """
-    return 0.5 * w_b**2 * ka + 0.5 * w_a**2 * kb + (1j * ch.g_ab + 0.5 * ch.gamma_ab) * w_a * w_b
+    return p_b * ka + p_a * kb + q
 
 
-def _amplitude_arrays(
-    cfg: SystemConfig, delta_a: np.ndarray, ch: CharQuantities | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised t(delta_a), r(delta_a) from the general closed form.
+def _closed_form_terms(ch: CharQuantities, w_a: complex, w_b: complex) -> tuple:
+    """Detuning-independent terms of the closed form for one geometry.
 
-    Decoupling limits are resolved analytically instead of dividing 0/0:
-    if both atoms have zero total decay the guide never sees them (t = 1);
-    if one atom is invisible (zero decay, zero exchange, zero collective
-    decay) the problem reduces to single-atom scattering off the other.
+    (the two constants of t's numerator, cross^2 with cross = Gamma_ab/2 +
+    i g_ab, the reflection terms p_a = w_a^2 / 2, p_b = w_b^2 / 2 and
+    q = cross w_a w_b, and r's numerator at a removable pole), in scalar
+    arithmetic like :func:`~gawqed.core.characteristics`.
     """
-    if ch is None:
-        ch = characteristics(cfg)
-    delta_a = np.asarray(delta_a, dtype=float)
-    unit = cfg.rate_unit
-    ztol = DECOUPLE_TOL * unit
-
-    da = delta_a - ch.lamb_a
-    db = (delta_a + cfg.delta_ab) - ch.lamb_b
-    w_a = atom_phasor(cfg.atom_a)
-    w_b = atom_phasor(cfg.atom_b)
-
-    if ch.gamma_a < ztol and ch.gamma_b < ztol:
-        ones = np.ones_like(delta_a, dtype=complex)
-        return ones, np.zeros_like(ones)
-
-    a_invisible = ch.gamma_a < ztol and abs(ch.g_ab) < ztol
-    b_invisible = ch.gamma_b < ztol and abs(ch.g_ab) < ztol
-    if a_invisible or b_invisible:
-        # |Gamma_ab| <= sqrt(Gamma_a Gamma_b), so it vanishes with the decay.
-        delta, gamma, w = (db, ch.gamma_b, w_b) if a_invisible else (da, ch.gamma_a, w_a)
-        den = 1j * delta - 0.5 * gamma
-        return 1j * delta / den, 0.5 * w**2 / den
-
-    ka = 1j * da - 0.5 * ch.gamma_a
-    kb = 1j * db - 0.5 * ch.gamma_b
     cross = 0.5 * ch.gamma_ab + 1j * ch.g_ab
-    den = ka * kb - cross**2
-    t_num = -da * db + 0.25 * (ch.gamma_ab**2 - ch.gamma_a * ch.gamma_b) + ch.g_ab**2
-    r_num = _reflection_numerator(ch, w_a, w_b, ka, kb)
-    removable = np.abs(den) < POLE_TOL * unit**2
-    if np.any(removable):
+    return (
+        0.25 * (ch.gamma_ab**2 - ch.gamma_a * ch.gamma_b),
+        ch.g_ab**2,
+        cross**2,
+        0.5 * w_a**2,
+        0.5 * w_b**2,
+        (1j * ch.g_ab + 0.5 * ch.gamma_ab) * w_a * w_b,
+        0.5j * (w_a**2 + w_b**2),
+    )
+
+
+def _amplitude_arrays(geoms: Geometries, delta_a, quantities=None) -> tuple[np.ndarray, np.ndarray]:
+    """t and r of the general closed form on a stack of geometries.
+
+    The per-geometry terms have shape (N,) and broadcast against
+    ``delta_a``: one geometry takes a whole grid, N geometries take N
+    detunings (or one).  Decoupling limits are resolved analytically, per
+    geometry, instead of dividing 0/0: if both atoms have zero total decay
+    the guide never sees them (t = 1); if one atom is invisible (zero decay,
+    zero exchange, zero collective decay) the problem reduces to single-atom
+    scattering off the other.  A real-axis pole raises :class:`PoleError`
+    for the first failing entry in broadcast order.  ``quantities`` is
+    ``geoms.quantities()``, for a caller that has it already.
+    """
+    columns = np.array(
+        [
+            (ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b, ch.g_ab, *_closed_form_terms(ch, w_a, w_b))
+            for ch, w_a, w_b in quantities or geoms.quantities()
+        ],
+        dtype=complex,
+    ).T
+    lamb_a, lamb_b, gamma_a, gamma_b, g_ab, t_1, t_2 = columns[:7].real
+    cross_sq, p_a, p_b, q, r_dark = columns[7:]
+    delta_a = np.asarray(delta_a, dtype=float)
+    ztol = DECOUPLE_TOL * geoms.rate_unit
+    pole_tol = POLE_TOL * geoms.rate_unit**2
+
+    da = delta_a - lamb_a
+    db = (delta_a + geoms.delta_ab) - lamb_b
+    ka = 1j * da - 0.5 * gamma_a
+    kb = 1j * db - 0.5 * gamma_b
+    den = ka * kb - cross_sq
+    t_num = -da * db + t_1 + t_2
+    r_num = _reflection_numerator(p_a, p_b, q, ka, kb)
+
+    small_a, small_b = gamma_a < ztol, gamma_b < ztol
+    decoupling = (small_a | small_b).any()
+    general = True
+    if decoupling:
+        # |Gamma_ab| <= sqrt(Gamma_a Gamma_b), so it vanishes with the decay
+        no_exchange = np.abs(g_ab) < ztol
+        dark = small_a & small_b
+        a_invisible = small_a & ~small_b & no_exchange
+        b_invisible = small_b & ~small_a & no_exchange
+        general = ~(dark | a_invisible | b_invisible)
+
+    removable = general & (np.abs(den) < pole_tol)
+    any_removable = removable.any()
+    if any_removable:
         # a zero-width (dark) resonance puts a simple denominator zero on the
         # real axis that the numerators share: both are quadratics in delta,
         # so the limit is the ratio of their delta derivatives
         den = np.where(removable, 1j * (ka + kb), den)
         t_num = np.where(removable, -(da + db), t_num)
-        r_num = np.where(removable, 0.5j * (w_a**2 + w_b**2), r_num)
-        bad = removable & (np.abs(den) < POLE_TOL * unit**2)
-        if np.any(bad):
-            where = np.atleast_1d(delta_a)[np.atleast_1d(bad)][:1]
-            raise PoleError(
-                f"scattering denominator vanished on the real axis near "
-                f"delta_a={where} without a dark-mode cancellation"
-            )
-    t, r = t_num / den, r_num / den
-    if np.any(removable):
-        off = np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)
-        if np.max(np.where(removable, off, 0.0)) > 1e-6:
-            where = np.atleast_1d(delta_a)[np.atleast_1d(removable)][:1]
-            raise PoleError(
-                f"non-removable real-axis pole near delta_a={where}"
-            )
+        r_num = np.where(removable, r_dark, r_num)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, r = t_num / den, r_num / den
+        if any_removable:
+            bad = removable & (np.abs(den) < pole_tol)
+            off = np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)
+            failed = (bad | (removable & (off > 1e-6))).ravel()
+            if failed.any():
+                k = int(np.argmax(failed))
+                where = np.broadcast_to(delta_a, t.shape).ravel()[k:k + 1]
+                if bad.ravel()[k]:
+                    raise PoleError(
+                        f"scattering denominator vanished on the real axis near "
+                        f"delta_a={where} without a dark-mode cancellation"
+                    )
+                raise PoleError(f"non-removable real-axis pole near delta_a={where}")
+        if decoupling and not general.all():
+            single = a_invisible | b_invisible
+            delta = np.where(a_invisible, db, da)
+            den = 1j * delta - 0.5 * np.where(a_invisible, gamma_b, gamma_a)
+            t = np.where(single, 1j * delta / den, t)
+            r = np.where(single, np.where(a_invisible, p_b, p_a) / den, r)
+            t = np.where(dark, 1.0 + 0j, t)
+            r = np.where(dark, 0j, r)
     return t, r
 
 
@@ -156,8 +190,8 @@ def amplitudes_general(cfg: SystemConfig, delta_a: float) -> ScatterPoint:
     Raises :class:`PoleError` if the denominator magnitude drops below
     ``1e-14 * rate_unit**2`` without a recognised decoupling cause.
     """
-    t, r = _amplitude_arrays(cfg, np.asarray(float(delta_a)))
-    return _scatter_point(float(delta_a), complex(t), complex(r))
+    t, r = _amplitude_arrays(Geometries.of([cfg]), float(delta_a))
+    return _scatter_point(float(delta_a), complex(t[0]), complex(r[0]))
 
 
 @dataclass(frozen=True)
@@ -206,6 +240,126 @@ def peak_minimum_loci(topology: Topology, phi: float, gamma: float = 1.0) -> Loc
 # ---------------------------------------------------------------------------
 
 
+def _real_space_template() -> np.ndarray:
+    """Coefficients of the augmented real-space system [A | rhs], (34, 10, 11).
+
+    [A | rhs] of one geometry is the features of that geometry, contracted
+    with this template.  Sorted point m contributes the features
+    (e^{i theta}, e^{-i theta}, V_a, V_b, V_a e^{i theta}/2, V_b e^{i theta}/2,
+    V_a e^{-i theta}/2, V_b e^{-i theta}/2) at index 4 * kind + m, with V_j its
+    coupling to atom j (zero for the other atom's points); features 32 and 33
+    are the atoms' detunings.  Rows 0-3 are the right-mover jumps
+    -i e^{i theta} (A_m - A_{m-1}) + V f = 0, rows 4-7 the left-mover jumps
+    +i e^{-i theta} (B_{m+1} - B_m) + V f = 0, rows 8-9 the atoms
+    -Delta_j f_j + sum_n V_n [mean(Phi_R) + mean(Phi_L)] = 0.
+    """
+    tpl = np.zeros((34, 10, 11), dtype=complex)
+    # unknown holding each region's right-mover amplitude; region 0 holds the
+    # incident 1, a known term that moves to the rhs (column 10)
+    right = (10, 0, 1, 2, 3)
+    # and its left-mover amplitude; nothing comes in from the right
+    left = (4, 5, 6, 7, None)
+
+    def put(feature, row, col, coeff):
+        if col is not None:
+            tpl[feature, row, col] += -coeff if col == 10 else coeff
+
+    for m in range(4):
+        put(m, m, right[m + 1], -1j)
+        put(m, m, right[m], 1j)
+        put(4 + m, 4 + m, left[m + 1], 1j)
+        put(4 + m, 4 + m, left[m], -1j)
+        for j in (0, 1):
+            put(8 + 4 * j + m, m, 8 + j, 1.0)
+            put(8 + 4 * j + m, 4 + m, 8 + j, 1.0)
+            for col in (right[m], right[m + 1]):
+                put(16 + 4 * j + m, 8 + j, col, 1.0)
+            for col in (left[m], left[m + 1]):
+                put(24 + 4 * j + m, 8 + j, col, 1.0)
+    put(32, 8, 8, -1.0)
+    put(33, 9, 9, -1.0)
+    return tpl
+
+
+def _gather_template(tpl: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The template as index arrays: entry ``entries[e]`` of the flat
+    [A | rhs] is sum_s coeffs[s, e] * features[feats[s, e]] over the (at most
+    two) features it has.  Two gathers instead of a matrix product keep BLAS
+    out, whose buffers add ~0.35 MB to the peak memory of a CLI run."""
+    flat = tpl.reshape(len(tpl), -1)
+    entries = np.flatnonzero(np.any(flat != 0, axis=0))
+    feats = np.zeros((2, len(entries)), dtype=int)
+    coeffs = np.zeros((2, len(entries)), dtype=complex)
+    for e, entry in enumerate(entries):
+        for s, k in enumerate(np.flatnonzero(flat[:, entry])):
+            feats[s, e], coeffs[s, e] = k, flat[k, entry]
+    return entries, feats, coeffs
+
+
+_ENTRIES, _FEATS, _COEFFS = _gather_template(_real_space_template())
+
+#: owning atom (0 = a, 1 = b) of the points (a1, a2, b1, b2), and the atoms
+_POINT_ATOM = np.array([0, 0, 1, 1])
+_ATOMS = np.array([[0], [1]])
+
+
+def _real_space_arrays(geoms: Geometries, delta_a) -> np.ndarray:
+    """Unknowns of :func:`solve_real_space` for a stack of geometries, (N, 10).
+
+    ``delta_a`` has shape (N,) or is one number.  A singular system or a
+    residual above 1e-8 max(1, |rhs|) raises :class:`OracleSingularError`
+    for the first failing geometry in stack order.
+    """
+    count = len(geoms)
+    flat = geoms.phases.reshape(count, 4)
+    order = np.argsort(flat, axis=1, kind="stable")  # sorted_points keeps a before b on ties
+    pick = np.arange(count)[:, None], order
+    ep = np.exp(1j * flat[pick])
+    inv = 1.0 / ep
+    v = np.sqrt(geoms.rates.reshape(count, 4)[pick] / 2.0)
+    coupling = v[:, None, :] * (_POINT_ATOM[order][:, None, :] == _ATOMS)  # (N, atom, point)
+    half = 0.5 * coupling
+    det = np.empty((count, 2))
+    det[:, 0] = delta_a
+    det[:, 1] = delta_a + geoms.delta_ab
+    features = np.concatenate(
+        [ep, inv]
+        + [part.reshape(count, 8) for part in (coupling, half * ep[:, None], half * inv[:, None])]
+        + [det],
+        axis=1,
+    )
+    system = np.zeros((count, 110), dtype=complex)
+    values = features[:, _FEATS[0]] * _COEFFS[0]
+    values += features[:, _FEATS[1]] * _COEFFS[1]
+    system[:, _ENTRIES] = values
+    system = system.reshape(count, 10, 11)
+    A, rhs = system[..., :10], system[..., 10]
+
+    singular = np.zeros(count, dtype=bool)
+    try:
+        x = np.linalg.solve(A, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        # one singular system fails the whole stack: solve one by one
+        message = exc
+        x = np.full((count, 10), np.nan, dtype=complex)
+        for k in range(count):
+            try:
+                x[k] = np.linalg.solve(A[k], rhs[k])
+            except np.linalg.LinAlgError:
+                singular[k] = True
+    error = np.einsum("nij,nj->ni", A, x) - rhs
+    residual, size = np.sqrt(np.sum(np.abs([error, rhs]) ** 2, axis=-1))
+    failed = singular | ~np.isfinite(residual) | (residual > 1e-8 * np.maximum(1.0, size))
+    if failed.any():
+        k = int(np.argmax(failed))
+        if singular[k]:
+            raise OracleSingularError(f"real-space system is singular: {message}")
+        raise OracleSingularError(
+            f"real-space solve is ill-conditioned (residual {residual[k]:.2e})"
+        )
+    return x
+
+
 def solve_real_space(cfg: SystemConfig, delta_a: float) -> RealSpaceSolution:
     """Solve the real-space scattering problem for a photon incident from the left.
 
@@ -220,64 +374,7 @@ def solve_real_space(cfg: SystemConfig, delta_a: float) -> RealSpaceSolution:
 
     Unknown ordering: [t1, t2, t3, t, r, r2, r3, r4, f_a, f_b].
     """
-    pts = cfg.sorted_points()
-    d_a, d_b = delta_a, delta_a + cfg.delta_ab
-
-    n = 10
-    A = np.zeros((n, n), dtype=complex)
-    rhs = np.zeros(n, dtype=complex)
-
-    # Right-mover amplitude for region m (0..4): index into unknown vector,
-    # or None for the known incident amplitude 1.
-    right_idx: list[int | None] = [None, 0, 1, 2, 3]
-    # Left-mover amplitude for region m (1..5): None for the zero amplitude
-    # beyond the last point.
-    left_idx: list[int | None] = [4, 5, 6, 7, None]
-
-    def add(row: int, idx: int | None, coeff: complex, known: complex = 1.0) -> None:
-        if idx is None:
-            rhs[row] -= coeff * known
-        else:
-            A[row, idx] += coeff
-
-    f_idx = {"a": 8, "b": 9}
-    for m, (theta, rate, label) in enumerate(pts):
-        v = math.sqrt(rate / 2.0)
-        ep = cmath.exp(1j * theta)
-        # -i e^{i theta} (A_m - A_{m-1}) + V f = 0
-        row = m
-        add(row, right_idx[m + 1], -1j * ep)
-        add(row, right_idx[m], +1j * ep, known=1.0)
-        A[row, f_idx[label]] += v
-        # +i e^{-i theta} (B_{m+1} - B_m) + V f = 0
-        row = 4 + m
-        add(row, left_idx[m + 1], +1j / ep, known=0.0)
-        add(row, left_idx[m], -1j / ep, known=0.0)
-        A[row, f_idx[label]] += v
-
-    # Atomic equations: -Delta_j f_j + sum_n V_n [mean(Phi_R) + mean(Phi_L)] = 0
-    for label, det, row in (("a", d_a, 8), ("b", d_b, 9)):
-        A[row, f_idx[label]] += -det
-        for m, (theta, rate, lab) in enumerate(pts):
-            if lab != label:
-                continue
-            v = math.sqrt(rate / 2.0)
-            ep = cmath.exp(1j * theta)
-            add(row, right_idx[m], 0.5 * v * ep, known=1.0)
-            add(row, right_idx[m + 1], 0.5 * v * ep)
-            add(row, left_idx[m], 0.5 * v / ep, known=0.0)
-            add(row, left_idx[m + 1], 0.5 * v / ep, known=0.0)
-
-    try:
-        x = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise OracleSingularError(f"real-space system is singular: {exc}") from exc
-    residual = np.linalg.norm(A @ x - rhs)
-    if not np.isfinite(residual) or residual > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        raise OracleSingularError(
-            f"real-space solve is ill-conditioned (residual {residual:.2e})"
-        )
-
+    x = _real_space_arrays(Geometries.of([cfg]), float(delta_a))[0]
     return RealSpaceSolution(
         segment_t=(x[0], x[1], x[2]),
         segment_r=(x[5], x[6], x[7]),

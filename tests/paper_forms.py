@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from gawqed import SABasisQuantities, SystemConfig, Topology, classify_topology, symmetric_config
-from gawqed.core import GawqedError
+from gawqed.core import GawqedError, Geometries
 from gawqed.scattering import POLE_TOL, ScatterPoint, _amplitude_arrays, _scatter_point
 
 
@@ -69,8 +69,8 @@ def _topology_amplitude_arrays(
     if np.any(small):
         # The closed forms share zeros of numerator and denominator exactly at
         # the decoupling phases; fall back to the general route there.
-        cfg = symmetric_config(topology, phi, gamma=gamma)
-        return _amplitude_arrays(cfg, d)
+        t, r = _amplitude_arrays(Geometries.of([symmetric_config(topology, phi, gamma=gamma)]), d)
+        return t.reshape(d.shape), r.reshape(d.shape)
     return t_num / den, r_num / den
 
 

@@ -11,9 +11,24 @@ import pytest
 
 import jsonschema
 
-from gawqed import Topology, peak_minimum_loci, solve_real_space
+from gawqed import (
+    CouplingPoint,
+    GiantAtom,
+    SystemConfig,
+    Topology,
+    amplitudes_general,
+    characteristics,
+    classify_topology,
+    lorentz_pair,
+    peak_minimum_loci,
+    solve_real_space,
+)
+from gawqed import cli
 from gawqed.cli import build_system, expand_symmetric, main, validate_config
 from gawqed.core import ConfigError
+from gawqed.scattering import OracleSingularError
+
+from conftest import random_system
 
 #: the config format as a JSON Schema: the oracle for ``validate_config``
 CONFIG_SCHEMA = {
@@ -303,8 +318,11 @@ class TestCommands:
         lamb = [float(r.split(",")[1]) for r in rows[1:]]
         assert lamb == pytest.approx([math.sin(2 * p) for p in phis], abs=1e-12)
 
-    def test_loci_and_fano_sweeps(self, sep_config):
-        proc = invoke("--config", sep_config, "--command", "loci", "--sweep", "phi:0.1:1.0:4")
+    def test_loci_and_fano_sweeps(self, sep_config, tmp_path):
+        # the analytic loci hold for delta_ab = 0 only (test_loci_reject_detuned_atoms)
+        tuned = tmp_path / "tuned.json"
+        tuned.write_text(json.dumps(dict(json.loads(Path(sep_config).read_text()), delta_ab=0.0)))
+        proc = invoke("--config", str(tuned), "--command", "loci", "--sweep", "phi:0.1:1.0:4")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "phi,peak_1,peak_2,minimum"
         proc = invoke(
@@ -458,3 +476,114 @@ class TestExitCodes:
         assert main(["--config", sep_config, "--command", "eit-classify"]) == 0
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["regime"] == "EIT"
+
+
+def run_main(capsys, *argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def write_config(tmp_path, raw, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestStackedCommands:
+    """oracle-check and the phi sweeps evaluate stacks of geometries."""
+
+    def test_oracle_rows_match_point_calls(self, capsys):
+        # 300 configs cross the 256-config block boundary
+        code, out, _ = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:300",
+                                "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        rng = np.random.default_rng(0)
+        assert len(report["rows"]) == 300
+        for index, row in enumerate(report["rows"]):
+            cfg = random_system(rng)
+            delta = float(rng.uniform(-6.0, 6.0))
+            assert (row["index"], row["topology"], row["delta_a"]) == (
+                index, classify_topology(cfg).value, delta
+            )
+            gen, orc = amplitudes_general(cfg, delta), solve_real_space(cfg, delta)
+            assert row["dev_t"] == pytest.approx(abs(gen.t - orc.t), abs=1e-14)
+            assert row["dev_r"] == pytest.approx(abs(gen.r - orc.r), abs=1e-14)
+        worst = max(max(row["dev_t"], row["dev_r"]) for row in report["rows"])
+        assert report["max_deviation"] == worst
+
+    def test_oracle_singular_config_in_second_block(self, capsys, monkeypatch):
+        draws = []
+
+        def draw_with_silent_atoms(rng):
+            cfg = random_system(rng)
+            draws.append(cfg)
+            if len(draws) != 261:
+                return cfg
+            # zero rates everywhere, and Delta_b = 0 at the detuning drawn next
+            delta = float(copy.deepcopy(rng).uniform(-6.0, 6.0))
+            points = [CouplingPoint(p, 0.0) for p in (0.0, 1.0, 2.0, 3.0)]
+            silent = SystemConfig(GiantAtom("a", tuple(points[:2])), GiantAtom("b", tuple(points[2:])),
+                                  delta_ab=-delta)
+            draws[-1] = (silent, delta)
+            return silent
+
+        monkeypatch.setattr(cli, "_random_system", draw_with_silent_atoms)
+        code, out, err = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:300")
+        assert code == 3 and out == ""
+        silent, delta = draws[260]
+        with pytest.raises(OracleSingularError) as point:
+            solve_real_space(silent, delta)
+        assert json.loads(err) == {"error": "OracleSingularError", "message": str(point.value)}
+
+    @pytest.mark.parametrize("command", ["spectrum", "characteristics"])
+    def test_phi_sweep_below_zero_is_2(self, capsys, tmp_path, command):
+        path = write_config(tmp_path, {"symmetric": {"topology": "separate", "phi": 1.0}})
+        code, out, err = run_main(capsys, "--config", path, "--command", command,
+                                  "--sweep", "phi:-0.5:1:4")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "config", "message": "atom a: points must be ordered left-to-right (0.0 > -0.5)"
+        }
+
+    def test_phi_sweeps_match_point_calls(self, capsys, tmp_path):
+        raw = {"symmetric": {"topology": "nested", "phi": 1.0, "gamma": 0.7}, "delta_ab": 0.3,
+               "drive": {"alpha_sq": 0.01, "detuning": 0.4}}
+        path = write_config(tmp_path, raw)
+        sweep = ["--sweep", "phi:0.05:3.09:301"]
+        code, out, _ = run_main(capsys, "--config", path, "--command", "characteristics", *sweep)
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            phi, *values = line.split(",")
+            ch = characteristics(build_system(raw, phi_override=float(phi)))
+            assert values == [format(getattr(ch, name), ".17g") for name in (
+                "lamb_a", "lamb_b", "gamma_a", "gamma_b", "g_ab", "gamma_ab", "alpha_a", "alpha_b")]
+        code, out, _ = run_main(capsys, "--config", path, "--command", "spectrum", *sweep)
+        assert code == 0
+        for line in out.splitlines()[1:]:
+            phi, re_t, im_t, re_r, im_r, big_t, big_r = map(float, line.split(","))
+            pt = amplitudes_general(build_system(raw, phi_override=phi), 0.4)
+            assert abs(complex(re_t, im_t) - pt.t) <= 1e-14 and abs(complex(re_r, im_r) - pt.r) <= 1e-14
+            assert big_t == pytest.approx(pt.T, abs=1e-14) and big_r == pytest.approx(pt.R, abs=1e-14)
+
+    def test_fano_honours_delta_ab(self, capsys, tmp_path):
+        raw = {"symmetric": {"topology": "nested", "phi": 1.0}}
+        outputs = {}
+        for delta_ab in (0.0, 2.0):
+            path = write_config(tmp_path, dict(raw, delta_ab=delta_ab))
+            code, out, _ = run_main(capsys, "--config", path, "--command", "fano",
+                                    "--sweep", "phi:0.3:2.8:6", "--format", "json")
+            assert code == 0
+            outputs[delta_ab] = json.loads(out)
+        assert outputs[0.0] != outputs[2.0]
+        for row in outputs[2.0]:
+            pair = lorentz_pair(build_system(dict(raw, delta_ab=2.0), phi_override=row["phi"]))
+            assert (row["delta_plus"], row["gamma_minus"]) == (pair.delta_plus, pair.gamma_minus)
+
+    def test_loci_reject_detuned_atoms(self, capsys, tmp_path):
+        path = write_config(tmp_path, {"symmetric": {"topology": "nested", "phi": 1.0}, "delta_ab": 2.0})
+        code, out, err = run_main(capsys, "--config", path, "--command", "loci", "--sweep", "phi:0.3:2.8:6")
+        assert code == 2 and out == ""
+        assert "delta_ab = 0 only" in json.loads(err)["message"]

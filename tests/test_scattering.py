@@ -15,6 +15,9 @@ from gawqed import (
     symmetric_config,
 )
 
+from gawqed.core import Geometries
+from gawqed.scattering import OracleSingularError, _amplitude_arrays, _real_space_arrays
+
 from conftest import random_system
 from paper_forms import SymmetryError, _topology_amplitude_arrays, amplitudes_topology
 
@@ -100,6 +103,71 @@ class TestOracle:
         assert len(sol.segment_t) == 3
         assert len(sol.segment_r) == 3
         assert np.isfinite([abs(sol.f_a), abs(sol.f_b)]).all()
+
+
+def special_configs():
+    """(config, detuning) on the decoupled, single-atom and removable-pole branches of the closed form."""
+    invisible_a = SystemConfig(
+        GiantAtom("a", (CouplingPoint(0.0, 1.0), CouplingPoint(np.pi, 1.0))),
+        GiantAtom("b", (CouplingPoint(np.pi, 1.0), CouplingPoint(3 * np.pi, 1.0))),
+    )
+    return [
+        (symmetric_config(Topology.SEPARATE, np.pi), 0.4),  # both atoms decoupled
+        (invisible_a, 0.3),  # atom a invisible: single-atom scattering off b
+        (symmetric_config(Topology.SEPARATE, np.pi / 2), 1.0),  # zero-width pole at delta = 1
+    ]
+
+
+def oracle_stack(count=300, seed=11):
+    """``count`` random configs and detunings with the special configs inside."""
+    rng = np.random.default_rng(seed)
+    cfgs = [random_system(rng) for _ in range(count)]
+    deltas = rng.uniform(-6.0, 6.0, count).tolist()
+    for k, (cfg, delta) in zip((3, 140, 270), special_configs()):
+        cfgs[k], deltas[k] = cfg, delta
+    return cfgs, deltas
+
+
+class TestStacks:
+    """The stacked kernels against their one-point entry points."""
+
+    def test_stack_matches_points(self):
+        cfgs, deltas = oracle_stack()
+        geoms = Geometries.of(cfgs)
+        for (ch, _, _), cfg in zip(geoms.quantities(), cfgs):
+            assert ch == characteristics(cfg)
+        t, r = _amplitude_arrays(geoms, deltas)
+        x = _real_space_arrays(geoms, deltas)
+        for k, (cfg, delta) in enumerate(zip(cfgs, deltas)):
+            pt = amplitudes_general(cfg, delta)
+            assert abs(t[k] - pt.t) <= 1e-14 and abs(r[k] - pt.r) <= 1e-14
+            sol = solve_real_space(cfg, delta)
+            unknowns = np.array([*sol.segment_t, sol.t, sol.r, *sol.segment_r, sol.f_a, sol.f_b])
+            assert np.max(np.abs(x[k] - unknowns)) <= 1e-14 * max(1.0, np.max(np.abs(unknowns)))
+
+    def test_special_branches_taken(self):
+        (dark, d0), (invisible, d1), (pole, d2) = special_configs()
+        assert amplitudes_general(dark, d0).t == 1.0
+        ch = characteristics(invisible)
+        d = d1 + invisible.delta_ab - ch.lamb_b  # atom b alone: t = i d / (i d - Gamma_b / 2)
+        assert amplitudes_general(invisible, d1).t == pytest.approx(1j * d / (1j * d - 0.5 * ch.gamma_b), abs=1e-14)
+        pt = amplitudes_general(pole, d2)
+        assert pt.R == pytest.approx(1.0, abs=1e-12)
+
+    def test_first_failing_geometry_raises(self):
+        cfgs, deltas = oracle_stack()
+        silent = SystemConfig(
+            GiantAtom("a", (CouplingPoint(0.0, 0.0), CouplingPoint(1.0, 0.0))),
+            GiantAtom("b", (CouplingPoint(2.0, 0.0), CouplingPoint(3.0, 0.0))),
+        )
+        cfgs[260], deltas[260] = silent, 0.0
+        with pytest.raises(OracleSingularError) as point:
+            solve_real_space(silent, 0.0)
+        with pytest.raises(OracleSingularError) as stack:
+            _real_space_arrays(Geometries.of(cfgs), deltas)
+        assert str(stack.value) == str(point.value)
+        _real_space_arrays(Geometries.of(cfgs[:260]), deltas[:260])
+        _real_space_arrays(Geometries.of(cfgs[261:]), deltas[261:])
 
 
 class TestTopologyForms:
