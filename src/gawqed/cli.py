@@ -5,12 +5,13 @@ coupling points each, as ``{"phase": ..., "rate": ...}``) or a ``symmetric``
 shortcut (topology, phi, gamma) that expands to the canonical four-point
 geometry.  A sweep over ``delta_a`` builds its config once and evaluates
 the whole grid in one array call.  The ``spectrum`` and ``characteristics``
-``phi`` sweeps build the symmetric geometries of the whole grid as one
-stack of arrays; ``loci`` and ``fano`` build one config per grid point.
-``oracle-check`` draws its random configs in blocks of 128 and evaluates
-the closed form and the real-space solve on each block as one stack.  Rows
-are always written in grid order, so output files are deterministic.
-``--jobs`` is accepted for compatibility and ignored.
+``phi`` sweeps expand the symmetric shortcut at every grid point and
+evaluate the configs as one stack; ``loci`` and ``fano`` evaluate one
+config per grid point.  ``oracle-check`` draws its random configs in
+blocks of 128 and evaluates the closed form and the real-space solve on
+each block as one stack.  Rows are always written in grid order, so output
+files are deterministic.  ``--jobs`` is accepted for compatibility and
+ignored.
 
 Exit codes: 0 success, 2 config/usage violation, 3 numerical failure from a
 module (error forwarded verbatim), 4 I/O failure.
@@ -40,7 +41,6 @@ from .core import (
     characteristics,
     classify_topology,
     symmetric_config,
-    symmetric_geometries,
 )
 from .scattering import (
     _amplitude_arrays,
@@ -252,15 +252,9 @@ def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:
     return SystemConfig(atom_a=built[0], atom_b=built[1], delta_ab=delta_ab)
 
 
-def _phi_geometries(raw: dict, phis: np.ndarray) -> Geometries:
+def _phi_geometries(raw: dict, phis: list[float]) -> Geometries:
     """The configs ``build_system(raw, phi)`` for every phi, as one stack."""
-    shortcut = _phi_sweep_shortcut(raw)
-    return symmetric_geometries(
-        Topology(shortcut["topology"]),
-        phis,
-        float(shortcut.get("gamma", 1.0)),
-        float(raw.get("delta_ab", 0.0)),
-    )
+    return Geometries.of([build_system(raw, phi_override=phi) for phi in phis])
 
 
 def _drive_from(raw: dict) -> lindblad.DriveSpec:
@@ -411,7 +405,7 @@ def run(spec: RunSpec) -> int:
         if variable == "phi":
             delta = float(raw.get("drive", {}).get("detuning", 0.0))
             header = ["phi", "re_t", "im_t", "re_r", "im_r", "T", "R"]
-            geoms = _phi_geometries(raw, grid)
+            geoms = _phi_geometries(raw, phis)
         else:
             header = ["delta_a", "re_t", "im_t", "re_r", "im_r", "T", "R"]
             geoms, delta = Geometries.of([build_system(raw)]), grid
@@ -422,7 +416,7 @@ def run(spec: RunSpec) -> int:
             header = ["phi"] + names
             rows = [
                 [phi] + _characteristic_values(ch)
-                for phi, (ch, _, _) in zip(phis, _phi_geometries(raw, grid).quantities())
+                for phi, (ch, _, _) in zip(phis, _phi_geometries(raw, phis).quantities())
             ]
         else:
             header = names

@@ -230,8 +230,8 @@ class Geometries:
 
     ``phases`` and ``rates`` have shape (N, 2, 2), indexed [geometry, atom
     (a, b), point]; ``delta_ab`` and ``rate_unit`` have shape (N,).  Build it
-    with :meth:`of` from configs or with :func:`symmetric_geometries`, so that
-    every row is a valid :class:`SystemConfig`.
+    with :meth:`of` from configs, so that every row is a valid
+    :class:`SystemConfig`.
     """
 
     phases: np.ndarray
@@ -286,14 +286,6 @@ def classify_topology(cfg: SystemConfig) -> Topology:
     )
 
 
-#: indices into the phases (0, phi, 2 phi, 3 phi) of each atom's two points
-_SYMMETRIC_POINTS = {
-    Topology.SEPARATE: ((0, 1), (2, 3)),
-    Topology.BRAIDED: ((0, 2), (1, 3)),
-    Topology.NESTED: ((0, 3), (1, 2)),
-}
-
-
 def symmetric_config(
     topology: Topology,
     phi: float,
@@ -309,36 +301,14 @@ def symmetric_config(
     * braided:  a at (0, 2 phi), b at (phi, 3 phi)
     * nested:   a at (0, 3 phi), b at (phi, 2 phi)
     """
-    steps = (0.0, phi, 2.0 * phi, 3.0 * phi)
-    atom_a, atom_b = (
-        GiantAtom(label, tuple(CouplingPoint(steps[k], gamma) for k in points))
-        for label, points in zip("ab", _SYMMETRIC_POINTS[topology])
-    )
+    if topology is Topology.SEPARATE:
+        pa, pb = (0.0, phi), (2.0 * phi, 3.0 * phi)
+    elif topology is Topology.BRAIDED:
+        pa, pb = (0.0, 2.0 * phi), (phi, 3.0 * phi)
+    elif topology is Topology.NESTED:
+        pa, pb = (0.0, 3.0 * phi), (phi, 2.0 * phi)
+    else:  # pragma: no cover - Enum is closed
+        raise TopologyError(f"unknown topology {topology!r}")
+    atom_a = GiantAtom("a", (CouplingPoint(pa[0], gamma), CouplingPoint(pa[1], gamma)))
+    atom_b = GiantAtom("b", (CouplingPoint(pb[0], gamma), CouplingPoint(pb[1], gamma)))
     return SystemConfig(atom_a=atom_a, atom_b=atom_b, delta_ab=delta_ab)
-
-
-def symmetric_geometries(
-    topology: Topology,
-    phi: np.ndarray,
-    gamma: float = 1.0,
-    delta_ab: float = 0.0,
-) -> Geometries:
-    """:func:`symmetric_config` on a 1-D array of spacings, as one stack.
-
-    A spacing gives a valid geometry exactly when it is >= 0 and 3 phi is
-    finite; the first one that does not raises the ConfigError of
-    :func:`symmetric_config` for it, and so do invalid ``gamma`` or
-    ``delta_ab``.
-    """
-    phi = np.asarray(phi, dtype=float)
-    invalid = ~((phi >= 0.0) & np.isfinite(3.0 * phi))
-    # raises for the first invalid spacing, else checks gamma and delta_ab
-    symmetric_config(topology, float(phi[np.argmax(invalid)]), gamma, delta_ab)
-    steps = np.stack([np.zeros_like(phi), phi, 2.0 * phi, 3.0 * phi], axis=-1)
-    count = len(phi)
-    return Geometries(
-        phases=steps[:, _SYMMETRIC_POINTS[topology]],
-        rates=np.full((count, 2, 2), float(gamma)),
-        delta_ab=np.full(count, float(delta_ab)),
-        rate_unit=np.ones(count),
-    )

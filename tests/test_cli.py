@@ -495,7 +495,8 @@ class TestStackedCommands:
     """oracle-check and the phi sweeps evaluate stacks of geometries."""
 
     def test_oracle_rows_match_point_calls(self, capsys):
-        # 300 configs cross the 256-config block boundary
+        # 300 configs span more than one block
+        assert cli.ORACLE_BLOCK < 300
         code, out, _ = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:300",
                                 "--format", "json")
         assert code == 0
@@ -514,7 +515,9 @@ class TestStackedCommands:
         worst = max(max(row["dev_t"], row["dev_r"]) for row in report["rows"])
         assert report["max_deviation"] == worst
 
-    def test_oracle_singular_config_in_second_block(self, capsys, monkeypatch):
+    def test_oracle_singular_config_in_later_block(self, capsys, monkeypatch):
+        # draw 261 (index 260) lies past the first block of configs
+        assert cli.ORACLE_BLOCK <= 260
         draws = []
 
         def draw_with_silent_atoms(rng):
