@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,17 +229,22 @@ def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:
     """SystemConfig from a validated raw config document.
 
     ``phi_override`` re-expands the symmetric shortcut at a different spacing
-    (used by phi sweeps); it is rejected for explicit-geometry configs.
+    (used by phi sweeps); it is rejected for explicit-geometry configs.  The
+    shortcut builds the config of :func:`expand_symmetric` directly.
     """
     delta_ab = float(raw.get("delta_ab", 0.0))
+    if phi_override is None and "symmetric" in raw:
+        phi_override = raw["symmetric"]["phi"]
     if phi_override is not None:
-        atoms = expand_symmetric(dict(_phi_sweep_shortcut(raw), phi=phi_override))["atoms"]
-    elif "symmetric" in raw:
-        atoms = expand_symmetric(raw["symmetric"])["atoms"]
-    else:
-        atoms = raw["atoms"]
+        shortcut = _phi_sweep_shortcut(raw)
+        return symmetric_config(
+            Topology(shortcut["topology"]),
+            float(phi_override),
+            float(shortcut.get("gamma", 1.0)),
+            delta_ab,
+        )
     built = []
-    for label, spec in zip("ab", atoms):
+    for label, spec in zip("ab", raw["atoms"]):
         pts = sorted(spec["points"], key=lambda p: p["phase"])
         built.append(
             GiantAtom(
@@ -542,11 +548,23 @@ def _write_rows(path: str | None, fmt: str, header: list[str], rows: list[list])
             out.write("\n")
         else:
             out.write(",".join(header) + "\n")
-            for row in rows:
-                out.write(",".join(_fmt(v) for v in row) + "\n")
+            out.writelines(_csv_lines(rows))
     finally:
         if owned:
             out.close()
+
+
+def _csv_lines(rows: list[list]) -> Iterator[str]:
+    """The CSV lines of ``rows``, formatted by one template for the table.
+
+    A column holding only floats is formatted by "%.17g" (the ``_fmt`` of a
+    float); every other column is turned into strings by ``_fmt``.
+    """
+    columns = list(zip(*rows))
+    only_floats = [all(isinstance(v, float) for v in col) for col in columns]
+    template = ",".join("%.17g" if f else "%s" for f in only_floats) + "\n"
+    cells = [col if f else [_fmt(v) for v in col] for f, col in zip(only_floats, columns)]
+    return (template % row for row in zip(*cells))
 
 
 def _write_json(path: str | None, payload) -> None:

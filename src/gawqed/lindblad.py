@@ -140,6 +140,26 @@ _DETUNING_GENERATOR = -(_SUPEROPS[0] + _SUPEROPS[1])
 
 _TRACE_ROW = _vec(_ID4).conj()
 
+
+def _hermitian_basis() -> np.ndarray:
+    """Unitary whose columns are the vecs of an orthonormal basis of the
+    Hermitian 4 x 4 matrices: E_jj, (E_jk + E_kj)/sqrt2, i (E_jk - E_kj)/sqrt2."""
+    members = []
+    for j in range(4):
+        for k in range(j, 4):
+            unit = np.zeros((4, 4), dtype=complex)
+            unit[j, k] = 1.0
+            if j == k:
+                members.append(unit)
+            else:
+                members.append((unit + unit.T) / math.sqrt(2.0))
+                members.append(1j * (unit - unit.T) / math.sqrt(2.0))
+    return np.stack([_vec(m) for m in members], axis=1)
+
+
+_HERMITIAN_BASIS = _hermitian_basis()
+_HERMITIAN_BASIS_H = _HERMITIAN_BASIS.conj().T
+
 #: generators per batched eigvals/solve call; bounds the memory of long sweeps
 _BLOCK = 256
 
@@ -198,9 +218,20 @@ def _steady_states(liouv: np.ndarray) -> np.ndarray:
 
     Each generator gets every check of :func:`steady_state`; the first
     generator of the stack that fails one raises that check's error.
+
+    The stationary directions are counted on the real form B^H L B, B the
+    unitary of :data:`_HERMITIAN_BASIS`: a generator that maps Hermitian
+    matrices to Hermitian matrices has real coordinates in that basis, and
+    B^H L B is similar to L, so both have the same eigenvalues, while a real
+    ``eigvals`` costs well under half of a complex one.  A generator whose
+    form has an imaginary part beyond rounding does not preserve Hermiticity
+    and is rejected.
     """
     count = len(liouv)
-    n_zero = np.sum(np.abs(np.linalg.eigvals(liouv)) < STATIONARY_TOL, axis=-1)
+    scale = np.maximum(1.0, np.linalg.norm(liouv, axis=(-2, -1)))
+    form = _HERMITIAN_BASIS_H @ liouv @ _HERMITIAN_BASIS
+    preserving = np.max(np.abs(form.imag), axis=(-2, -1)) <= 1e-12 * scale
+    n_zero = np.sum(np.abs(np.linalg.eigvals(form.real)) < STATIONARY_TOL, axis=-1)
     unique = n_zero == 1
     x = np.zeros((count, 16), dtype=complex)
     if np.any(unique):
@@ -213,8 +244,8 @@ def _steady_states(liouv: np.ndarray) -> np.ndarray:
     rho_h = rho.conj().transpose(0, 2, 1)
 
     residual = np.linalg.norm(np.einsum("nij,nj->ni", liouv, x), axis=-1)
-    scale = np.maximum(1.0, np.linalg.norm(liouv, axis=(-2, -1)))
     failures = [
+        ~preserving,
         ~unique,
         residual > 1e-9 * scale,
         np.max(np.abs(rho - rho_h), axis=(-2, -1)) > 1e-12,
@@ -232,18 +263,16 @@ def _steady_states(liouv: np.ndarray) -> np.ndarray:
     failed = np.logical_or.reduce(failures)
     if np.any(failed):
         k = int(np.argmax(failed))
-        if not unique[k]:
-            raise SteadyStateError(
-                f"steady state is not unique: {n_zero[k]} stationary directions "
-                "(decoupled or purely Hamiltonian dynamics)"
-            )
         messages = (
+            "generator does not preserve Hermiticity",
+            f"steady state is not unique: {n_zero[k]} stationary directions "
+            "(decoupled or purely Hamiltonian dynamics)",
             f"stationarity residual {residual[k]:.2e} too large",
             "steady state is not Hermitian",
             "steady state trace deviates from 1",
             "steady state has a negative eigenvalue",
         )
-        raise SteadyStateError(next(m for f, m in zip(failures[1:], messages) if f[k]))
+        raise SteadyStateError(next(m for f, m in zip(failures, messages) if f[k]))
     return hermitian
 
 
@@ -251,9 +280,10 @@ def steady_state(liouvillian: np.ndarray) -> SteadyState:
     """Unique stationary density matrix of the generator.
 
     Solves the null-space problem with the trace condition replacing the
-    first (redundant) row.  Raises :class:`SteadyStateError` if the zero
+    first (redundant) row.  Raises :class:`SteadyStateError` if the generator
+    does not map Hermitian matrices to Hermitian matrices, if the zero
     eigenvalue is degenerate (e.g. a decoherence-free configuration whose
-    dynamics is purely Hamiltonian) or the solution is unphysical.
+    dynamics is purely Hamiltonian) or if the solution is unphysical.
     """
     return SteadyState(rho=_steady_states(liouvillian[None])[0])
 

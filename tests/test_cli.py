@@ -167,6 +167,15 @@ class TestConfig:
         assert [p["phase"] for p in got[0]["points"]] == [0.0, 3 * phi]
         assert [p["phase"] for p in got[1]["points"]] == [phi, 2 * phi]
 
+    @pytest.mark.parametrize("topology", ["separate", "braided", "nested"])
+    def test_symmetric_matches_expanded_atoms(self, topology):
+        for phi in (0.0, 0.3, np.pi / 2, 2.9):
+            shortcut = {"topology": topology, "phi": 0.1, "gamma": 1.7}
+            explicit = {"atoms": expand_symmetric(dict(shortcut, phi=phi))["atoms"], "delta_ab": -0.4}
+            expected = build_system(explicit)
+            assert build_system({"symmetric": dict(shortcut, phi=phi), "delta_ab": -0.4}) == expected
+            assert build_system({"symmetric": shortcut, "delta_ab": -0.4}, phi_override=phi) == expected
+
     def test_schema_rejects_one_atom(self):
         with pytest.raises(ConfigError):
             validate_config({"atoms": [{"points": [{"phase": 0, "rate": 1}] * 2}]})
@@ -242,6 +251,31 @@ class TestConfig:
         assert invoke("--config", sep_config, *args, "--out", str(out1)).returncode == 0
         assert invoke("--config", str(rewritten), *args, "--out", str(out2)).returncode == 0
         assert out1.read_text() == out2.read_text()
+
+
+class TestWriter:
+    def test_csv_matches_per_value_format(self, tmp_path):
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 1 / 3]
+        rng = np.random.default_rng(2)
+        bits = rng.integers(0, 2**63, 200, dtype=np.uint64).view(np.float64).tolist()
+        randoms = rng.normal(scale=1e3, size=200).tolist()
+        floats = specials + bits + randoms
+        rows = [
+            # columns: floats only, ints, strings, None, one non-float among floats
+            [x, k, f"s{k}", None, "x" if k == 5 else x]
+            for k, x in enumerate(floats)
+        ]
+        header = ["a", "b", "c", "d", "e"]
+        path = tmp_path / "rows.csv"
+        cli._write_rows(str(path), "csv", header, rows)
+        reference = ",".join(header) + "\n"
+        reference += "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == reference.encode()
+
+    def test_csv_header_only(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        cli._write_rows(str(path), "csv", ["a", "b"], [])
+        assert path.read_bytes() == b"a,b\n"
 
 
 class TestCommands:

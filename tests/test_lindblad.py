@@ -19,6 +19,8 @@ from gawqed import (
 from gawqed.core import detunings
 from gawqed.lindblad import (
     _BLOCK,
+    _HERMITIAN_BASIS,
+    STATIONARY_TOL,
     SIGMA_MINUS_A,
     SIGMA_MINUS_B,
     SteadyStateError,
@@ -143,6 +145,49 @@ class TestSteadyState:
         liouv = build_liouvillian(symmetric_config(Topology.BRAIDED, np.pi / 2), DriveSpec(0.01, 0.5))
         with pytest.raises(SteadyStateError, match="not unique"):
             steady_state(liouv)
+
+
+def stationary_count(generator):
+    return int(np.sum(np.abs(np.linalg.eigvals(generator)) < STATIONARY_TOL))
+
+
+class TestRealForm:
+    """Stationary directions are counted on B^H L B in a Hermitian basis."""
+
+    def test_basis_is_unitary(self):
+        assert np.max(np.abs(_HERMITIAN_BASIS.conj().T @ _HERMITIAN_BASIS - np.eye(16))) < 1e-15
+
+    def test_count_matches_complex_eigvals(self):
+        rng = np.random.default_rng(17)
+        counts = set()
+        for k in range(240):
+            # every fourth generator sits at the decoherence-free braided
+            # point, whose zero eigenvalue is degenerate
+            if k % 4 == 0:
+                cfg = symmetric_config(Topology.BRAIDED, np.pi / 2, gamma=float(rng.uniform(0.2, 3)))
+            else:
+                cfg = random_system(rng)
+            drive = DriveSpec(float(rng.choice([0.0, rng.uniform(1e-4, 0.2)])), float(rng.uniform(-6, 6)))
+            liouv = build_liouvillian(cfg, drive)
+            form = _HERMITIAN_BASIS.conj().T @ liouv @ _HERMITIAN_BASIS
+            assert np.max(np.abs(form.imag)) <= 1e-12 * max(1.0, np.linalg.norm(liouv))
+            count = stationary_count(liouv)
+            assert stationary_count(form.real) == count
+            counts.add(count)
+        assert 1 in counts and len(counts) > 1
+
+    def test_degenerate_message_keeps_count(self):
+        liouv = build_liouvillian(symmetric_config(Topology.BRAIDED, np.pi / 2), DriveSpec(0.01, 0.5))
+        count = stationary_count(liouv)
+        assert count > 1
+        with pytest.raises(SteadyStateError, match=f"not unique: {count} stationary directions"):
+            steady_state(liouv)
+
+    def test_non_hermiticity_preserving_generator_rejected(self):
+        liouv = build_liouvillian(symmetric_config(Topology.SEPARATE, 0.7), DriveSpec(0.04, 0.5))
+        steady_state(liouv)
+        with pytest.raises(SteadyStateError, match="does not preserve Hermiticity"):
+            steady_state(liouv + 1e-3j * np.eye(16))
 
 
 class TestScattering:
