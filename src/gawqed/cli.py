@@ -6,12 +6,12 @@ shortcut (topology, phi, gamma) that expands to the canonical four-point
 geometry.  A sweep over ``delta_a`` builds its config once and evaluates
 the whole grid in one array call.  The ``spectrum`` and ``characteristics``
 ``phi`` sweeps expand the symmetric shortcut at every grid point and
-evaluate the configs as one stack; ``loci`` and ``fano`` evaluate one
-config per grid point.  ``oracle-check`` draws its random configs in
-blocks of 128 and evaluates the closed form and the real-space solve on
-each block as one stack.  Rows are always written in grid order, so output
-files are deterministic.  ``--jobs`` is accepted for compatibility and
-ignored.
+evaluate the configs as one stack; ``fano`` decomposes its spacings in
+stacks of 128, and ``loci`` still evaluates one config per grid point.
+``oracle-check`` draws its random configs in blocks of 128 and evaluates
+the closed form and the real-space solve on each block as one stack.  Rows
+are always written in grid order, so output files are deterministic.
+``--jobs`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success, 2 config/usage violation, 3 numerical failure from a
 module (error forwarded verbatim), 4 I/O failure.
@@ -53,9 +53,10 @@ from .scattering import (
 
 DEFAULT_ORACLE_TOL = 1e-10
 
-#: random configs drawn and evaluated together by ``oracle-check`` (each
-#: config of a block holds ~6 kB of arrays while the block is solved)
-ORACLE_BLOCK = 128
+#: geometries evaluated together as one stack by ``oracle-check`` and the
+#: ``fano`` phi sweep (each geometry of an ``oracle-check`` block holds ~6 kB
+#: of arrays while the block is solved; blocks bound the peak memory)
+STACK_BLOCK = 128
 
 COMMANDS = (
     "characteristics",
@@ -132,22 +133,6 @@ def oracle_tolerance() -> float:
         return float(raw)
     except ValueError as exc:
         raise ConfigError(f"GAWQED_TOL is not a number: {raw!r}") from exc
-
-
-def expand_symmetric(shortcut: dict) -> dict:
-    """Expand the symmetric shortcut into an explicit two-atom geometry.
-
-    Points sit at phases (0, phi, 2 phi, 3 phi), all with rate gamma,
-    assigned to the atoms per topology with the leftmost point on atom a.
-    """
-    topology = Topology(shortcut["topology"])
-    cfg = symmetric_config(topology, float(shortcut["phi"]), float(shortcut.get("gamma", 1.0)))
-    return {
-        "atoms": [
-            {"points": [{"phase": p.phase_coord, "rate": p.bare_rate} for p in atom.points]}
-            for atom in (cfg.atom_a, cfg.atom_b)
-        ]
-    }
 
 
 def _violation(message: str) -> ConfigError:
@@ -230,7 +215,8 @@ def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:
 
     ``phi_override`` re-expands the symmetric shortcut at a different spacing
     (used by phi sweeps); it is rejected for explicit-geometry configs.  The
-    shortcut builds the config of :func:`expand_symmetric` directly.
+    shortcut builds :func:`~gawqed.core.symmetric_config` with the config's
+    ``delta_ab``.
     """
     delta_ab = float(raw.get("delta_ab", 0.0))
     if phi_override is None and "symmetric" in raw:
@@ -308,23 +294,39 @@ def _loci_row(raw: dict, phi: float) -> list:
     return [phi, peaks[0], peaks[1], math.nan if loci.minimum is None else loci.minimum]
 
 
-def _fano_row(raw: dict, phi: float) -> list:
-    cfg = build_system(raw, phi_override=phi)
-    gamma = cfg.atom_a.points[0].bare_rate
-    try:
-        pair = fano.lorentz_pair(cfg)
-    except fano.DecompositionError as exc:
-        raise fano.DecompositionError(f"{exc} at phi={phi}") from exc
-    regime = fano._pair_regime(pair, gamma)
-    q = f_scale = center = width = math.nan
-    if regime != "none":
-        fit = fano.fano_fit(pair)
-        q, f_scale, center, width = fit.q, fit.f_scale, fit.center, fit.width
-    return [
-        phi, pair.delta_plus, pair.delta_minus, pair.gamma_plus, pair.gamma_minus,
-        pair.chi_plus.real, pair.chi_plus.imag, pair.chi_minus.real, pair.chi_minus.imag,
-        regime, q, f_scale, center, width,
-    ]
+def _fano_rows(raw: dict, phis: list[float]) -> list[list]:
+    """The ``fano`` table, decomposed in stacks of ``STACK_BLOCK`` spacings.
+
+    When a stack fails, its spacings are rerun one by one, so that the error
+    of the first failing spacing is raised, naming that spacing.
+    """
+    rows = []
+    for start in range(0, len(phis), STACK_BLOCK):
+        block = phis[start:start + STACK_BLOCK]
+        geoms = _phi_geometries(raw, block)
+        try:
+            fields = fano._lorentz_arrays(geoms)
+        except fano.DecompositionError:
+            for k, phi in enumerate(block):
+                try:
+                    fano._lorentz_arrays(geoms[k:k + 1])
+                except fano.DecompositionError as exc:
+                    raise fano.DecompositionError(f"{exc} at phi={phi}") from exc
+            raise
+        gammas = geoms.rates[:, 0, 0].tolist()
+        for phi, gamma, *values in zip(block, gammas, *(field.tolist() for field in fields)):
+            pair = fano.LorentzPair(*values)
+            regime = fano._pair_regime(pair, gamma)
+            q = f_scale = center = width = math.nan
+            if regime != "none":
+                fit = fano.fano_fit(pair)
+                q, f_scale, center, width = fit.q, fit.f_scale, fit.center, fit.width
+            rows.append([
+                phi, pair.delta_plus, pair.delta_minus, pair.gamma_plus, pair.gamma_minus,
+                pair.chi_plus.real, pair.chi_plus.imag, pair.chi_minus.real, pair.chi_minus.imag,
+                regime, q, f_scale, center, width,
+            ])
+    return rows
 
 
 def _eit_spectrum_rows(cfg: SystemConfig, grid: np.ndarray) -> list[list]:
@@ -436,7 +438,7 @@ def run(spec: RunSpec) -> int:
             "re_chi_plus", "im_chi_plus", "re_chi_minus", "im_chi_minus",
             "regime", "q", "f_scale", "center", "width",
         ]
-        rows = [_fano_row(raw, phi) for phi in phis]
+        rows = _fano_rows(raw, phis)
     elif spec.command == "eit-spectrum":
         header = ["delta_a", "re_t", "im_t", "re_r", "im_r", "T", "R"]
         rows = _eit_spectrum_rows(build_system(raw), grid)
@@ -482,9 +484,9 @@ def _run_oracle_check(spec: RunSpec) -> int:
     rng = np.random.default_rng(0)
     rows = []
     worst = 0.0
-    for start in range(0, count, ORACLE_BLOCK):
+    for start in range(0, count, STACK_BLOCK):
         cfgs, deltas = [], []
-        for _ in range(min(ORACLE_BLOCK, count - start)):
+        for _ in range(min(STACK_BLOCK, count - start)):
             cfgs.append(_random_system(rng))
             deltas.append(float(rng.uniform(-6.0, 6.0)))
         dev_t, dev_r = (dev.tolist() for dev in _oracle_deviations(cfgs, deltas))

@@ -251,6 +251,10 @@ class Geometries:
     def __len__(self) -> int:
         return len(self.delta_ab)
 
+    def __getitem__(self, rows: slice) -> "Geometries":
+        """The sub-stack of the geometries ``rows``."""
+        return Geometries(self.phases[rows], self.rates[rows], self.delta_ab[rows], self.rate_unit[rows])
+
     def quantities(self) -> list[tuple[CharQuantities, complex, complex]]:
         """(characteristics, w_a, w_b) of each geometry, in stack order."""
         return [_quantities(p, g) for p, g in zip(self.phases.tolist(), self.rates.tolist())]

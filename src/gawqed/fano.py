@@ -8,9 +8,8 @@ broad one and the reflectance near the narrow resonance is a standard Fano
 profile R = F (q + eps)^2 / (1 + eps^2).
 
 This module provides the channel parameters from the poles and residues of
-r, the Fano fit parameters, a regime classifier (operationalising "much
-broader" as a width ratio above 10), and the vacuum-Rabi-splitting
-approximation used to probe the nearly decoherence-free braided point.
+r, the Fano fit parameters and a regime classifier (operationalising "much
+broader" as a width ratio above 10).
 """
 
 from __future__ import annotations
@@ -28,13 +27,7 @@ from .core import (
     Topology,
     symmetric_config,
 )
-from .scattering import (
-    ScatterPoint,
-    _amplitude_arrays,
-    _closed_form_terms,
-    _reflection_numerator,
-    _scatter_point,
-)
+from .scattering import _amplitude_arrays, _closed_form_columns, _reflection_numerator
 
 #: width ratio above which the broad channel counts as a continuum
 WIDTH_RATIO_THRESHOLD = 10.0
@@ -73,18 +66,21 @@ class LorentzPair:
         """r_plus(delta) + r_minus(delta) on an array of detunings.
 
         Each channel is evaluated in pole form, -i chi Gamma / (delta - z) with
-        z = Delta_ch - i Gamma.  A channel with vanishing weight chi * Gamma is identically zero and is
-        evaluated as such (its Lorentzian form would be 0/0 on resonance).
+        z = Delta_ch - i Gamma.  A channel with vanishing weight chi * Gamma is
+        identically zero and is evaluated as such (its Lorentzian form would be
+        0/0 on resonance).  The fields may also be arrays that broadcast
+        against ``delta``.
         """
         d = np.asarray(delta, dtype=float)
-        total = np.zeros(d.shape, dtype=complex)
+        total = 0j
         for chi, width, centre in (
             (self.chi_plus, self.gamma_plus, self.delta_plus),
             (self.chi_minus, self.gamma_minus, self.delta_minus),
         ):
-            if chi * width == 0.0:
-                continue
-            total = total + (-1j * chi * width) / (d - complex(centre, -width))
+            weight = -1j * chi * width
+            with np.errstate(divide="ignore", invalid="ignore"):
+                term = weight / (d - (centre - 1j * width))
+            total = total + np.where(weight == 0.0, 0j, term)
         return total
 
 
@@ -122,40 +118,63 @@ def lorentz_pair(cfg: SystemConfig) -> LorentzPair:
 
     Raises :class:`DecompositionError` for a negative width or when the pair
     misses the general amplitude by more than ``DECOMPOSITION_TOL`` on a probe
-    grid spanning +-6 times the largest bare rate.
+    grid spanning +-6 times the largest bare rate.  This is the one-geometry
+    case of :func:`_lorentz_arrays`; the CLI's ``fano`` phi sweep evaluates
+    its grid with that kernel in blocks of spacings, one stack per block.
     """
-    geoms = Geometries.of([cfg])
-    quantities = geoms.quantities()
-    (ch, w_a, w_b), = quantities
-    scale = max(cfg.atom_a.rates + cfg.atom_b.rates)
-    h_aa = complex(ch.lamb_a, -0.5 * ch.gamma_a)
-    h_bb = complex(ch.lamb_b - cfg.delta_ab, -0.5 * ch.gamma_b)
-    c = complex(ch.g_ab, -0.5 * ch.gamma_ab)
+    return LorentzPair(*(field[0].item() for field in _lorentz_arrays(Geometries.of([cfg]))))
+
+
+def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
+    """The fields of :func:`lorentz_pair` for every geometry of a stack, as
+    (N,) arrays.  The first failing geometry in stack order raises the error
+    of its one-geometry call."""
+    columns = _closed_form_columns(geoms)
+    lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab = columns[:6].real
+    p_a, p_b, q = columns[9:12]
+    scale = geoms.rates.reshape(len(geoms), 4).max(axis=1)
+    tiny = 1e-12 * scale
+    h_aa = lamb_a - 0.5j * gamma_a
+    h_bb = (lamb_b - geoms.delta_ab) - 0.5j * gamma_b
+    c = g_ab - 0.5j * gamma_ab
     mean, half = 0.5 * (h_aa + h_bb), 0.5 * (h_aa - h_bb)
-    s = cmath.sqrt(half * half + c * c)
-    if (s * c.conjugate()).real < 0.0:
-        s = -s
+    s = np.sqrt(half * half + c * c)
+    s = np.where((s * c.conj()).real < 0.0, -s, s)
     poles = (mean + s, mean - s)
     widths = tuple(-z.imag for z in poles)
-    if min(widths) < -1e-12 * scale:
-        raise DecompositionError(f"negative channel width: {widths}")
 
-    _, _, _, p_a, p_b, q, _ = _closed_form_terms(ch, w_a, w_b)
     chis = []
-    for z_here, z_other, width in zip(poles, poles[::-1], widths):
-        r_num = _reflection_numerator(p_a, p_b, q, 1j * (z_here - h_aa), 1j * (z_here - h_bb))
-        dark = width <= 1e-12 * scale or abs(z_here - z_other) <= 1e-12 * scale
-        chis.append(0j if dark else 1j * (r_num / (-(z_here - z_other))) / width)
-    pair = LorentzPair(poles[0].real, poles[1].real, *widths, *chis)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for z_here, z_other, width in zip(poles, poles[::-1], widths):
+            r_num = _reflection_numerator(p_a, p_b, q, 1j * (z_here - h_aa), 1j * (z_here - h_bb))
+            dark = (width <= tiny) | (np.abs(z_here - z_other) <= tiny)
+            chis.append(np.where(dark, 0j, 1j * (r_num / (-(z_here - z_other))) / width))
+    centres = tuple(z.real for z in poles)
 
-    probe = _PROBE * scale
-    _, r_exact = _amplitude_arrays(geoms, probe, quantities)
-    residual = float(np.max(np.abs(pair.reconstruct(probe) - r_exact)))
-    if not residual <= DECOMPOSITION_TOL:
-        raise DecompositionError(
-            f"reconstruction residual {residual:.2e} exceeds {DECOMPOSITION_TOL}"
-        )
-    return pair
+    try:
+        negative = np.minimum(*widths) < -tiny
+        if negative.any():
+            k = int(np.argmax(negative))
+            raise DecompositionError(
+                f"negative channel width: {(float(widths[0][k]), float(widths[1][k]))}"
+            )
+        probe = scale[:, None] * _PROBE
+        _, r_exact = _amplitude_arrays(geoms, probe, columns)
+        rebuilt = LorentzPair(*(f[:, None] for f in (*centres, *widths, *chis))).reconstruct(probe)
+        residual = np.max(np.abs(rebuilt - r_exact), axis=1)
+        failed = ~(residual <= DECOMPOSITION_TOL)
+        if failed.any():
+            raise DecompositionError(
+                f"reconstruction residual {residual[int(np.argmax(failed))]:.2e} "
+                f"exceeds {DECOMPOSITION_TOL}"
+            )
+    except GawqedError:
+        # the stack raised for one of its failures: rerun it one by one, so
+        # that the first failing geometry raises its own error
+        for k in range(len(geoms) if len(geoms) > 1 else 0):
+            _lorentz_arrays(geoms[k:k + 1])
+        raise
+    return (*centres, *widths, *chis)
 
 
 def lorentz_decompose(topology: Topology, phi: float, gamma: float = 1.0) -> LorentzPair:
@@ -221,28 +240,3 @@ def fano_fit(pair: LorentzPair) -> FanoFit:
     chi_sq = abs(pair.chi_plus) ** 2
     f_scale = chi_sq * g_broad**2 / ((d_broad - d_narrow) ** 2 + g_broad**2)
     return FanoFit(q=q, f_scale=f_scale, center=d_narrow, width=g_narrow)
-
-
-#: validity bound on the phase deviation for the vacuum-Rabi approximation
-RABI_MAX_DEVIATION = 0.1
-
-
-def rabi_approximation(delta_dev: float, delta: float, gamma: float = 1.0) -> ScatterPoint:
-    """Vacuum-Rabi-splitting spectrum near the braided decoupling point.
-
-    For a braided configuration at spacing phi = pi/2 + delta_dev with
-    |delta_dev| small, the atoms keep an order-gamma exchange coupling while
-    their decays scale as delta_dev^2, so the probe sees two narrow peaks at
-    delta = -2 gamma delta_dev +- gamma, each of width 4 gamma delta_dev^2.
-    """
-    if abs(delta_dev) > RABI_MAX_DEVIATION:
-        raise FanoRegimeError(
-            f"|delta_dev| = {abs(delta_dev)} exceeds {RABI_MAX_DEVIATION}; "
-            "vacuum-Rabi approximation invalid"
-        )
-    g = gamma
-    shifted = delta + 2 * g * delta_dev
-    den = 1j * shifted * (1j * shifted - 4 * g * delta_dev**2) + g**2
-    t = (-(shifted**2) + g**2) / den
-    r = 4 * g**2 * delta_dev**2 / den
-    return _scatter_point(delta, t, r)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CharQuantities,
     GawqedError,
     Geometries,
     SystemConfig,
@@ -77,60 +76,62 @@ def _reflection_numerator(p_a, p_b, q, ka, kb):
 
     ka = i (delta - H_aa) and kb = i (delta - H_bb) with H_jj the diagonal of
     the effective Hamiltonian, and (p_a, p_b, q) the reflection terms of
-    :func:`_closed_form_terms`; delta may be complex, so this also gives r's
+    :func:`_closed_form_columns`; delta may be complex, so this also gives r's
     residues at its poles.
     """
     return p_b * ka + p_a * kb + q
 
 
-def _closed_form_terms(ch: CharQuantities, w_a: complex, w_b: complex) -> tuple:
-    """Detuning-independent terms of the closed form for one geometry.
+def _closed_form_columns(geoms: Geometries) -> np.ndarray:
+    """Detuning-independent terms of the closed form, (13, N), column n for geometry n.
 
-    (the two constants of t's numerator, cross^2 with cross = Gamma_ab/2 +
-    i g_ab, the reflection terms p_a = w_a^2 / 2, p_b = w_b^2 / 2 and
-    q = cross w_a w_b, and r's numerator at a removable pole), in scalar
-    arithmetic like :func:`~gawqed.core.characteristics`.
+    Rows: lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab, the two constants
+    of t's numerator, cross^2 with cross = Gamma_ab/2 + i g_ab, the reflection
+    terms p_a = w_a^2 / 2, p_b = w_b^2 / 2 and q = cross w_a w_b, and r's
+    numerator at a removable pole; in scalar arithmetic like
+    :func:`~gawqed.core.characteristics`.
     """
-    cross = 0.5 * ch.gamma_ab + 1j * ch.g_ab
-    return (
-        0.25 * (ch.gamma_ab**2 - ch.gamma_a * ch.gamma_b),
-        ch.g_ab**2,
-        cross**2,
-        0.5 * w_a**2,
-        0.5 * w_b**2,
-        (1j * ch.g_ab + 0.5 * ch.gamma_ab) * w_a * w_b,
-        0.5j * (w_a**2 + w_b**2),
-    )
+    rows = []
+    for ch, w_a, w_b in geoms.quantities():
+        cross = 0.5 * ch.gamma_ab + 1j * ch.g_ab
+        rows.append((
+            ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b, ch.g_ab, ch.gamma_ab,
+            0.25 * (ch.gamma_ab**2 - ch.gamma_a * ch.gamma_b), ch.g_ab**2, cross**2,
+            0.5 * w_a**2, 0.5 * w_b**2, (1j * ch.g_ab + 0.5 * ch.gamma_ab) * w_a * w_b,
+            0.5j * (w_a**2 + w_b**2),
+        ))
+    return np.array(rows, dtype=complex).T
 
 
-def _amplitude_arrays(geoms: Geometries, delta_a, quantities=None) -> tuple[np.ndarray, np.ndarray]:
+def _amplitude_arrays(geoms: Geometries, delta_a, columns=None) -> tuple[np.ndarray, np.ndarray]:
     """t and r of the general closed form on a stack of geometries.
 
     The per-geometry terms have shape (N,) and broadcast against
     ``delta_a``: one geometry takes a whole grid, N geometries take N
-    detunings (or one).  Decoupling limits are resolved analytically, per
-    geometry, instead of dividing 0/0: if both atoms have zero total decay
-    the guide never sees them (t = 1); if one atom is invisible (zero decay,
-    zero exchange, zero collective decay) the problem reduces to single-atom
-    scattering off the other.  A real-axis pole raises :class:`PoleError`
-    for the first failing entry in broadcast order.  ``quantities`` is
-    ``geoms.quantities()``, for a caller that has it already.
+    detunings (or one), and a 2-D ``delta_a`` of shape (N, M) holds one
+    grid per geometry, row n for geometry n.  Decoupling limits are
+    resolved analytically, per geometry, instead of dividing 0/0: if both
+    atoms have zero total decay the guide never sees them (t = 1); if one
+    atom is invisible (zero decay, zero exchange, zero collective decay) the
+    problem reduces to single-atom scattering off the other.  A real-axis
+    pole raises :class:`PoleError` for the first failing entry in broadcast
+    order.  ``columns`` is ``_closed_form_columns(geoms)``, for a caller
+    that has it already.
     """
-    columns = np.array(
-        [
-            (ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b, ch.g_ab, *_closed_form_terms(ch, w_a, w_b))
-            for ch, w_a, w_b in quantities or geoms.quantities()
-        ],
-        dtype=complex,
-    ).T
-    lamb_a, lamb_b, gamma_a, gamma_b, g_ab, t_1, t_2 = columns[:7].real
-    cross_sq, p_a, p_b, q, r_dark = columns[7:]
     delta_a = np.asarray(delta_a, dtype=float)
-    ztol = DECOUPLE_TOL * geoms.rate_unit
-    pole_tol = POLE_TOL * geoms.rate_unit**2
+    # per-geometry terms run down the first axis of a 2-D grid
+    shape = (len(geoms),) + (1,) * (delta_a.ndim - 1)
+    if columns is None:
+        columns = _closed_form_columns(geoms)
+    columns = columns.reshape((len(columns),) + shape)
+    lamb_a, lamb_b, gamma_a, gamma_b, g_ab, _, t_1, t_2 = columns[:8].real
+    cross_sq, p_a, p_b, q, r_dark = columns[8:]
+    rate_unit = geoms.rate_unit.reshape(shape)
+    ztol = DECOUPLE_TOL * rate_unit
+    pole_tol = POLE_TOL * rate_unit**2
 
     da = delta_a - lamb_a
-    db = (delta_a + geoms.delta_ab) - lamb_b
+    db = (delta_a + geoms.delta_ab.reshape(shape)) - lamb_b
     ka = 1j * da - 0.5 * gamma_a
     kb = 1j * db - 0.5 * gamma_b
     den = ka * kb - cross_sq

@@ -13,6 +13,7 @@ import numpy as np
 
 from gawqed import SABasisQuantities, SystemConfig, Topology, classify_topology, symmetric_config
 from gawqed.core import GawqedError, Geometries
+from gawqed.fano import FanoRegimeError
 from gawqed.scattering import POLE_TOL, ScatterPoint, _amplitude_arrays, _scatter_point
 
 
@@ -161,3 +162,28 @@ def maximum_symmetric_quantities(
         omega_s=(omega_a + omega_b) / math.sqrt(2.0),
         omega_a_mode=(omega_a - omega_b) / math.sqrt(2.0),
     )
+
+
+#: validity bound on the phase deviation for the vacuum-Rabi approximation
+RABI_MAX_DEVIATION = 0.1
+
+
+def rabi_approximation(delta_dev: float, delta: float, gamma: float = 1.0) -> ScatterPoint:
+    """Vacuum-Rabi-splitting spectrum near the braided decoupling point.
+
+    For a braided configuration at spacing phi = pi/2 + delta_dev with
+    |delta_dev| small, the atoms keep an order-gamma exchange coupling while
+    their decays scale as delta_dev^2, so the probe sees two narrow peaks at
+    delta = -2 gamma delta_dev +- gamma, each of width 4 gamma delta_dev^2.
+    """
+    if abs(delta_dev) > RABI_MAX_DEVIATION:
+        raise FanoRegimeError(
+            f"|delta_dev| = {abs(delta_dev)} exceeds {RABI_MAX_DEVIATION}; "
+            "vacuum-Rabi approximation invalid"
+        )
+    g = gamma
+    shifted = delta + 2 * g * delta_dev
+    den = 1j * shifted * (1j * shifted - 4 * g * delta_dev**2) + g**2
+    t = (-(shifted**2) + g**2) / den
+    r = 4 * g**2 * delta_dev**2 / den
+    return _scatter_point(delta, t, r)

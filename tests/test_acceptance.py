@@ -23,7 +23,6 @@ from gawqed import (
     lambda_reference,
     lorentz_decompose,
     peak_minimum_loci,
-    rabi_approximation,
     sa_basis,
     scattering_from_master,
     solve_real_space,
@@ -31,7 +30,7 @@ from gawqed import (
 )
 
 from conftest import random_system
-from paper_forms import _topology_amplitude_arrays, maximum_symmetric_quantities
+from paper_forms import _topology_amplitude_arrays, maximum_symmetric_quantities, rabi_approximation
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

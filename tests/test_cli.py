@@ -4,6 +4,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,12 @@ from gawqed import (
     peak_minimum_loci,
     solve_real_space,
 )
-from gawqed import cli
-from gawqed.cli import build_system, expand_symmetric, main, validate_config
-from gawqed.core import ConfigError
+from gawqed import cli, fano
+from gawqed.cli import build_system, main, validate_config
+from gawqed.core import ConfigError, symmetric_config
 from gawqed.scattering import OracleSingularError
 
-from conftest import random_system
+from conftest import random_system, shift_probe_check
 
 #: the config format as a JSON Schema: the oracle for ``validate_config``
 CONFIG_SCHEMA = {
@@ -128,6 +129,22 @@ def mutate(raw, rng):
     else:
         node.append(copy.deepcopy(node[0]) if node and action == 2 else value)
     return raw
+
+
+def expand_symmetric(shortcut: dict) -> dict:
+    """Expand the symmetric shortcut into an explicit two-atom geometry.
+
+    Points sit at phases (0, phi, 2 phi, 3 phi), all with rate gamma,
+    assigned to the atoms per topology with the leftmost point on atom a.
+    """
+    topology = Topology(shortcut["topology"])
+    cfg = symmetric_config(topology, float(shortcut["phi"]), float(shortcut.get("gamma", 1.0)))
+    return {
+        "atoms": [
+            {"points": [{"phase": p.phase_coord, "rate": p.bare_rate} for p in atom.points]}
+            for atom in (cfg.atom_a, cfg.atom_b)
+        ]
+    }
 
 
 def invoke(*args, env=None):
@@ -530,7 +547,7 @@ class TestStackedCommands:
 
     def test_oracle_rows_match_point_calls(self, capsys):
         # 300 configs span more than one block
-        assert cli.ORACLE_BLOCK < 300
+        assert cli.STACK_BLOCK < 300
         code, out, _ = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:300",
                                 "--format", "json")
         assert code == 0
@@ -551,7 +568,7 @@ class TestStackedCommands:
 
     def test_oracle_singular_config_in_later_block(self, capsys, monkeypatch):
         # draw 261 (index 260) lies past the first block of configs
-        assert cli.ORACLE_BLOCK <= 260
+        assert cli.STACK_BLOCK <= 260
         draws = []
 
         def draw_with_silent_atoms(rng):
@@ -618,6 +635,38 @@ class TestStackedCommands:
         for row in outputs[2.0]:
             pair = lorentz_pair(build_system(dict(raw, delta_ab=2.0), phi_override=row["phi"]))
             assert (row["delta_plus"], row["gamma_minus"]) == (pair.delta_plus, pair.gamma_minus)
+
+    def test_fano_names_first_failing_phi(self, capsys, tmp_path, monkeypatch):
+        # the probe checks of indices 200, 240 and 290 miss; 200 lies past
+        # the first block of spacings and fails first
+        raw = {"symmetric": {"topology": "separate", "phi": 1.0}}
+        path = write_config(tmp_path, raw)
+        phis = np.linspace(0.05, 3.09, 301)
+        assert cli.STACK_BLOCK <= 200
+        failing = phis[[200, 240, 290]]
+        shift_probe_check(monkeypatch, lambda geoms: 1e-6 * np.isin(geoms.phases[:, 0, 1], failing))
+        with pytest.raises(fano.DecompositionError) as point:
+            lorentz_pair(build_system(raw, phi_override=float(phis[200])))
+        code, out, err = run_main(capsys, "--config", path, "--command", "fano",
+                                  "--sweep", "phi:0.05:3.09:301")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "DecompositionError", "message": f"{point.value} at phi={float(phis[200])}"
+        }
+
+    @pytest.mark.parametrize("topology", ["separate", "braided"])
+    def test_fano_dark_points_warning_free(self, capsys, tmp_path, topology):
+        # the grid holds phi = pi/2 (braided: decoupled; separate: one dark
+        # channel) and phi = pi (separate: decoupled)
+        path = write_config(tmp_path, {"symmetric": {"topology": topology, "phi": 1.0}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_main(capsys, "--config", path, "--command", "fano",
+                                      "--sweep", f"phi:0:{math.pi!r}:5", "--format", "json")
+        assert code == 0 and err == ""
+        rows = json.loads(out)
+        assert [row["phi"] for row in rows][2:] == [math.pi / 2, 3 * math.pi / 4, math.pi]
+        assert rows[2]["regime"] == "none"
 
     def test_loci_reject_detuned_atoms(self, capsys, tmp_path):
         path = write_config(tmp_path, {"symmetric": {"topology": "nested", "phi": 1.0}, "delta_ab": 2.0})

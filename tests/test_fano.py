@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 
 from gawqed import (
+    CouplingPoint,
+    GiantAtom,
+    SystemConfig,
     Topology,
     characteristics,
     fano_fit,
     fano_regime,
     lorentz_decompose,
     lorentz_pair,
-    rabi_approximation,
     solve_real_space,
     symmetric_config,
 )
-from gawqed.fano import FanoRegimeError, LorentzPair
+from gawqed import cli, fano
+from gawqed.core import Geometries
+from gawqed.fano import DecompositionError, FanoRegimeError, LorentzPair, _lorentz_arrays
+from gawqed.scattering import PoleError, _amplitude_arrays
 
-from conftest import random_system
-from paper_forms import _topology_amplitude_arrays, amplitudes_topology
+from conftest import random_system, shift_probe_check
+from paper_forms import _topology_amplitude_arrays, amplitudes_topology, rabi_approximation
 
 
 def exact_r(kind, phi, delta):
@@ -131,6 +136,100 @@ class TestPoleCore:
         ):
             v = vectors[:, np.argmin(np.abs(values - complex(centre, -width)))]
             assert (abs(v[0] + v[1]) > abs(v[0] - v[1])) == s_like
+
+
+def special_pairs():
+    """Configs on the label and chi = 0 branches of the pole core."""
+    tie = SystemConfig(  # atom b has zero rates: c = 0 exactly and a zero-width channel
+        GiantAtom("a", (CouplingPoint(0.0, 1.0), CouplingPoint(1.1, 0.7))),
+        GiantAtom("b", (CouplingPoint(2.0, 0.0), CouplingPoint(3.0, 0.0))),
+        delta_ab=0.4,
+    )
+    return [
+        tie,
+        symmetric_config(Topology.SEPARATE, np.pi / 2),  # one dark channel next to a bright one
+        symmetric_config(Topology.SEPARATE, np.pi),  # decoupled: coincident zero-width poles
+    ]
+
+
+def special_stack(count=300, seed=5):
+    """``count`` random configs with the special configs at indices 7, 150 and 290."""
+    rng = np.random.default_rng(seed)
+    cfgs = [random_system(rng) for _ in range(count)]
+    for k, cfg in zip((7, 150, 290), special_pairs()):
+        cfgs[k] = cfg
+    return cfgs
+
+
+class TestStackedCore:
+    """The stacked pole/residue core against its one-geometry case."""
+
+    def test_stack_matches_points(self):
+        cfgs = special_stack()
+        assert len(cfgs) > cli.STACK_BLOCK
+        fields = _lorentz_arrays(Geometries.of(cfgs))
+        assert all(f.shape == (len(cfgs),) for f in fields)
+        for k, cfg in enumerate(cfgs):
+            pair = lorentz_pair(cfg)
+            d_p, d_m, g_p, g_m, chi_p, chi_m = (f[k] for f in fields)
+            scale = max(cfg.atom_a.rates + cfg.atom_b.rates)
+            for got, want in ((d_p, pair.delta_plus), (d_m, pair.delta_minus),
+                              (g_p, pair.gamma_plus), (g_m, pair.gamma_minus)):
+                assert abs(got - want) <= 1e-14 * scale
+            for got, want in ((chi_p, pair.chi_plus), (chi_m, pair.chi_minus)):
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_special_branches_taken(self):
+        tie = special_pairs()[0]
+        d_p, d_m, g_p, g_m, chi_p, chi_m = _lorentz_arrays(Geometries.of(special_pairs()))
+        # c = 0: plus is mean + s for the principal square root s
+        ch = characteristics(tie)
+        h_aa = complex(ch.lamb_a, -0.5 * ch.gamma_a)
+        h_bb = complex(ch.lamb_b - tie.delta_ab, -0.5 * ch.gamma_b)
+        plus = 0.5 * (h_aa + h_bb) + cmath.sqrt((0.5 * (h_aa - h_bb)) ** 2)
+        assert (ch.g_ab, ch.gamma_ab) == (0.0, 0.0)
+        assert abs(complex(d_p[0], -g_p[0]) - plus) <= 1e-14
+        assert chi_m[0] == 0 and chi_p[0] != 0
+        # a zero-width channel gets chi = 0, the bright one keeps its weight
+        assert g_p[1] <= 1e-12 < g_m[1] and chi_p[1] == 0 and abs(chi_m[1]) > 0.5
+        # coincident poles: both channels get chi = 0
+        assert abs(d_p[2] - d_m[2]) <= 1e-12 and chi_p[2] == 0 and chi_m[2] == 0
+
+    def test_amplitude_grid_per_geometry(self):
+        cfgs = special_stack()
+        rng = np.random.default_rng(8)
+        grid = rng.uniform(-6.0, 6.0, (len(cfgs), 61))
+        grid[:, 0] = 1.0  # the removable pole of the dark separate config
+        t, r = _amplitude_arrays(Geometries.of(cfgs), grid)
+        assert t.shape == r.shape == grid.shape
+        for k, cfg in enumerate(cfgs):
+            t_k, r_k = _amplitude_arrays(Geometries.of([cfg]), grid[k])
+            assert t[k].tobytes() == t_k.tobytes() and r[k].tobytes() == r_k.tobytes()
+
+    def test_first_failing_geometry_raises(self, monkeypatch):
+        cfgs = special_stack()
+        shift_probe_check(monkeypatch, lambda geoms: 1e-6 * (geoms.delta_ab == cfgs[260].delta_ab)
+                          + 1e-5 * (geoms.delta_ab == cfgs[280].delta_ab))
+        with pytest.raises(DecompositionError) as point:
+            lorentz_pair(cfgs[260])
+        assert "reconstruction residual 1.00e-06" in str(point.value)
+        with pytest.raises(DecompositionError) as stack:
+            _lorentz_arrays(Geometries.of(cfgs))
+        assert str(stack.value) == str(point.value)
+        _lorentz_arrays(Geometries.of(cfgs[:260]))
+        _lorentz_arrays(Geometries.of(cfgs[261:280]))
+        # a pole in the probe check of a later geometry fails the stack first
+        shifted = fano._amplitude_arrays
+
+        def pole_at_270(geoms, delta, columns=None):
+            if (geoms.delta_ab == cfgs[270].delta_ab).any():
+                raise PoleError("pole in the probe grid of geometry 270")
+            return shifted(geoms, delta, columns)
+
+        monkeypatch.setattr(fano, "_amplitude_arrays", pole_at_270)
+        with pytest.raises(DecompositionError) as stack:
+            _lorentz_arrays(Geometries.of(cfgs))
+        assert str(stack.value) == str(point.value)
 
 
 class TestRegime:
