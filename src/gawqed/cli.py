@@ -8,9 +8,12 @@ the whole grid in one array call.  The ``spectrum`` and ``characteristics``
 ``phi`` sweeps expand the symmetric shortcut at every grid point and
 evaluate the configs as one stack; ``fano`` decomposes its spacings in
 stacks of 128, and ``loci`` still evaluates one config per grid point.
-``oracle-check`` draws its random configs in blocks of 128 and evaluates
-the closed form and the real-space solve on each block as one stack.  Rows
-are always written in grid order, so output files are deterministic.
+``oracle-check`` draws its random configs straight into stacked geometry
+arrays, 128 at a time, without building a config object, and evaluates the
+closed form and the real-space solve on each block as one stack.  Rows are
+always written in grid order, so output files are deterministic; JSON
+tables are written by json's C encoder, byte for byte as ``json.dump``
+with ``indent=2`` writes them.
 ``--jobs`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success, 2 config/usage violation, 3 numerical failure from a
@@ -25,8 +28,9 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -46,9 +50,7 @@ from .core import (
 from .scattering import (
     _amplitude_arrays,
     _real_space_arrays,
-    amplitudes_general,
     peak_minimum_loci,
-    solve_real_space,
 )
 
 DEFAULT_ORACLE_TOL = 1e-10
@@ -109,6 +111,8 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.points < 2:
             raise ConfigError("sweep needs at least 2 points")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError("sweep start and stop must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep start must be below stop")
 
@@ -130,9 +134,12 @@ def oracle_tolerance() -> float:
     if raw is None:
         return DEFAULT_ORACLE_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise ConfigError(f"GAWQED_TOL is not a number: {raw!r}") from exc
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"GAWQED_TOL must be finite and > 0, got {raw!r}")
+    return tol
 
 
 def _violation(message: str) -> ConfigError:
@@ -354,19 +361,44 @@ def _master_rows(raw: dict, grid: np.ndarray) -> list[list]:
     return np.column_stack(columns).tolist()
 
 
-def _random_system(rng: np.random.Generator) -> SystemConfig:
-    kind = (Topology.SEPARATE, Topology.BRAIDED, Topology.NESTED)[int(rng.integers(3))]
-    th = np.sort(rng.uniform(0.0, 4.0 * math.pi, 4))
-    rates = rng.uniform(0.05, 3.0, 4)
-    if kind is Topology.SEPARATE:
-        pa, pb = (th[0], th[1]), (th[2], th[3])
-    elif kind is Topology.BRAIDED:
-        pa, pb = (th[0], th[2]), (th[1], th[3])
-    else:
-        pa, pb = (th[0], th[3]), (th[1], th[2])
-    atom_a = GiantAtom("a", (CouplingPoint(pa[0], rates[0]), CouplingPoint(pa[1], rates[1])))
-    atom_b = GiantAtom("b", (CouplingPoint(pb[0], rates[2]), CouplingPoint(pb[1], rates[3])))
-    return SystemConfig(atom_a, atom_b, delta_ab=float(rng.uniform(-4.0, 4.0)))
+#: the topologies ``oracle-check`` draws from, and for each the points
+#: (a1, a2, b1, b2) as indices into the four sorted phases
+_DRAWN_TOPOLOGIES = (Topology.SEPARATE.value, Topology.BRAIDED.value, Topology.NESTED.value)
+_DRAWN_POINTS = np.array([(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)])
+
+
+def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
+    """``rng.uniform(low, high)`` of the doubles ``u = rng.random()``, bit for bit."""
+    return low + (high - low) * u
+
+
+def _random_draws(rng: np.random.Generator, count: int) -> tuple[Geometries, np.ndarray, list[str]]:
+    """``count`` random configs, each with one probe detuning, as one stack.
+
+    Returns the geometries, the detunings and the topology names.  Each
+    config draws its topology, then ten doubles: four phases in [0, 4 pi),
+    sorted and dealt to (a1, a2, b1, b2) by the topology, the rates of a1,
+    a2, b1 and b2 in [0.05, 3), delta_ab in [-4, 4) and the detuning in
+    [-6, 6).  These are the words of the generator's stream, and the values
+    bit for bit, that drawing one ``SystemConfig`` after another took.  Every
+    row is a valid config with atom a leftmost, so no config is built; the
+    drawn topology is the one :func:`~gawqed.core.classify_topology` gives,
+    unless two drawn phases tie exactly.
+    """
+    kinds = np.empty(count, dtype=np.intp)
+    u = np.empty((count, 10))
+    for n in range(count):
+        kinds[n] = rng.integers(3)
+        u[n] = rng.random(10)
+    sorted_phases = np.sort(_uniform(0.0, 4.0 * math.pi, u[:, :4]))
+    phases = np.take_along_axis(sorted_phases, _DRAWN_POINTS[kinds], axis=1)
+    geoms = Geometries(
+        phases.reshape(count, 2, 2),
+        _uniform(0.05, 3.0, u[:, 4:8]).reshape(count, 2, 2),
+        _uniform(-4.0, 4.0, u[:, 8]),
+        np.ones(count),
+    )
+    return geoms, _uniform(-6.0, 6.0, u[:, 9]), [_DRAWN_TOPOLOGIES[k] for k in kinds.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -458,22 +490,22 @@ def run(spec: RunSpec) -> int:
     return 0
 
 
-def _oracle_deviations(cfgs: list[SystemConfig], deltas: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _oracle_deviations(geoms: Geometries, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|t - t_oracle| and |r - r_oracle| of the closed form against the
-    real-space solve, config by config, evaluated as one stack.
+    real-space solve, geometry by geometry, evaluated as one stack.
 
-    Errors are those of checking config after config, closed form first:
-    when the stack fails, the configs are rerun one by one so that the first
-    failing config raises.
+    Errors are those of checking geometry after geometry, closed form
+    first: when the stack fails, the geometries are rerun one by one, each
+    as the one-geometry stack that ``amplitudes_general`` and
+    ``solve_real_space`` evaluate, so that the first failing one raises.
     """
-    geoms, delta = Geometries.of(cfgs), np.array(deltas)
     try:
         t, r = _amplitude_arrays(geoms, delta)
         x = _real_space_arrays(geoms, delta)
     except GawqedError:
-        for cfg, delta_a in zip(cfgs, deltas):
-            amplitudes_general(cfg, delta_a)
-            solve_real_space(cfg, delta_a)
+        for k in range(len(geoms)):
+            _amplitude_arrays(geoms[k:k + 1], delta[k:k + 1])
+            _real_space_arrays(geoms[k:k + 1], delta[k:k + 1])
         raise
     return np.abs(t - x[:, 3]), np.abs(r - x[:, 4])
 
@@ -485,27 +517,21 @@ def _run_oracle_check(spec: RunSpec) -> int:
     rows = []
     worst = 0.0
     for start in range(0, count, STACK_BLOCK):
-        cfgs, deltas = [], []
-        for _ in range(min(STACK_BLOCK, count - start)):
-            cfgs.append(_random_system(rng))
-            deltas.append(float(rng.uniform(-6.0, 6.0)))
-        dev_t, dev_r = (dev.tolist() for dev in _oracle_deviations(cfgs, deltas))
-        worst = max(worst, *dev_t, *dev_r)
-        for index, (cfg, delta, d_t, d_r) in enumerate(zip(cfgs, deltas, dev_t, dev_r), start):
-            rows.append([index, classify_topology(cfg).value, delta, d_t, d_r])
+        geoms, delta, names = _random_draws(rng, min(STACK_BLOCK, count - start))
+        dev_t, dev_r = _oracle_deviations(geoms, delta)
+        # np.maximum, unlike max(), carries a NaN deviation through
+        worst = np.maximum(worst, np.max([dev_t, dev_r]))
+        indices = range(start, start + len(geoms))
+        rows += zip(indices, names, delta.tolist(), dev_t.tolist(), dev_r.tolist())
+    worst = float(worst)
     header = ["index", "topology", "delta_a", "dev_t", "dev_r"]
     if spec.fmt == "json":
-        _write_json(
-            spec.out_path,
-            {
-                "tolerance": tol,
-                "max_deviation": worst,
-                "rows": [dict(zip(header, row)) for row in rows],
-            },
-        )
+        fields = {"tolerance": tol, "max_deviation": worst}
+        dicts = (dict(zip(header, row)) for row in rows)
+        _write_text(spec.out_path, chain(_json_document(fields, dicts), ["\n"]))
     else:
         _write_rows(spec.out_path, "csv", header, rows)
-    if worst >= tol:
+    if not worst < tol:
         raise GawqedError(
             f"oracle deviation {worst:.3e} exceeds tolerance {tol:.3e}"
         )
@@ -533,30 +559,30 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _write_rows(path: str | None, fmt: str, header: list[str], rows: list[list]) -> None:
+def _write_text(path: str | None, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` in turn, each as soon as it is made."""
     out, owned = _open_out(path)
     try:
-        if fmt == "json":
-            def clean(value):
-                if isinstance(value, float) and not math.isfinite(value):
-                    return None
-                return value
-
-            json.dump(
-                [{k: clean(v) for k, v in zip(header, row)} for row in rows],
-                out,
-                indent=2,
-            )
-            out.write("\n")
-        else:
-            out.write(",".join(header) + "\n")
-            out.writelines(_csv_lines(rows))
+        out.writelines(chunks)
     finally:
         if owned:
             out.close()
 
 
-def _csv_lines(rows: list[list]) -> Iterator[str]:
+def _write_rows(path: str | None, fmt: str, header: list[str], rows: list) -> None:
+    if fmt == "json":
+        def clean(value):
+            if isinstance(value, float) and not math.isfinite(value):
+                return None
+            return value
+
+        dicts = ({k: clean(v) for k, v in zip(header, row)} for row in rows)
+        _write_text(path, chain(_json_rows(dicts), ["\n"]))
+    else:
+        _write_text(path, chain([",".join(header) + "\n"], _csv_lines(rows)))
+
+
+def _csv_lines(rows: list) -> Iterator[str]:
     """The CSV lines of ``rows``, formatted by one template for the table.
 
     A column holding only floats is formatted by "%.17g" (the ``_fmt`` of a
@@ -569,14 +595,39 @@ def _csv_lines(rows: list[list]) -> Iterator[str]:
     return (template % row for row in zip(*cells))
 
 
+def _json_rows(rows: Iterable[dict], level: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(list(rows), indent=2)``, in chunks, for flat
+    dicts in a list that sits ``level`` containers deep.
+
+    json indents with its pure-Python encoder; this encodes each row with
+    the C encoder instead, the line breaks carried by its item separator
+    (an encoded string holds no raw newline).
+    """
+    outer = "\n" + "  " * (level + 1)
+    inner = outer + "  "
+    encode = json.JSONEncoder(separators=("," + inner, ": ")).encode
+    items = ("{" + inner + encode(row)[1:-1] + outer + "}" if row else "{}" for row in rows)
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[" + outer + first
+    for item in items:
+        yield "," + outer + item
+    yield outer[:-2] + "]"
+
+
+def _json_document(fields: dict, rows: Iterable[dict]) -> Iterator[str]:
+    """The text of ``json.dumps({**fields, "rows": list(rows)}, indent=2)``,
+    in chunks, for scalar ``fields`` and flat dicts ``rows``."""
+    yield "{" + "".join(f"\n  {json.dumps(key)}: {json.dumps(value)}," for key, value in fields.items())
+    yield '\n  "rows": '
+    yield from _json_rows(rows, 1)
+    yield "\n}"
+
+
 def _write_json(path: str | None, payload) -> None:
-    out, owned = _open_out(path)
-    try:
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-    finally:
-        if owned:
-            out.close()
+    _write_text(path, [json.dumps(payload, indent=2), "\n"])
 
 
 # ---------------------------------------------------------------------------

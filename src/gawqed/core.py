@@ -229,9 +229,10 @@ class Geometries:
     """A stack of N configurations as arrays, the input of the stacked kernels.
 
     ``phases`` and ``rates`` have shape (N, 2, 2), indexed [geometry, atom
-    (a, b), point]; ``delta_ab`` and ``rate_unit`` have shape (N,).  Build it
-    with :meth:`of` from configs, so that every row is a valid
-    :class:`SystemConfig`.
+    (a, b), point]; ``delta_ab`` and ``rate_unit`` have shape (N,).  Every
+    row must be a valid :class:`SystemConfig`.  Build it with :meth:`of`
+    from configs; the random draws of ``oracle-check``
+    (``gawqed.cli._random_draws``) build it directly, valid by construction.
     """
 
     phases: np.ndarray

@@ -26,7 +26,7 @@ from gawqed import (
 )
 from gawqed import cli, fano
 from gawqed.cli import build_system, main, validate_config
-from gawqed.core import ConfigError, symmetric_config
+from gawqed.core import ConfigError, Geometries, symmetric_config
 from gawqed.scattering import OracleSingularError
 
 from conftest import random_system, shift_probe_check
@@ -263,7 +263,7 @@ class TestConfig:
     def test_round_trip_bit_identical(self, tmp_path, sep_config):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         rewritten = tmp_path / "rt.json"
-        rewritten.write_text(open(sep_config).read())
+        rewritten.write_text(Path(sep_config).read_text())
         args = ["--command", "spectrum", "--sweep", "delta_a:-2:2:41"]
         assert invoke("--config", sep_config, *args, "--out", str(out1)).returncode == 0
         assert invoke("--config", str(rewritten), *args, "--out", str(out2)).returncode == 0
@@ -293,6 +293,30 @@ class TestWriter:
         path = tmp_path / "rows.csv"
         cli._write_rows(str(path), "csv", ["a", "b"], [])
         assert path.read_bytes() == b"a,b\n"
+
+    #: rows of every value kind the JSON writers meet
+    JSON_ROWS = [
+        {"a": x, "b": k, "c": f"s{k}", "d": None}
+        for k, x in enumerate([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1 / 3])
+    ]
+
+    @pytest.mark.parametrize("count", [0, 1, len(JSON_ROWS)])
+    def test_json_rows_match_json_dump(self, tmp_path, count):
+        header, rows = ["a", "b", "c", "d"], [list(row.values()) for row in self.JSON_ROWS[:count]]
+        path = tmp_path / "rows.json"
+        cli._write_rows(str(path), "json", header, rows)
+
+        def clean(value):
+            return None if isinstance(value, float) and not math.isfinite(value) else value
+
+        reference = json.dumps([{k: clean(v) for k, v in zip(header, row)} for row in rows], indent=2)
+        assert path.read_text() == reference + "\n"
+
+    @pytest.mark.parametrize("count", [0, 1, len(JSON_ROWS)])
+    def test_json_document_matches_json_dump(self, count):
+        fields = {"tolerance": 1e-10, "max_deviation": math.nan, "label": "x", "n": 3}
+        rows = self.JSON_ROWS[:count]
+        assert "".join(cli._json_document(fields, rows)) == json.dumps(dict(fields, rows=rows), indent=2)
 
 
 class TestCommands:
@@ -472,6 +496,34 @@ class TestCommands:
         assert proc.returncode == 3
         assert "exceeds tolerance" in proc.stderr
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1e-10"])
+    def test_oracle_tolerance_must_be_finite_positive(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("GAWQED_TOL", raw)
+        code, out, err = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:5")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "config"
+
+    def test_oracle_nan_deviation_fails(self, capsys, monkeypatch):
+        solve = cli._real_space_arrays
+
+        def nan_in_row_5(geoms, delta):
+            x = solve(geoms, delta)
+            x[5, 4] = math.nan
+            return x
+
+        monkeypatch.setattr(cli, "_real_space_arrays", nan_in_row_5)
+        code, out, err = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:20",
+                                  "--format", "json")
+        assert code == 3
+        assert math.isnan(json.loads(out)["max_deviation"])
+        assert "oracle deviation nan" in json.loads(err)["message"]
+
+    def test_oracle_report_matches_json_dump(self, capsys):
+        code, out, _ = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:129",
+                                "--format", "json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
     def test_jobs_deterministic(self, sep_config, tmp_path):
         out1, out2 = tmp_path / "j1.csv", tmp_path / "j4.csv"
         args = ["--config", sep_config, "--command", "spectrum", "--sweep", "delta_a:-2:2:21"]
@@ -516,6 +568,13 @@ class TestExitCodes:
     def test_bad_sweep_variable_is_2(self, sep_config):
         proc = invoke("--config", sep_config, "--command", "loci", "--sweep", "delta_a:0:1:5")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("bounds", ["-inf:inf", "0:inf", "-inf:0", "nan:1"])
+    def test_non_finite_sweep_bounds_are_2(self, capsys, sep_config, bounds):
+        code, out, err = run_main(capsys, "--config", sep_config, "--command", "spectrum",
+                                  "--sweep", f"delta_a:{bounds}:3")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "config"
 
     def test_degenerate_sweep_grid_is_2(self, sep_config):
         proc = invoke("--config", sep_config, "--command", "spectrum", "--sweep", "delta_a:0:1:1")
@@ -566,28 +625,49 @@ class TestStackedCommands:
         worst = max(max(row["dev_t"], row["dev_r"]) for row in report["rows"])
         assert report["max_deviation"] == worst
 
+    def test_random_draws_match_config_by_config(self):
+        # block sizes around STACK_BLOCK, drawn in one stream
+        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+        for count in (1, 127, 128, 129, 300, 5000):
+            geoms, delta, names = cli._random_draws(rng, count)
+            cfgs = []
+            deltas = []
+            for _ in range(count):
+                cfgs.append(random_system(reference))
+                deltas.append(float(reference.uniform(-6.0, 6.0)))
+            expected = Geometries.of(cfgs)
+            for field in ("phases", "rates", "delta_ab", "rate_unit"):
+                drawn, ref = getattr(geoms, field), getattr(expected, field)
+                assert drawn.shape == ref.shape and drawn.tobytes() == ref.tobytes(), field
+            assert delta.tobytes() == np.array(deltas).tobytes()
+            assert names == [classify_topology(cfg).value for cfg in cfgs]
+            assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_oracle_singular_config_in_later_block(self, capsys, monkeypatch):
-        # draw 261 (index 260) lies past the first block of configs
+        # config 261 (index 260) lies past the first block of configs
         assert cli.STACK_BLOCK <= 260
-        draws = []
+        draw = cli._random_draws
+        drawn = [0]
+        injected = []
 
-        def draw_with_silent_atoms(rng):
-            cfg = random_system(rng)
-            draws.append(cfg)
-            if len(draws) != 261:
-                return cfg
-            # zero rates everywhere, and Delta_b = 0 at the detuning drawn next
-            delta = float(copy.deepcopy(rng).uniform(-6.0, 6.0))
-            points = [CouplingPoint(p, 0.0) for p in (0.0, 1.0, 2.0, 3.0)]
-            silent = SystemConfig(GiantAtom("a", tuple(points[:2])), GiantAtom("b", tuple(points[2:])),
-                                  delta_ab=-delta)
-            draws[-1] = (silent, delta)
-            return silent
+        def draws_with_silent_atoms(rng, count):
+            geoms, delta, names = draw(rng, count)
+            k = 260 - drawn[0]
+            drawn[0] += count
+            if 0 <= k < count:
+                # zero rates everywhere, and Delta_b = 0 at the drawn detuning
+                points = [CouplingPoint(p, 0.0) for p in (0.0, 1.0, 2.0, 3.0)]
+                silent = SystemConfig(GiantAtom("a", tuple(points[:2])), GiantAtom("b", tuple(points[2:])),
+                                      delta_ab=-float(delta[k]))
+                one = Geometries.of([silent])
+                geoms.phases[k], geoms.rates[k], geoms.delta_ab[k] = one.phases[0], one.rates[0], one.delta_ab[0]
+                injected.append((silent, float(delta[k])))
+            return geoms, delta, names
 
-        monkeypatch.setattr(cli, "_random_system", draw_with_silent_atoms)
+        monkeypatch.setattr(cli, "_random_draws", draws_with_silent_atoms)
         code, out, err = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:300")
         assert code == 3 and out == ""
-        silent, delta = draws[260]
+        [(silent, delta)] = injected
         with pytest.raises(OracleSingularError) as point:
             solve_real_space(silent, delta)
         assert json.loads(err) == {"error": "OracleSingularError", "message": str(point.value)}
