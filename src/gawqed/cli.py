@@ -11,9 +11,13 @@ stacks of 128, and ``loci`` still evaluates one config per grid point.
 ``oracle-check`` draws its random configs straight into stacked geometry
 arrays, 128 at a time, without building a config object, and evaluates the
 closed form and the real-space solve on each block as one stack.  Rows are
-always written in grid order, so output files are deterministic; JSON
+always written in grid order, so output files are deterministic.  Tables
+are handed to the writers as columns.  CSV floats are "%.17g": float
+columns are formatted by the vectorised kernel of ``gawqed._fmt17``, 256
+rows at a time, byte for byte as ``format(v, ".17g")`` formats each value,
+on every platform; other columns go value by value through ``_fmt``.  JSON
 tables are written by json's C encoder, byte for byte as ``json.dump``
-with ``indent=2`` writes them.
+with ``indent=2`` writes them, with null for a non-finite float.
 ``--jobs`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success, 2 config/usage violation, 3 numerical failure from a
@@ -59,6 +63,10 @@ DEFAULT_ORACLE_TOL = 1e-10
 #: ``fano`` phi sweep (each geometry of an ``oracle-check`` block holds ~6 kB
 #: of arrays while the block is solved; blocks bound the peak memory)
 STACK_BLOCK = 128
+
+#: table rows formatted and written together by the CSV writer (the kernel
+#: holds ~0.3 kB per value while it formats a block; blocks bound the peak)
+CSV_BLOCK = 256
 
 COMMANDS = (
     "characteristics",
@@ -279,13 +287,12 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _amplitude_rows(grid: np.ndarray, t: np.ndarray, r: np.ndarray) -> list[list]:
-    columns = (grid, t.real, t.imag, r.real, r.imag, np.abs(t) ** 2, np.abs(r) ** 2)
-    return np.column_stack(columns).tolist()
+def _amplitude_columns(grid: np.ndarray, t: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
+    return [grid, t.real, t.imag, r.real, r.imag, np.abs(t) ** 2, np.abs(r) ** 2]
 
 
-def _characteristic_values(ch) -> list[float]:
-    return [ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b, ch.g_ab, ch.gamma_ab, ch.alpha_a, ch.alpha_b]
+def _characteristic_columns(names: list[str], chs: list) -> list[np.ndarray]:
+    return [np.array([getattr(ch, name) for ch in chs]) for name in names]
 
 
 def _loci_row(raw: dict, phi: float) -> list:
@@ -301,13 +308,15 @@ def _loci_row(raw: dict, phi: float) -> list:
     return [phi, peaks[0], peaks[1], math.nan if loci.minimum is None else loci.minimum]
 
 
-def _fano_rows(raw: dict, phis: list[float]) -> list[list]:
-    """The ``fano`` table, decomposed in stacks of ``STACK_BLOCK`` spacings.
+def _fano_columns(raw: dict, phis: list[float]) -> list:
+    """The ``fano`` table after its phi column, decomposed in stacks of
+    ``STACK_BLOCK`` spacings.
 
     When a stack fails, its spacings are rerun one by one, so that the error
     of the first failing spacing is raised, naming that spacing.
     """
-    rows = []
+    blocks, regimes = [], []
+    fits = np.full((4, len(phis)), math.nan)
     for start in range(0, len(phis), STACK_BLOCK):
         block = phis[start:start + STACK_BLOCK]
         geoms = _phi_geometries(raw, block)
@@ -320,23 +329,22 @@ def _fano_rows(raw: dict, phis: list[float]) -> list[list]:
                 except fano.DecompositionError as exc:
                     raise fano.DecompositionError(f"{exc} at phi={phi}") from exc
             raise
+        blocks.append(fields)
         gammas = geoms.rates[:, 0, 0].tolist()
-        for phi, gamma, *values in zip(block, gammas, *(field.tolist() for field in fields)):
+        for k, (gamma, *values) in enumerate(zip(gammas, *(field.tolist() for field in fields))):
             pair = fano.LorentzPair(*values)
-            regime = fano._pair_regime(pair, gamma)
-            q = f_scale = center = width = math.nan
-            if regime != "none":
+            regimes.append(fano._pair_regime(pair, gamma))
+            if regimes[-1] != "none":
                 fit = fano.fano_fit(pair)
-                q, f_scale, center, width = fit.q, fit.f_scale, fit.center, fit.width
-            rows.append([
-                phi, pair.delta_plus, pair.delta_minus, pair.gamma_plus, pair.gamma_minus,
-                pair.chi_plus.real, pair.chi_plus.imag, pair.chi_minus.real, pair.chi_minus.imag,
-                regime, q, f_scale, center, width,
-            ])
-    return rows
+                fits[:, start + k] = fit.q, fit.f_scale, fit.center, fit.width
+    d_plus, d_minus, g_plus, g_minus, chi_plus, chi_minus = map(np.concatenate, zip(*blocks))
+    return [
+        d_plus, d_minus, g_plus, g_minus, chi_plus.real, chi_plus.imag, chi_minus.real, chi_minus.imag,
+        regimes, *fits,
+    ]
 
 
-def _eit_spectrum_rows(cfg: SystemConfig, grid: np.ndarray) -> list[list]:
+def _eit_spectrum_columns(cfg: SystemConfig, grid: np.ndarray) -> list[np.ndarray]:
     verdict = eit.classify_eit(cfg)
     if verdict.scheme is eit.Scheme.SINGLE_ATOM:
         pt = eit.single_atom_eit_amplitudes(cfg, grid)
@@ -352,13 +360,12 @@ def _eit_spectrum_rows(cfg: SystemConfig, grid: np.ndarray) -> list[list]:
         raise eit.EitPreconditionError(
             "configuration supports no EIT scheme; use 'spectrum' instead"
         )
-    return _amplitude_rows(grid, pt.t, pt.r)
+    return _amplitude_columns(grid, pt.t, pt.r)
 
 
-def _master_rows(raw: dict, grid: np.ndarray) -> list[list]:
+def _master_columns(raw: dict, grid: np.ndarray) -> list[np.ndarray]:
     sweep = lindblad.master_sweep(build_system(raw), _drive_from(raw).amplitude_sq, grid)
-    columns = (grid, sweep.T, sweep.R, sweep.inelastic_flux, sweep.conservation_residual)
-    return np.column_stack(columns).tolist()
+    return [grid, sweep.T, sweep.R, sweep.inelastic_flux, sweep.conservation_residual]
 
 
 #: the topologies ``oracle-check`` draws from, and for each the points
@@ -449,44 +456,41 @@ def run(spec: RunSpec) -> int:
         else:
             header = ["delta_a", "re_t", "im_t", "re_r", "im_r", "T", "R"]
             geoms, delta = Geometries.of([build_system(raw)]), grid
-        rows = _amplitude_rows(grid, *_amplitude_arrays(geoms, delta))
+        columns = _amplitude_columns(grid, *_amplitude_arrays(geoms, delta))
     elif spec.command == "characteristics":
         names = ["lamb_a", "lamb_b", "gamma_a", "gamma_b", "g_ab", "gamma_ab", "alpha_a", "alpha_b"]
         if variable == "phi":
             header = ["phi"] + names
-            rows = [
-                [phi] + _characteristic_values(ch)
-                for phi, (ch, _, _) in zip(phis, _phi_geometries(raw, phis).quantities())
-            ]
+            chs = [ch for ch, _, _ in _phi_geometries(raw, phis).quantities()]
+            columns = [grid] + _characteristic_columns(names, chs)
         else:
             header = names
-            rows = [_characteristic_values(characteristics(build_system(raw)))]
+            columns = _characteristic_columns(names, [characteristics(build_system(raw))])
     elif spec.command == "loci":
         header = ["phi", "peak_1", "peak_2", "minimum"]
-        rows = [_loci_row(raw, phi) for phi in phis]
+        columns = list(np.array([_loci_row(raw, phi) for phi in phis]).T)
     elif spec.command == "fano":
         header = [
             "phi", "delta_plus", "delta_minus", "gamma_plus", "gamma_minus",
             "re_chi_plus", "im_chi_plus", "re_chi_minus", "im_chi_minus",
             "regime", "q", "f_scale", "center", "width",
         ]
-        rows = _fano_rows(raw, phis)
+        columns = [grid] + _fano_columns(raw, phis)
     elif spec.command == "eit-spectrum":
         header = ["delta_a", "re_t", "im_t", "re_r", "im_r", "T", "R"]
-        rows = _eit_spectrum_rows(build_system(raw), grid)
+        columns = _eit_spectrum_columns(build_system(raw), grid)
     elif spec.command == "master-sweep":
         header = ["delta_a", "T", "R", "F", "residual"]
-        rows = _master_rows(raw, grid)
+        columns = _master_columns(raw, grid)
     elif spec.command == "inelastic-spectrum":
         cfg = build_system(raw)
         result = lindblad.inelastic_spectrum(cfg, _drive_from(raw), grid)
         header = ["nu", "s_transmit", "s_reflect", "s_total"]
-        columns = (result.nu, result.s_transmit, result.s_reflect, result.s_total)
-        rows = np.column_stack(columns).tolist()
+        columns = [result.nu, result.s_transmit, result.s_reflect, result.s_total]
     else:  # pragma: no cover - command list is closed
         raise ConfigError(f"unhandled command {spec.command!r}")
 
-    _write_rows(spec.out_path, spec.fmt, header, rows)
+    _write_rows(spec.out_path, spec.fmt, header, columns)
     return 0
 
 
@@ -514,23 +518,21 @@ def _run_oracle_check(spec: RunSpec) -> int:
     count = spec.sweep.points if spec.sweep else 100
     tol = oracle_tolerance()
     rng = np.random.default_rng(0)
-    rows = []
-    worst = 0.0
+    names, blocks = [], []
     for start in range(0, count, STACK_BLOCK):
-        geoms, delta, names = _random_draws(rng, min(STACK_BLOCK, count - start))
-        dev_t, dev_r = _oracle_deviations(geoms, delta)
-        # np.maximum, unlike max(), carries a NaN deviation through
-        worst = np.maximum(worst, np.max([dev_t, dev_r]))
-        indices = range(start, start + len(geoms))
-        rows += zip(indices, names, delta.tolist(), dev_t.tolist(), dev_r.tolist())
-    worst = float(worst)
+        geoms, delta, drawn = _random_draws(rng, min(STACK_BLOCK, count - start))
+        names += drawn
+        blocks.append((delta, *_oracle_deviations(geoms, delta)))
+    delta, dev_t, dev_r = map(np.concatenate, zip(*blocks))
+    # np.max, unlike max(), carries a NaN deviation through
+    worst = float(np.max([dev_t, dev_r]))
     header = ["index", "topology", "delta_a", "dev_t", "dev_r"]
+    columns = [range(count), names, delta, dev_t, dev_r]
     if spec.fmt == "json":
-        fields = {"tolerance": tol, "max_deviation": worst}
-        dicts = (dict(zip(header, row)) for row in rows)
-        _write_text(spec.out_path, chain(_json_document(fields, dicts), ["\n"]))
+        fields = {"tolerance": tol, "max_deviation": _json_value(worst)}
+        _write_text(spec.out_path, chain(_json_document(fields, _json_records(header, columns)), ["\n"]))
     else:
-        _write_rows(spec.out_path, "csv", header, rows)
+        _write_rows(spec.out_path, "csv", header, columns)
     if not worst < tol:
         raise GawqedError(
             f"oracle deviation {worst:.3e} exceeds tolerance {tol:.3e}"
@@ -547,6 +549,8 @@ def _read_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     validate_config(raw)
@@ -569,30 +573,55 @@ def _write_text(path: str | None, chunks: Iterable[str]) -> None:
             out.close()
 
 
-def _write_rows(path: str | None, fmt: str, header: list[str], rows: list) -> None:
+def _write_rows(path: str | None, fmt: str, header: list[str], columns: list) -> None:
+    """Write the table ``columns`` (one sequence per name of ``header``)."""
     if fmt == "json":
-        def clean(value):
-            if isinstance(value, float) and not math.isfinite(value):
-                return None
-            return value
-
-        dicts = ({k: clean(v) for k, v in zip(header, row)} for row in rows)
-        _write_text(path, chain(_json_rows(dicts), ["\n"]))
+        _write_text(path, chain(_json_rows(_json_records(header, columns)), ["\n"]))
     else:
-        _write_text(path, chain([",".join(header) + "\n"], _csv_lines(rows)))
+        _write_text(path, chain([",".join(header) + "\n"], _csv_blocks(columns)))
 
 
-def _csv_lines(rows: list) -> Iterator[str]:
-    """The CSV lines of ``rows``, formatted by one template for the table.
+def _csv_blocks(columns: list) -> Iterator[str]:
+    """The CSV lines of the table ``columns``, ``CSV_BLOCK`` rows per chunk.
 
-    A column holding only floats is formatted by "%.17g" (the ``_fmt`` of a
-    float); every other column is turned into strings by ``_fmt``.
+    A float64 array column is formatted by the "%.17g" kernel
+    (:func:`gawqed._fmt17.cells`); every other column value by value by
+    ``_fmt``.  Either way a float is written as ``_fmt`` writes it.
     """
-    columns = list(zip(*rows))
-    only_floats = [all(isinstance(v, float) for v in col) for col in columns]
-    template = ",".join("%.17g" if f else "%s" for f in only_floats) + "\n"
-    cells = [col if f else [_fmt(v) for v in col] for f, col in zip(only_floats, columns)]
-    return (template % row for row in zip(*cells))
+    # imported here, not at the top: a CLI process that writes no CSV (and
+    # every set-up interpreter) need not compile the kernel
+    from . import _fmt17
+
+    floats = [isinstance(col, np.ndarray) and col.dtype == np.float64 for col in columns]
+    for start in range(0, len(columns[0]), CSV_BLOCK):
+        block = [col[start:start + CSV_BLOCK] for col in columns]
+        values = np.empty((len(block[0]), sum(floats)))
+        for k, col in enumerate(col for col, f in zip(block, floats) if f):
+            values[:, k] = col
+        table = cells = _fmt17.cells(values)
+        texts = {j: np.array([_fmt(v).encode() for v in col]) for j, col in enumerate(block) if not floats[j]}
+        if texts:
+            width = max([_fmt17.WIDTH] + [text.itemsize + 1 for text in texts.values()])
+            table = np.zeros((len(values), len(block), width), np.uint8)
+            table[:, floats, :_fmt17.WIDTH] = cells
+            for j, text in texts.items():
+                table[:, j, :text.itemsize] = text.view(np.uint8).reshape(len(text), text.itemsize)
+        table[:, :, -1] = ord(",")
+        table[:, -1, -1] = ord("\n")
+        yield table[table != 0].tobytes().decode()
+
+
+def _json_value(value):
+    """``value``, or None for a float that is not finite (JSON has no NaN)."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _json_records(header: list[str], columns: list) -> Iterator[dict]:
+    """The rows of the table ``columns`` as dicts keyed by ``header``."""
+    lists = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
+    return ({k: _json_value(v) for k, v in zip(header, row)} for row in zip(*lists))
 
 
 def _json_rows(rows: Iterable[dict], level: int = 0) -> Iterator[str]:

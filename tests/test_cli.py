@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jsonschema
 
@@ -24,7 +26,7 @@ from gawqed import (
     peak_minimum_loci,
     solve_real_space,
 )
-from gawqed import cli, fano
+from gawqed import _fmt17, cli, fano
 from gawqed.cli import build_system, main, validate_config
 from gawqed.core import ConfigError, Geometries, symmetric_config
 from gawqed.scattering import OracleSingularError
@@ -270,28 +272,69 @@ class TestConfig:
         assert out1.read_text() == out2.read_text()
 
 
+def csv_reference(header, columns):
+    """The CSV text of ``columns`` written value by value by ``cli._fmt``."""
+    rows = zip(*(col.tolist() if isinstance(col, np.ndarray) else col for col in columns))
+    return ",".join(header) + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+
+
 class TestWriter:
-    def test_csv_matches_per_value_format(self, tmp_path):
-        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, 1 / 3]
+    def test_csv_matches_per_value_format(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(2)
-        bits = rng.integers(0, 2**63, 200, dtype=np.uint64).view(np.float64).tolist()
-        randoms = rng.normal(scale=1e3, size=200).tolist()
-        floats = specials + bits + randoms
-        rows = [
-            # columns: floats only, ints, strings, None, one non-float among floats
-            [x, k, f"s{k}", None, "x" if k == 5 else x]
-            for k, x in enumerate(floats)
+        powers = np.array([10.0**k for k in range(-300, 301)])
+        switches = np.array([1e-5, 1e-4, 1e16, 1e17])  # where "%g" changes notation
+        # a tie at the 17th digit, and 1 ulp below the kernel's fast range:
+        # both are left to format()
+        fallbacks = [1234567890123456.25, np.nextafter(1e-280, 0.0)]
+        floats = np.concatenate([
+            [math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, 1 / 3],
+            [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf), -powers,
+            switches, np.nextafter(switches, 0.0), np.nextafter(switches, np.inf),
+            np.arange(0, 2**53, 2**53 // 9973), [2.0**53 - 1, 2.0**53],
+            (rng.integers(-(2**40), 2**40, 1000) + 0.5) / 2.0 ** rng.integers(0, 60, 1000),
+            fallbacks,
+            rng.integers(0, 2**64, 10**6, dtype=np.uint64).view(np.float64),
+        ])
+        formatted = []
+
+        def spy(value, spec):
+            formatted.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(_fmt17, "format", spy, raising=False)
+        header = ["a", "b"]
+        columns = [floats[: len(floats) // 2], floats[len(floats) // 2 :]]
+        path = tmp_path / "floats.csv"
+        cli._write_rows(str(path), "csv", header, columns)
+        assert path.read_bytes() == csv_reference(header, columns).encode()
+        assert set(fallbacks) <= set(formatted)
+
+        randoms = rng.normal(scale=1e3, size=cli.CSV_BLOCK + 1)
+        # columns: floats only, ints, strings, None, one non-float among floats
+        mixed = [
+            np.concatenate([floats[:20], randoms[20:]]),
+            list(range(len(randoms))),
+            [f"s{k}" for k in range(len(randoms))],
+            [None] * len(randoms),
+            ["x" if k == 5 else x for k, x in enumerate(randoms.tolist())],
         ]
         header = ["a", "b", "c", "d", "e"]
-        path = tmp_path / "rows.csv"
-        cli._write_rows(str(path), "csv", header, rows)
-        reference = ",".join(header) + "\n"
-        reference += "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
-        assert path.read_bytes() == reference.encode()
+        for count in (0, 1, cli.CSV_BLOCK - 1, cli.CSV_BLOCK, cli.CSV_BLOCK + 1):
+            for columns in ([col[:count] for col in mixed], [mixed[0][:count]]):
+                path = tmp_path / "rows.csv"
+                cli._write_rows(str(path), "csv", header[:len(columns)], columns)
+                assert path.read_bytes() == csv_reference(header[:len(columns)], columns).encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_kernel_matches_format_property(self, values):
+        cells = _fmt17.cells(np.array(values)).reshape(-1, _fmt17.WIDTH)
+        assert [bytes(cell[cell != 0]).decode() for cell in cells] == [format(v, ".17g") for v in values]
 
     def test_csv_header_only(self, tmp_path):
         path = tmp_path / "rows.csv"
-        cli._write_rows(str(path), "csv", ["a", "b"], [])
+        cli._write_rows(str(path), "csv", ["a", "b"], [np.array([]), np.array([])])
         assert path.read_bytes() == b"a,b\n"
 
     #: rows of every value kind the JSON writers meet
@@ -304,7 +347,7 @@ class TestWriter:
     def test_json_rows_match_json_dump(self, tmp_path, count):
         header, rows = ["a", "b", "c", "d"], [list(row.values()) for row in self.JSON_ROWS[:count]]
         path = tmp_path / "rows.json"
-        cli._write_rows(str(path), "json", header, rows)
+        cli._write_rows(str(path), "json", header, [[row[k] for row in rows] for k in range(len(header))])
 
         def clean(value):
             return None if isinstance(value, float) and not math.isfinite(value) else value
@@ -515,7 +558,7 @@ class TestCommands:
         code, out, err = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:20",
                                   "--format", "json")
         assert code == 3
-        assert math.isnan(json.loads(out)["max_deviation"])
+        assert json.loads(out)["max_deviation"] is None
         assert "oracle deviation nan" in json.loads(err)["message"]
 
     def test_oracle_report_matches_json_dump(self, capsys):
@@ -540,6 +583,14 @@ class TestExitCodes:
         assert proc.returncode == 2
         record = json.loads(proc.stderr)
         assert record["error"] == "config"
+
+    @pytest.mark.parametrize("text", [b'{"symmetric": ', b'\xff\xfe{"a":1}'], ids=["not-json", "not-utf8"])
+    def test_unreadable_config_is_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        code, out, err = run_main(capsys, "--config", str(bad), "--command", "characteristics")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "config"
 
     def test_numerical_failure_is_3(self, tmp_path):
         plain = tmp_path / "plain.json"
