@@ -91,16 +91,15 @@ def _tables() -> tuple[np.ndarray, ...]:
     # is the count of integer digits among them, or 17 for "0.000ddd" (the
     # point is in the prefix)
     row_base = np.array([17 * (17 if z else i) for z, i in zip(lead, integer_digits)])
+    kind = np.arange(18)[:, None, None]
+    cut = np.arange(17)[:, None]
+    ints = np.where(kind < 17, kind, 0)
+    byte = np.arange(16)
     masks = np.zeros((18, 17, WIDTH), np.uint8)
-    masks[..., :8] = 255
-    masks[..., 48:] = 255
-    for kind in range(18):
-        ints = 0 if kind == 17 else kind
-        for cut in range(ints, 17):
-            row = masks[kind, cut]
-            row[8:8 + ints] = 255
-            row[24] = 255 if ints < cut and kind < 17 else 0
-            row[32 + ints:32 + cut] = 255
+    masks[..., :8] = masks[..., 48:] = 255
+    masks[..., 8:24] = 255 * (byte < ints)
+    masks[..., 24] = 255 * ((ints < cut) & (kind < 17))[..., 0]
+    masks[..., 32:48] = 255 * ((ints <= byte) & (byte < cut))
     masks = masks.reshape(18 * 17, WIDTH).view("<i8").astype(np.int64)
     # digit values (not ASCII) of 0..9999, the first digit in the lowest byte
     pairs = np.arange(100, dtype=np.int64) // 10 | np.arange(100, dtype=np.int64) % 10 << 8
