@@ -11,12 +11,12 @@ Fast path, for 1e-280 <= |x| <= 1e280: with e = floor(log10 |x|), the
 scaled value y = |x| 10^(16 - e) lies in [1e16, 1e17) and its nearest
 integer n holds the 17 significant digits.  10^(16 - e) is the double-double
 hi + lo, built once with exact integer arithmetic.  |x| hi = p + err exactly
-(Dekker's product on Veltkamp splits), so y = p + c with c = err + |x| lo,
-where p is an integer-valued double and |c| < 32; c is off by less than
-1e-14.  n = p + floor(c) + (frac(c) > 1/2).  A value goes to ``format``
-when frac(c) is within 1e-6 of 1/2 (a tie or near-tie), when y falls
-outside [1e16, 1e17) after rounding (log10 off by one), or when |x| is
-outside the range; 0, inf and nan have fixed texts.
+(Dekker's product on Veltkamp splits), so y = p + c with c = err + |x| lo.
+For y >= 2^53, p is an integer-valued double; |c| < 32, and c is off by
+less than 1e-14.  n = p + floor(c) + (frac(c) > 1/2).  A value goes to
+``format`` when frac(c) is within 1e-6 of 1/2 (a tie or near-tie), when y
+falls outside [1e16, 1e17) after rounding (log10 off by one), or when |x|
+is outside the range; 0, inf and nan have fixed texts.
 
 Layout: each cell is ``WIDTH`` bytes, seven little-endian 64-bit words:
 word 0 the sign and "0.000" prefix with the first digit in its last byte,
@@ -85,7 +85,8 @@ def _tables() -> tuple[np.ndarray, ...]:
     fixed = [-4 <= e < 17 for e in exponents]
     exp_words = _words(["" if f else f"e{e:+03d}" for e, f in zip(exponents, fixed)])
     lead = [-e if f and e < 0 else 0 for e, f in zip(exponents, fixed)]
-    prefixes = _words([sign + ("0." + "0" * (z - 1) if z else "") for z in lead for sign in ("", "-")])
+    prefixes = _words([sign + ("0." + "0" * (z - 1) if z else "")
+                       for z in lead for sign in ("", "-")])
     integer_digits = [e if f and e > 0 else 0 for e, f in zip(exponents, fixed)]
     # mask row 17 * kind + cut, cut the digits written after the first: kind
     # is the count of integer digits among them, or 17 for "0.000ddd" (the

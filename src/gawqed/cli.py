@@ -339,7 +339,8 @@ def _fano_columns(raw: dict, phis: list[float]) -> list:
                 fits[:, start + k] = fit.q, fit.f_scale, fit.center, fit.width
     d_plus, d_minus, g_plus, g_minus, chi_plus, chi_minus = map(np.concatenate, zip(*blocks))
     return [
-        d_plus, d_minus, g_plus, g_minus, chi_plus.real, chi_plus.imag, chi_minus.real, chi_minus.imag,
+        d_plus, d_minus, g_plus, g_minus,
+        chi_plus.real, chi_plus.imag, chi_minus.real, chi_minus.imag,
         regimes, *fits,
     ]
 
@@ -530,7 +531,8 @@ def _run_oracle_check(spec: RunSpec) -> int:
     columns = [range(count), names, delta, dev_t, dev_r]
     if spec.fmt == "json":
         fields = {"tolerance": tol, "max_deviation": _json_value(worst)}
-        _write_text(spec.out_path, chain(_json_document(fields, _json_records(header, columns)), ["\n"]))
+        rows = _json_records(header, columns)
+        _write_text(spec.out_path, chain(_json_document(fields, rows), ["\n"]))
     else:
         _write_rows(spec.out_path, "csv", header, columns)
     if not worst < tol:
@@ -599,7 +601,8 @@ def _csv_blocks(columns: list) -> Iterator[str]:
         for k, col in enumerate(col for col, f in zip(block, floats) if f):
             values[:, k] = col
         table = cells = _fmt17.cells(values)
-        texts = {j: np.array([_fmt(v).encode() for v in col]) for j, col in enumerate(block) if not floats[j]}
+        texts = {j: np.array([_fmt(v).encode() for v in col])
+                 for j, col in enumerate(block) if not floats[j]}
         if texts:
             width = max([_fmt17.WIDTH] + [text.itemsize + 1 for text in texts.values()])
             table = np.zeros((len(values), len(block), width), np.uint8)
