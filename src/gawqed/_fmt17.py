@@ -61,7 +61,7 @@ def _split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _tables() -> tuple[np.ndarray, ...]:
-    """Lookup tables, built on the first call (~2 ms, ~140 kB).
+    """Lookup tables, built on the first call (~3 ms, ~140 kB).
 
     By e - _E_MIN: hi, lo, their split halves, the exponent word, the
     integer digits after the first one, and the mask-row base.  Also the
