@@ -37,6 +37,8 @@ import numpy as np
 #: bytes per cell
 WIDTH = 56
 
+#: the fast range: on it 10^(16 - e) and the split halves and partial
+#: products of Dekker's product stay clear of underflow and overflow
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 #: decimal exponents of the tables: floor(log10 |x|) on the fast range,
 #: with one to spare for a log10 that is off by one
