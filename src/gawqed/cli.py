@@ -48,7 +48,7 @@ from .core import (
     SystemConfig,
     Topology,
     characteristics,
-    classify_topology,
+    rate_scale,
     symmetric_config,
 )
 from .scattering import (
@@ -301,9 +301,9 @@ def _loci_row(raw: dict, phi: float) -> list:
         raise ConfigError(
             f"the analytic loci hold for delta_ab = 0 only, got delta_ab={cfg.delta_ab}"
         )
-    loci = peak_minimum_loci(
-        classify_topology(cfg), phi, cfg.atom_a.points[0].bare_rate
-    )
+    # the shortcut's topology: at phi = 0 the four points coincide
+    topology = Topology(_phi_sweep_shortcut(raw)["topology"])
+    loci = peak_minimum_loci(topology, phi, cfg.atom_a.points[0].bare_rate)
     peaks = list(loci.peaks) + [math.nan] * (2 - len(loci.peaks))
     return [phi, peaks[0], peaks[1], math.nan if loci.minimum is None else loci.minimum]
 
@@ -330,10 +330,10 @@ def _fano_columns(raw: dict, phis: list[float]) -> list:
                     raise fano.DecompositionError(f"{exc} at phi={phi}") from exc
             raise
         blocks.append(fields)
-        gammas = geoms.rates[:, 0, 0].tolist()
-        for k, (gamma, *values) in enumerate(zip(gammas, *(field.tolist() for field in fields))):
+        scales = rate_scale(geoms.rates).tolist()
+        for k, (scale, *values) in enumerate(zip(scales, *(field.tolist() for field in fields))):
             pair = fano.LorentzPair(*values)
-            regimes.append(fano._pair_regime(pair, gamma))
+            regimes.append(fano._pair_regime(pair, scale))
             if regimes[-1] != "none":
                 fit = fano.fano_fit(pair)
                 fits[:, start + k] = fit.q, fit.f_scale, fit.center, fit.width
@@ -355,7 +355,6 @@ def _eit_spectrum_columns(cfg: SystemConfig, grid: np.ndarray) -> list[np.ndarra
             verdict.dark_state,
             delta_a=grid,
             r_phase=cmath.exp(1j * characteristics(cfg).alpha_a),
-            rate_unit=cfg.rate_unit,
         )
     else:
         raise eit.EitPreconditionError(
@@ -404,7 +403,6 @@ def _random_draws(rng: np.random.Generator, count: int) -> tuple[Geometries, np.
         phases.reshape(count, 2, 2),
         _uniform(0.05, 3.0, u[:, 4:8]).reshape(count, 2, 2),
         _uniform(-4.0, 4.0, u[:, 8]),
-        np.ones(count),
     )
     return geoms, _uniform(-6.0, 6.0, u[:, 9]), [_DRAWN_TOPOLOGIES[k] for k in kinds.tolist()]
 

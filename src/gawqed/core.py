@@ -109,24 +109,19 @@ class GiantAtom:
 class SystemConfig:
     """Two giant atoms on one waveguide.
 
-    ``delta_ab`` is the atomic frequency difference omega_a - omega_b; the atom
-    owning the leftmost coupling point must be labelled ``a``.  ``rate_unit`` is
-    the reference decay rate gamma that sets the unit for every rate and
-    detuning in the package.
+    ``delta_ab`` = omega_a - omega_b; the atom owning the leftmost coupling
+    point must be labelled ``a``.  Its tolerances follow :func:`rate_scale`.
     """
 
     atom_a: GiantAtom
     atom_b: GiantAtom
     delta_ab: float = 0.0
-    rate_unit: float = 1.0
 
     def __post_init__(self) -> None:
         if self.atom_a.label != "a" or self.atom_b.label != "b":
             raise ConfigError("atom_a must be labelled 'a' and atom_b 'b'")
         if not math.isfinite(self.delta_ab):
             raise ConfigError("delta_ab must be finite")
-        if not (math.isfinite(self.rate_unit) and self.rate_unit > 0.0):
-            raise ConfigError("rate_unit must be finite and > 0")
         if min(self.atom_b.phases) < min(self.atom_a.phases):
             raise ConfigError(
                 "the atom with the leftmost coupling point must be labelled 'a'"
@@ -142,7 +137,7 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class CharQuantities:
-    """Characteristic quantities of one configuration (units of ``rate_unit``).
+    """Characteristic quantities of one configuration (in the units of its rates).
 
     ``alpha_j`` is stored as twice the argument of the atom's coupling phasor
     w_j = sum_n sqrt(gamma_jn) e^{i theta_jn}, so that exp(i alpha_j / 2) is the
@@ -229,16 +224,14 @@ class Geometries:
     """A stack of N configurations as arrays, the input of the stacked kernels.
 
     ``phases`` and ``rates`` have shape (N, 2, 2), indexed [geometry, atom
-    (a, b), point]; ``delta_ab`` and ``rate_unit`` have shape (N,).  Every
-    row must be a valid :class:`SystemConfig`.  Build it with :meth:`of`
-    from configs; the random draws of ``oracle-check``
-    (``gawqed.cli._random_draws``) build it directly, valid by construction.
+    (a, b), point]; ``delta_ab`` has shape (N,).  Every row must be a valid
+    :class:`SystemConfig`.  Build it with :meth:`of` from configs;
+    ``gawqed.cli._random_draws`` builds it directly, valid by construction.
     """
 
     phases: np.ndarray
     rates: np.ndarray
     delta_ab: np.ndarray
-    rate_unit: np.ndarray
 
     @classmethod
     def of(cls, cfgs: Sequence[SystemConfig]) -> "Geometries":
@@ -246,19 +239,24 @@ class Geometries:
             [(c.atom_a.phases, c.atom_b.phases, c.atom_a.rates, c.atom_b.rates) for c in cfgs],
             dtype=float,
         )
-        scalars = np.array([(c.delta_ab, c.rate_unit) for c in cfgs], dtype=float)
-        return cls(points[:, :2], points[:, 2:], scalars[:, 0], scalars[:, 1])
+        return cls(points[:, :2], points[:, 2:], np.array([c.delta_ab for c in cfgs], dtype=float))
 
     def __len__(self) -> int:
         return len(self.delta_ab)
 
     def __getitem__(self, rows: slice) -> "Geometries":
         """The sub-stack of the geometries ``rows``."""
-        return Geometries(self.phases[rows], self.rates[rows], self.delta_ab[rows], self.rate_unit[rows])
+        return Geometries(self.phases[rows], self.rates[rows], self.delta_ab[rows])
 
     def quantities(self) -> list[tuple[CharQuantities, complex, complex]]:
         """(characteristics, w_a, w_b) of each geometry, in stack order."""
         return [_quantities(p, g) for p, g in zip(self.phases.tolist(), self.rates.tolist())]
+
+
+def rate_scale(rates) -> np.ndarray:
+    """Largest bare rate of ``rates`` [..., atom, point], one per config: the
+    scale of every "numerically zero" tolerance of the one-photon code."""
+    return np.max(rates, axis=(-2, -1))
 
 
 def detunings(cfg: SystemConfig, delta_a: float) -> tuple[float, float]:

@@ -36,13 +36,14 @@ from .core import (
     characteristics,
     classify_topology,
     detunings,
+    rate_scale,
 )
 from .scattering import ScatterPoint, _scatter_point
 
-#: "numerically zero" rate for scheme preconditions, in units of rate_unit
+#: "numerically zero" rate for scheme preconditions, times the config's rate scale
 ZERO_RATE_TOL = 1e-9
 
-#: half-width of the Boundary band around 4 |control| = bright width
+#: half-width of the Boundary band around 4 |control| = bright width, times the rate scale
 BOUNDARY_TOL = 1e-9
 
 
@@ -135,7 +136,6 @@ def collective_eit_amplitudes(
     dark: DarkState,
     delta_a: float | np.ndarray = math.nan,
     r_phase: complex = 1.0,
-    rate_unit: float = 1.0,
 ) -> ScatterPoint:
     """Two-mode EIT amplitudes with the dark collective mode ``dark``.
 
@@ -145,9 +145,10 @@ def collective_eit_amplitudes(
     exp(i alpha_a); pass that phasor to reproduce the general amplitudes
     exactly, including phase.  ``q`` may come from :func:`sa_basis` on an
     array of detunings; the fields of the result then are arrays of that
-    shape.  The preconditions involve only detuning-independent quantities.
+    shape.  The preconditions involve only detuning-independent quantities,
+    "numerically zero" meaning ``ZERO_RATE_TOL`` (Gamma_S + Gamma_A).
     """
-    ztol = ZERO_RATE_TOL * rate_unit
+    ztol = ZERO_RATE_TOL * (q.gamma_s + q.gamma_a_mode)
     if dark is DarkState.S:
         g_dark, g_bright = q.gamma_s, q.gamma_a_mode
         d_dark, d_bright = q.delta_s, q.delta_a_mode
@@ -181,7 +182,7 @@ def single_atom_eit_amplitudes(
     its shape.
     """
     ch = characteristics(cfg)
-    ztol = ZERO_RATE_TOL * cfg.rate_unit
+    ztol = ZERO_RATE_TOL * rate_scale((cfg.atom_a.rates, cfg.atom_b.rates))
     d_a, d_b = detunings(cfg, delta_a)
     eff_a, eff_b = d_a - ch.lamb_a, d_b - ch.lamb_b
     if ch.gamma_a <= ztol and ch.gamma_b > ztol:
@@ -210,7 +211,7 @@ def single_atom_eit_amplitudes(
     return _scatter_point(delta_a, t, r)
 
 
-def _root_regime(control: float, bright_width: float, rate_unit: float) -> Regime:
+def _root_regime(control: float, bright_width: float, scale: float) -> Regime:
     """EIT/ATS label from the sign of the two-mode denominator-root discriminant.
 
     The roots are -i Gamma/4 +- sqrt(16 g^2 - Gamma^2)/4: purely imaginary
@@ -218,15 +219,15 @@ def _root_regime(control: float, bright_width: float, rate_unit: float) -> Regim
     resonances (ATS) for 4 |g| > Gamma.
     """
     gap = 4.0 * abs(control) - bright_width
-    if abs(gap) <= BOUNDARY_TOL * rate_unit:
+    if abs(gap) <= BOUNDARY_TOL * scale:
         return Regime.BOUNDARY
     return Regime.EIT if gap < 0.0 else Regime.ATS
 
 
-def _maximum_symmetric_geometry(cfg: SystemConfig) -> tuple[Topology, float] | None:
+def _maximum_symmetric_geometry(cfg: SystemConfig, scale: float) -> tuple[Topology, float] | None:
     """(topology, phi) if cfg has equal rates and equal spacing from phase 0."""
     rates = cfg.atom_a.rates + cfg.atom_b.rates
-    if max(rates) - min(rates) > 1e-9 * cfg.rate_unit:
+    if max(rates) - min(rates) > 1e-9 * scale:
         return None
     phases = sorted(p for atom in (cfg.atom_a, cfg.atom_b) for p in atom.phases)
     phi = phases[1] - phases[0]
@@ -256,9 +257,10 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
     when the dark/bright structure exists.
     """
     ch = characteristics(cfg)
-    ztol = ZERO_RATE_TOL * cfg.rate_unit
+    scale = rate_scale((cfg.atom_a.rates, cfg.atom_b.rates))
+    ztol = ZERO_RATE_TOL * scale
     q = sa_basis(cfg, 0.0)
-    sym = _maximum_symmetric_geometry(cfg)
+    sym = _maximum_symmetric_geometry(cfg, scale)
     g_sa = q.g_sa
     if sym is not None:
         topology, phi = sym
@@ -298,7 +300,7 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
             )
         return EitVerdict(
             Scheme.COLLECTIVE_SA, collective_dark,
-            _root_regime(g_sa, bright, cfg.rate_unit),
+            _root_regime(g_sa, bright, scale),
             control_strength=abs(g_sa), bright_width=bright,
             transparency_delta_a=transparency, note=note,
         )
@@ -316,7 +318,7 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
             )
         return EitVerdict(
             Scheme.SINGLE_ATOM, single_dark,
-            _root_regime(ch.g_ab, bright, cfg.rate_unit),
+            _root_regime(ch.g_ab, bright, scale),
             control_strength=abs(ch.g_ab), bright_width=bright,
             transparency_delta_a=transparency, note=None,
         )

@@ -25,6 +25,7 @@ from .core import (
     Geometries,
     SystemConfig,
     Topology,
+    rate_scale,
     symmetric_config,
 )
 from .scattering import _amplitude_arrays, _closed_form_columns, _reflection_numerator
@@ -35,7 +36,7 @@ WIDTH_RATIO_THRESHOLD = 10.0
 #: residual bound asserted for the two-Lorentzian reconstruction identity
 DECOMPOSITION_TOL = 1e-10
 
-#: probe detunings of the reconstruction check, in units of the largest bare rate
+#: probe detunings of the reconstruction check, in units of the rate scale
 _PROBE = np.linspace(-6.0, 6.0, 61)
 
 
@@ -112,13 +113,13 @@ def lorentz_pair(cfg: SystemConfig) -> LorentzPair:
     with Res the residue of r at its pole.  'plus' is the pole whose
     eigenvector overlaps more with the symmetric mode (sigma_a + sigma_b)/sqrt(2):
     with z = mean +- s and s^2 = ((H_aa - H_bb)/2)^2 + c^2, that is mean + s
-    when Re(s c*) > 0.  On a tie (Re(s c*) = 0, e.g. c = 0) plus is mean + s
-    for the principal square root s.  A channel of (numerically) zero width,
-    or one whose pole coincides with the other, gets chi = 0.
+    when Re(s c*) > 0.  On a tie (Re(s c*) = 0, or c numerically zero) plus
+    is mean + s for the principal square root s.  A channel of (numerically)
+    zero width, or one whose pole coincides with the other, gets chi = 0.
 
     Raises :class:`DecompositionError` for a negative width or when the pair
     misses the general amplitude by more than ``DECOMPOSITION_TOL`` on a probe
-    grid spanning +-6 times the largest bare rate.  This is the one-geometry
+    grid spanning +-6 times the rate scale.  This is the one-geometry
     case of :func:`_lorentz_arrays`; the CLI's ``fano`` phi sweep evaluates
     its grid with that kernel in blocks of spacings, one stack per block.
     """
@@ -132,14 +133,14 @@ def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
     columns = _closed_form_columns(geoms)
     lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab = columns[:6].real
     p_a, p_b, q = columns[9:12]
-    scale = geoms.rates.reshape(len(geoms), 4).max(axis=1)
+    scale = rate_scale(geoms.rates)
     tiny = 1e-12 * scale
     h_aa = lamb_a - 0.5j * gamma_a
     h_bb = (lamb_b - geoms.delta_ab) - 0.5j * gamma_b
     c = g_ab - 0.5j * gamma_ab
     mean, half = 0.5 * (h_aa + h_bb), 0.5 * (h_aa - h_bb)
     s = np.sqrt(half * half + c * c)
-    s = np.where((s * c.conj()).real < 0.0, -s, s)
+    s = np.where((np.abs(c) > tiny) & ((s * c.conj()).real < 0.0), -s, s)
     poles = (mean + s, mean - s)
     widths = tuple(-z.imag for z in poles)
 
@@ -195,10 +196,10 @@ def fano_regime(topology: Topology, phi: float, gamma: float = 1.0) -> str:
     return _pair_regime(lorentz_decompose(topology, phi, gamma), gamma)
 
 
-def _pair_regime(pair: LorentzPair, gamma: float) -> str:
+def _pair_regime(pair: LorentzPair, scale: float) -> str:
     """The width-ratio rule of :func:`fano_regime` on a decomposed pair."""
     g_p, g_m = pair.gamma_plus, pair.gamma_minus
-    tiny = 1e-12 * gamma
+    tiny = 1e-12 * scale
     # a numerically zero width means either a decoupled configuration or a
     # perfectly dark narrow mode: no usable Fano lineshape either way
     if g_p > tiny and g_m > tiny:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import GawqedError, SystemConfig, characteristics
 
-#: eigenvalues with modulus below this count as stationary directions
+#: |eigenvalue| <= this times ||L||_F is a stationary direction (all 16 for L = 0)
 STATIONARY_TOL = 1e-10
 
 BASIS = ("gg", "ge", "eg", "ee")
@@ -45,8 +45,8 @@ class SpectrumSingularError(GawqedError):
 
 @dataclass(frozen=True)
 class DriveSpec:
-    """Coherent drive: photon flux |alpha|^2 (units of the rate unit) and
-    its detuning from atom a."""
+    """Coherent drive: photon flux |alpha|^2 (in the units of the config's
+    rates) and its detuning from atom a."""
 
     amplitude_sq: float
     frequency_detuning: float
@@ -228,10 +228,10 @@ def _steady_states(liouv: np.ndarray) -> np.ndarray:
     and is rejected.
     """
     count = len(liouv)
-    scale = np.maximum(1.0, np.linalg.norm(liouv, axis=(-2, -1)))
+    scale = np.linalg.norm(liouv, axis=(-2, -1))
     form = _HERMITIAN_BASIS_H @ liouv @ _HERMITIAN_BASIS
     preserving = np.max(np.abs(form.imag), axis=(-2, -1)) <= 1e-12 * scale
-    n_zero = np.sum(np.abs(np.linalg.eigvals(form.real)) < STATIONARY_TOL, axis=-1)
+    n_zero = np.sum(np.abs(np.linalg.eigvals(form.real)) <= STATIONARY_TOL * scale[:, None], -1)
     unique = n_zero == 1
     x = np.zeros((count, 16), dtype=complex)
     if np.any(unique):
@@ -415,7 +415,7 @@ def inelastic_spectrum(
     c_t, c_r, _ = _output_coefficients(cfg)
 
     channels = []
-    scale = max(1.0, float(np.linalg.norm(liouv)))
+    scale = float(np.linalg.norm(liouv))
     for coeffs in (c_t, c_r):
         op = _channel_operator(coeffs)
         mean = complex(np.trace(rho @ op))
@@ -429,10 +429,10 @@ def inelastic_spectrum(
 
         denom = 1j * nu[:, None] - eigvals[None, :]
         close = np.abs(denom) < 1e-12 * scale
-        if np.any(close & (np.abs(weights)[None, :] > 1e-12 * scale)):
-            bad_nu = nu[np.any(close & (np.abs(weights)[None, :] > 1e-12 * scale), axis=1)]
+        singular = np.any(close & (np.abs(weights) > 1e-12 * scale), axis=1)
+        if singular.any():
             raise SpectrumSingularError(
-                f"resolvent singular at nu={bad_nu[:3]} (undamped eigenfrequency)"
+                f"resolvent singular at nu={nu[singular][:3]} (undamped eigenfrequency)"
             )
         terms = np.where(close, 0.0, weights[None, :] / np.where(close, 1.0, denom))
         channels.append(np.real(terms.sum(axis=1)) / math.pi)

@@ -27,12 +27,13 @@ from .core import (
     Geometries,
     SystemConfig,
     Topology,
+    rate_scale,
 )
 
-#: |denominator| below this (times rate_unit^2) counts as a real-axis pole.
+#: |denominator| below this (times the rate scale squared) counts as a real-axis pole.
 POLE_TOL = 1e-14
 
-#: rates/couplings below this (times rate_unit) count as zero for decoupling.
+#: rates/couplings up to this times the rate scale, zero included, count as zero for decoupling.
 DECOUPLE_TOL = 1e-12
 
 
@@ -126,9 +127,9 @@ def _amplitude_arrays(geoms: Geometries, delta_a, columns=None) -> tuple[np.ndar
     columns = columns.reshape((len(columns),) + shape)
     lamb_a, lamb_b, gamma_a, gamma_b, g_ab, _, t_1, t_2 = columns[:8].real
     cross_sq, p_a, p_b, q, r_dark = columns[8:]
-    rate_unit = geoms.rate_unit.reshape(shape)
-    ztol = DECOUPLE_TOL * rate_unit
-    pole_tol = POLE_TOL * rate_unit**2
+    scale = rate_scale(geoms.rates).reshape(shape)
+    ztol = DECOUPLE_TOL * scale
+    pole_tol = POLE_TOL * scale**2
 
     da = delta_a - lamb_a
     db = (delta_a + geoms.delta_ab.reshape(shape)) - lamb_b
@@ -138,12 +139,12 @@ def _amplitude_arrays(geoms: Geometries, delta_a, columns=None) -> tuple[np.ndar
     t_num = -da * db + t_1 + t_2
     r_num = _reflection_numerator(p_a, p_b, q, ka, kb)
 
-    small_a, small_b = gamma_a < ztol, gamma_b < ztol
+    small_a, small_b = gamma_a <= ztol, gamma_b <= ztol
     decoupling = (small_a | small_b).any()
     general = True
     if decoupling:
         # |Gamma_ab| <= sqrt(Gamma_a Gamma_b), so it vanishes with the decay
-        no_exchange = np.abs(g_ab) < ztol
+        no_exchange = np.abs(g_ab) <= ztol
         dark = small_a & small_b
         a_invisible = small_a & ~small_b & no_exchange
         b_invisible = small_b & ~small_a & no_exchange
@@ -189,7 +190,7 @@ def amplitudes_general(cfg: SystemConfig, delta_a: float) -> ScatterPoint:
 
     Works for all three topologies, unequal bare rates, and detuned atoms.
     Raises :class:`PoleError` if the denominator magnitude drops below
-    ``1e-14 * rate_unit**2`` without a recognised decoupling cause.
+    ``POLE_TOL`` times the rate scale squared without a recognised decoupling cause.
     """
     t, r = _amplitude_arrays(Geometries.of([cfg]), float(delta_a))
     return _scatter_point(float(delta_a), complex(t[0]), complex(r[0]))
@@ -308,7 +309,7 @@ def _real_space_arrays(geoms: Geometries, delta_a) -> np.ndarray:
     """Unknowns of :func:`solve_real_space` for a stack of geometries, (N, 10).
 
     ``delta_a`` has shape (N,) or is one number.  A singular system or a
-    residual above 1e-8 max(1, |rhs|) raises :class:`OracleSingularError`
+    residual above 1e-8 |rhs| raises :class:`OracleSingularError`
     for the first failing geometry in stack order.
     """
     count = len(geoms)
@@ -350,7 +351,7 @@ def _real_space_arrays(geoms: Geometries, delta_a) -> np.ndarray:
                 singular[k] = True
     error = np.einsum("nij,nj->ni", A, x) - rhs
     residual, size = np.sqrt(np.sum(np.abs([error, rhs]) ** 2, axis=-1))
-    failed = singular | ~np.isfinite(residual) | (residual > 1e-8 * np.maximum(1.0, size))
+    failed = singular | ~np.isfinite(residual) | (residual > 1e-8 * size)
     if failed.any():
         k = int(np.argmax(failed))
         if singular[k]:

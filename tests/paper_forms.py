@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from gawqed import SABasisQuantities, SystemConfig, Topology, classify_topology, symmetric_config
-from gawqed.core import GawqedError, Geometries
+from gawqed.core import GawqedError, Geometries, rate_scale
 from gawqed.fano import FanoRegimeError
 from gawqed.scattering import POLE_TOL, ScatterPoint, _amplitude_arrays, _scatter_point
 
@@ -76,7 +76,7 @@ def _topology_amplitude_arrays(
 
 
 def _check_symmetric(cfg: SystemConfig, phi: float) -> None:
-    unit = cfg.rate_unit
+    unit = rate_scale((cfg.atom_a.rates, cfg.atom_b.rates))
     tol = 1e-9 * max(1.0, abs(phi))
     rates = cfg.atom_a.rates + cfg.atom_b.rates
     if max(rates) - min(rates) > 1e-9 * unit:

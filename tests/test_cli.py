@@ -1,15 +1,18 @@
+import contextlib
 import copy
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jsonschema
@@ -687,7 +690,7 @@ class TestStackedCommands:
                 cfgs.append(random_system(reference))
                 deltas.append(float(reference.uniform(-6.0, 6.0)))
             expected = Geometries.of(cfgs)
-            for field in ("phases", "rates", "delta_ab", "rate_unit"):
+            for field in ("phases", "rates", "delta_ab"):
                 drawn, ref = getattr(geoms, field), getattr(expected, field)
                 assert drawn.shape == ref.shape and drawn.tobytes() == ref.tobytes(), field
             assert delta.tobytes() == np.array(deltas).tobytes()
@@ -799,8 +802,138 @@ class TestStackedCommands:
         assert [row["phi"] for row in rows][2:] == [math.pi / 2, 3 * math.pi / 4, math.pi]
         assert rows[2]["regime"] == "none"
 
+    @pytest.mark.parametrize("topology, row", [
+        ("separate", ["0", "0", "nan", "nan"]),
+        ("braided", ["0", "0", "0", "nan"]),
+        ("nested", ["0", "0", "0", "nan"]),
+    ])
+    def test_loci_at_coincident_points(self, capsys, tmp_path, topology, row):
+        # at phi = 0 the four points coincide: the topology comes from the shortcut
+        path = write_config(tmp_path, {"symmetric": {"topology": topology, "phi": 1.0}})
+        code, out, err = run_main(capsys, "--config", path, "--command", "loci", "--sweep", "phi:0:3:4")
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split(",") == row
+        assert amplitudes_general(symmetric_config(Topology(topology), 0.0), 0.0).R == 1.0
+
     def test_loci_reject_detuned_atoms(self, capsys, tmp_path):
         path = write_config(tmp_path, {"symmetric": {"topology": "nested", "phi": 1.0}, "delta_ab": 2.0})
         code, out, err = run_main(capsys, "--config", path, "--command", "loci", "--sweep", "phi:0.3:2.8:6")
         assert code == 2 and out == ""
         assert "delta_ab = 0 only" in json.loads(err)["message"]
+
+
+#: output fields that carry a rate or a detuning, so scale with the config
+#: (F with |alpha|^2, so F / |alpha|^2 is kept); every other number
+#: (amplitudes, phases, Fano q and chi, residuals, spectral densities) is kept
+SCALED_FIELDS = {
+    "delta_a", "nu", "lamb_a", "lamb_b", "gamma_a", "gamma_b", "g_ab", "gamma_ab",
+    "peak_1", "peak_2", "minimum", "delta_plus", "delta_minus", "gamma_plus", "gamma_minus",
+    "center", "width", "F", "control_strength", "bright_width", "transparency_delta_a",
+}
+
+#: bound on |x(s) / s^k - x(1)| / max(1, |x(1)|), k = 1 for the fields
+#: above and 0 for the others, about 10x the worst seen
+#: over 31 scales in [1e-6, 1e6] on every geometry below (6.1e-14; Fano
+#: 1.0e-11, whose fields are quotients of near-equal widths near the
+#: decoupling spacings)
+SCALE_TOL = {"fano": 1e-10}
+SCALE_TOL_DEFAULT = 1e-12
+
+#: the commands checked; their delta_a and nu grids scale with the config, phi grids do not
+SCALE_COMMANDS = [
+    ("characteristics", None),
+    ("spectrum", "delta_a:-6:6:201"),
+    ("spectrum", f"phi:0:{math.pi!r}:17"),
+    ("loci", f"phi:0:{math.pi!r}:17"),
+    ("fano", f"phi:0:{math.pi!r}:17"),
+    ("eit-classify", None),
+    ("eit-spectrum", "delta_a:-6:6:201"),
+    ("master-sweep", "delta_a:-6:6:41"),
+    ("inelastic-spectrum", "nu:-40:40:201"),
+]
+
+
+def scaled_config(geometry: str, phi: float, delta_ab: float, s: float) -> dict:
+    """A config with every rate and detuning scaled by ``s``: a symmetric
+    shortcut, or (``explicit``) two atoms with unequal rates, atom a
+    decoupled by its own interference."""
+    drive = {"alpha_sq": 0.04 * s, "detuning": 0.3 * s}
+    if geometry == "explicit":
+        points = [((0.0, 1.0), (math.pi, 1.0)), ((0.25 * math.pi, 10.0), (0.75 * math.pi, 10.0))]
+        atoms = [{"points": [{"phase": p, "rate": r * s} for p, r in atom]} for atom in points]
+        return {"atoms": atoms, "delta_ab": delta_ab * s, "drive": drive}
+    return {"symmetric": {"topology": geometry, "phi": phi, "gamma": s}, "delta_ab": delta_ab * s,
+            "drive": drive}
+
+
+def run_scaled(raw: dict, command: str, sweep: str | None, s: float, directory: Path):
+    """(exit code, error kind, {field: values}) of ``command`` on ``raw``, its
+    grid scaled by ``s`` unless it is a phi grid."""
+    config, out = directory / "scaled.json", directory / "scaled.out"
+    config.write_text(json.dumps(raw))
+    out.unlink(missing_ok=True)
+    argv = ["--config", str(config), "--command", command, "--out", str(out)]
+    if sweep is not None:
+        var, start, stop, points = sweep.split(":")
+        if var != "phi":
+            start, stop = repr(float(start) * s), repr(float(stop) * s)
+        argv += ["--sweep", f"{var}:{start}:{stop}:{points}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:
+        return code, json.loads(err.getvalue())["error"], None
+    if command == "eit-classify":
+        return code, None, {k: [v] for k, v in json.loads(out.read_text()).items()}
+    header, *rows = (line.split(",") for line in out.read_text().splitlines())
+    return code, None, dict(zip(header, zip(*rows)))
+
+
+def scale_deviation(fields: dict, reference: dict, s: float) -> float:
+    """Worst |x(s) / s^k - x(1)| / max(1, |x(1)|) over the numeric fields;
+    raises AssertionError where a label or a NaN or None pattern differs."""
+    assert fields.keys() == reference.keys()
+    worst = 0.0
+    for name, ref in reference.items():
+        values = fields[name]
+        if name in ("regime", "scheme", "dark_state", "note"):
+            assert list(values) == list(ref), name
+            continue
+        assert [v is None for v in values] == [v is None for v in ref], name
+        x = np.array([math.nan if v is None else float(v) for v in values])
+        x_ref = np.array([math.nan if v is None else float(v) for v in ref])
+        assert np.array_equal(np.isnan(x), np.isnan(x_ref)), name
+        if name in SCALED_FIELDS:
+            x = x / s
+        finite = ~np.isnan(x_ref)
+        dev = np.abs(x - x_ref)[finite] / np.maximum(1.0, np.abs(x_ref[finite]))
+        worst = max(worst, float(np.max(dev, initial=0.0)))
+    return worst
+
+
+class TestScaleCovariance:
+    """Results are in units of the bare rates: scaling every rate and
+    detuning by s scales each rate-like output by s and leaves the rest."""
+
+    @settings(max_examples=20, deadline=None)
+    # the ends of the range, where absolute tolerances failed
+    @example(geometry="separate", phi=0.7, delta_ab=0.0, log_s=-6.0)
+    @example(geometry="braided", phi=0.7, delta_ab=1.0, log_s=6.0)
+    @given(
+        geometry=st.sampled_from(["separate", "braided", "nested", "explicit"]),
+        phi=st.sampled_from([0.7, math.pi / 2, math.pi, 2 * math.pi]),
+        delta_ab=st.sampled_from([0.0, 1.0, -1.0]),
+        log_s=st.floats(-6.0, 6.0),
+    )
+    def test_outputs_follow_the_rate_scale(self, geometry, phi, delta_ab, log_s):
+        s = 10.0**log_s
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            unit, scaled = (scaled_config(geometry, phi, delta_ab, x) for x in (1.0, s))
+            for command, sweep in SCALE_COMMANDS:
+                code, kind, fields = run_scaled(scaled, command, sweep, s, directory)
+                ref_code, ref_kind, reference = run_scaled(unit, command, sweep, 1.0, directory)
+                assert (code, kind) == (ref_code, ref_kind), (command, sweep)
+                if code == 0:
+                    tol = SCALE_TOL.get(command, SCALE_TOL_DEFAULT)
+                    assert scale_deviation(fields, reference, s) <= tol, (command, sweep)

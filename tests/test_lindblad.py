@@ -148,7 +148,7 @@ class TestSteadyState:
 
 
 def stationary_count(generator):
-    return int(np.sum(np.abs(np.linalg.eigvals(generator)) < STATIONARY_TOL))
+    return int(np.sum(np.abs(np.linalg.eigvals(generator)) <= STATIONARY_TOL * np.linalg.norm(generator)))
 
 
 class TestRealForm:
