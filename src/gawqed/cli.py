@@ -4,10 +4,11 @@ Configurations are JSON documents holding either two explicit atoms (two
 coupling points each, as ``{"phase": ..., "rate": ...}``) or a ``symmetric``
 shortcut (topology, phi, gamma) that expands to the canonical four-point
 geometry.  A sweep over ``delta_a`` builds its config once and evaluates
-the whole grid in one array call.  The ``spectrum`` and ``characteristics``
-``phi`` sweeps expand the symmetric shortcut at every grid point and
-evaluate the configs as one stack; ``fano`` decomposes its spacings in
-stacks of 128, and ``loci`` still evaluates one config per grid point.
+the whole grid in one array call; ``eit-spectrum`` is ``spectrum`` for a
+config that ``eit.classify_eit`` gives an EIT, ATS or Boundary verdict.
+The ``spectrum``, ``characteristics`` and ``loci`` ``phi`` sweeps stack the
+symmetric shortcut's geometry at every grid point and evaluate the stack
+in one call; ``fano`` decomposes its spacings in stacks of 128.
 ``oracle-check`` draws its random configs straight into stacked geometry
 arrays, 128 at a time, without building a config object, and evaluates the
 closed form and the real-space solve on each block as one stack.  Rows are
@@ -27,7 +28,6 @@ module (error forwarded verbatim), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
@@ -40,6 +40,7 @@ import numpy as np
 
 from . import eit, fano, lindblad
 from .core import (
+    POINT_ORDER,
     ConfigError,
     CouplingPoint,
     GawqedError,
@@ -51,11 +52,7 @@ from .core import (
     rate_scale,
     symmetric_config,
 )
-from .scattering import (
-    _amplitude_arrays,
-    _real_space_arrays,
-    peak_minimum_loci,
-)
+from .scattering import _amplitude_arrays, _loci_arrays, _real_space_arrays
 
 DEFAULT_ORACLE_TOL = 1e-10
 
@@ -260,8 +257,28 @@ def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:
 
 
 def _phi_geometries(raw: dict, phis: list[float]) -> Geometries:
-    """The configs ``build_system(raw, phi)`` for every phi, as one stack."""
-    return Geometries.of([build_system(raw, phi_override=phi) for phi in phis])
+    """The configs ``build_system(raw, phi)`` for every phi, as one stack.
+
+    The phases phi (0, 1, 2, 3) are dealt to the points by
+    :data:`~gawqed.core.POINT_ORDER`, without a config per spacing.  Only
+    the phases differ between spacings, and they form a valid config for
+    every finite phi >= 0; so the configs of the first spacing and of the
+    first other one raise the error of the first invalid spacing.
+    """
+    shortcut = _phi_sweep_shortcut(raw)
+    spacings = np.array(phis, dtype=float)
+    with np.errstate(over="ignore"):
+        spaced = spacings[:, None] * np.arange(4.0)
+    spaced[:, 0] = 0.0
+    invalid = ~((spacings >= 0.0) & np.isfinite(spaced).all(axis=1))
+    for k in sorted({0, int(np.argmax(invalid))}):
+        build_system(raw, phi_override=phis[k])
+    order = POINT_ORDER[Topology(shortcut["topology"])]
+    return Geometries(
+        spaced[:, order].reshape(-1, 2, 2),
+        np.full((len(phis), 2, 2), float(shortcut.get("gamma", 1.0))),
+        np.full(len(phis), float(raw.get("delta_ab", 0.0))),
+    )
 
 
 def _drive_from(raw: dict) -> lindblad.DriveSpec:
@@ -293,19 +310,6 @@ def _amplitude_columns(grid: np.ndarray, t: np.ndarray, r: np.ndarray) -> list[n
 
 def _characteristic_columns(names: list[str], chs: list) -> list[np.ndarray]:
     return [np.array([getattr(ch, name) for ch in chs]) for name in names]
-
-
-def _loci_row(raw: dict, phi: float) -> list:
-    cfg = build_system(raw, phi_override=phi)
-    if cfg.delta_ab != 0.0:
-        raise ConfigError(
-            f"the analytic loci hold for delta_ab = 0 only, got delta_ab={cfg.delta_ab}"
-        )
-    # the shortcut's topology: at phi = 0 the four points coincide
-    topology = Topology(_phi_sweep_shortcut(raw)["topology"])
-    loci = peak_minimum_loci(topology, phi, cfg.atom_a.points[0].bare_rate)
-    peaks = list(loci.peaks) + [math.nan] * (2 - len(loci.peaks))
-    return [phi, peaks[0], peaks[1], math.nan if loci.minimum is None else loci.minimum]
 
 
 def _fano_columns(raw: dict, phis: list[float]) -> list:
@@ -346,21 +350,13 @@ def _fano_columns(raw: dict, phis: list[float]) -> list:
 
 
 def _eit_spectrum_columns(cfg: SystemConfig, grid: np.ndarray) -> list[np.ndarray]:
+    """The general amplitudes, for a config with an EIT/ATS verdict."""
     verdict = eit.classify_eit(cfg)
-    if verdict.scheme is eit.Scheme.SINGLE_ATOM:
-        pt = eit.single_atom_eit_amplitudes(cfg, grid)
-    elif verdict.scheme is eit.Scheme.COLLECTIVE_SA:
-        pt = eit.collective_eit_amplitudes(
-            eit.sa_basis(cfg, grid),
-            verdict.dark_state,
-            delta_a=grid,
-            r_phase=cmath.exp(1j * characteristics(cfg).alpha_a),
-        )
-    else:
+    if verdict.regime is eit.Regime.NOT_APPLICABLE:
         raise eit.EitPreconditionError(
-            "configuration supports no EIT scheme; use 'spectrum' instead"
+            verdict.note or "configuration supports no EIT scheme; use 'spectrum' instead"
         )
-    return _amplitude_columns(grid, pt.t, pt.r)
+    return _amplitude_columns(grid, *_amplitude_arrays(Geometries.of([cfg]), grid))
 
 
 def _master_columns(raw: dict, grid: np.ndarray) -> list[np.ndarray]:
@@ -370,8 +366,8 @@ def _master_columns(raw: dict, grid: np.ndarray) -> list[np.ndarray]:
 
 #: the topologies ``oracle-check`` draws from, and for each the points
 #: (a1, a2, b1, b2) as indices into the four sorted phases
-_DRAWN_TOPOLOGIES = (Topology.SEPARATE.value, Topology.BRAIDED.value, Topology.NESTED.value)
-_DRAWN_POINTS = np.array([(0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)])
+_DRAWN_TOPOLOGIES = tuple(topology.value for topology in POINT_ORDER)
+_DRAWN_POINTS = np.array(list(POINT_ORDER.values()))
 
 
 def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
@@ -467,7 +463,7 @@ def run(spec: RunSpec) -> int:
             columns = _characteristic_columns(names, [characteristics(build_system(raw))])
     elif spec.command == "loci":
         header = ["phi", "peak_1", "peak_2", "minimum"]
-        columns = list(np.array([_loci_row(raw, phi) for phi in phis]).T)
+        columns = [grid, *_loci_arrays(_phi_geometries(raw, phis))]
     elif spec.command == "fano":
         header = [
             "phi", "delta_plus", "delta_minus", "gamma_plus", "gamma_minus",

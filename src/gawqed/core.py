@@ -289,6 +289,15 @@ def classify_topology(cfg: SystemConfig) -> Topology:
     )
 
 
+#: the points (a1, a2, b1, b2) of each topology, as indices into four phases
+#: sorted along the guide
+POINT_ORDER = {
+    Topology.SEPARATE: (0, 1, 2, 3),
+    Topology.BRAIDED: (0, 2, 1, 3),
+    Topology.NESTED: (0, 3, 1, 2),
+}
+
+
 def symmetric_config(
     topology: Topology,
     phi: float,
@@ -297,21 +306,13 @@ def symmetric_config(
 ) -> SystemConfig:
     """Equal-rate, equal-spacing geometry with the leftmost point at phase 0.
 
-    The four points sit at phases (0, phi, 2 phi, 3 phi) and are assigned to
-    the atoms according to the topology:
+    The four points sit at phases (0, phi, 2 phi, 3 phi) and are dealt to
+    the atoms by :data:`POINT_ORDER`:
 
     * separate: a at (0, phi),   b at (2 phi, 3 phi)
     * braided:  a at (0, 2 phi), b at (phi, 3 phi)
     * nested:   a at (0, 3 phi), b at (phi, 2 phi)
     """
-    if topology is Topology.SEPARATE:
-        pa, pb = (0.0, phi), (2.0 * phi, 3.0 * phi)
-    elif topology is Topology.BRAIDED:
-        pa, pb = (0.0, 2.0 * phi), (phi, 3.0 * phi)
-    elif topology is Topology.NESTED:
-        pa, pb = (0.0, 3.0 * phi), (phi, 2.0 * phi)
-    else:  # pragma: no cover - Enum is closed
-        raise TopologyError(f"unknown topology {topology!r}")
-    atom_a = GiantAtom("a", (CouplingPoint(pa[0], gamma), CouplingPoint(pa[1], gamma)))
-    atom_b = GiantAtom("b", (CouplingPoint(pb[0], gamma), CouplingPoint(pb[1], gamma)))
-    return SystemConfig(atom_a=atom_a, atom_b=atom_b, delta_ab=delta_ab)
+    spaced = (0.0, phi, 2.0 * phi, 3.0 * phi)
+    a1, a2, b1, b2 = (CouplingPoint(spaced[k], gamma) for k in POINT_ORDER[topology])
+    return SystemConfig(GiantAtom("a", (a1, a2)), GiantAtom("b", (b1, b2)), delta_ab=delta_ab)

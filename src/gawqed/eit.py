@@ -13,10 +13,11 @@ here:
   braided and nested geometries only).
 
 Both reduce exactly to a driven three-level Lambda atom in the single-photon
-sector; :func:`lambda_reference` provides that reference system.  The EIT/ATS
-distinction follows the denominator-root criterion: transparency counts as
-interference-driven (EIT) while the roots stay purely imaginary, i.e. while
-4 |control| < bright width.
+sector.  The EIT/ATS distinction follows the denominator-root criterion:
+transparency counts as interference-driven (EIT) while the roots stay purely
+imaginary, i.e. while 4 |control| < bright width.  :func:`classify_eit`
+gives the verdict; the spectra themselves are the general amplitudes of
+:mod:`gawqed.scattering`, which the two-mode forms here reproduce exactly.
 """
 
 from __future__ import annotations
@@ -327,27 +328,3 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
         Scheme.NONE, DarkState.NONE, Regime.NOT_APPLICABLE,
         control_strength=0.0, bright_width=0.0, transparency_delta_a=None,
     )
-
-
-def lambda_reference(
-    delta_p: float,
-    delta_c: float,
-    omega_c: float,
-    gamma_20: float,
-    gamma_21: float = 0.0,
-) -> ScatterPoint:
-    """Weak-probe amplitudes of a waveguide-driven three-level Lambda atom.
-
-    Probe on |0> <-> |2| (detuning delta_p, decay gamma_20), control on
-    |1> <-> |2| (detuning delta_c, Rabi amplitude omega_c); gamma_21 is the
-    excited-to-metastable decay.  With gamma_21 = 0 and the identifications
-    g_SA <-> omega_c / 2, Delta_S <-> delta_p - delta_c, Delta_A <-> delta_p,
-    Gamma_A <-> gamma_20, this reproduces the collective EIT amplitudes.
-    """
-    if gamma_20 <= 0.0:
-        raise EitPreconditionError(f"gamma_20 must be positive, got {gamma_20}")
-    two_photon = delta_p - delta_c
-    den = 1j * two_photon * (1j * delta_p - 0.5 * (gamma_20 + gamma_21)) + 0.25 * omega_c**2
-    t = (1j * two_photon * (1j * delta_p - 0.5 * gamma_21) + 0.25 * omega_c**2) / den
-    r = 0.5j * gamma_20 * two_photon / den
-    return _scatter_point(delta_p, t, r)

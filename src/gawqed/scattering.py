@@ -11,8 +11,9 @@ Two independent routes to the same spectra live here:
 
 The second is the oracle: it knows nothing about Lamb shifts or collective
 decays, only about delta couplings at four positions, so agreement between the
-two is a strong end-to-end check.  The analytic peak / minimum loci of the
-equal-rate, equal-spacing case complete the module.
+two is a strong end-to-end check.  The reflection peaks and minimum of any
+geometry, as the real roots of the closed form's numerators, complete the
+module.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     SystemConfig,
     Topology,
     rate_scale,
+    symmetric_config,
 )
 
 #: |denominator| below this (times the rate scale squared) counts as a real-axis pole.
@@ -35,6 +37,9 @@ POLE_TOL = 1e-14
 
 #: rates/couplings up to this times the rate scale, zero included, count as zero for decoupling.
 DECOUPLE_TOL = 1e-12
+
+#: a locus root counts as real, or as sitting on a peak, within this times the rate scale
+ROOT_TOL = 1e-9
 
 
 class PoleError(GawqedError):
@@ -198,43 +203,63 @@ def amplitudes_general(cfg: SystemConfig, delta_a: float) -> ScatterPoint:
 
 @dataclass(frozen=True)
 class Loci:
-    """Analytic reflection-peak positions and reflection-minimum position."""
+    """Reflection-peak positions and reflection-minimum position."""
 
     peaks: tuple[float, ...]
     minimum: float | None
 
 
-def peak_minimum_loci(topology: Topology, phi: float, gamma: float = 1.0) -> Loci:
-    """Detunings of the R = 1 peaks and the R = 0 minimum (symmetric case).
+def _loci_arrays(geoms: Geometries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Detunings of the R = 1 peaks and the R = 0 minimum, three (N,) arrays.
 
-    The minimum is ``None`` where its locus diverges (separate: cos 2 phi = 0;
-    braided: cos phi = 0) or degenerates against a peak (phi = n pi, where the
-    closed forms reduce to a single Lorentzian).
+    The peaks are the real roots of t's numerator
+    -(delta - lamb_a)(delta - lamb_b + delta_ab) + t_1 + t_2, a quadratic:
+    centre +- sqrt(disc).  A disc within ``POLE_TOL`` scale^2 of zero is a
+    double root, one peak (``peak_2`` nan); a negative one gives no peak.
+    The minimum is the root of r's numerator, linear in delta with the
+    coefficient i (w_a^2 + w_b^2) / 2.  It is nan where that coefficient
+    vanishes (the locus diverges), where the root is not real (|Im| above
+    ``ROOT_TOL`` max(scale, |Re|)), or where it lies within ``ROOT_TOL``
+    scale of a peak: there both numerators vanish, a removable pole and
+    not a zero of R.
     """
-    g = gamma
-    s1, s2, s3 = math.sin(phi), math.sin(2 * phi), math.sin(3 * phi)
-    degenerate = abs(math.sin(phi)) < 1e-9
-    if topology is Topology.SEPARATE:
-        peaks: tuple[float, ...] = (g * s1,)
-        minimum = None
-        if not degenerate and abs(math.cos(2 * phi)) > 1e-9:
-            minimum = -g * (s1 + s2) / math.cos(2 * phi)
-    elif topology is Topology.BRAIDED:
-        split = g * math.sqrt(max(0.0, 1.0 - math.cos(phi) * math.cos(3 * phi)))
-        peaks = (g * s2 - split, g * s2 + split)
-        minimum = None
-        if not degenerate and abs(math.cos(phi)) > 1e-9:
-            minimum = -g * math.tan(phi)
-    elif topology is Topology.NESTED:
-        centre = 0.5 * g * (s3 + s1)
-        split = g * math.sqrt((s1 + s2) ** 2 + 0.25 * (s3 - s1) ** 2)
-        peaks = (centre - split, centre + split)
-        minimum = None
-        if not degenerate:
-            minimum = g * (s1 - s2) / (2 - 2 * math.cos(phi) + math.cos(2 * phi))
-    else:  # pragma: no cover - Enum is closed
-        raise GawqedError(f"unknown topology {topology!r}")
-    return Loci(peaks=peaks, minimum=minimum)
+    columns = _closed_form_columns(geoms)
+    lamb_a, lamb_b, gamma_a, gamma_b, _, _, t_1, t_2 = columns[:8].real
+    _, p_a, p_b, q, r_dark = columns[8:]
+    scale = rate_scale(geoms.rates)
+    # atom b's resonance on the delta_a axis
+    lamb_b = lamb_b - geoms.delta_ab
+    centre = 0.5 * (lamb_a + lamb_b)
+    disc = (0.5 * (lamb_a - lamb_b)) ** 2 + t_1 + t_2
+    double = np.abs(disc) <= POLE_TOL * scale**2
+    split = np.sqrt(np.where(double, 0.0, np.abs(disc)))
+    peak_1 = np.where(double | (disc > 0.0), centre - split, np.nan)
+    peak_2 = np.where(~double & (disc > 0.0), centre + split, np.nan)
+
+    # r's numerator is r_dark delta + its value at delta = 0
+    divergent = np.abs(r_dark) <= DECOUPLE_TOL * scale
+    ka, kb = -1j * lamb_a - 0.5 * gamma_a, -1j * lamb_b - 0.5 * gamma_b
+    root = -_reflection_numerator(p_a, p_b, q, ka, kb) / np.where(divergent, 1.0, r_dark)
+    minimum = root.real
+    # fmin: a missing peak is no peak to sit on
+    on_peak = np.fmin(np.abs(minimum - peak_1), np.abs(minimum - peak_2)) <= ROOT_TOL * scale
+    complex_root = np.abs(root.imag) > ROOT_TOL * np.maximum(scale, np.abs(minimum))
+    return peak_1, peak_2, np.where(divergent | complex_root | on_peak, np.nan, minimum)
+
+
+def peak_minimum_loci(topology: Topology, phi: float, gamma: float = 1.0) -> Loci:
+    """Detunings of the R = 1 peaks and the R = 0 minimum of the symmetric config.
+
+    The one-geometry case of :func:`_loci_arrays` on
+    :func:`~gawqed.core.symmetric_config`; the minimum is ``None`` where
+    that gives nan.
+    """
+    fields = _loci_arrays(Geometries.of([symmetric_config(topology, phi, gamma)]))
+    peak_1, peak_2, minimum = (float(field[0]) for field in fields)
+    return Loci(
+        peaks=tuple(p for p in (peak_1, peak_2) if not math.isnan(p)),
+        minimum=None if math.isnan(minimum) else minimum,
+    )
 
 
 # ---------------------------------------------------------------------------

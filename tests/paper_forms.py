@@ -13,8 +13,9 @@ import numpy as np
 
 from gawqed import SABasisQuantities, SystemConfig, Topology, classify_topology, symmetric_config
 from gawqed.core import GawqedError, Geometries, rate_scale
+from gawqed.eit import EitPreconditionError
 from gawqed.fano import FanoRegimeError
-from gawqed.scattering import POLE_TOL, ScatterPoint, _amplitude_arrays, _scatter_point
+from gawqed.scattering import POLE_TOL, Loci, ScatterPoint, _amplitude_arrays, _scatter_point
 
 
 class SymmetryError(GawqedError):
@@ -162,6 +163,63 @@ def maximum_symmetric_quantities(
         omega_s=(omega_a + omega_b) / math.sqrt(2.0),
         omega_a_mode=(omega_a - omega_b) / math.sqrt(2.0),
     )
+
+
+def paper_loci(topology: Topology, phi: float, gamma: float = 1.0) -> Loci:
+    """Published detunings of the R = 1 peaks and the R = 0 minimum.
+
+    The minimum is ``None`` where its locus diverges (separate: cos 2 phi = 0;
+    braided: cos phi = 0) or degenerates against a peak (phi = n pi, where the
+    closed forms reduce to a single Lorentzian).
+    """
+    g = gamma
+    s1, s2, s3 = math.sin(phi), math.sin(2 * phi), math.sin(3 * phi)
+    degenerate = abs(math.sin(phi)) < 1e-9
+    if topology is Topology.SEPARATE:
+        peaks: tuple[float, ...] = (g * s1,)
+        minimum = None
+        if not degenerate and abs(math.cos(2 * phi)) > 1e-9:
+            minimum = -g * (s1 + s2) / math.cos(2 * phi)
+    elif topology is Topology.BRAIDED:
+        split = g * math.sqrt(max(0.0, 1.0 - math.cos(phi) * math.cos(3 * phi)))
+        peaks = (g * s2 - split, g * s2 + split)
+        minimum = None
+        if not degenerate and abs(math.cos(phi)) > 1e-9:
+            minimum = -g * math.tan(phi)
+    elif topology is Topology.NESTED:
+        centre = 0.5 * g * (s3 + s1)
+        split = g * math.sqrt((s1 + s2) ** 2 + 0.25 * (s3 - s1) ** 2)
+        peaks = (centre - split, centre + split)
+        minimum = None
+        if not degenerate:
+            minimum = g * (s1 - s2) / (2 - 2 * math.cos(phi) + math.cos(2 * phi))
+    else:  # pragma: no cover - Enum is closed
+        raise GawqedError(f"unknown topology {topology!r}")
+    return Loci(peaks=peaks, minimum=minimum)
+
+
+def lambda_reference(
+    delta_p: float,
+    delta_c: float,
+    omega_c: float,
+    gamma_20: float,
+    gamma_21: float = 0.0,
+) -> ScatterPoint:
+    """Weak-probe amplitudes of a waveguide-driven three-level Lambda atom.
+
+    Probe on |0> <-> |2| (detuning delta_p, decay gamma_20), control on
+    |1> <-> |2| (detuning delta_c, Rabi amplitude omega_c); gamma_21 is the
+    excited-to-metastable decay.  With gamma_21 = 0 and the identifications
+    g_SA <-> omega_c / 2, Delta_S <-> delta_p - delta_c, Delta_A <-> delta_p,
+    Gamma_A <-> gamma_20, this reproduces the collective EIT amplitudes.
+    """
+    if gamma_20 <= 0.0:
+        raise EitPreconditionError(f"gamma_20 must be positive, got {gamma_20}")
+    two_photon = delta_p - delta_c
+    den = 1j * two_photon * (1j * delta_p - 0.5 * (gamma_20 + gamma_21)) + 0.25 * omega_c**2
+    t = (1j * two_photon * (1j * delta_p - 0.5 * gamma_21) + 0.25 * omega_c**2) / den
+    r = 0.5j * gamma_20 * two_photon / den
+    return _scatter_point(delta_p, t, r)
 
 
 #: validity bound on the phase deviation for the vacuum-Rabi approximation

@@ -20,7 +20,6 @@ from gawqed import (
     characteristics,
     classify_eit,
     collective_eit_amplitudes,
-    lambda_reference,
     lorentz_decompose,
     peak_minimum_loci,
     sa_basis,
@@ -30,7 +29,12 @@ from gawqed import (
 )
 
 from conftest import random_system
-from paper_forms import _topology_amplitude_arrays, maximum_symmetric_quantities, rabi_approximation
+from paper_forms import (
+    _topology_amplitude_arrays,
+    lambda_reference,
+    maximum_symmetric_quantities,
+    rabi_approximation,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

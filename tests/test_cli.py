@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import math
 import re
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import jsonschema
+import mpmath
 
 from gawqed import (
     CouplingPoint,
@@ -439,11 +441,8 @@ class TestCommands:
         lamb = [float(r.split(",")[1]) for r in rows[1:]]
         assert lamb == pytest.approx([math.sin(2 * p) for p in phis], abs=1e-12)
 
-    def test_loci_and_fano_sweeps(self, sep_config, tmp_path):
-        # the analytic loci hold for delta_ab = 0 only (test_loci_reject_detuned_atoms)
-        tuned = tmp_path / "tuned.json"
-        tuned.write_text(json.dumps(dict(json.loads(Path(sep_config).read_text()), delta_ab=0.0)))
-        proc = invoke("--config", str(tuned), "--command", "loci", "--sweep", "phi:0.1:1.0:4")
+    def test_loci_and_fano_sweeps(self, sep_config):
+        proc = invoke("--config", sep_config, "--command", "loci", "--sweep", "phi:0.1:1.0:4")
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "phi,peak_1,peak_2,minimum"
         proc = invoke(
@@ -462,9 +461,27 @@ class TestCommands:
                       "--sweep", sweep, "--out", str(out1)).returncode == 0
         assert invoke("--config", sep_config, "--command", "spectrum",
                       "--sweep", sweep, "--out", str(out2)).returncode == 0
-        a = np.loadtxt(out1, delimiter=",", skiprows=1)
-        b = np.loadtxt(out2, delimiter=",", skiprows=1)
-        np.testing.assert_allclose(a, b, atol=1e-10)
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("delta_ab", [-2.0, 2.0])
+    def test_eit_spectrum_guarded_by_verdict(self, capsys, tmp_path, delta_ab):
+        # nested phi = pi/2: the published g_SA decides the verdict (NotApplicable
+        # at delta_ab = -2, ATS at +2) while the exact-basis g_SA is -2 and 0
+        path = write_config(tmp_path, {"symmetric": {"topology": "nested", "phi": math.pi / 2},
+                                       "delta_ab": delta_ab})
+        code, out, _ = run_main(capsys, "--config", path, "--command", "eit-classify")
+        assert code == 0
+        verdict = json.loads(out)
+        assert verdict["regime"] == ("NotApplicable" if delta_ab < 0 else "ATS")
+        code, out, err = run_main(capsys, "--config", path, "--command", "eit-spectrum",
+                                  "--sweep", "delta_a:-3:3:41")
+        if verdict["regime"] == "NotApplicable":
+            assert code == 3 and out == ""
+            assert json.loads(err) == {"error": "EitPreconditionError", "message": verdict["note"]}
+        else:
+            assert code == 0 and err == ""
+            assert run_main(capsys, "--config", path, "--command", "spectrum",
+                            "--sweep", "delta_a:-3:3:41") == (0, out, "")
 
     @pytest.mark.parametrize(
         "command, raw",
@@ -726,7 +743,7 @@ class TestStackedCommands:
             solve_real_space(silent, delta)
         assert json.loads(err) == {"error": "OracleSingularError", "message": str(point.value)}
 
-    @pytest.mark.parametrize("command", ["spectrum", "characteristics"])
+    @pytest.mark.parametrize("command", ["spectrum", "characteristics", "loci", "fano"])
     def test_phi_sweep_below_zero_is_2(self, capsys, tmp_path, command):
         path = write_config(tmp_path, {"symmetric": {"topology": "separate", "phi": 1.0}})
         code, out, err = run_main(capsys, "--config", path, "--command", command,
@@ -735,6 +752,25 @@ class TestStackedCommands:
         assert json.loads(err) == {
             "error": "config", "message": "atom a: points must be ordered left-to-right (0.0 > -0.5)"
         }
+
+    @pytest.mark.parametrize("command", ["spectrum", "characteristics", "loci", "fano"])
+    def test_phi_sweep_needs_the_shortcut(self, capsys, tmp_path, command):
+        path = write_config(tmp_path, {"atoms": expand_symmetric({"topology": "nested", "phi": 1.0})["atoms"]})
+        code, out, err = run_main(capsys, "--config", path, "--command", command, "--sweep", "phi:0.5:1:4")
+        assert code == 2 and out == ""
+        assert json.loads(err) == {
+            "error": "config", "message": "phi sweeps need the symmetric shortcut in the config"
+        }
+
+    def test_phi_stack_matches_configs(self):
+        # the 301-spacing grid of the benchmark's phi sweeps, and a grid from 0
+        for topology in Topology:
+            raw = {"symmetric": {"topology": topology.value, "phi": 1.0, "gamma": 0.7}, "delta_ab": 0.3}
+            for phis in (np.linspace(0.05, 3.09, 301), np.linspace(0.0, 7.0, 50)):
+                stack = cli._phi_geometries(raw, phis.tolist())
+                expected = Geometries.of([build_system(raw, phi_override=phi) for phi in phis.tolist()])
+                for field in ("phases", "rates", "delta_ab"):
+                    assert getattr(stack, field).tobytes() == getattr(expected, field).tobytes(), field
 
     def test_phi_sweeps_match_point_calls(self, capsys, tmp_path):
         raw = {"symmetric": {"topology": "nested", "phi": 1.0, "gamma": 0.7}, "delta_ab": 0.3,
@@ -804,22 +840,80 @@ class TestStackedCommands:
 
     @pytest.mark.parametrize("topology, row", [
         ("separate", ["0", "0", "nan", "nan"]),
-        ("braided", ["0", "0", "0", "nan"]),
-        ("nested", ["0", "0", "0", "nan"]),
+        ("braided", ["0", "0", "nan", "nan"]),
+        ("nested", ["0", "0", "nan", "nan"]),
     ])
     def test_loci_at_coincident_points(self, capsys, tmp_path, topology, row):
-        # at phi = 0 the four points coincide: the topology comes from the shortcut
+        # at phi = 0 the four points coincide, so every topology is one
+        # geometry: a double peak at 0, where r's numerator vanishes too
         path = write_config(tmp_path, {"symmetric": {"topology": topology, "phi": 1.0}})
         code, out, err = run_main(capsys, "--config", path, "--command", "loci", "--sweep", "phi:0:3:4")
         assert code == 0 and err == ""
         assert out.splitlines()[1].split(",") == row
         assert amplitudes_general(symmetric_config(Topology(topology), 0.0), 0.0).R == 1.0
 
-    def test_loci_reject_detuned_atoms(self, capsys, tmp_path):
-        path = write_config(tmp_path, {"symmetric": {"topology": "nested", "phi": 1.0}, "delta_ab": 2.0})
-        code, out, err = run_main(capsys, "--config", path, "--command", "loci", "--sweep", "phi:0.3:2.8:6")
-        assert code == 2 and out == ""
-        assert "delta_ab = 0 only" in json.loads(err)["message"]
+    def test_loci_separate_half_pi_has_no_minimum(self, capsys, tmp_path):
+        # r's root sits on the peak at delta = gamma: both numerators vanish
+        # there, a removable pole, and R = 1 there, not 0
+        path = write_config(tmp_path, {"symmetric": {"topology": "separate", "phi": 1.0}})
+        code, out, _ = run_main(capsys, "--config", path, "--command", "loci",
+                                "--sweep", f"phi:0:{math.pi!r}:3")
+        assert code == 0
+        assert out.splitlines()[2].split(",") == [repr(math.pi / 2), "1", "nan", "nan"]
+
+    def test_detuned_loci_reach_r_extremes(self, capsys, tmp_path):
+        # R at the reported loci by a 50-digit evaluation: double-precision
+        # amplitudes misjudge 1 - R by up to ~1e-8 next to the narrowest poles
+        counts = [0, 0]
+        for delta_ab in (-2.0, -0.7, 0.3, 1.0, 2.5):
+            for topology in Topology:
+                path = write_config(tmp_path, {"symmetric": {"topology": topology.value, "phi": 1.0},
+                                               "delta_ab": delta_ab})
+                code, out, err = run_main(capsys, "--config", path, "--command", "loci",
+                                          "--sweep", "phi:0.05:3.09:61")
+                assert code == 0 and err == ""
+                for line in out.splitlines()[1:]:
+                    phi, peak_1, peak_2, minimum = map(float, line.split(","))
+                    cfg = symmetric_config(topology, phi, delta_ab=delta_ab)
+                    for peak in (peak_1, peak_2):
+                        if not math.isnan(peak):
+                            assert abs(1 - mp_reflectance(cfg, peak)) <= 1e-9, (topology, delta_ab, phi, peak)
+                            counts[0] += 1
+                    if not math.isnan(minimum):
+                        assert mp_reflectance(cfg, minimum) <= 1e-9, (topology, delta_ab, phi, minimum)
+                        counts[1] += 1
+        assert counts[0] >= 5 * 3 * 61 and counts[1] >= 5 * 61, counts
+
+
+def mp_reflectance(cfg: SystemConfig, delta_a: float) -> float:
+    """R at ``delta_a`` to 50 digits, from the raw phases and rates.
+
+    The photon's Green function -i exp(i |x - x'|) couples the points
+    (coupling V = sqrt(rate / 2)): the atoms' amplitudes solve
+    (diag(Delta_a, Delta_b) - Sigma) f = Omega with
+    Sigma_jk = -i sum V_n V_m exp(i |theta_n - theta_m|) over atom j's points n
+    and atom k's points m, and Omega_j = sum V_n exp(i theta_n); the
+    reflected amplitude is r = -i sum_j sum_n V_n exp(i theta_n) f_j.
+    """
+    with mpmath.workdps(50):
+        atoms = [[(mpmath.mpf(p.phase_coord), mpmath.sqrt(mpmath.mpf(p.bare_rate) / 2)) for p in atom.points]
+                 for atom in (cfg.atom_a, cfg.atom_b)]
+        sigma = mpmath.matrix(2, 2)
+        for j, k in itertools.product(range(2), repeat=2):
+            sigma[j, k] = -1j * sum(v * w * mpmath.expj(abs(th - ph)) for th, v in atoms[j] for ph, w in atoms[k])
+        detuning = mpmath.diag([mpmath.mpf(delta_a), mpmath.mpf(delta_a) + mpmath.mpf(cfg.delta_ab)])
+        drive = mpmath.matrix([sum(v * mpmath.expj(th) for th, v in atom) for atom in atoms])
+        f = mpmath.lu_solve(detuning - sigma, drive)
+        r = -1j * sum(v * mpmath.expj(th) * f[j] for j, atom in enumerate(atoms) for th, v in atom)
+        return float(abs(r) ** 2)
+
+
+def test_mp_reflectance_matches_closed_form():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        cfg = random_system(rng)
+        delta = float(rng.uniform(-6.0, 6.0))
+        assert mp_reflectance(cfg, delta) == pytest.approx(amplitudes_general(cfg, delta).R, abs=1e-10)
 
 
 #: output fields that carry a rate or a detuning, so scale with the config

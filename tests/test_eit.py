@@ -17,7 +17,6 @@ from gawqed import (
     characteristics,
     classify_eit,
     collective_eit_amplitudes,
-    lambda_reference,
     sa_basis,
     single_atom_eit_amplitudes,
     symmetric_config,
@@ -25,7 +24,7 @@ from gawqed import (
 from gawqed.eit import EitPreconditionError
 
 from conftest import random_system
-from paper_forms import maximum_symmetric_quantities
+from paper_forms import lambda_reference, maximum_symmetric_quantities
 
 
 def braided_single_atom(delta_ab_offset=0.0):

@@ -19,7 +19,7 @@ from gawqed.core import Geometries
 from gawqed.scattering import OracleSingularError, _amplitude_arrays, _real_space_arrays
 
 from conftest import random_system
-from paper_forms import SymmetryError, _topology_amplitude_arrays, amplitudes_topology
+from paper_forms import SymmetryError, _topology_amplitude_arrays, amplitudes_topology, paper_loci
 
 
 class TestGeneralAmplitudes:
@@ -239,9 +239,9 @@ class TestLoci:
         assert loci.peaks == (pytest.approx(1.0),)
 
     def test_braided_phi0_single_lorentzian(self):
+        # the double root of t's numerator is one peak
         loci = peak_minimum_loci(Topology.BRAIDED, 0.0)
-        assert loci.peaks[0] == pytest.approx(0.0, abs=1e-12)
-        assert loci.peaks[1] == pytest.approx(0.0, abs=1e-12)
+        assert loci.peaks == (pytest.approx(0.0, abs=1e-12),)
         assert loci.minimum is None
 
     def test_separate_divergent_minimum(self):
@@ -256,6 +256,18 @@ class TestLoci:
                 for peak in peak_minimum_loci(kind, phi).peaks:
                     cfg = symmetric_config(kind, phi)
                     assert amplitudes_general(cfg, peak).R == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("kind", list(Topology))
+    def test_matches_paper_forms(self, kind):
+        # the spacings of acceptance criterion 3; the worst minimum is braided
+        # near phi = pi/2, where it is about -1256
+        for phi in np.linspace(0.02 * np.pi, 1.98 * np.pi, 1200).tolist():
+            got, paper = peak_minimum_loci(kind, phi, 0.8), paper_loci(kind, phi, 0.8)
+            assert len(got.peaks) == len(paper.peaks), phi
+            assert got.peaks == pytest.approx(paper.peaks, rel=0.0, abs=1e-12 * 0.8), phi
+            assert (got.minimum is None) == (paper.minimum is None), phi
+            if paper.minimum is not None:
+                assert abs(got.minimum - paper.minimum) <= 1e-9 * max(1.0, abs(paper.minimum)), phi
 
     def test_nested_minimum_matches_grid_argmin(self):
         # independent oracle: brute-force argmin of R on a 1e-4 gamma grid
