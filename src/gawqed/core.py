@@ -127,13 +127,6 @@ class SystemConfig:
                 "the atom with the leftmost coupling point must be labelled 'a'"
             )
 
-    def sorted_points(self) -> list[tuple[float, float, str]]:
-        """All four points as (phase, rate, atom label), sorted by position."""
-        pts = [(p.phase_coord, p.bare_rate, "a") for p in self.atom_a.points]
-        pts += [(p.phase_coord, p.bare_rate, "b") for p in self.atom_b.points]
-        pts.sort(key=lambda item: item[0])
-        return pts
-
 
 @dataclass(frozen=True)
 class CharQuantities:

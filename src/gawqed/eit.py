@@ -2,22 +2,25 @@
 
 Transparency without an external control field needs a dark mode (decoupled
 from the guide), a bright mode (coupled), no cross decay between them, and a
-coherent coupling that plays the control-field role.  Two realisations exist
-here:
+coherent coupling between them that plays the control-field role.  All of it
+is read off :class:`~gawqed.scattering.DecayModes`: the structure exists
+where the decay matrix Gamma has rank 1, its null vector v is the dark mode,
+u the bright one, and c = u^T H v the control.  The paper's two schemes are
+special cases of v:
 
-* the collective scheme, where the dark/bright modes are the symmetric and
-  antisymmetric combinations (sigma_a -+ sigma_b)/sqrt(2), with the detuning
-  mismatch acting as control, and
-* the single-atom scheme, where one atom's own interference turns off its
-  decay and the photon-mediated exchange g_ab acts as control (possible for
-  braided and nested geometries only).
+* the collective scheme, where v is the symmetric or antisymmetric
+  combination (sigma_a -+ sigma_b)/sqrt(2) and the detuning mismatch acts as
+  control, and
+* the single-atom scheme, where v is one atom, decoupled by its own
+  interference, and the photon-mediated exchange g_ab acts as control
+  (possible for braided and nested geometries only).
 
 Both reduce exactly to a driven three-level Lambda atom in the single-photon
-sector.  The EIT/ATS distinction follows the denominator-root criterion:
-transparency counts as interference-driven (EIT) while the roots stay purely
-imaginary, i.e. while 4 |control| < bright width.  :func:`classify_eit`
-gives the verdict; the spectra themselves are the general amplitudes of
-:mod:`gawqed.scattering`, which the two-mode forms here reproduce exactly.
+sector, and the two-mode forms here reproduce the general amplitudes of
+:mod:`gawqed.scattering`.  The EIT/ATS distinction follows the
+denominator-root criterion: transparency counts as interference-driven (EIT)
+while the roots stay purely imaginary, i.e. while 4 |control| < bright width.
+:func:`classify_eit` gives the verdict.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import numpy as np
 
 from .core import (
     GawqedError,
+    Geometries,
     SystemConfig,
     Topology,
     atom_phasor,
@@ -39,10 +43,7 @@ from .core import (
     detunings,
     rate_scale,
 )
-from .scattering import ScatterPoint, _scatter_point
-
-#: "numerically zero" rate for scheme preconditions, times the config's rate scale
-ZERO_RATE_TOL = 1e-9
+from .scattering import DECOUPLE_TOL, ScatterPoint, _decay_modes, _scatter_point
 
 #: half-width of the Boundary band around 4 |control| = bright width, times the rate scale
 BOUNDARY_TOL = 1e-9
@@ -55,6 +56,7 @@ class EitPreconditionError(GawqedError):
 class Scheme(Enum):
     COLLECTIVE_SA = "CollectiveSA"
     SINGLE_ATOM = "SingleAtom"
+    DARK_MODE = "DarkMode"
     NONE = "None"
 
 
@@ -63,6 +65,7 @@ class DarkState(Enum):
     A = "A"
     EG = "eg"  # atom a excited: atom a is the dark atom
     GE = "ge"  # atom b excited: atom b is the dark atom
+    MIXED = "mixed"  # neither S/A nor one atom
     NONE = "none"
 
 
@@ -147,9 +150,9 @@ def collective_eit_amplitudes(
     exactly, including phase.  ``q`` may come from :func:`sa_basis` on an
     array of detunings; the fields of the result then are arrays of that
     shape.  The preconditions involve only detuning-independent quantities,
-    "numerically zero" meaning ``ZERO_RATE_TOL`` (Gamma_S + Gamma_A).
+    "numerically zero" meaning ``DECOUPLE_TOL`` (Gamma_S + Gamma_A).
     """
-    ztol = ZERO_RATE_TOL * (q.gamma_s + q.gamma_a_mode)
+    ztol = DECOUPLE_TOL * (q.gamma_s + q.gamma_a_mode)
     if dark is DarkState.S:
         g_dark, g_bright = q.gamma_s, q.gamma_a_mode
         d_dark, d_bright = q.delta_s, q.delta_a_mode
@@ -183,7 +186,7 @@ def single_atom_eit_amplitudes(
     its shape.
     """
     ch = characteristics(cfg)
-    ztol = ZERO_RATE_TOL * rate_scale((cfg.atom_a.rates, cfg.atom_b.rates))
+    ztol = DECOUPLE_TOL * rate_scale((cfg.atom_a.rates, cfg.atom_b.rates))
     d_a, d_b = detunings(cfg, delta_a)
     eff_a, eff_b = d_a - ch.lamb_a, d_b - ch.lamb_b
     if ch.gamma_a <= ztol and ch.gamma_b > ztol:
@@ -225,106 +228,72 @@ def _root_regime(control: float, bright_width: float, scale: float) -> Regime:
     return Regime.EIT if gap < 0.0 else Regime.ATS
 
 
-def _maximum_symmetric_geometry(cfg: SystemConfig, scale: float) -> tuple[Topology, float] | None:
-    """(topology, phi) if cfg has equal rates and equal spacing from phase 0."""
+def _published_nested_control(cfg: SystemConfig, scale: float) -> float | None:
+    """The published g_SA = delta_ab/2 + gamma (sin phi - sin 3 phi)/2 if cfg
+    is nested with equal rates and equal spacing phi from phase 0, else None."""
     rates = cfg.atom_a.rates + cfg.atom_b.rates
     if max(rates) - min(rates) > 1e-9 * scale:
         return None
     phases = sorted(p for atom in (cfg.atom_a, cfg.atom_b) for p in atom.phases)
     phi = phases[1] - phases[0]
     tol = 1e-9 * max(1.0, abs(phi))
-    if abs(phases[0]) > tol:
-        return None
     if any(abs(phases[k] - k * phi) > tol for k in range(4)):
         return None
-    try:
-        return classify_topology(cfg), phi
-    except GawqedError:
+    # nested: atom a holds the outer points (0, 3 phi)
+    if phi <= tol or abs(cfg.atom_a.phases[1] - 3 * phi) > tol:
         return None
+    return 0.5 * cfg.delta_ab + 0.5 * rates[0] * (math.sin(phi) - math.sin(3 * phi))
 
 
 def classify_eit(cfg: SystemConfig) -> EitVerdict:
     """Detect which EIT scheme (if any) the configuration supports.
 
-    Checks the collective-mode preconditions first, then the single-atom
-    ones; if both hold simultaneously the collective scheme is reported with
-    a note.  For maximum-symmetric geometries the control strength follows
-    the published closed form g_SA = delta_ab/2, plus
-    gamma (sin phi - sin 3 phi)/2 for the nested topology; that nested term
-    has the opposite Lamb-shift sign to the exact basis change in
-    :func:`sa_basis`.
-    The regime label comes from the root criterion; a vanishing control
-    coupling (no effective control field) is reported as NotApplicable even
-    when the dark/bright structure exists.
+    The dark/bright structure exists where the decay matrix Gamma has rank 1
+    (:class:`~gawqed.scattering.DecayModes`); the verdict is the root
+    criterion on the control c = u^T H v and the bright width tr Gamma, with
+    transparency at the dark energy v^T H v.  The scheme follows the entries
+    of Gamma: collective where Gamma_a = Gamma_b (dark S for Gamma_ab < 0,
+    A for Gamma_ab > 0), single-atom where Gamma_ab = 0 (the atom with the
+    smaller decay is dark), a general dark mode otherwise; "equal" and
+    "zero" mean within ``DECOUPLE_TOL`` times the rate scale.  For a nested
+    geometry with equal rates and equal spacing from phase 0 and a
+    collective dark mode, the control is the published closed form
+    g_SA = delta_ab/2 + gamma (sin phi - sin 3 phi)/2, whose Lamb-shift part
+    has the opposite sign to c; the note says so.  A vanishing control (no
+    effective control field) is reported as NotApplicable even when the
+    dark/bright structure exists.
     """
-    ch = characteristics(cfg)
-    scale = rate_scale((cfg.atom_a.rates, cfg.atom_b.rates))
-    ztol = ZERO_RATE_TOL * scale
-    q = sa_basis(cfg, 0.0)
-    sym = _maximum_symmetric_geometry(cfg, scale)
-    g_sa = q.g_sa
-    if sym is not None:
-        topology, phi = sym
-        g_sa = 0.5 * cfg.delta_ab
-        if topology is Topology.NESTED:
-            g_sa += 0.5 * cfg.atom_a.points[0].bare_rate * (math.sin(phi) - math.sin(3 * phi))
-
-    mean_lamb = 0.5 * (ch.lamb_a + ch.lamb_b)
-
-    collective_dark: DarkState | None = None
-    if abs(q.gamma_sa) <= ztol:
-        if abs(q.gamma_s) <= ztol and q.gamma_a_mode > ztol:
-            collective_dark = DarkState.S
-        elif abs(q.gamma_a_mode) <= ztol and q.gamma_s > ztol:
-            collective_dark = DarkState.A
-
-    single_dark: DarkState | None = None
-    if abs(ch.gamma_ab) <= ztol:
-        if ch.gamma_a <= ztol and ch.gamma_b > ztol:
-            single_dark = DarkState.EG
-        elif ch.gamma_b <= ztol and ch.gamma_a > ztol:
-            single_dark = DarkState.GE
-
-    if collective_dark is not None:
-        note = None
-        if single_dark is not None and abs(ch.g_ab) > ztol:
-            note = "single-atom scheme preconditions hold simultaneously"
-        bright = q.gamma_a_mode if collective_dark is DarkState.S else q.gamma_s
-        sign = 1.0 if collective_dark is DarkState.S else -1.0
-        transparency = mean_lamb + sign * ch.g_ab - 0.5 * cfg.delta_ab
-        if abs(g_sa) <= ztol:
-            return EitVerdict(
-                Scheme.COLLECTIVE_SA, collective_dark, Regime.NOT_APPLICABLE,
-                control_strength=abs(g_sa), bright_width=bright,
-                transparency_delta_a=None,
-                note=note or "control coupling g_SA vanishes",
-            )
+    modes = _decay_modes(Geometries.of([cfg]))
+    if modes.rank[0] != 1:
         return EitVerdict(
-            Scheme.COLLECTIVE_SA, collective_dark,
-            _root_regime(g_sa, bright, scale),
-            control_strength=abs(g_sa), bright_width=bright,
-            transparency_delta_a=transparency, note=note,
+            Scheme.NONE, DarkState.NONE, Regime.NOT_APPLICABLE,
+            control_strength=0.0, bright_width=0.0, transparency_delta_a=None,
         )
-
-    if single_dark is not None:
-        bright = ch.gamma_b if single_dark is DarkState.EG else ch.gamma_a
-        transparency = (
-            ch.lamb_a if single_dark is DarkState.EG else ch.lamb_b - cfg.delta_ab
-        )
-        if abs(ch.g_ab) <= ztol:
-            return EitVerdict(
-                Scheme.SINGLE_ATOM, single_dark, Regime.NOT_APPLICABLE,
-                control_strength=abs(ch.g_ab), bright_width=bright,
-                transparency_delta_a=None, note="exchange coupling g_ab vanishes",
-            )
-        return EitVerdict(
-            Scheme.SINGLE_ATOM, single_dark,
-            _root_regime(ch.g_ab, bright, scale),
-            control_strength=abs(ch.g_ab), bright_width=bright,
-            transparency_delta_a=transparency, note=None,
-        )
-
+    scale = float(rate_scale((cfg.atom_a.rates, cfg.atom_b.rates)))
+    ztol = DECOUPLE_TOL * scale
+    width = float(modes.width[0])
+    u_a, u_b = modes.bright[:, 0]
+    # at rank 1, Gamma = tr Gamma u u^T
+    if abs(width * (u_a**2 - u_b**2)) <= ztol:
+        scheme, dark = Scheme.COLLECTIVE_SA, DarkState.S if u_a * u_b < 0.0 else DarkState.A
+    elif abs(width * u_a * u_b) <= ztol:
+        scheme, dark = Scheme.SINGLE_ATOM, DarkState.EG if abs(u_a) < abs(u_b) else DarkState.GE
+    else:
+        scheme, dark = Scheme.DARK_MODE, DarkState.MIXED
+    control = float(modes.coupling[0])
+    notes = []
+    published = _published_nested_control(cfg, scale) if scheme is Scheme.COLLECTIVE_SA else None
+    if published is not None:
+        control = published
+        notes.append("the published nested g_SA decided")
+    if abs(control) <= ztol:
+        notes.insert(0, "control coupling vanishes")
+        regime, transparency = Regime.NOT_APPLICABLE, None
+    else:
+        regime = _root_regime(control, width, scale)
+        transparency = float(modes.dark_energy[0])
     return EitVerdict(
-        Scheme.NONE, DarkState.NONE, Regime.NOT_APPLICABLE,
-        control_strength=0.0, bright_width=0.0, transparency_delta_a=None,
+        scheme, dark, regime,
+        control_strength=abs(control), bright_width=width,
+        transparency_delta_a=transparency, note="; ".join(notes) or None,
     )

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GawqedError, SystemConfig, characteristics
+from .core import GawqedError, SystemConfig, atom_phasor, characteristics
 
 #: |eigenvalue| <= this times ||L||_F is a stationary direction (all 16 for L = 0)
 STATIONARY_TOL = 1e-10
@@ -164,20 +164,6 @@ _HERMITIAN_BASIS_H = _HERMITIAN_BASIS.conj().T
 _BLOCK = 256
 
 
-def _rabi_amplitudes(cfg: SystemConfig, alpha: float) -> tuple[complex, complex]:
-    """Drive amplitudes Omega_j = sum_n sqrt(2 gamma_jn) alpha e^{i phase from a1}."""
-    theta_ref = cfg.atom_a.points[0].phase_coord
-    omegas = []
-    for atom in (cfg.atom_a, cfg.atom_b):
-        om = 0.0 + 0.0j
-        for p in atom.points:
-            om += math.sqrt(2.0 * p.bare_rate) * alpha * cmath.exp(
-                1j * (p.phase_coord - theta_ref)
-            )
-        omegas.append(om)
-    return omegas[0], omegas[1]
-
-
 def _liouvillian_parts(cfg: SystemConfig, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """(L0, L1) with L(delta) = L0 + delta * L1 exactly, delta the drive detuning.
 
@@ -186,7 +172,8 @@ def _liouvillian_parts(cfg: SystemConfig, alpha: float) -> tuple[np.ndarray, np.
     dissipators carry Gamma_a, Gamma_b and Gamma_ab.
     """
     ch = characteristics(cfg)
-    om_a, om_b = _rabi_amplitudes(cfg, alpha)
+    # Omega_j = sum_n sqrt(2 gamma_jn) alpha e^{i (theta_jn - theta_1)}
+    om_a, om_b = 2.0 * alpha * _output_coefficients(cfg)[1]
     coefficients = np.array([
         ch.lamb_a,
         ch.lamb_b - cfg.delta_ab,
@@ -293,19 +280,18 @@ def _output_coefficients(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, com
 
     b_t = alpha e^{i (theta_last - theta_first)} + sum_j c_t[j] sigma_j^-,
     b_r = sum_j c_r[j] sigma_j^-, with phases referenced to the leftmost
-    point and the transmitted output evaluated at the rightmost one.
+    point and the transmitted output evaluated at the rightmost one:
+    c_r[j] = e^{-i theta_first} w_j / sqrt2 and
+    c_t[j] = e^{i theta_last} conj(w_j) / sqrt2, w_j the atom's coupling phasor.
     """
-    pts = cfg.sorted_points()
-    theta_first = pts[0][0]
-    theta_last = pts[-1][0]
-    c_t = np.zeros(2, dtype=complex)
-    c_r = np.zeros(2, dtype=complex)
-    for j, atom in enumerate((cfg.atom_a, cfg.atom_b)):
-        for p in atom.points:
-            amp = math.sqrt(p.bare_rate / 2.0)
-            c_t[j] += amp * cmath.exp(1j * (theta_last - p.phase_coord))
-            c_r[j] += amp * cmath.exp(1j * (p.phase_coord - theta_first))
-    return c_t, c_r, cmath.exp(1j * (theta_last - theta_first))
+    theta_first = cfg.atom_a.points[0].phase_coord
+    theta_last = max(cfg.atom_a.phases + cfg.atom_b.phases)
+    w = np.array([atom_phasor(cfg.atom_a), atom_phasor(cfg.atom_b)]) / math.sqrt(2.0)
+    return (
+        cmath.exp(1j * theta_last) * w.conj(),
+        cmath.exp(-1j * theta_first) * w,
+        cmath.exp(1j * (theta_last - theta_first)),
+    )
 
 
 def _channel_operator(coeffs: np.ndarray) -> np.ndarray:

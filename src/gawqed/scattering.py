@@ -89,12 +89,13 @@ def _reflection_numerator(p_a, p_b, q, ka, kb):
 
 
 def _closed_form_columns(geoms: Geometries) -> np.ndarray:
-    """Detuning-independent terms of the closed form, (13, N), column n for geometry n.
+    """Detuning-independent terms of the closed form, (15, N), column n for geometry n.
 
     Rows: lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab, the two constants
     of t's numerator, cross^2 with cross = Gamma_ab/2 + i g_ab, the reflection
-    terms p_a = w_a^2 / 2, p_b = w_b^2 / 2 and q = cross w_a w_b, and r's
-    numerator at a removable pole; in scalar arithmetic like
+    terms p_a = w_a^2 / 2, p_b = w_b^2 / 2 and q = cross w_a w_b, r's
+    numerator's slope in delta, i (w_a^2 + w_b^2) / 2, and the coupling
+    phasors w_a and w_b; in scalar arithmetic like
     :func:`~gawqed.core.characteristics`.
     """
     rows = []
@@ -104,9 +105,75 @@ def _closed_form_columns(geoms: Geometries) -> np.ndarray:
             ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b, ch.g_ab, ch.gamma_ab,
             0.25 * (ch.gamma_ab**2 - ch.gamma_a * ch.gamma_b), ch.g_ab**2, cross**2,
             0.5 * w_a**2, 0.5 * w_b**2, (1j * ch.g_ab + 0.5 * ch.gamma_ab) * w_a * w_b,
-            0.5j * (w_a**2 + w_b**2),
+            0.5j * (w_a**2 + w_b**2), w_a, w_b,
         ))
     return np.array(rows, dtype=complex).T
+
+
+@dataclass(frozen=True)
+class DecayModes:
+    """Bright and dark mode of each geometry of a stack, as (N,) arrays.
+
+    H_eff = H - i Gamma / 2 on the delta_a axis, with
+    H = [[lamb_a, g_ab], [g_ab, lamb_b - delta_ab]] and the decay matrix
+    Gamma = [[Gamma_a, Gamma_ab], [Gamma_ab, Gamma_b]] = Re(w w^H), positive
+    semidefinite with eigenvalues (tr Gamma +- |w_a^2 + w_b^2|) / 2.  A real
+    pole needs an eigenvector of H in Gamma's null space, so every special
+    case depends on ``rank`` and ``coupling`` alone: rank 0, the guide does
+    not see the atoms (``coupling`` is 0); rank 1 without coupling, the dark
+    mode is decoupled and the bright mode scatters alone (both are
+    ``decoupled``); rank 1 otherwise, EIT-like, transparent at
+    ``dark_energy``.  ``bright`` and ``dark``, (2, N), are the unit vectors
+    u and v of Gamma's larger and smaller eigenvalue.
+    """
+
+    rank: np.ndarray
+    bright: np.ndarray
+    dark: np.ndarray
+    coupling: np.ndarray  # u^T H v
+    bright_energy: np.ndarray  # u^T H u
+    dark_energy: np.ndarray  # v^T H v
+    width: np.ndarray  # tr Gamma
+    decoupled: np.ndarray  # rank <= 1 with zero coupling
+
+
+def _decay_modes(geoms: Geometries, columns=None) -> DecayModes:
+    """The :class:`DecayModes` of a stack.  Rank, coupling and width count as
+    zero up to ``DECOUPLE_TOL`` times the rate scale; ``columns`` is
+    ``_closed_form_columns(geoms)``, for a caller that has it already."""
+    if columns is None:
+        columns = _closed_form_columns(geoms)
+    lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab = columns[:6].real
+    w_a, w_b = columns[13:15]
+    tol = DECOUPLE_TOL * rate_scale(geoms.rates)
+    width = gamma_a + gamma_b
+    # the small eigenvalue det Gamma / lambda_max, free of cancellation;
+    # 0/0 at zero width, where the width decides the rank
+    with np.errstate(invalid="ignore"):
+        smallest = 2.0 * (w_a.conjugate() * w_b).imag ** 2 / (width + np.abs(w_a**2 + w_b**2))
+    rank = np.where(width <= tol, 0, np.where(smallest <= tol, 1, 2))
+    # u = (cos chi, sin chi) along Gamma's principal axis, 2 chi the angle of
+    # (Gamma_a - Gamma_b, 2 Gamma_ab).  With H = mean + [[half, g_ab], [g_ab, -half]]
+    # the energies take the traceless part at that doubled angle, so that
+    # mean enters exactly and not times u^T u = 1 + rounding
+    two_chi = np.arctan2(2.0 * gamma_ab, gamma_a - gamma_b)
+    cos_2, sin_2 = np.cos(two_chi), np.sin(two_chi)
+    cos_chi, sin_chi = np.cos(0.5 * two_chi), np.sin(0.5 * two_chi)
+    mean = 0.5 * (lamb_a + (lamb_b - geoms.delta_ab))
+    half = 0.5 * (lamb_a - (lamb_b - geoms.delta_ab))
+    split = half * cos_2 + g_ab * sin_2
+    # without a bright mode nothing couples to the guide
+    coupling = np.where(rank == 0, 0.0, g_ab * cos_2 - half * sin_2)
+    return DecayModes(
+        rank=rank,
+        bright=np.array([cos_chi, sin_chi]),
+        dark=np.array([-sin_chi, cos_chi]),
+        coupling=coupling,
+        bright_energy=mean + split,
+        dark_energy=mean - split,
+        width=width,
+        decoupled=(rank <= 1) & (np.abs(coupling) <= tol),
+    )
 
 
 def _amplitude_arrays(geoms: Geometries, delta_a, columns=None) -> tuple[np.ndarray, np.ndarray]:
@@ -115,78 +182,46 @@ def _amplitude_arrays(geoms: Geometries, delta_a, columns=None) -> tuple[np.ndar
     The per-geometry terms have shape (N,) and broadcast against
     ``delta_a``: one geometry takes a whole grid, N geometries take N
     detunings (or one), and a 2-D ``delta_a`` of shape (N, M) holds one
-    grid per geometry, row n for geometry n.  Decoupling limits are
-    resolved analytically, per geometry, instead of dividing 0/0: if both
-    atoms have zero total decay the guide never sees them (t = 1); if one
-    atom is invisible (zero decay, zero exchange, zero collective decay) the
-    problem reduces to single-atom scattering off the other.  A real-axis
-    pole raises :class:`PoleError` for the first failing entry in broadcast
-    order.  ``columns`` is ``_closed_form_columns(geoms)``, for a caller
-    that has it already.
+    grid per geometry, row n for geometry n.  Where the dark mode is
+    decoupled (:class:`DecayModes`), the closed form's 0/0 is resolved
+    analytically, per geometry: the bright mode alone scatters, with
+    t = i (delta - e_u) / (i (delta - e_u) - tr Gamma / 2) and
+    r = (w_a^2 + w_b^2) / 2 over the same denominator, and without a bright
+    mode t = 1 and r = 0.  Any other real-axis pole raises
+    :class:`PoleError` for the first failing entry in broadcast order.
+    ``columns`` is ``_closed_form_columns(geoms)``, for a caller that has it
+    already.
     """
     delta_a = np.asarray(delta_a, dtype=float)
     # per-geometry terms run down the first axis of a 2-D grid
     shape = (len(geoms),) + (1,) * (delta_a.ndim - 1)
     if columns is None:
         columns = _closed_form_columns(geoms)
+    modes = _decay_modes(geoms, columns)
     columns = columns.reshape((len(columns),) + shape)
-    lamb_a, lamb_b, gamma_a, gamma_b, g_ab, _, t_1, t_2 = columns[:8].real
-    cross_sq, p_a, p_b, q, r_dark = columns[8:]
-    scale = rate_scale(geoms.rates).reshape(shape)
-    ztol = DECOUPLE_TOL * scale
-    pole_tol = POLE_TOL * scale**2
+    lamb_a, lamb_b, gamma_a, gamma_b, _, _, t_1, t_2 = columns[:8].real
+    cross_sq, p_a, p_b, q = columns[8:12]
 
     da = delta_a - lamb_a
     db = (delta_a + geoms.delta_ab.reshape(shape)) - lamb_b
     ka = 1j * da - 0.5 * gamma_a
     kb = 1j * db - 0.5 * gamma_b
     den = ka * kb - cross_sq
-    t_num = -da * db + t_1 + t_2
-    r_num = _reflection_numerator(p_a, p_b, q, ka, kb)
-
-    small_a, small_b = gamma_a <= ztol, gamma_b <= ztol
-    decoupling = (small_a | small_b).any()
-    general = True
-    if decoupling:
-        # |Gamma_ab| <= sqrt(Gamma_a Gamma_b), so it vanishes with the decay
-        no_exchange = np.abs(g_ab) <= ztol
-        dark = small_a & small_b
-        a_invisible = small_a & ~small_b & no_exchange
-        b_invisible = small_b & ~small_a & no_exchange
-        general = ~(dark | a_invisible | b_invisible)
-
-    removable = general & (np.abs(den) < pole_tol)
-    any_removable = removable.any()
-    if any_removable:
-        # a zero-width (dark) resonance puts a simple denominator zero on the
-        # real axis that the numerators share: both are quadratics in delta,
-        # so the limit is the ratio of their delta derivatives
-        den = np.where(removable, 1j * (ka + kb), den)
-        t_num = np.where(removable, -(da + db), t_num)
-        r_num = np.where(removable, r_dark, r_num)
+    decoupled = modes.decoupled.reshape(shape)
+    pole = ~decoupled & (np.abs(den) < POLE_TOL * rate_scale(geoms.rates).reshape(shape) ** 2)
+    if pole.any():
+        k = int(np.argmax(pole.ravel()))
+        where = np.broadcast_to(delta_a, pole.shape).ravel()[k:k + 1]
+        raise PoleError(f"scattering denominator vanished on the real axis near delta_a={where}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        t, r = t_num / den, r_num / den
-        if any_removable:
-            bad = removable & (np.abs(den) < pole_tol)
-            off = np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1.0)
-            failed = (bad | (removable & (off > 1e-6))).ravel()
-            if failed.any():
-                k = int(np.argmax(failed))
-                where = np.broadcast_to(delta_a, t.shape).ravel()[k:k + 1]
-                if bad.ravel()[k]:
-                    raise PoleError(
-                        f"scattering denominator vanished on the real axis near "
-                        f"delta_a={where} without a dark-mode cancellation"
-                    )
-                raise PoleError(f"non-removable real-axis pole near delta_a={where}")
-        if decoupling and not general.all():
-            single = a_invisible | b_invisible
-            delta = np.where(a_invisible, db, da)
-            den = 1j * delta - 0.5 * np.where(a_invisible, gamma_b, gamma_a)
-            t = np.where(single, 1j * delta / den, t)
-            r = np.where(single, np.where(a_invisible, p_b, p_a) / den, r)
-            t = np.where(dark, 1.0 + 0j, t)
-            r = np.where(dark, 0j, r)
+        t = (-da * db + t_1 + t_2) / den
+        r = _reflection_numerator(p_a, p_b, q, ka, kb) / den
+    if decoupled.any():
+        bright = modes.rank.reshape(shape) > 0
+        detuning = 1j * (delta_a - modes.bright_energy.reshape(shape))
+        lorentz = np.where(bright, detuning - 0.5 * modes.width.reshape(shape), 1.0)
+        t = np.where(decoupled, np.where(bright, detuning, 1.0) / lorentz, t)
+        r = np.where(decoupled, np.where(bright, p_a + p_b, 0.0) / lorentz, r)
     return t, r
 
 
@@ -221,11 +256,16 @@ def _loci_arrays(geoms: Geometries) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     vanishes (the locus diverges), where the root is not real (|Im| above
     ``ROOT_TOL`` max(scale, |Re|)), or where it lies within ``ROOT_TOL``
     scale of a peak: there both numerators vanish, a removable pole and
-    not a zero of R.
+    not a zero of R.  Where the dark mode is decoupled (:class:`DecayModes`)
+    R is one bright-mode Lorentzian: one peak, the root at e_u of t's
+    numerator -(delta - e_u)(delta - e_v) (e_u itself if rounding left no
+    real root), and no minimum; without a bright mode R is 0 everywhere
+    and every field is nan.
     """
     columns = _closed_form_columns(geoms)
+    modes = _decay_modes(geoms, columns)
     lamb_a, lamb_b, gamma_a, gamma_b, _, _, t_1, t_2 = columns[:8].real
-    _, p_a, p_b, q, r_dark = columns[8:]
+    _, p_a, p_b, q, r_dark = columns[8:13]
     scale = rate_scale(geoms.rates)
     # atom b's resonance on the delta_a axis
     lamb_b = lamb_b - geoms.delta_ab
@@ -244,7 +284,15 @@ def _loci_arrays(geoms: Geometries) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     # fmin: a missing peak is no peak to sit on
     on_peak = np.fmin(np.abs(minimum - peak_1), np.abs(minimum - peak_2)) <= ROOT_TOL * scale
     complex_root = np.abs(root.imag) > ROOT_TOL * np.maximum(scale, np.abs(minimum))
-    return peak_1, peak_2, np.where(divergent | complex_root | on_peak, np.nan, minimum)
+
+    e_u = modes.bright_energy
+    near = np.where(np.abs(peak_2 - e_u) < np.abs(peak_1 - e_u), peak_2, peak_1)
+    bright_peak = np.where(modes.rank == 0, np.nan, np.where(np.isnan(near), e_u, near))
+    return (
+        np.where(modes.decoupled, bright_peak, peak_1),
+        np.where(modes.decoupled, np.nan, peak_2),
+        np.where(divergent | complex_root | on_peak | modes.decoupled, np.nan, minimum),
+    )
 
 
 def peak_minimum_loci(topology: Topology, phi: float, gamma: float = 1.0) -> Loci:
@@ -339,7 +387,7 @@ def _real_space_arrays(geoms: Geometries, delta_a) -> np.ndarray:
     """
     count = len(geoms)
     flat = geoms.phases.reshape(count, 4)
-    order = np.argsort(flat, axis=1, kind="stable")  # sorted_points keeps a before b on ties
+    order = np.argsort(flat, axis=1, kind="stable")  # stable: a before b on ties
     pick = np.arange(count)[:, None], order
     ep = np.exp(1j * flat[pick])
     inv = 1.0 / ep

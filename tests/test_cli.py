@@ -22,6 +22,7 @@ import mpmath
 from gawqed import (
     CouplingPoint,
     GiantAtom,
+    Loci,
     SystemConfig,
     Topology,
     amplitudes_general,
@@ -375,6 +376,24 @@ class TestCommands:
         assert verdict["scheme"] == "CollectiveSA"
         assert verdict["regime"] == "EIT"
         assert verdict["transparency_delta_a"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("atom_b", [[4 * math.pi, 6 * math.pi], [math.pi, 3 * math.pi]])
+    @pytest.mark.parametrize("delta_ab", [0.3, 1.0, 3.0])
+    def test_rank_one_dark_mode_is_eit(self, capsys, tmp_path, atom_b, delta_ab):
+        # real phasors w_a = 2 and w_b = +-sqrt 2: Gamma has rank 1, and its
+        # dark mode is neither S/A nor one atom
+        raw = {"atoms": [{"points": [{"phase": 0.0, "rate": 1.0}, {"phase": 2 * math.pi, "rate": 1.0}]},
+                         {"points": [{"phase": p, "rate": 0.5} for p in atom_b]}],
+               "delta_ab": delta_ab}
+        path = write_config(tmp_path, raw)
+        code, out, _ = run_main(capsys, "--config", path, "--command", "eit-classify")
+        verdict = json.loads(out)
+        assert code == 0
+        assert (verdict["regime"], verdict["scheme"], verdict["dark_state"]) == ("EIT", "DarkMode", "mixed")
+        code, out, err = run_main(capsys, "--config", path, "--command", "eit-spectrum",
+                                  "--sweep", "delta_a:-3:3:41")
+        assert code == 0 and err == ""
+        assert abs(amplitudes_general(build_system(raw), verdict["transparency_delta_a"]).r) <= 1e-12
 
     def test_spectrum_header_and_unitarity(self, sep_config, tmp_path):
         out = tmp_path / "spec.csv"
@@ -860,6 +879,23 @@ class TestStackedCommands:
                                 "--sweep", f"phi:0:{math.pi!r}:3")
         assert code == 0
         assert out.splitlines()[2].split(",") == [repr(math.pi / 2), "1", "nan", "nan"]
+
+    @pytest.mark.parametrize("delta_ab", [0.0, 1.5])
+    @pytest.mark.parametrize("topology, row", [("separate", 2), ("braided", 1)])
+    def test_loci_of_decoupled_atoms_are_nan(self, capsys, tmp_path, topology, row, delta_ab):
+        # separate phi = pi and braided phi = pi/2: both atoms decouple, R = 0
+        # everywhere (0.5 is a real eigenvalue of the braided H at
+        # delta_ab = 1.5), so there is no peak and no minimum
+        path = write_config(tmp_path, {"symmetric": {"topology": topology, "phi": 1.0}, "delta_ab": delta_ab})
+        code, out, _ = run_main(capsys, "--config", path, "--command", "loci",
+                                "--sweep", f"phi:0:{math.pi!r}:3")
+        assert code == 0
+        phi = row * math.pi / 2
+        cells = out.splitlines()[1 + row].split(",")
+        assert float(cells[0]) == phi and cells[1:] == ["nan", "nan", "nan"]
+        assert peak_minimum_loci(Topology(topology), phi) == Loci(peaks=(), minimum=None)
+        cfg = symmetric_config(Topology(topology), phi, delta_ab=delta_ab)
+        assert [amplitudes_general(cfg, delta).R for delta in (0.3, 0.5)] == [0.0, 0.0]
 
     def test_detuned_loci_reach_r_extremes(self, capsys, tmp_path):
         # R at the reported loci by a 50-digit evaluation: double-precision

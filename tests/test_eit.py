@@ -2,7 +2,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gawqed import (
@@ -19,9 +19,12 @@ from gawqed import (
     collective_eit_amplitudes,
     sa_basis,
     single_atom_eit_amplitudes,
+    solve_real_space,
     symmetric_config,
 )
+from gawqed.core import Geometries
 from gawqed.eit import EitPreconditionError
+from gawqed.scattering import _decay_modes
 
 from conftest import random_system
 from paper_forms import lambda_reference, maximum_symmetric_quantities
@@ -260,6 +263,59 @@ class TestClassify:
             v = classify_eit(symmetric_config(Topology.NESTED, np.pi / 2, delta_ab=float(dab)))
             expected = (-4.0 < dab < 0.0) and dab != -2.0
             assert (v.regime is Regime.EIT) == expected, dab
+
+
+def rank_one_system(rng, decouple):
+    """Atom a at random, atom b's shape at random, shifted so that
+    arg w_b = arg w_a mod pi: Gamma = Re(w w^H) has rank 1.  With
+    ``decouple``, delta_ab cancels the control c = u^T H v.  Returns the
+    config and (u, v, H) from an eigendecomposition of Gamma, or None where
+    the control does not depend on delta_ab."""
+    a2, b_gap = rng.uniform(0.1, 4 * np.pi, 2)
+    ra1, ra2, rb1, rb2 = rng.uniform(0.05, 3.0, 4)
+    w_a = np.sqrt(ra1) + np.sqrt(ra2) * np.exp(1j * a2)
+    w_b = np.sqrt(rb1) + np.sqrt(rb2) * np.exp(1j * b_gap)
+    b1 = (np.angle(w_a) - np.angle(w_b)) % np.pi + np.pi * int(rng.integers(6))
+    atom_a = GiantAtom("a", (CouplingPoint(0.0, ra1), CouplingPoint(a2, ra2)))
+    atom_b = GiantAtom("b", (CouplingPoint(b1, rb1), CouplingPoint(b1 + b_gap, rb2)))
+    ch = characteristics(SystemConfig(atom_a, atom_b))
+    _, vectors = np.linalg.eigh([[ch.gamma_a, ch.gamma_ab], [ch.gamma_ab, ch.gamma_b]])
+    v, u = vectors.T
+    if decouple:
+        if abs(u[1] * v[1]) < 0.05:
+            return None
+        # c(delta_ab) = u^T H(0) v - delta_ab u_b v_b
+        delta_ab = (u @ [[ch.lamb_a, ch.g_ab], [ch.g_ab, ch.lamb_b]] @ v) / (u[1] * v[1])
+    else:
+        delta_ab = rng.uniform(-4.0, 4.0)
+    hamiltonian = np.array([[ch.lamb_a, ch.g_ab], [ch.g_ab, ch.lamb_b - delta_ab]])
+    return SystemConfig(atom_a, atom_b, delta_ab=float(delta_ab)), u, v, hamiltonian
+
+
+class TestRankOneDarkMode:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(-6.0, 6.0))
+    def test_transparency_and_decoupled_branch_match_oracle(self, seed, decouple, delta):
+        drawn = rank_one_system(np.random.default_rng(seed), decouple)
+        assume(drawn is not None)
+        cfg, u, v, hamiltonian = drawn
+        scale = max(cfg.atom_a.rates + cfg.atom_b.rates)
+        control, dark_energy = u @ hamiltonian @ v, v @ hamiltonian @ v
+        verdict = classify_eit(cfg)
+        assert verdict.scheme is not Scheme.NONE
+        if decouple:
+            assert verdict.regime is Regime.NOT_APPLICABLE
+            assert _decay_modes(Geometries.of([cfg])).decoupled[0]
+            # the dark mode's real pole is no pole of t and r
+            pt = amplitudes_general(cfg, dark_energy)
+            assert pt.T + pt.R == pytest.approx(1.0, abs=1e-10)
+            assume(abs(delta - dark_energy) > 0.1 * scale)
+            pt, sol = amplitudes_general(cfg, delta), solve_real_space(cfg, delta)
+            assert abs(pt.t - sol.t) <= 1e-10 and abs(pt.r - sol.r) <= 1e-10
+        else:
+            assume(abs(control) > 0.05 * scale)
+            assert verdict.transparency_delta_a == pytest.approx(dark_energy, abs=1e-12 * scale)
+            assert abs(solve_real_space(cfg, dark_energy).r) <= 1e-10
 
 
 class TestMaximumSymmetric:

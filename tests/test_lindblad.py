@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -25,7 +28,6 @@ from gawqed.lindblad import (
     SIGMA_MINUS_B,
     SteadyStateError,
     _liouvillian_parts,
-    _rabi_amplitudes,
     _vec,
     incoherent_channel_flux,
     master_sweep,
@@ -46,6 +48,15 @@ def single_atom_eit_config():
     return SystemConfig(atom_a, atom_b, delta_ab=np.sin(2 * np.pi))
 
 
+def reference_rabi_amplitudes(cfg, alpha):
+    """Omega_j = sum_n sqrt(2 gamma_jn) alpha e^{i phase from a1}, point by point."""
+    theta_ref = cfg.atom_a.points[0].phase_coord
+    return tuple(
+        sum(math.sqrt(2.0 * p.bare_rate) * alpha * cmath.exp(1j * (p.phase_coord - theta_ref)) for p in atom.points)
+        for atom in (cfg.atom_a, cfg.atom_b)
+    )
+
+
 def reference_liouvillian(cfg, drive):
     """The generator assembled term by term from Kronecker products."""
     eye = np.eye(4, dtype=complex)
@@ -61,7 +72,7 @@ def reference_liouvillian(cfg, drive):
 
     ch = characteristics(cfg)
     d_a, d_b = detunings(cfg, drive.frequency_detuning)
-    om_a, om_b = _rabi_amplitudes(cfg, drive.alpha)
+    om_a, om_b = reference_rabi_amplitudes(cfg, drive.alpha)
     sa, sb = SIGMA_MINUS_A, SIGMA_MINUS_B
     h = (
         -(d_a - ch.lamb_a) * (sa.conj().T @ sa)

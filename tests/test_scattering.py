@@ -16,7 +16,7 @@ from gawqed import (
 )
 
 from gawqed.core import Geometries
-from gawqed.scattering import OracleSingularError, _amplitude_arrays, _real_space_arrays
+from gawqed.scattering import OracleSingularError, _amplitude_arrays, _loci_arrays, _real_space_arrays
 
 from conftest import random_system
 from paper_forms import SymmetryError, _topology_amplitude_arrays, amplitudes_topology, paper_loci
@@ -268,6 +268,15 @@ class TestLoci:
             assert (got.minimum is None) == (paper.minimum is None), phi
             if paper.minimum is not None:
                 assert abs(got.minimum - paper.minimum) <= 1e-9 * max(1.0, abs(paper.minimum)), phi
+
+    def test_decoupled_dark_mode_leaves_one_peak(self):
+        # nested phi = pi/4 at this delta_ab: Gamma has rank 1 and its dark
+        # mode decouples at delta = 0, where t's numerator has its other root
+        cfg = symmetric_config(Topology.NESTED, np.pi / 4, delta_ab=-(2 + np.sqrt(2)))
+        peak_1, peak_2, minimum = (float(x[0]) for x in _loci_arrays(Geometries.of([cfg])))
+        assert peak_1 == pytest.approx(2 + 2 * np.sqrt(2), abs=1e-12)
+        assert np.isnan(peak_2) and np.isnan(minimum)
+        assert abs(solve_real_space(cfg, peak_1).r) ** 2 == pytest.approx(1.0, abs=1e-10)
 
     def test_nested_minimum_matches_grid_argmin(self):
         # independent oracle: brute-force argmin of R on a 1e-4 gamma grid
