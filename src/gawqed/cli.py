@@ -48,7 +48,6 @@ from .core import (
     GiantAtom,
     SystemConfig,
     Topology,
-    characteristics,
     rate_scale,
     symmetric_config,
 )
@@ -308,10 +307,6 @@ def _amplitude_columns(grid: np.ndarray, t: np.ndarray, r: np.ndarray) -> list[n
     return [grid, t.real, t.imag, r.real, r.imag, np.abs(t) ** 2, np.abs(r) ** 2]
 
 
-def _characteristic_columns(names: list[str], chs: list) -> list[np.ndarray]:
-    return [np.array([getattr(ch, name) for ch in chs]) for name in names]
-
-
 def _fano_columns(raw: dict, phis: list[float]) -> list:
     """The ``fano`` table after its phi column, decomposed in stacks of
     ``STACK_BLOCK`` spacings.
@@ -455,12 +450,11 @@ def run(spec: RunSpec) -> int:
     elif spec.command == "characteristics":
         names = ["lamb_a", "lamb_b", "gamma_a", "gamma_b", "g_ab", "gamma_ab", "alpha_a", "alpha_b"]
         if variable == "phi":
-            header = ["phi"] + names
-            chs = [ch for ch, _, _ in _phi_geometries(raw, phis).quantities()]
-            columns = [grid] + _characteristic_columns(names, chs)
+            header, leading, geoms = ["phi"] + names, [grid], _phi_geometries(raw, phis)
         else:
-            header = names
-            columns = _characteristic_columns(names, [characteristics(build_system(raw))])
+            header, leading, geoms = names, [], Geometries.of([build_system(raw)])
+        ch = geoms.quantities()
+        columns = leading + [getattr(ch, name) for name in names]
     elif spec.command == "loci":
         header = ["phi", "peak_1", "peak_2", "minimum"]
         columns = [grid, *_loci_arrays(_phi_geometries(raw, phis))]

@@ -16,15 +16,17 @@ interference-built quantities per configuration:
 * ``gamma_ab``         -- correlated (collective) decay,
 * ``alpha_a, alpha_b`` -- phase factors entering the reflection amplitude.
 
-These are computed by :func:`characteristics`; :class:`Geometries` holds N
-configurations as arrays for the stacked kernels.
+:class:`Geometries` holds N configurations as arrays, and
+:meth:`Geometries.quantities` computes the eight quantities of all of them,
+with the coupling phasors w_a and w_b, as one array expression.  That is the
+only place they are computed: :func:`characteristics` is its N = 1 case, and
+every kernel downstream reads the fields of its record.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -130,13 +132,16 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class CharQuantities:
-    """Characteristic quantities of one configuration (in the units of its rates).
+    """Characteristic quantities (in the units of the rates) and coupling phasors.
 
-    ``alpha_j`` is stored as twice the argument of the atom's coupling phasor
-    w_j = sum_n sqrt(gamma_jn) e^{i theta_jn}, so that exp(i alpha_j / 2) is the
-    unit phasor of w_j itself.  A plain two-argument arctangent of the double
-    sums would leave exp(i alpha_j / 2) ambiguous by a sign; this convention
-    fixes the branch that reproduces the reflection amplitude exactly.
+    The fields are floats (``w_a``, ``w_b`` complex) for one configuration,
+    from :func:`characteristics`, and (N,) arrays for a stack, from
+    :meth:`Geometries.quantities`.  w_j = sum_n sqrt(gamma_jn) e^{i theta_jn}
+    is atom j's coupling phasor: Gamma_j = |w_j|^2, and ``alpha_j`` is stored
+    as twice its argument, so that exp(i alpha_j / 2) is the unit phasor of
+    w_j itself.  A plain two-argument arctangent of the double sums would
+    leave exp(i alpha_j / 2) ambiguous by a sign; this convention fixes the
+    branch that reproduces the reflection amplitude exactly.
     """
 
     lamb_a: float
@@ -147,55 +152,8 @@ class CharQuantities:
     gamma_ab: float
     alpha_a: float
     alpha_b: float
-
-
-def _phasor(phases, rates) -> complex:
-    return sum(math.sqrt(g) * cmath.exp(1j * th) for th, g in zip(phases, rates))
-
-
-def atom_phasor(atom: GiantAtom) -> complex:
-    """Coupling phasor w_j = sum_n sqrt(gamma_jn) exp(i theta_jn).
-
-    |w_j|^2 is the atom's total decay rate Gamma_j and arg(w_j) is half the
-    phase factor alpha_j used in the reflection amplitude.
-    """
-    return _phasor(atom.phases, atom.rates)
-
-
-def _lamb_shift(phases, rates) -> float:
-    (th1, th2), (g1, g2) = phases, rates
-    return math.sqrt(g1 * g2) * math.sin(abs(th2 - th1))
-
-
-def _quantities(phases, rates) -> tuple[CharQuantities, complex, complex]:
-    """Characteristic quantities and coupling phasors (w_a, w_b) of one geometry.
-
-    ``phases`` and ``rates`` are ((a1, a2), (b1, b2)).  This is scalar code
-    on purpose: libm's atan2, hypot and pow round differently in the last
-    bit from numpy's vectorised versions, and every output of the package
-    starts from these numbers.
-    """
-    (pa, pb), (ga, gb) = phases, rates
-    w_a, w_b = _phasor(pa, ga), _phasor(pb, gb)
-    g_ab = 0.0
-    gamma_ab = 0.0
-    for tha, ra in zip(pa, ga):
-        for thb, rb in zip(pb, gb):
-            root = math.sqrt(ra * rb)
-            d = thb - tha
-            g_ab += 0.5 * root * math.sin(abs(d))
-            gamma_ab += root * math.cos(d)
-    ch = CharQuantities(
-        lamb_a=_lamb_shift(pa, ga),
-        lamb_b=_lamb_shift(pb, gb),
-        gamma_a=abs(w_a) ** 2,
-        gamma_b=abs(w_b) ** 2,
-        g_ab=g_ab,
-        gamma_ab=gamma_ab,
-        alpha_a=2.0 * cmath.phase(w_a),
-        alpha_b=2.0 * cmath.phase(w_b),
-    )
-    return ch, w_a, w_b
+    w_a: complex
+    w_b: complex
 
 
 def characteristics(cfg: SystemConfig) -> CharQuantities:
@@ -207,9 +165,10 @@ def characteristics(cfg: SystemConfig) -> CharQuantities:
     pair of points (one per atom) contributes sqrt(gamma_an gamma_bn') times
     sin|dtheta| / 2 to the exchange coupling g_ab and cos(dtheta) to the
     collective decay Gamma_ab, where dtheta is the separation of that pair.
+    This is the one-geometry case of :meth:`Geometries.quantities`.
     """
-    a, b = cfg.atom_a, cfg.atom_b
-    return _quantities((a.phases, b.phases), (a.rates, b.rates))[0]
+    stack = Geometries.of([cfg]).quantities()
+    return CharQuantities(*(getattr(stack, f.name)[0].item() for f in fields(stack)))
 
 
 @dataclass(frozen=True)
@@ -220,6 +179,8 @@ class Geometries:
     (a, b), point]; ``delta_ab`` has shape (N,).  Every row must be a valid
     :class:`SystemConfig`.  Build it with :meth:`of` from configs;
     ``gawqed.cli._random_draws`` builds it directly, valid by construction.
+    Every quantity of the package starts from :meth:`quantities`, one array
+    expression over the stack; a one-config entry point is its N = 1 case.
     """
 
     phases: np.ndarray
@@ -241,15 +202,48 @@ class Geometries:
         """The sub-stack of the geometries ``rows``."""
         return Geometries(self.phases[rows], self.rates[rows], self.delta_ab[rows])
 
-    def quantities(self) -> list[tuple[CharQuantities, complex, complex]]:
-        """(characteristics, w_a, w_b) of each geometry, in stack order."""
-        return [_quantities(p, g) for p, g in zip(self.phases.tolist(), self.rates.tolist())]
+    def quantities(self) -> CharQuantities:
+        """The :class:`CharQuantities` of every geometry, each field an (N,) array.
+
+        The formulas are those of :func:`characteristics`; every term is an
+        elementwise function of its own geometry's numbers, so a geometry's
+        fields do not depend on the rest of the stack.
+        """
+        phases, rates = self.phases, self.rates
+        roots = np.sqrt(rates)
+        # real and imaginary part of w_j, [geometry, atom]
+        re = np.sum(roots * np.cos(phases), axis=-1)
+        im = np.sum(roots * np.sin(phases), axis=-1)
+        w = re + 1j * im
+        gamma = np.abs(w) ** 2
+        alpha = 2.0 * np.arctan2(im, re)
+        spread = np.abs(phases[..., 1] - phases[..., 0])
+        lamb = np.sqrt(rates[..., 0] * rates[..., 1]) * np.sin(spread)
+        # the pairs of one point of a and one of b, [geometry, 2 * point of a + point of b]
+        root = np.sqrt(rates[:, 0, :, None] * rates[:, 1, None, :]).reshape(-1, 4)
+        separation = (phases[:, 1, None, :] - phases[:, 0, :, None]).reshape(-1, 4)
+        return CharQuantities(
+            lamb_a=lamb[:, 0],
+            lamb_b=lamb[:, 1],
+            gamma_a=gamma[:, 0],
+            gamma_b=gamma[:, 1],
+            g_ab=0.5 * np.sum(root * np.sin(np.abs(separation)), axis=-1),
+            gamma_ab=np.sum(root * np.cos(separation), axis=-1),
+            alpha_a=alpha[:, 0],
+            alpha_b=alpha[:, 1],
+            w_a=w[:, 0],
+            w_b=w[:, 1],
+        )
 
 
 def rate_scale(rates) -> np.ndarray:
     """Largest bare rate of ``rates`` [..., atom, point], one per config: the
     scale of every "numerically zero" tolerance of the one-photon code."""
-    return np.max(rates, axis=(-2, -1))
+    rates = np.asarray(rates)
+    return np.maximum(
+        np.maximum(rates[..., 0, 0], rates[..., 0, 1]),
+        np.maximum(rates[..., 1, 0], rates[..., 1, 1]),
+    )
 
 
 def detunings(cfg: SystemConfig, delta_a: float) -> tuple[float, float]:

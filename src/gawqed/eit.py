@@ -37,7 +37,6 @@ from .core import (
     Geometries,
     SystemConfig,
     Topology,
-    atom_phasor,
     characteristics,
     classify_topology,
     detunings,
@@ -121,8 +120,8 @@ def sa_basis(cfg: SystemConfig, delta_a: float | np.ndarray) -> SABasisQuantitie
     eff_b = d_b - ch.lamb_b
     eff_a0, eff_b0 = -ch.lamb_a, cfg.delta_ab - ch.lamb_b
     theta_ref = min(p for atom in (cfg.atom_a, cfg.atom_b) for p in atom.phases)
-    omega_a = math.sqrt(2.0) * cmath.exp(-1j * theta_ref) * atom_phasor(cfg.atom_a)
-    omega_b = math.sqrt(2.0) * cmath.exp(-1j * theta_ref) * atom_phasor(cfg.atom_b)
+    omega_a = math.sqrt(2.0) * cmath.exp(-1j * theta_ref) * ch.w_a
+    omega_b = math.sqrt(2.0) * cmath.exp(-1j * theta_ref) * ch.w_b
     return SABasisQuantities(
         g_sa=-0.5 * (eff_a0 - eff_b0),
         gamma_s=0.5 * (ch.gamma_a + ch.gamma_b) + ch.gamma_ab,
@@ -190,11 +189,9 @@ def single_atom_eit_amplitudes(
     d_a, d_b = detunings(cfg, delta_a)
     eff_a, eff_b = d_a - ch.lamb_a, d_b - ch.lamb_b
     if ch.gamma_a <= ztol and ch.gamma_b > ztol:
-        d_dark, d_bright, g_bright = eff_a, eff_b, ch.gamma_b
-        w_bright = atom_phasor(cfg.atom_b)
+        d_dark, d_bright, g_bright, w_bright = eff_a, eff_b, ch.gamma_b, ch.w_b
     elif ch.gamma_b <= ztol and ch.gamma_a > ztol:
-        d_dark, d_bright, g_bright = eff_b, eff_a, ch.gamma_a
-        w_bright = atom_phasor(cfg.atom_a)
+        d_dark, d_bright, g_bright, w_bright = eff_b, eff_a, ch.gamma_a, ch.w_a
     else:
         raise EitPreconditionError(
             f"need exactly one decoupled atom; Gamma_a={ch.gamma_a}, Gamma_b={ch.gamma_b}"
@@ -269,7 +266,7 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
             Scheme.NONE, DarkState.NONE, Regime.NOT_APPLICABLE,
             control_strength=0.0, bright_width=0.0, transparency_delta_a=None,
         )
-    scale = float(rate_scale((cfg.atom_a.rates, cfg.atom_b.rates)))
+    scale = float(modes.scale[0])
     ztol = DECOUPLE_TOL * scale
     width = float(modes.width[0])
     u_a, u_b = modes.bright[:, 0]

@@ -28,7 +28,7 @@ from .core import (
     rate_scale,
     symmetric_config,
 )
-from .scattering import _amplitude_arrays, _closed_form_columns, _reflection_numerator
+from .scattering import DECOUPLE_TOL, _amplitude_arrays, _reflection_numerator
 
 #: width ratio above which the broad channel counts as a continuum
 WIDTH_RATIO_THRESHOLD = 10.0
@@ -130,14 +130,12 @@ def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
     """The fields of :func:`lorentz_pair` for every geometry of a stack, as
     (N,) arrays.  The first failing geometry in stack order raises the error
     of its one-geometry call."""
-    columns = _closed_form_columns(geoms)
-    lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab = columns[:6].real
-    p_a, p_b, q = columns[9:12]
+    ch = geoms.quantities()
     scale = rate_scale(geoms.rates)
-    tiny = 1e-12 * scale
-    h_aa = lamb_a - 0.5j * gamma_a
-    h_bb = (lamb_b - geoms.delta_ab) - 0.5j * gamma_b
-    c = g_ab - 0.5j * gamma_ab
+    tiny = DECOUPLE_TOL * scale
+    h_aa = ch.lamb_a - 0.5j * ch.gamma_a
+    h_bb = (ch.lamb_b - geoms.delta_ab) - 0.5j * ch.gamma_b
+    c = ch.g_ab - 0.5j * ch.gamma_ab
     mean, half = 0.5 * (h_aa + h_bb), 0.5 * (h_aa - h_bb)
     s = np.sqrt(half * half + c * c)
     s = np.where((np.abs(c) > tiny) & ((s * c.conj()).real < 0.0), -s, s)
@@ -147,7 +145,9 @@ def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
     chis = []
     with np.errstate(divide="ignore", invalid="ignore"):
         for z_here, z_other, width in zip(poles, poles[::-1], widths):
-            r_num = _reflection_numerator(p_a, p_b, q, 1j * (z_here - h_aa), 1j * (z_here - h_bb))
+            ka, kb = 1j * (z_here - h_aa), 1j * (z_here - h_bb)
+            # i c = Gamma_ab / 2 + i g_ab
+            r_num = _reflection_numerator(ch.w_a, ch.w_b, 1j * c, ka, kb)
             dark = (width <= tiny) | (np.abs(z_here - z_other) <= tiny)
             chis.append(np.where(dark, 0j, 1j * (r_num / (-(z_here - z_other))) / width))
     centres = tuple(z.real for z in poles)
@@ -160,7 +160,7 @@ def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
                 f"negative channel width: {(float(widths[0][k]), float(widths[1][k]))}"
             )
         probe = scale[:, None] * _PROBE
-        _, r_exact = _amplitude_arrays(geoms, probe, columns)
+        _, r_exact = _amplitude_arrays(geoms, probe)
         rebuilt = LorentzPair(*(f[:, None] for f in (*centres, *widths, *chis))).reconstruct(probe)
         residual = np.max(np.abs(rebuilt - r_exact), axis=1)
         failed = ~(residual <= DECOMPOSITION_TOL)
@@ -199,7 +199,7 @@ def fano_regime(topology: Topology, phi: float, gamma: float = 1.0) -> str:
 def _pair_regime(pair: LorentzPair, scale: float) -> str:
     """The width-ratio rule of :func:`fano_regime` on a decomposed pair."""
     g_p, g_m = pair.gamma_plus, pair.gamma_minus
-    tiny = 1e-12 * scale
+    tiny = DECOUPLE_TOL * scale
     # a numerically zero width means either a decoupled configuration or a
     # perfectly dark narrow mode: no usable Fano lineshape either way
     if g_p > tiny and g_m > tiny:
@@ -213,8 +213,10 @@ def _pair_regime(pair: LorentzPair, scale: float) -> str:
 def fano_fit(pair: LorentzPair) -> FanoFit:
     """Fano parameters of the reflectance around the narrow channel.
 
-    Requires the broad/narrow width ratio to be at least 10 and a strictly
-    positive narrow width.  The prefactor angle difference 2*theta between
+    Requires the broad/narrow width ratio to be at least 10, a strictly
+    positive narrow width and a nonzero narrow prefactor (a dark narrow
+    channel, chi = 0 by the rule of :func:`lorentz_pair`, has no
+    lineshape).  The prefactor angle difference 2*theta between
     the channels generalises the plain-asymmetry formula; for the
     separate/braided channels (prefactors +-e^{3 i phi}) it reduces to
     q = (Delta_broad - Delta_narrow) / Gamma_broad.
@@ -230,12 +232,14 @@ def fano_fit(pair: LorentzPair) -> FanoFit:
         )
     if g_p >= g_m:
         d_broad, g_broad = pair.delta_plus, pair.gamma_plus
-        d_narrow, g_narrow = pair.delta_minus, pair.gamma_minus
+        d_narrow, g_narrow, chi_narrow = pair.delta_minus, pair.gamma_minus, pair.chi_minus
         sign = +1.0
     else:
         d_broad, g_broad = pair.delta_minus, pair.gamma_minus
-        d_narrow, g_narrow = pair.delta_plus, pair.gamma_plus
+        d_narrow, g_narrow, chi_narrow = pair.delta_plus, pair.gamma_plus, pair.chi_plus
         sign = -1.0
+    if chi_narrow == 0.0:
+        raise FanoRegimeError("narrow channel is dark (zero prefactor); Fano fit undefined")
     two_theta = cmath.phase(pair.chi_plus / pair.chi_minus)
     q = math.cos(two_theta) * (d_narrow - d_broad) / g_broad + sign * math.sin(two_theta)
     chi_sq = abs(pair.chi_plus) ** 2

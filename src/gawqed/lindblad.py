@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GawqedError, SystemConfig, atom_phasor, characteristics
+from .core import GawqedError, SystemConfig, characteristics
 
 #: |eigenvalue| <= this times ||L||_F is a stationary direction (all 16 for L = 0)
 STATIONARY_TOL = 1e-10
@@ -286,7 +286,8 @@ def _output_coefficients(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, com
     """
     theta_first = cfg.atom_a.points[0].phase_coord
     theta_last = max(cfg.atom_a.phases + cfg.atom_b.phases)
-    w = np.array([atom_phasor(cfg.atom_a), atom_phasor(cfg.atom_b)]) / math.sqrt(2.0)
+    ch = characteristics(cfg)
+    w = np.array([ch.w_a, ch.w_b]) / math.sqrt(2.0)
     return (
         cmath.exp(1j * theta_last) * w.conj(),
         cmath.exp(-1j * theta_first) * w,

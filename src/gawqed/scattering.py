@@ -77,37 +77,14 @@ def _scatter_point(delta_a: float, t: complex, r: complex) -> ScatterPoint:
     return ScatterPoint(delta_a=delta_a, t=t, r=r, T=abs(t) ** 2, R=abs(r) ** 2)
 
 
-def _reflection_numerator(p_a, p_b, q, ka, kb):
-    """Numerator of r over den = ka kb - (Gamma_ab/2 + i g_ab)^2.
+def _reflection_numerator(w_a, w_b, cross, ka, kb):
+    """Numerator of r over den = ka kb - cross^2, cross = Gamma_ab/2 + i g_ab.
 
     ka = i (delta - H_aa) and kb = i (delta - H_bb) with H_jj the diagonal of
-    the effective Hamiltonian, and (p_a, p_b, q) the reflection terms of
-    :func:`_closed_form_columns`; delta may be complex, so this also gives r's
-    residues at its poles.
+    the effective Hamiltonian, and w_a, w_b the coupling phasors; delta may
+    be complex, so this also gives r's residues at its poles.
     """
-    return p_b * ka + p_a * kb + q
-
-
-def _closed_form_columns(geoms: Geometries) -> np.ndarray:
-    """Detuning-independent terms of the closed form, (15, N), column n for geometry n.
-
-    Rows: lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab, the two constants
-    of t's numerator, cross^2 with cross = Gamma_ab/2 + i g_ab, the reflection
-    terms p_a = w_a^2 / 2, p_b = w_b^2 / 2 and q = cross w_a w_b, r's
-    numerator's slope in delta, i (w_a^2 + w_b^2) / 2, and the coupling
-    phasors w_a and w_b; in scalar arithmetic like
-    :func:`~gawqed.core.characteristics`.
-    """
-    rows = []
-    for ch, w_a, w_b in geoms.quantities():
-        cross = 0.5 * ch.gamma_ab + 1j * ch.g_ab
-        rows.append((
-            ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b, ch.g_ab, ch.gamma_ab,
-            0.25 * (ch.gamma_ab**2 - ch.gamma_a * ch.gamma_b), ch.g_ab**2, cross**2,
-            0.5 * w_a**2, 0.5 * w_b**2, (1j * ch.g_ab + 0.5 * ch.gamma_ab) * w_a * w_b,
-            0.5j * (w_a**2 + w_b**2), w_a, w_b,
-        ))
-    return np.array(rows, dtype=complex).T
+    return 0.5 * (w_b**2 * ka + w_a**2 * kb) + cross * w_a * w_b
 
 
 @dataclass(frozen=True)
@@ -124,7 +101,9 @@ class DecayModes:
     mode is decoupled and the bright mode scatters alone (both are
     ``decoupled``); rank 1 otherwise, EIT-like, transparent at
     ``dark_energy``.  ``bright`` and ``dark``, (2, N), are the unit vectors
-    u and v of Gamma's larger and smaller eigenvalue.
+    u and v of Gamma's larger and smaller eigenvalue.  ``scale`` is the
+    :func:`~gawqed.core.rate_scale` of each geometry, the unit of every
+    tolerance of the one-photon kernels.
     """
 
     rank: np.ndarray
@@ -135,18 +114,17 @@ class DecayModes:
     dark_energy: np.ndarray  # v^T H v
     width: np.ndarray  # tr Gamma
     decoupled: np.ndarray  # rank <= 1 with zero coupling
+    scale: np.ndarray
 
 
-def _decay_modes(geoms: Geometries, columns=None) -> DecayModes:
+def _decay_modes(geoms: Geometries) -> DecayModes:
     """The :class:`DecayModes` of a stack.  Rank, coupling and width count as
-    zero up to ``DECOUPLE_TOL`` times the rate scale; ``columns`` is
-    ``_closed_form_columns(geoms)``, for a caller that has it already."""
-    if columns is None:
-        columns = _closed_form_columns(geoms)
-    lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab = columns[:6].real
-    w_a, w_b = columns[13:15]
-    tol = DECOUPLE_TOL * rate_scale(geoms.rates)
-    width = gamma_a + gamma_b
+    zero up to ``DECOUPLE_TOL`` times the rate scale."""
+    ch = geoms.quantities()
+    w_a, w_b = ch.w_a, ch.w_b
+    scale = rate_scale(geoms.rates)
+    tol = DECOUPLE_TOL * scale
+    width = ch.gamma_a + ch.gamma_b
     # the small eigenvalue det Gamma / lambda_max, free of cancellation;
     # 0/0 at zero width, where the width decides the rank
     with np.errstate(invalid="ignore"):
@@ -156,14 +134,14 @@ def _decay_modes(geoms: Geometries, columns=None) -> DecayModes:
     # (Gamma_a - Gamma_b, 2 Gamma_ab).  With H = mean + [[half, g_ab], [g_ab, -half]]
     # the energies take the traceless part at that doubled angle, so that
     # mean enters exactly and not times u^T u = 1 + rounding
-    two_chi = np.arctan2(2.0 * gamma_ab, gamma_a - gamma_b)
+    two_chi = np.arctan2(2.0 * ch.gamma_ab, ch.gamma_a - ch.gamma_b)
     cos_2, sin_2 = np.cos(two_chi), np.sin(two_chi)
     cos_chi, sin_chi = np.cos(0.5 * two_chi), np.sin(0.5 * two_chi)
-    mean = 0.5 * (lamb_a + (lamb_b - geoms.delta_ab))
-    half = 0.5 * (lamb_a - (lamb_b - geoms.delta_ab))
-    split = half * cos_2 + g_ab * sin_2
+    mean = 0.5 * (ch.lamb_a + (ch.lamb_b - geoms.delta_ab))
+    half = 0.5 * (ch.lamb_a - (ch.lamb_b - geoms.delta_ab))
+    split = half * cos_2 + ch.g_ab * sin_2
     # without a bright mode nothing couples to the guide
-    coupling = np.where(rank == 0, 0.0, g_ab * cos_2 - half * sin_2)
+    coupling = np.where(rank == 0, 0.0, ch.g_ab * cos_2 - half * sin_2)
     return DecayModes(
         rank=rank,
         bright=np.array([cos_chi, sin_chi]),
@@ -173,10 +151,11 @@ def _decay_modes(geoms: Geometries, columns=None) -> DecayModes:
         dark_energy=mean - split,
         width=width,
         decoupled=(rank <= 1) & (np.abs(coupling) <= tol),
+        scale=scale,
     )
 
 
-def _amplitude_arrays(geoms: Geometries, delta_a, columns=None) -> tuple[np.ndarray, np.ndarray]:
+def _amplitude_arrays(geoms: Geometries, delta_a) -> tuple[np.ndarray, np.ndarray]:
     """t and r of the general closed form on a stack of geometries.
 
     The per-geometry terms have shape (N,) and broadcast against
@@ -189,39 +168,40 @@ def _amplitude_arrays(geoms: Geometries, delta_a, columns=None) -> tuple[np.ndar
     r = (w_a^2 + w_b^2) / 2 over the same denominator, and without a bright
     mode t = 1 and r = 0.  Any other real-axis pole raises
     :class:`PoleError` for the first failing entry in broadcast order.
-    ``columns`` is ``_closed_form_columns(geoms)``, for a caller that has it
-    already.
     """
     delta_a = np.asarray(delta_a, dtype=float)
     # per-geometry terms run down the first axis of a 2-D grid
     shape = (len(geoms),) + (1,) * (delta_a.ndim - 1)
-    if columns is None:
-        columns = _closed_form_columns(geoms)
-    modes = _decay_modes(geoms, columns)
-    columns = columns.reshape((len(columns),) + shape)
-    lamb_a, lamb_b, gamma_a, gamma_b, _, _, t_1, t_2 = columns[:8].real
-    cross_sq, p_a, p_b, q = columns[8:12]
+    ch = geoms.quantities()
+    modes = _decay_modes(geoms)
+    lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab, w_a, w_b = (
+        field.reshape(shape) for field in (
+            ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b, ch.g_ab, ch.gamma_ab, ch.w_a, ch.w_b
+        )
+    )
 
     da = delta_a - lamb_a
     db = (delta_a + geoms.delta_ab.reshape(shape)) - lamb_b
     ka = 1j * da - 0.5 * gamma_a
     kb = 1j * db - 0.5 * gamma_b
-    den = ka * kb - cross_sq
+    cross = 0.5 * gamma_ab + 1j * g_ab
+    t_const = 0.25 * (gamma_ab**2 - gamma_a * gamma_b) + g_ab**2
+    den = ka * kb - cross**2
     decoupled = modes.decoupled.reshape(shape)
-    pole = ~decoupled & (np.abs(den) < POLE_TOL * rate_scale(geoms.rates).reshape(shape) ** 2)
+    pole = ~decoupled & (np.abs(den) < POLE_TOL * modes.scale.reshape(shape) ** 2)
     if pole.any():
         k = int(np.argmax(pole.ravel()))
         where = np.broadcast_to(delta_a, pole.shape).ravel()[k:k + 1]
         raise PoleError(f"scattering denominator vanished on the real axis near delta_a={where}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (-da * db + t_1 + t_2) / den
-        r = _reflection_numerator(p_a, p_b, q, ka, kb) / den
+        t = (-da * db + t_const) / den
+        r = _reflection_numerator(w_a, w_b, cross, ka, kb) / den
     if decoupled.any():
         bright = modes.rank.reshape(shape) > 0
         detuning = 1j * (delta_a - modes.bright_energy.reshape(shape))
         lorentz = np.where(bright, detuning - 0.5 * modes.width.reshape(shape), 1.0)
         t = np.where(decoupled, np.where(bright, detuning, 1.0) / lorentz, t)
-        r = np.where(decoupled, np.where(bright, p_a + p_b, 0.0) / lorentz, r)
+        r = np.where(decoupled, np.where(bright, 0.5 * (w_a**2 + w_b**2), 0.0) / lorentz, r)
     return t, r
 
 
@@ -248,9 +228,10 @@ def _loci_arrays(geoms: Geometries) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Detunings of the R = 1 peaks and the R = 0 minimum, three (N,) arrays.
 
     The peaks are the real roots of t's numerator
-    -(delta - lamb_a)(delta - lamb_b + delta_ab) + t_1 + t_2, a quadratic:
-    centre +- sqrt(disc).  A disc within ``POLE_TOL`` scale^2 of zero is a
-    double root, one peak (``peak_2`` nan); a negative one gives no peak.
+    -(delta - lamb_a)(delta - lamb_b + delta_ab) + t_const, a quadratic
+    with t_const = (Gamma_ab^2 - Gamma_a Gamma_b) / 4 + g_ab^2: centre +-
+    sqrt(disc).  A disc within ``POLE_TOL`` scale^2 of zero is a double
+    root, one peak (``peak_2`` nan); a negative one gives no peak.
     The minimum is the root of r's numerator, linear in delta with the
     coefficient i (w_a^2 + w_b^2) / 2.  It is nan where that coefficient
     vanishes (the locus diverges), where the root is not real (|Im| above
@@ -262,24 +243,26 @@ def _loci_arrays(geoms: Geometries) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     real root), and no minimum; without a bright mode R is 0 everywhere
     and every field is nan.
     """
-    columns = _closed_form_columns(geoms)
-    modes = _decay_modes(geoms, columns)
-    lamb_a, lamb_b, gamma_a, gamma_b, _, _, t_1, t_2 = columns[:8].real
-    _, p_a, p_b, q, r_dark = columns[8:13]
-    scale = rate_scale(geoms.rates)
+    ch = geoms.quantities()
+    modes = _decay_modes(geoms)
+    scale = modes.scale
+    lamb_a = ch.lamb_a
     # atom b's resonance on the delta_a axis
-    lamb_b = lamb_b - geoms.delta_ab
+    lamb_b = ch.lamb_b - geoms.delta_ab
     centre = 0.5 * (lamb_a + lamb_b)
-    disc = (0.5 * (lamb_a - lamb_b)) ** 2 + t_1 + t_2
+    t_const = 0.25 * (ch.gamma_ab**2 - ch.gamma_a * ch.gamma_b) + ch.g_ab**2
+    disc = (0.5 * (lamb_a - lamb_b)) ** 2 + t_const
     double = np.abs(disc) <= POLE_TOL * scale**2
     split = np.sqrt(np.where(double, 0.0, np.abs(disc)))
     peak_1 = np.where(double | (disc > 0.0), centre - split, np.nan)
     peak_2 = np.where(~double & (disc > 0.0), centre + split, np.nan)
 
-    # r's numerator is r_dark delta + its value at delta = 0
-    divergent = np.abs(r_dark) <= DECOUPLE_TOL * scale
-    ka, kb = -1j * lamb_a - 0.5 * gamma_a, -1j * lamb_b - 0.5 * gamma_b
-    root = -_reflection_numerator(p_a, p_b, q, ka, kb) / np.where(divergent, 1.0, r_dark)
+    # r's numerator is slope delta + its value at delta = 0
+    slope = 0.5j * (ch.w_a**2 + ch.w_b**2)
+    divergent = np.abs(slope) <= DECOUPLE_TOL * scale
+    ka, kb = -1j * lamb_a - 0.5 * ch.gamma_a, -1j * lamb_b - 0.5 * ch.gamma_b
+    cross = 0.5 * ch.gamma_ab + 1j * ch.g_ab
+    root = -_reflection_numerator(ch.w_a, ch.w_b, cross, ka, kb) / np.where(divergent, 1.0, slope)
     minimum = root.real
     # fmin: a missing peak is no peak to sit on
     on_peak = np.fmin(np.abs(minimum - peak_1), np.abs(minimum - peak_2)) <= ROOT_TOL * scale

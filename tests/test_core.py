@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,9 @@ from gawqed import (
     detunings,
     symmetric_config,
 )
+
+from gawqed.core import Geometries, rate_scale
+from gawqed.scattering import DECOUPLE_TOL
 
 from conftest import random_system
 
@@ -168,6 +173,71 @@ class TestCharacteristics:
         for name in ("alpha_a", "alpha_b"):
             wrapped = (getattr(ch1, name) - getattr(ch0, name) - 2 * shift) % (2 * np.pi)
             assert min(wrapped, 2 * np.pi - wrapped) == pytest.approx(0.0, abs=1e-9)
+
+
+def reference_quantities(cfg):
+    """The six rate-like quantities and the phasors (w_a, w_b) of ``cfg`` in
+    50-digit arithmetic, from the waveguide self-energy
+    M_jk = (1/2) sum over point pairs sqrt(gamma_n gamma_m) exp(i |theta_n - theta_m|):
+    lamb_j = Im M_jj, Gamma_j = 2 Re M_jj, g_ab = Im M_ab, Gamma_ab = 2 Re M_ab."""
+    with mpmath.workdps(50):
+        atoms = [
+            [(mpmath.mpf(p.phase_coord), mpmath.mpf(p.bare_rate)) for p in atom.points]
+            for atom in (cfg.atom_a, cfg.atom_b)
+        ]
+
+        def m(pa, pb):
+            return sum(
+                mpmath.sqrt(ra * rb) * mpmath.expj(abs(ta - tb)) for ta, ra in pa for tb, rb in pb
+            ) / 2
+
+        a, b = atoms
+        maa, mbb, mab = m(a, a), m(b, b), m(a, b)
+        w = [sum(mpmath.sqrt(r) * mpmath.expj(t) for t, r in atom) for atom in atoms]
+        rates = [maa.imag, mbb.imag, 2 * maa.real, 2 * mbb.real, mab.imag, 2 * mab.real]
+        return [float(x) for x in rates], [complex(wj) for wj in w]
+
+
+class TestStackedQuantities:
+    def test_rate_scale_is_the_largest_rate(self):
+        rng = np.random.default_rng(4)
+        stacks = [
+            rng.uniform(0.0, 3.0, (500, 2, 2)),
+            rng.integers(0, 3, (500, 2, 2)).astype(float),  # ties
+            np.zeros((7, 2, 2)),
+        ]
+        for rates in stacks:
+            assert rate_scale(rates).tobytes() == np.max(rates, axis=(-2, -1)).tobytes()
+        cfg = random_system(rng)
+        rates = (cfg.atom_a.rates, cfg.atom_b.rates)
+        assert rate_scale(rates) == np.max(rates) == max(cfg.atom_a.rates + cfg.atom_b.rates)
+
+    def test_quantities_match_50_digit_reference(self):
+        rng = np.random.default_rng(21)
+        cfgs = [random_system(rng) for _ in range(300)] + [
+            make((1.3, 1.3), (1.3, 1.3)),  # coincident points
+            make((0.0, 0.0), (2.0, 2.0), rates=(0.5, 2.0, 1.0, 0.3)),
+            symmetric_config(Topology.SEPARATE, np.pi),  # both atoms decoupled
+            symmetric_config(Topology.BRAIDED, np.pi / 2),
+            make((0.0, 1.0), (2.0, 3.0), rates=(1.0, 0.0, 1.0, 1.0)),  # a zero bare rate
+            make((0.0, 1.0), (2.0, 3.0), rates=(0.0, 0.0, 0.0, 0.0)),
+        ]
+        geoms = Geometries.of(cfgs)
+        stack, scales = geoms.quantities(), rate_scale(geoms.rates)
+        eps = np.finfo(float).eps
+        names = ("lamb_a", "lamb_b", "gamma_a", "gamma_b", "g_ab", "gamma_ab")
+        for k, cfg in enumerate(cfgs):
+            rates, phasors = reference_quantities(cfg)
+            scale = scales[k]
+            for name, want in zip(names, rates):
+                # Gamma_j = |w_j|^2 with |w_j| up to 2 sqrt(scale) errs most: 11 eps seen
+                assert abs(getattr(stack, name)[k] - want) <= 16 * eps * scale, (k, name)
+            for alpha, w in zip((stack.alpha_a[k], stack.alpha_b[k]), phasors):
+                # exp(i alpha_j / 2) is the unit phasor of w_j; its argument is
+                # as good as w_j over |w_j|, and arbitrary where w_j vanishes
+                if abs(w) ** 2 > DECOUPLE_TOL * scale:
+                    gap = abs(cmath.exp(0.5j * alpha) - w / abs(w))
+                    assert gap <= 8 * eps * math.sqrt(scale) / abs(w), (k, alpha)
 
 
 class TestSpectrumPeriodicity:

@@ -221,10 +221,10 @@ class TestStackedCore:
         # a pole in the probe check of a later geometry fails the stack first
         shifted = fano._amplitude_arrays
 
-        def pole_at_270(geoms, delta, columns=None):
+        def pole_at_270(geoms, delta):
             if (geoms.delta_ab == cfgs[270].delta_ab).any():
                 raise PoleError("pole in the probe grid of geometry 270")
-            return shifted(geoms, delta, columns)
+            return shifted(geoms, delta)
 
         monkeypatch.setattr(fano, "_amplitude_arrays", pole_at_270)
         with pytest.raises(DecompositionError) as stack:
@@ -267,6 +267,16 @@ class TestFit:
     def test_zero_width_rejected(self):
         pair = LorentzPair(1.0, -0.5, 1.0, 0.0, 1 + 0j, -1 + 0j)
         with pytest.raises(FanoRegimeError):
+            fano_fit(pair)
+
+    @pytest.mark.parametrize("kind", [Topology.SEPARATE, Topology.BRAIDED])
+    def test_dark_narrow_channel_rejected(self, kind):
+        # just off phi = pi the narrow channel's width is tiny but positive and
+        # its prefactor is 0 by the dark rule of lorentz_pair
+        pair = lorentz_pair(symmetric_config(kind, np.pi + 1e-7))
+        narrow = pair.chi_minus if pair.gamma_minus < pair.gamma_plus else pair.chi_plus
+        assert narrow == 0.0 and min(pair.gamma_plus, pair.gamma_minus) > 0.0
+        with pytest.raises(FanoRegimeError, match="dark"):
             fano_fit(pair)
 
     def test_fit_zero_sits_at_reflection_minimum(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -134,8 +136,12 @@ class TestStacks:
     def test_stack_matches_points(self):
         cfgs, deltas = oracle_stack()
         geoms = Geometries.of(cfgs)
-        for (ch, _, _), cfg in zip(geoms.quantities(), cfgs):
-            assert ch == characteristics(cfg)
+        stack = geoms.quantities()
+        for k, cfg in enumerate(cfgs):
+            one = Geometries.of([cfg]).quantities()
+            for field in dataclasses.fields(stack):
+                got, want = getattr(stack, field.name)[k], getattr(one, field.name)[0]
+                assert got.tobytes() == want.tobytes(), (k, field.name)
         t, r = _amplitude_arrays(geoms, deltas)
         x = _real_space_arrays(geoms, deltas)
         for k, (cfg, delta) in enumerate(zip(cfgs, deltas)):
