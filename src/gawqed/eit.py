@@ -260,7 +260,8 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
     effective control field) is reported as NotApplicable even when the
     dark/bright structure exists.
     """
-    modes = _decay_modes(Geometries.of([cfg]))
+    geoms = Geometries.of([cfg])
+    modes = _decay_modes(geoms, geoms.quantities())
     if modes.rank[0] != 1:
         return EitVerdict(
             Scheme.NONE, DarkState.NONE, Regime.NOT_APPLICABLE,

@@ -160,7 +160,7 @@ def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
                 f"negative channel width: {(float(widths[0][k]), float(widths[1][k]))}"
             )
         probe = scale[:, None] * _PROBE
-        _, r_exact = _amplitude_arrays(geoms, probe)
+        _, r_exact = _amplitude_arrays(geoms, probe, ch)
         rebuilt = LorentzPair(*(f[:, None] for f in (*centres, *widths, *chis))).reconstruct(probe)
         residual = np.max(np.abs(rebuilt - r_exact), axis=1)
         failed = ~(residual <= DECOMPOSITION_TOL)

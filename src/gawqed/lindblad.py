@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GawqedError, SystemConfig, characteristics
+from .core import CharQuantities, GawqedError, SystemConfig, characteristics
 
 #: |eigenvalue| <= this times ||L||_F is a stationary direction (all 16 for L = 0)
 STATIONARY_TOL = 1e-10
@@ -160,20 +160,26 @@ def _hermitian_basis() -> np.ndarray:
 _HERMITIAN_BASIS = _hermitian_basis()
 _HERMITIAN_BASIS_H = _HERMITIAN_BASIS.conj().T
 
-#: generators per batched eigvals/solve call; bounds the memory of long sweeps
+#: generators per batched inverse/eigvals call; bounds the memory of long sweeps
 _BLOCK = 256
 
+#: ||M_s^-1||_F ||L||_F below this certifies one stationary direction
+#: (:func:`_steady_states`): 100 times clear of 1 / (sqrt2 STATIONARY_TOL)
+_CERTIFIED_BOUND = 1.0 / (100.0 * math.sqrt(2.0) * STATIONARY_TOL)
 
-def _liouvillian_parts(cfg: SystemConfig, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+
+def _liouvillian_parts(
+    cfg: SystemConfig, alpha: float, ch: CharQuantities
+) -> tuple[np.ndarray, np.ndarray]:
     """(L0, L1) with L(delta) = L0 + delta * L1 exactly, delta the drive detuning.
 
     H = lamb_a n_a + (lamb_b - delta_ab) n_b + g_ab (s_a^+ s_b + s_b^+ s_a)
     - (i/2) sum_j (Omega_j s_j^+ - Omega_j^* s_j) - delta (n_a + n_b), and the
-    dissipators carry Gamma_a, Gamma_b and Gamma_ab.
+    dissipators carry Gamma_a, Gamma_b and Gamma_ab; ``ch`` is
+    ``characteristics(cfg)``.
     """
-    ch = characteristics(cfg)
     # Omega_j = sum_n sqrt(2 gamma_jn) alpha e^{i (theta_jn - theta_1)}
-    om_a, om_b = 2.0 * alpha * _output_coefficients(cfg)[1]
+    om_a, om_b = 2.0 * alpha * _output_coefficients(cfg, ch)[1]
     coefficients = np.array([
         ch.lamb_a,
         ch.lamb_b - cfg.delta_ab,
@@ -196,7 +202,7 @@ def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
     g_ab and the position-phased Rabi drives; dissipation consists of the two
     individual decays and the collective cross terms weighted by Gamma_ab.
     """
-    l0, l1 = _liouvillian_parts(cfg, drive.alpha)
+    l0, l1 = _liouvillian_parts(cfg, drive.alpha, characteristics(cfg))
     return l0 + drive.frequency_detuning * l1
 
 
@@ -206,27 +212,59 @@ def _steady_states(liouv: np.ndarray) -> np.ndarray:
     Each generator gets every check of :func:`steady_state`; the first
     generator of the stack that fails one raises that check's error.
 
-    The stationary directions are counted on the real form B^H L B, B the
-    unitary of :data:`_HERMITIAN_BASIS`: a generator that maps Hermitian
-    matrices to Hermitian matrices has real coordinates in that basis, and
-    B^H L B is similar to L, so both have the same eigenvalues, while a real
+    The steady state x is column 0 of the inverse of the bordered matrix M,
+    L with row 0 replaced by the trace row, and the same inverse certifies
+    that L has exactly one stationary direction.  Let L preserve the trace
+    and let M_s be M with its trace row scaled by ||L||_F.  An eigenvector
+    v with L v = lambda v, lambda != 0, has tr v = 0, so
+    M_s v = lambda (v - v_0 e_0) and sigma_min(M_s) <= |lambda|; a zero
+    eigenvalue of multiplicity two or more has an eigenvector of zero trace,
+    which makes M singular.  So an invertible M means one zero eigenvalue,
+    and every other one has |lambda| >= 1 / ||M_s^-1||_F.  The bound
+    ||M_s^-1||_F ||L||_F does not change with the scale of the rates; M_s^-1
+    is M^-1 with column 0 divided by ||L||_F.  Below 1 / (100 sqrt2
+    ``STATIONARY_TOL``) = 7.1e7, every nonzero eigenvalue lies more than
+    100 sqrt2 times outside the threshold of the count, and the count is 1.
+    Every other generator, and every generator of a stack in which some M
+    is exactly singular (the batched inverse fails as a whole), is counted
+    with ``eigvals`` on the real form B^H L B, B the unitary of
+    :data:`_HERMITIAN_BASIS`.  A generator that maps Hermitian matrices to
+    Hermitian matrices has real coordinates in that basis, and B^H L B is
+    similar to L, so both have the same eigenvalues, while a real
     ``eigvals`` costs well under half of a complex one.  A generator whose
-    form has an imaginary part beyond rounding does not preserve Hermiticity
-    and is rejected.
+    form has an imaginary part beyond rounding does not preserve
+    Hermiticity and is rejected.
     """
     count = len(liouv)
     scale = np.linalg.norm(liouv, axis=(-2, -1))
     form = _HERMITIAN_BASIS_H @ liouv @ _HERMITIAN_BASIS
     preserving = np.max(np.abs(form.imag), axis=(-2, -1)) <= 1e-12 * scale
-    n_zero = np.sum(np.abs(np.linalg.eigvals(form.real)) <= STATIONARY_TOL * scale[:, None], -1)
+    bordered = liouv.copy()
+    bordered[:, 0, :] = _TRACE_ROW
+    try:
+        inverse = np.linalg.inv(bordered)
+    except np.linalg.LinAlgError:  # one exactly singular M fails the whole stack
+        inverse, certified = None, np.zeros(count, dtype=bool)
+    else:
+        # the proof needs tr L(rho) = 0; an overflowing inverse reads inf or nan
+        trace_kept = np.max(np.abs(_TRACE_ROW @ liouv), axis=-1) <= 1e-12 * scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.hypot(
+                scale * np.linalg.norm(inverse[..., 1:], axis=(-2, -1)),
+                np.linalg.norm(inverse[..., 0], axis=-1),
+            )
+        certified = trace_kept & (bound < _CERTIFIED_BOUND)
+    n_zero = np.ones(count, dtype=int)
+    counted = ~certified
+    if np.any(counted):
+        eigvals = np.linalg.eigvals(form.real[counted])
+        n_zero[counted] = np.sum(np.abs(eigvals) <= STATIONARY_TOL * scale[counted, None], -1)
     unique = n_zero == 1
     x = np.zeros((count, 16), dtype=complex)
-    if np.any(unique):
-        mat = liouv[unique]
-        mat[:, 0, :] = _TRACE_ROW
-        rhs = np.zeros((len(mat), 16, 1), dtype=complex)
-        rhs[:, 0] = 1.0
-        x[unique] = np.linalg.solve(mat, rhs)[..., 0]
+    if inverse is not None:
+        x[unique] = inverse[unique, :, 0]
+    elif np.any(unique):
+        x[unique] = np.linalg.inv(bordered[unique])[..., 0]
     rho = x.reshape(count, 4, 4).transpose(0, 2, 1)  # column-stacked vec
     rho_h = rho.conj().transpose(0, 2, 1)
 
@@ -267,26 +305,38 @@ def steady_state(liouvillian: np.ndarray) -> SteadyState:
     """Unique stationary density matrix of the generator.
 
     Solves the null-space problem with the trace condition replacing the
-    first (redundant) row.  Raises :class:`SteadyStateError` if the generator
-    does not map Hermitian matrices to Hermitian matrices, if the zero
-    eigenvalue is degenerate (e.g. a decoherence-free configuration whose
-    dynamics is purely Hamiltonian) or if the solution is unphysical.
+    first (redundant) row, by inverting that bordered matrix M.  The inverse
+    also certifies uniqueness: with M_s the bordered matrix whose trace row
+    is scaled by ||L||_F, ||M_s^-1||_F ||L||_F bounds ||L||_F / |lambda|
+    for every nonzero eigenvalue lambda of a trace-preserving L, and an
+    invertible M leaves zero a simple eigenvalue.  A bound below
+    1 / (100 sqrt2 ``STATIONARY_TOL``) proves one stationary direction, 100
+    times clear of the count's threshold.  Where the bound is larger, where
+    M is exactly singular or where L does not preserve the trace, the
+    eigenvalues within ``STATIONARY_TOL`` times ||L||_F of zero are counted
+    instead (:func:`_steady_states`).
+    Raises :class:`SteadyStateError` if the generator does not map Hermitian
+    matrices to Hermitian matrices, if the zero eigenvalue is degenerate
+    (e.g. a decoherence-free configuration whose dynamics is purely
+    Hamiltonian) or if the solution is unphysical.
     """
     return SteadyState(rho=_steady_states(liouvillian[None])[0])
 
 
-def _output_coefficients(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, complex]:
+def _output_coefficients(
+    cfg: SystemConfig, ch: CharQuantities
+) -> tuple[np.ndarray, np.ndarray, complex]:
     """Per-atom coefficients of the transmitted/reflected output operators.
 
     b_t = alpha e^{i (theta_last - theta_first)} + sum_j c_t[j] sigma_j^-,
     b_r = sum_j c_r[j] sigma_j^-, with phases referenced to the leftmost
     point and the transmitted output evaluated at the rightmost one:
     c_r[j] = e^{-i theta_first} w_j / sqrt2 and
-    c_t[j] = e^{i theta_last} conj(w_j) / sqrt2, w_j the atom's coupling phasor.
+    c_t[j] = e^{i theta_last} conj(w_j) / sqrt2, w_j the atom's coupling phasor
+    from ``ch = characteristics(cfg)``.
     """
     theta_first = cfg.atom_a.points[0].phase_coord
     theta_last = max(cfg.atom_a.phases + cfg.atom_b.phases)
-    ch = characteristics(cfg)
     w = np.array([ch.w_a, ch.w_b]) / math.sqrt(2.0)
     return (
         cmath.exp(1j * theta_last) * w.conj(),
@@ -340,13 +390,14 @@ def master_sweep(
         raise GawqedError("master-equation scattering requires a nonzero drive")
     detuning = np.atleast_1d(np.asarray(detuning, dtype=float))
     alpha = math.sqrt(amplitude_sq)
-    l0, l1 = _liouvillian_parts(cfg, alpha)
+    ch = characteristics(cfg)
+    l0, l1 = _liouvillian_parts(cfg, alpha, ch)
     rho = np.concatenate([
         _steady_states(l0 + detuning[start:start + _BLOCK, None, None] * l1)
         for start in range(0, len(detuning), _BLOCK)
     ])
 
-    c_t, c_r, through_phase = _output_coefficients(cfg)
+    c_t, c_r, through_phase = _output_coefficients(cfg, ch)
     flux = np.zeros(len(detuning))
     amplitudes = []
     for coeffs, offset in ((c_t, through_phase * alpha), (c_r, 0.0)):
@@ -394,12 +445,13 @@ def inelastic_spectrum(
     undamped Liouvillian eigenfrequency that actually contributes.
     """
     nu = np.asarray(nu_grid, dtype=float)
-    liouv = build_liouvillian(cfg, drive)
-    steady = steady_state(liouv)
-    rho = steady.rho
+    ch = characteristics(cfg)
+    l0, l1 = _liouvillian_parts(cfg, drive.alpha, ch)
+    liouv = l0 + drive.frequency_detuning * l1
+    rho = steady_state(liouv).rho
 
     eigvals, eigvecs = np.linalg.eig(liouv)
-    c_t, c_r, _ = _output_coefficients(cfg)
+    c_t, c_r, _ = _output_coefficients(cfg, ch)
 
     channels = []
     scale = float(np.linalg.norm(liouv))
@@ -432,6 +484,8 @@ def incoherent_channel_flux(cfg: SystemConfig, drive: DriveSpec) -> tuple[float,
 
     The one-point case of the per-channel moments of :func:`master_sweep`.
     """
-    rho = steady_state(build_liouvillian(cfg, drive)).rho[None]
-    c_t, c_r, _ = _output_coefficients(cfg)
+    ch = characteristics(cfg)
+    l0, l1 = _liouvillian_parts(cfg, drive.alpha, ch)
+    rho = steady_state(l0 + drive.frequency_detuning * l1).rho[None]
+    c_t, c_r, _ = _output_coefficients(cfg, ch)
     return float(_channel_moments(rho, c_t)[1][0]), float(_channel_moments(rho, c_r)[1][0])

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CharQuantities,
     GawqedError,
     Geometries,
     SystemConfig,
@@ -117,10 +118,10 @@ class DecayModes:
     scale: np.ndarray
 
 
-def _decay_modes(geoms: Geometries) -> DecayModes:
-    """The :class:`DecayModes` of a stack.  Rank, coupling and width count as
-    zero up to ``DECOUPLE_TOL`` times the rate scale."""
-    ch = geoms.quantities()
+def _decay_modes(geoms: Geometries, ch: CharQuantities) -> DecayModes:
+    """The :class:`DecayModes` of a stack, ``ch`` its quantities.  Rank,
+    coupling and width count as zero up to ``DECOUPLE_TOL`` times the rate
+    scale."""
     w_a, w_b = ch.w_a, ch.w_b
     scale = rate_scale(geoms.rates)
     tol = DECOUPLE_TOL * scale
@@ -155,7 +156,9 @@ def _decay_modes(geoms: Geometries) -> DecayModes:
     )
 
 
-def _amplitude_arrays(geoms: Geometries, delta_a) -> tuple[np.ndarray, np.ndarray]:
+def _amplitude_arrays(
+    geoms: Geometries, delta_a, ch: CharQuantities | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """t and r of the general closed form on a stack of geometries.
 
     The per-geometry terms have shape (N,) and broadcast against
@@ -168,12 +171,15 @@ def _amplitude_arrays(geoms: Geometries, delta_a) -> tuple[np.ndarray, np.ndarra
     r = (w_a^2 + w_b^2) / 2 over the same denominator, and without a bright
     mode t = 1 and r = 0.  Any other real-axis pole raises
     :class:`PoleError` for the first failing entry in broadcast order.
+    ``ch`` is the stack's :meth:`~gawqed.core.Geometries.quantities`, passed
+    by a caller that holds it already.
     """
     delta_a = np.asarray(delta_a, dtype=float)
     # per-geometry terms run down the first axis of a 2-D grid
     shape = (len(geoms),) + (1,) * (delta_a.ndim - 1)
-    ch = geoms.quantities()
-    modes = _decay_modes(geoms)
+    if ch is None:
+        ch = geoms.quantities()
+    modes = _decay_modes(geoms, ch)
     lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab, w_a, w_b = (
         field.reshape(shape) for field in (
             ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b, ch.g_ab, ch.gamma_ab, ch.w_a, ch.w_b
@@ -244,7 +250,7 @@ def _loci_arrays(geoms: Geometries) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     and every field is nan.
     """
     ch = geoms.quantities()
-    modes = _decay_modes(geoms)
+    modes = _decay_modes(geoms, ch)
     scale = modes.scale
     lamb_a = ch.lamb_a
     # atom b's resonance on the delta_a axis

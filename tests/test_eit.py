@@ -305,7 +305,8 @@ class TestRankOneDarkMode:
         assert verdict.scheme is not Scheme.NONE
         if decouple:
             assert verdict.regime is Regime.NOT_APPLICABLE
-            assert _decay_modes(Geometries.of([cfg])).decoupled[0]
+            geoms = Geometries.of([cfg])
+            assert _decay_modes(geoms, geoms.quantities()).decoupled[0]
             # the dark mode's real pole is no pole of t and r
             pt = amplitudes_general(cfg, dark_energy)
             assert pt.T + pt.R == pytest.approx(1.0, abs=1e-10)

@@ -221,10 +221,10 @@ class TestStackedCore:
         # a pole in the probe check of a later geometry fails the stack first
         shifted = fano._amplitude_arrays
 
-        def pole_at_270(geoms, delta):
+        def pole_at_270(geoms, delta, ch=None):
             if (geoms.delta_ab == cfgs[270].delta_ab).any():
                 raise PoleError("pole in the probe grid of geometry 270")
-            return shifted(geoms, delta)
+            return shifted(geoms, delta, ch)
 
         monkeypatch.setattr(fano, "_amplitude_arrays", pole_at_270)
         with pytest.raises(DecompositionError) as stack:

@@ -27,7 +27,9 @@ from gawqed.lindblad import (
     SIGMA_MINUS_A,
     SIGMA_MINUS_B,
     SteadyStateError,
+    _dissipator,
     _liouvillian_parts,
+    _steady_states,
     _vec,
     incoherent_channel_flux,
     master_sweep,
@@ -97,7 +99,7 @@ class TestGenerator:
             cfg = random_system(rng)
             drive = DriveSpec(float(rng.uniform(1e-4, 0.1)), float(rng.uniform(-6, 6)))
             reference = reference_liouvillian(cfg, drive)
-            l0, l1 = _liouvillian_parts(cfg, drive.alpha)
+            l0, l1 = _liouvillian_parts(cfg, drive.alpha, characteristics(cfg))
             affine = l0 + drive.frequency_detuning * l1
             bound = 1e-15 * np.linalg.norm(reference)
             assert np.max(np.abs(affine - reference)) <= bound
@@ -162,6 +164,41 @@ def stationary_count(generator):
     return int(np.sum(np.abs(np.linalg.eigvals(generator)) <= STATIONARY_TOL * np.linalg.norm(generator)))
 
 
+def random_generators():
+    """240 random generators; every fourth sits at the decoherence-free
+    braided point, whose zero eigenvalue is degenerate."""
+    rng = np.random.default_rng(17)
+    generators = []
+    for k in range(240):
+        if k % 4 == 0:
+            cfg = symmetric_config(Topology.BRAIDED, np.pi / 2, gamma=float(rng.uniform(0.2, 3)))
+        else:
+            cfg = random_system(rng)
+        drive = DriveSpec(float(rng.choice([0.0, rng.uniform(1e-4, 0.2)])), float(rng.uniform(-6, 6)))
+        generators.append(build_liouvillian(cfg, drive))
+    return generators
+
+
+def figure_generators():
+    """The generators of the paper's figure sets 7a-c and 8a-b on the
+    121-point master-sweep grid."""
+    atom_a = GiantAtom("a", (CouplingPoint(0.0, 1.0), CouplingPoint(np.pi, 1.0)))
+    nested_b = GiantAtom("b", (CouplingPoint(0.25 * np.pi, 10.0), CouplingPoint(0.75 * np.pi, 10.0)))
+    sets = [
+        (symmetric_config(Topology.SEPARATE, np.pi / 2, delta_ab=1.0), 0.04),
+        (symmetric_config(Topology.BRAIDED, np.pi, delta_ab=1.0), 0.04),
+        (symmetric_config(Topology.NESTED, np.pi / 2, delta_ab=-1.0), 0.01),
+        (single_atom_eit_config(), 0.01),
+        (SystemConfig(atom_a, nested_b, delta_ab=10.0 * np.sin(0.5 * np.pi)), 0.04),
+    ]
+    grid = np.linspace(-6, 6, 121)[:, None, None]
+    stacks = []
+    for cfg, amplitude_sq in sets:
+        l0, l1 = _liouvillian_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
+        stacks.append(l0 + grid * l1)
+    return list(np.concatenate(stacks))
+
+
 class TestRealForm:
     """Stationary directions are counted on B^H L B in a Hermitian basis."""
 
@@ -169,17 +206,8 @@ class TestRealForm:
         assert np.max(np.abs(_HERMITIAN_BASIS.conj().T @ _HERMITIAN_BASIS - np.eye(16))) < 1e-15
 
     def test_count_matches_complex_eigvals(self):
-        rng = np.random.default_rng(17)
         counts = set()
-        for k in range(240):
-            # every fourth generator sits at the decoherence-free braided
-            # point, whose zero eigenvalue is degenerate
-            if k % 4 == 0:
-                cfg = symmetric_config(Topology.BRAIDED, np.pi / 2, gamma=float(rng.uniform(0.2, 3)))
-            else:
-                cfg = random_system(rng)
-            drive = DriveSpec(float(rng.choice([0.0, rng.uniform(1e-4, 0.2)])), float(rng.uniform(-6, 6)))
-            liouv = build_liouvillian(cfg, drive)
+        for liouv in random_generators():
             form = _HERMITIAN_BASIS.conj().T @ liouv @ _HERMITIAN_BASIS
             assert np.max(np.abs(form.imag)) <= 1e-12 * max(1.0, np.linalg.norm(liouv))
             count = stationary_count(liouv)
@@ -199,6 +227,100 @@ class TestRealForm:
         steady_state(liouv)
         with pytest.raises(SteadyStateError, match="does not preserve Hermiticity"):
             steady_state(liouv + 1e-3j * np.eye(16))
+
+
+def degenerate_message(count):
+    return f"not unique: {count} stationary directions"
+
+
+class TestCertificate:
+    """Uniqueness is certified from the bordered inverse; ``eigvals`` counts
+    only the generators that the certificate leaves open."""
+
+    @staticmethod
+    def counted_without_eigvals(monkeypatch, generators):
+        """Per generator, whether ``_steady_states`` decided its count without
+        ``eigvals``, and the message it raised (None if it passed)."""
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(len(a)) or eigvals(a))
+        certified, messages = [], []
+        for liouv in generators:
+            calls.clear()
+            try:
+                _steady_states(liouv[None])
+                messages.append(None)
+            except SteadyStateError as exc:
+                messages.append(str(exc))
+            certified.append(not calls)
+        monkeypatch.undo()
+        return np.array(certified), messages
+
+    @pytest.mark.parametrize("generators", [random_generators, figure_generators], ids=["random", "figures"])
+    def test_certified_count_is_one_at_every_scale(self, monkeypatch, generators):
+        base = generators()
+        counts = np.array([stationary_count(liouv) for liouv in base])
+        certified, messages = self.counted_without_eigvals(monkeypatch, base)
+        assert np.all(counts[certified] == 1)
+        # the figure sets and three in four random generators need no eigvals
+        assert certified.sum() == (180 if generators is random_generators else len(base))
+        for count, message in zip(counts, messages):
+            assert (message is None) == (count == 1)
+            if count != 1:
+                assert degenerate_message(count) in message
+        for s in (1e-6, 1e6, 1e10):
+            scaled, scaled_messages = self.counted_without_eigvals(monkeypatch, [s * liouv for liouv in base])
+            np.testing.assert_array_equal(scaled, certified)
+            assert scaled_messages == messages
+
+    def test_first_failing_point_keeps_its_count(self):
+        good = build_liouvillian(collective_eit_config(), DriveSpec(0.04, 0.5))
+        degenerate = build_liouvillian(symmetric_config(Topology.BRAIDED, np.pi / 2), DriveSpec(0.0, 0.5))
+        zero = np.zeros((16, 16), dtype=complex)
+        count = stationary_count(degenerate)
+        assert count not in (1, 16)
+        # a zero generator's bordered matrix is exactly singular, which fails
+        # the batched inverse of its whole stack
+        for stack, first in (
+            ([good, good, degenerate, good, zero], count),
+            ([good, zero, good, degenerate], 16),
+            ([zero], 16),
+        ):
+            with pytest.raises(SteadyStateError, match=degenerate_message(first)):
+                _steady_states(np.stack(stack))
+
+    def test_singular_stack_checks_earlier_points(self):
+        # decay of a at rate 1 against pumping at rate -0.5: one stationary
+        # direction, whose excited population of a is -1
+        sigma_plus_a = SIGMA_MINUS_A.conj().T
+        unphysical = (_dissipator(SIGMA_MINUS_A, SIGMA_MINUS_A) - 0.5 * _dissipator(sigma_plus_a, sigma_plus_a)
+                      + _dissipator(SIGMA_MINUS_B, SIGMA_MINUS_B))
+        zero = np.zeros((16, 16), dtype=complex)
+        assert stationary_count(unphysical) == 1
+        for stack, message in (
+            ([unphysical], "negative eigenvalue"),
+            ([unphysical, zero], "negative eigenvalue"),
+            ([zero, unphysical], degenerate_message(16)),
+        ):
+            with pytest.raises(SteadyStateError, match=message):
+                _steady_states(np.stack(stack))
+
+    def test_overflowing_inverse_falls_back(self):
+        # atom b decays 1e-250 times slower: the bordered matrix is invertible,
+        # but the norm of its inverse overflows
+        liouv = _dissipator(SIGMA_MINUS_A, SIGMA_MINUS_A) + 1e-250 * _dissipator(SIGMA_MINUS_B, SIGMA_MINUS_B)
+        count = stationary_count(liouv)
+        assert count == 4
+        with pytest.raises(SteadyStateError, match=degenerate_message(count)):
+            steady_state(liouv)
+
+    def test_certificate_needs_trace_preservation(self):
+        # uniform decay of everything: Hermiticity-preserving, not trace-preserving,
+        # no stationary direction at all; the bordered matrix is invertible
+        liouv = build_liouvillian(collective_eit_config(), DriveSpec(0.04, 0.5)) - 1e-3 * np.eye(16)
+        assert stationary_count(liouv) == 0
+        with pytest.raises(SteadyStateError, match=degenerate_message(0)):
+            steady_state(liouv)
 
 
 class TestScattering:
@@ -263,7 +385,8 @@ class TestMasterSweep:
 
     def test_degenerate_point_raises(self):
         cfg = symmetric_config(Topology.BRAIDED, np.pi / 2)
-        with pytest.raises(SteadyStateError, match="not unique"):
+        count = stationary_count(build_liouvillian(cfg, DriveSpec(0.01, -1.0)))
+        with pytest.raises(SteadyStateError, match=degenerate_message(count)):
             master_sweep(cfg, 0.01, np.linspace(-1, 1, 5))
 
     def test_zero_drive_rejected(self):
