@@ -117,6 +117,8 @@ class SweepSpec:
             raise ConfigError("sweep needs at least 2 points")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError("sweep start and stop must be finite")
+        if not math.isfinite(self.stop - self.start):
+            raise ConfigError("sweep span stop - start must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep start must be below stop")
 

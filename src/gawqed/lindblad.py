@@ -102,10 +102,6 @@ def _vec(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(-1, order="F")
 
 
-def _unvec(x: np.ndarray) -> np.ndarray:
-    return x.reshape(4, 4, order="F")
-
-
 def _commutator(h: np.ndarray) -> np.ndarray:
     """Superoperator for rho -> -i [h, rho]."""
     return -1j * (np.kron(_ID4, h) - np.kron(h.T, _ID4))
@@ -138,12 +134,10 @@ _SUPEROPS = np.stack([
 #: d L / d delta: the drive detuning enters only through -delta (n_a + n_b)
 _DETUNING_GENERATOR = -(_SUPEROPS[0] + _SUPEROPS[1])
 
-_TRACE_ROW = _vec(_ID4).conj()
 
-
-def _hermitian_basis() -> np.ndarray:
-    """Unitary whose columns are the vecs of an orthonormal basis of the
-    Hermitian 4 x 4 matrices: E_jj, (E_jk + E_kj)/sqrt2, i (E_jk - E_kj)/sqrt2."""
+def _hermitian_members() -> np.ndarray:
+    """(16, 4, 4): an orthonormal basis of the Hermitian 4 x 4 matrices,
+    E_jj, (E_jk + E_kj)/sqrt2 and i (E_jk - E_kj)/sqrt2."""
     members = []
     for j in range(4):
         for k in range(j, 4):
@@ -154,17 +148,28 @@ def _hermitian_basis() -> np.ndarray:
             else:
                 members.append((unit + unit.T) / math.sqrt(2.0))
                 members.append(1j * (unit - unit.T) / math.sqrt(2.0))
-    return np.stack([_vec(m) for m in members], axis=1)
+    return np.stack(members)
 
 
-_HERMITIAN_BASIS = _hermitian_basis()
+_MEMBERS = _hermitian_members()
+#: the unitary B whose columns are the vecs of the members H_k; a generator
+#: L that maps Hermitian matrices to Hermitian matrices has the real form
+#: F = B^H L B, which is similar to L and has the same Frobenius norm
+_HERMITIAN_BASIS = np.stack([_vec(m) for m in _MEMBERS], axis=1)
 _HERMITIAN_BASIS_H = _HERMITIAN_BASIS.conj().T
+#: row k is H_k flattened row-major: ``y @ _MEMBER_ROWS`` is sum_k y_k H_k
+#: flattened, and ``X.reshape(-1, 16) @ _MEMBER_ROWS.conj().T`` holds the
+#: coordinates tr(H_k X) of X
+_MEMBER_ROWS = _MEMBERS.reshape(16, 16)
+
+#: tr sum_k y_k H_k = _TRACE_ROW @ y: 1 on the diagonal members, 0 elsewhere
+_TRACE_ROW = np.trace(_MEMBERS, axis1=1, axis2=2).real
 
 #: generators per batched inverse/eigvals call; bounds the memory of long sweeps
 _BLOCK = 256
 
 #: ||M_s^-1||_F ||L||_F below this certifies one stationary direction
-#: (:func:`_steady_states`): 100 times clear of 1 / (sqrt2 STATIONARY_TOL)
+#: (:func:`_steady_states_real`): 100 times clear of 1 / (sqrt2 STATIONARY_TOL)
 _CERTIFIED_BOUND = 1.0 / (100.0 * math.sqrt(2.0) * STATIONARY_TOL)
 
 
@@ -195,6 +200,19 @@ def _liouvillian_parts(
     return np.tensordot(coefficients, _SUPEROPS, axes=1), _DETUNING_GENERATOR
 
 
+def _hermitian_form_parts(
+    cfg: SystemConfig, alpha: float, ch: CharQuantities
+) -> tuple[np.ndarray, np.ndarray]:
+    """(F0, F1) = (B^H L0 B, B^H L1 B), complex, for the parts of
+    :func:`_liouvillian_parts`, B the unitary of :data:`_HERMITIAN_BASIS`.
+
+    F0.real + delta F1.real is the real form of L(delta), and
+    F0.imag + delta F1.imag is rounding where L(delta) preserves Hermiticity.
+    """
+    f0, f1 = _HERMITIAN_BASIS_H @ np.stack(_liouvillian_parts(cfg, alpha, ch)) @ _HERMITIAN_BASIS
+    return f0, f1
+
+
 def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
     """Assemble the 16 x 16 Lindblad generator in the drive rotating frame.
 
@@ -206,70 +224,80 @@ def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
     return l0 + drive.frequency_detuning * l1
 
 
-def _steady_states(liouv: np.ndarray) -> np.ndarray:
-    """Stationary density matrices of a (N, 16, 16) stack of generators.
+def _steady_states_real(form: np.ndarray, leak: np.ndarray) -> np.ndarray:
+    """Stationary density matrices of a stack of generators in the Hermitian
+    basis: ``form`` and ``leak`` are the real and the imaginary part of the
+    (N, 16, 16) stack F = B^H L B, B the unitary of :data:`_HERMITIAN_BASIS`.
 
-    Each generator gets every check of :func:`steady_state`; the first
-    generator of the stack that fails one raises that check's error.
+    Every generator gets the checks below, in this order, and the first
+    generator of the stack that fails one raises that check's error: its
+    entries and ||L||_F are finite (every tolerance scales with ||L||_F,
+    which equals ||F||_F because B is unitary); it preserves Hermiticity,
+    max |Im F| <= 1e-12 ||L||_F; it has one stationary direction; the
+    residual ||F y|| is at most 1e-9 ||L||_F; the state is Hermitian, has
+    unit trace and no negative eigenvalue.  A non-finite generator reaches
+    neither ``inv`` nor ``eigvals``.
 
-    The steady state x is column 0 of the inverse of the bordered matrix M,
-    L with row 0 replaced by the trace row, and the same inverse certifies
-    that L has exactly one stationary direction.  Let L preserve the trace
-    and let M_s be M with its trace row scaled by ||L||_F.  An eigenvector
-    v with L v = lambda v, lambda != 0, has tr v = 0, so
-    M_s v = lambda (v - v_0 e_0) and sigma_min(M_s) <= |lambda|; a zero
-    eigenvalue of multiplicity two or more has an eigenvector of zero trace,
-    which makes M singular.  So an invertible M means one zero eigenvalue,
-    and every other one has |lambda| >= 1 / ||M_s^-1||_F.  The bound
-    ||M_s^-1||_F ||L||_F does not change with the scale of the rates; M_s^-1
-    is M^-1 with column 0 divided by ||L||_F.  Below 1 / (100 sqrt2
-    ``STATIONARY_TOL``) = 7.1e7, every nonzero eigenvalue lies more than
-    100 sqrt2 times outside the threshold of the count, and the count is 1.
-    Every other generator, and every generator of a stack in which some M
-    is exactly singular (the batched inverse fails as a whole), is counted
-    with ``eigvals`` on the real form B^H L B, B the unitary of
-    :data:`_HERMITIAN_BASIS`.  A generator that maps Hermitian matrices to
-    Hermitian matrices has real coordinates in that basis, and B^H L B is
-    similar to L, so both have the same eigenvalues, while a real
-    ``eigvals`` costs well under half of a complex one.  A generator whose
-    form has an imaginary part beyond rounding does not preserve
-    Hermiticity and is rejected.
+    A generator that maps Hermitian matrices to Hermitian matrices is real in
+    this basis, so the solve is real.  The coordinates y of the steady state
+    are column 0 of the inverse of the bordered matrix M, F with row 0
+    replaced by the real trace row t (t y = tr sum_k y_k H_k), and
+    rho = sum_k y_k H_k.  The same inverse certifies that F has exactly one
+    stationary direction.  Let F preserve the trace (t F = 0) and let M_s
+    be M with its trace row scaled by ||L||_F.  An eigenvector v with
+    F v = lambda v, lambda != 0, has t v = 0, so M_s v = lambda (v - v_0 e_0)
+    and sigma_min(M_s) <= |lambda|; a zero eigenvalue of multiplicity two or
+    more has an eigenvector with t v = 0, which makes M singular.  So an
+    invertible M means one zero eigenvalue, and every other one has
+    |lambda| >= 1 / ||M_s^-1||_F.  The argument holds in any orthonormal
+    basis, and F is similar to L.  The bound ||M_s^-1||_F ||L||_F does not
+    change with the scale of the rates; M_s^-1 is M^-1 with column 0
+    divided by ||L||_F.  Below 1 / (100 sqrt2 ``STATIONARY_TOL``) = 7.1e7,
+    every nonzero eigenvalue lies more than 100 sqrt2 times outside the
+    threshold of the count, and the count is 1.  Every other generator, and
+    every generator of a stack in which some M is exactly singular (the
+    batched inverse fails as a whole), is counted with a real ``eigvals``
+    of F.
     """
-    count = len(liouv)
-    scale = np.linalg.norm(liouv, axis=(-2, -1))
-    form = _HERMITIAN_BASIS_H @ liouv @ _HERMITIAN_BASIS
-    preserving = np.max(np.abs(form.imag), axis=(-2, -1)) <= 1e-12 * scale
-    bordered = liouv.copy()
+    count = len(form)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.hypot(np.linalg.norm(form, axis=(-2, -1)), np.linalg.norm(leak, axis=(-2, -1)))
+    finite = np.isfinite(scale)
+    preserving = np.max(np.abs(leak), axis=(-2, -1)) <= 1e-12 * scale
+    bordered = form.copy()
     bordered[:, 0, :] = _TRACE_ROW
+    bordered[~finite] = np.eye(16)  # keeps non-finite generators out of the inverse
     try:
         inverse = np.linalg.inv(bordered)
     except np.linalg.LinAlgError:  # one exactly singular M fails the whole stack
         inverse, certified = None, np.zeros(count, dtype=bool)
     else:
-        # the proof needs tr L(rho) = 0; an overflowing inverse reads inf or nan
-        trace_kept = np.max(np.abs(_TRACE_ROW @ liouv), axis=-1) <= 1e-12 * scale
+        # the proof needs t F = 0; an overflowing inverse reads inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
+            trace_kept = np.max(np.abs(_TRACE_ROW @ form), axis=-1) <= 1e-12 * scale
             bound = np.hypot(
                 scale * np.linalg.norm(inverse[..., 1:], axis=(-2, -1)),
                 np.linalg.norm(inverse[..., 0], axis=-1),
             )
         certified = trace_kept & (bound < _CERTIFIED_BOUND)
     n_zero = np.ones(count, dtype=int)
-    counted = ~certified
+    counted = finite & ~certified
     if np.any(counted):
-        eigvals = np.linalg.eigvals(form.real[counted])
+        eigvals = np.linalg.eigvals(form[counted])
         n_zero[counted] = np.sum(np.abs(eigvals) <= STATIONARY_TOL * scale[counted, None], -1)
     unique = n_zero == 1
-    x = np.zeros((count, 16), dtype=complex)
+    y = np.zeros((count, 16))
     if inverse is not None:
-        x[unique] = inverse[unique, :, 0]
+        y[unique] = inverse[unique, :, 0]
     elif np.any(unique):
-        x[unique] = np.linalg.inv(bordered[unique])[..., 0]
-    rho = x.reshape(count, 4, 4).transpose(0, 2, 1)  # column-stacked vec
+        y[unique] = np.linalg.inv(bordered[unique])[..., 0]
+    rho = (y @ _MEMBER_ROWS).reshape(count, 4, 4)
     rho_h = rho.conj().transpose(0, 2, 1)
 
-    residual = np.linalg.norm(np.einsum("nij,nj->ni", liouv, x), axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.linalg.norm(np.einsum("nij,nj->ni", form, y), axis=-1)
     failures = [
+        ~finite,
         ~preserving,
         ~unique,
         residual > 1e-9 * scale,
@@ -289,6 +317,7 @@ def _steady_states(liouv: np.ndarray) -> np.ndarray:
     if np.any(failed):
         k = int(np.argmax(failed))
         messages = (
+            "generator is not finite",
             "generator does not preserve Hermiticity",
             f"steady state is not unique: {n_zero[k]} stationary directions "
             "(decoupled or purely Hamiltonian dynamics)",
@@ -301,24 +330,36 @@ def _steady_states(liouv: np.ndarray) -> np.ndarray:
     return hermitian
 
 
-def steady_state(liouvillian: np.ndarray) -> SteadyState:
-    """Unique stationary density matrix of the generator.
+def _steady_states(liouv: np.ndarray) -> np.ndarray:
+    """:func:`_steady_states_real` of a (N, 16, 16) stack of complex
+    generators L, through their coordinates B^H L B in the Hermitian basis."""
+    with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite generator
+        form = _HERMITIAN_BASIS_H @ liouv @ _HERMITIAN_BASIS
+    return _steady_states_real(form.real, form.imag)
 
-    Solves the null-space problem with the trace condition replacing the
-    first (redundant) row, by inverting that bordered matrix M.  The inverse
-    also certifies uniqueness: with M_s the bordered matrix whose trace row
-    is scaled by ||L||_F, ||M_s^-1||_F ||L||_F bounds ||L||_F / |lambda|
-    for every nonzero eigenvalue lambda of a trace-preserving L, and an
-    invertible M leaves zero a simple eigenvalue.  A bound below
-    1 / (100 sqrt2 ``STATIONARY_TOL``) proves one stationary direction, 100
-    times clear of the count's threshold.  Where the bound is larger, where
-    M is exactly singular or where L does not preserve the trace, the
-    eigenvalues within ``STATIONARY_TOL`` times ||L||_F of zero are counted
-    instead (:func:`_steady_states`).
-    Raises :class:`SteadyStateError` if the generator does not map Hermitian
-    matrices to Hermitian matrices, if the zero eigenvalue is degenerate
-    (e.g. a decoherence-free configuration whose dynamics is purely
-    Hamiltonian) or if the solution is unphysical.
+
+def steady_state(liouvillian: np.ndarray) -> SteadyState:
+    """Unique stationary density matrix of a complex 16 x 16 generator.
+
+    Forms the generator's coordinates B^H L B in the Hermitian basis once;
+    a generator that maps Hermitian matrices to Hermitian matrices is real
+    there.  The steady state solves the real null-space problem with the
+    trace condition replacing the first (redundant) row, by inverting that
+    bordered matrix M.  The inverse also certifies uniqueness: with M_s the
+    bordered matrix whose trace row is scaled by ||L||_F,
+    ||M_s^-1||_F ||L||_F bounds ||L||_F / |lambda| for every nonzero
+    eigenvalue lambda of a trace-preserving L, and an invertible M leaves
+    zero a simple eigenvalue.  A bound below 1 / (100 sqrt2
+    ``STATIONARY_TOL``) proves one stationary direction, 100 times clear of
+    the count's threshold.  Where the bound is larger, where M is exactly
+    singular or where L does not preserve the trace, the eigenvalues within
+    ``STATIONARY_TOL`` times ||L||_F of zero are counted instead
+    (:func:`_steady_states_real`).
+    Raises :class:`SteadyStateError` if the generator is not finite, if it
+    does not map Hermitian matrices to Hermitian matrices (its coordinates
+    have an imaginary part beyond 1e-12 ||L||_F), if the zero eigenvalue is
+    degenerate (e.g. a decoherence-free configuration whose dynamics is
+    purely Hamiltonian) or if the solution is unphysical.
     """
     return SteadyState(rho=_steady_states(liouvillian[None])[0])
 
@@ -382,19 +423,22 @@ def master_sweep(
 ) -> MasterSweep:
     """Steady-state transmission, reflection and inelastic flux on a detuning grid.
 
-    Uses L(delta) = L0 + delta L1: the generator is assembled once and the
-    steady states are solved as stacks of ``_BLOCK`` points, grid order kept,
-    so the first failing point raises as a point-by-point sweep would.
+    Uses L(delta) = L0 + delta L1 in the Hermitian basis: F0 = B^H L0 B and
+    F1 = B^H L1 B are formed once, and the steady states of the real forms
+    F0.real + delta F1.real are solved as stacks of ``_BLOCK`` points, grid
+    order kept, so the first failing point raises as a point-by-point sweep
+    would.  Each point's Hermiticity check reads its imaginary part
+    F0.imag + delta F1.imag (:func:`_steady_states_real`).
     """
     if amplitude_sq <= 0.0:
         raise GawqedError("master-equation scattering requires a nonzero drive")
     detuning = np.atleast_1d(np.asarray(detuning, dtype=float))
     alpha = math.sqrt(amplitude_sq)
     ch = characteristics(cfg)
-    l0, l1 = _liouvillian_parts(cfg, alpha, ch)
+    f0, f1 = _hermitian_form_parts(cfg, alpha, ch)
+    blocks = (detuning[start:start + _BLOCK, None, None] for start in range(0, len(detuning), _BLOCK))
     rho = np.concatenate([
-        _steady_states(l0 + detuning[start:start + _BLOCK, None, None] * l1)
-        for start in range(0, len(detuning), _BLOCK)
+        _steady_states_real(f0.real + block * f1.real, f0.imag + block * f1.imag) for block in blocks
     ])
 
     c_t, c_r, through_phase = _output_coefficients(cfg, ch)
@@ -440,43 +484,43 @@ def inelastic_spectrum(
 
     Computes S(nu) = (1/pi) Re tr[dB' (i nu - L)^{-1} (dB rho_ss)] per channel
     via the quantum regression theorem, with dB the incoherent part of the
-    output operator; the resolvent is evaluated through one eigendecomposition
-    of the Liouvillian.  Raises :class:`SpectrumSingularError` if nu hits an
-    undamped Liouvillian eigenfrequency that actually contributes.
+    output operator, in the Hermitian basis: one ``eig`` of the real form
+    F = B^H L B gives the modes, dB rho_ss and the observer dB' enter as
+    coordinate vectors, and both channels share one resolvent
+    1 / (i nu - lambda), contracted with a (16, 2) matrix of mode weights.
+    Raises :class:`SpectrumSingularError` if nu hits an undamped Liouvillian
+    eigenfrequency that actually contributes (transmitted channel first).
     """
     nu = np.asarray(nu_grid, dtype=float)
     ch = characteristics(cfg)
-    l0, l1 = _liouvillian_parts(cfg, drive.alpha, ch)
-    liouv = l0 + drive.frequency_detuning * l1
-    rho = steady_state(liouv).rho
+    f0, f1 = _hermitian_form_parts(cfg, drive.alpha, ch)
+    form = f0 + drive.frequency_detuning * f1
+    rho = _steady_states_real(form.real[None], form.imag[None])[0]
+    eigvals, eigvecs = np.linalg.eig(form.real)
 
-    eigvals, eigvecs = np.linalg.eig(liouv)
     c_t, c_r, _ = _output_coefficients(cfg, ch)
+    ops = np.stack([_channel_operator(c_t), _channel_operator(c_r)])
+    fluct = ops - np.einsum("ij,cji->c", rho, ops)[:, None, None] * _ID4
+    # coordinates tr(H_k X) of dB rho_ss (the initial vector) and of dB'
+    # (tr(dB' sum_k v_k H_k) = observer . v), two channels each
+    coordinates = np.concatenate([fluct @ rho, fluct.conj().transpose(0, 2, 1)]).reshape(4, 16)
+    start, observer = np.split(coordinates @ _MEMBER_ROWS.conj().T, 2)
+    # C(t) = sum_k weights[k, c] e^{lambda_k t} for channel c
+    weights = (observer @ eigvecs).T * np.linalg.solve(eigvecs, start.T)
 
-    channels = []
-    scale = float(np.linalg.norm(liouv))
-    for coeffs in (c_t, c_r):
-        op = _channel_operator(coeffs)
-        mean = complex(np.trace(rho @ op))
-        fluct = op - mean * np.eye(4, dtype=complex)
-        x0 = _vec(fluct @ rho)
-        mode_amp = np.linalg.solve(eigvecs, x0)
-        observer = np.array(
-            [complex(np.trace(fluct.conj().T @ _unvec(eigvecs[:, k]))) for k in range(16)]
-        )
-        weights = observer * mode_amp  # C(t) = sum_k weights_k e^{lambda_k t}
-
-        denom = 1j * nu[:, None] - eigvals[None, :]
-        close = np.abs(denom) < 1e-12 * scale
-        singular = np.any(close & (np.abs(weights) > 1e-12 * scale), axis=1)
-        if singular.any():
-            raise SpectrumSingularError(
-                f"resolvent singular at nu={nu[singular][:3]} (undamped eigenfrequency)"
-            )
-        terms = np.where(close, 0.0, weights[None, :] / np.where(close, 1.0, denom))
-        channels.append(np.real(terms.sum(axis=1)) / math.pi)
-
-    return SpectrumResult(nu=nu, s_transmit=channels[0], s_reflect=channels[1])
+    scale = float(np.linalg.norm(form))
+    denom = 1j * nu[:, None] - eigvals[None, :]
+    close = np.abs(denom) < 1e-12 * scale
+    if close.any():
+        for contributing in (np.abs(weights) > 1e-12 * scale).T:
+            singular = np.any(close[:, contributing], axis=1)
+            if singular.any():
+                raise SpectrumSingularError(
+                    f"resolvent singular at nu={nu[singular][:3]} (undamped eigenfrequency)"
+                )
+    resolvent = np.divide(1.0, denom, out=np.zeros_like(denom), where=~close)
+    s_transmit, s_reflect = (weights.T @ resolvent.T).real / math.pi
+    return SpectrumResult(nu=nu, s_transmit=s_transmit, s_reflect=s_reflect)
 
 
 def incoherent_channel_flux(cfg: SystemConfig, drive: DriveSpec) -> tuple[float, float]:

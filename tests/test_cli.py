@@ -659,12 +659,28 @@ class TestExitCodes:
         proc = invoke("--config", sep_config, "--command", "loci", "--sweep", "delta_a:0:1:5")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("bounds", ["-inf:inf", "0:inf", "-inf:0", "nan:1"])
+    # -1e308:1e308: both bounds are finite, their span overflows
+    @pytest.mark.parametrize("bounds", ["-inf:inf", "0:inf", "-inf:0", "nan:1", "-1e308:1e308"])
     def test_non_finite_sweep_bounds_are_2(self, capsys, sep_config, bounds):
-        code, out, err = run_main(capsys, "--config", sep_config, "--command", "spectrum",
-                                  "--sweep", f"delta_a:{bounds}:3")
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "config"
+        for command in ("spectrum", "master-sweep"):
+            code, out, err = run_main(capsys, "--config", sep_config, "--command", command,
+                                      "--sweep", f"delta_a:{bounds}:3")
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"] == "config"
+
+    @pytest.mark.parametrize("command, sweep", [("master-sweep", "delta_a:-1:1:3"),
+                                                ("inelastic-spectrum", "nu:-1:1:3")])
+    def test_non_finite_generator_is_3(self, capsys, tmp_path, command, sweep):
+        # rates of 1e300 overflow the characteristic quantities to inf and nan
+        path = write_config(tmp_path, {
+            "symmetric": {"topology": "separate", "phi": 0.7, "gamma": 1e300},
+            "drive": {"alpha_sq": 0.04, "detuning": 0.3},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_main(capsys, "--config", path, "--command", command, "--sweep", sweep)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "SteadyStateError", "message": "generator is not finite"}
 
     def test_degenerate_sweep_grid_is_2(self, sep_config):
         proc = invoke("--config", sep_config, "--command", "spectrum", "--sweep", "delta_a:0:1:1")

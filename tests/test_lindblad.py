@@ -19,7 +19,7 @@ from gawqed import (
     steady_state,
     symmetric_config,
 )
-from gawqed.core import detunings
+from gawqed.core import Geometries, detunings, rate_scale
 from gawqed.lindblad import (
     _BLOCK,
     _HERMITIAN_BASIS,
@@ -29,6 +29,7 @@ from gawqed.lindblad import (
     SteadyStateError,
     _dissipator,
     _liouvillian_parts,
+    _output_coefficients,
     _steady_states,
     _vec,
     incoherent_channel_flux,
@@ -179,24 +180,36 @@ def random_generators():
     return generators
 
 
-def figure_generators():
-    """The generators of the paper's figure sets 7a-c and 8a-b on the
-    121-point master-sweep grid."""
+def figure_sets():
+    """(config, |alpha|^2) of the paper's figure sets 7a-c and 8a-b."""
     atom_a = GiantAtom("a", (CouplingPoint(0.0, 1.0), CouplingPoint(np.pi, 1.0)))
     nested_b = GiantAtom("b", (CouplingPoint(0.25 * np.pi, 10.0), CouplingPoint(0.75 * np.pi, 10.0)))
-    sets = [
+    return [
         (symmetric_config(Topology.SEPARATE, np.pi / 2, delta_ab=1.0), 0.04),
         (symmetric_config(Topology.BRAIDED, np.pi, delta_ab=1.0), 0.04),
         (symmetric_config(Topology.NESTED, np.pi / 2, delta_ab=-1.0), 0.01),
         (single_atom_eit_config(), 0.01),
         (SystemConfig(atom_a, nested_b, delta_ab=10.0 * np.sin(0.5 * np.pi)), 0.04),
     ]
+
+
+def figure_generators():
+    """The generators of the paper's figure sets 7a-c and 8a-b on the
+    121-point master-sweep grid."""
     grid = np.linspace(-6, 6, 121)[:, None, None]
     stacks = []
-    for cfg, amplitude_sq in sets:
+    for cfg, amplitude_sq in figure_sets():
         l0, l1 = _liouvillian_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
         stacks.append(l0 + grid * l1)
     return list(np.concatenate(stacks))
+
+
+def null_vector_states(stack):
+    """The trace-normalised right-singular vectors of the smallest singular
+    value of a (N, 16, 16) stack of complex generators, as density matrices."""
+    _, _, vh = np.linalg.svd(stack)
+    rho = vh[:, -1].conj().reshape(-1, 4, 4).transpose(0, 2, 1)  # column-stacked vec
+    return rho / np.trace(rho, axis1=1, axis2=2)[:, None, None]
 
 
 class TestRealForm:
@@ -323,6 +336,51 @@ class TestCertificate:
             steady_state(liouv)
 
 
+class TestRealFormSteadyState:
+    """The real bordered solve in the Hermitian basis gives the complex
+    generator's null vector."""
+
+    @pytest.mark.parametrize("generators", [random_generators, figure_generators], ids=["random", "figures"])
+    def test_matches_complex_null_vector(self, generators):
+        base = np.stack([liouv for liouv in generators() if stationary_count(liouv) == 1])
+        assert len(base) == (180 if generators is random_generators else 605)
+        for s in (1.0, 1e-6, 1e6, 1e10):
+            rho = _steady_states(s * base)
+            reference = null_vector_states(s * base)
+            deviation = np.linalg.norm(rho - reference, axis=(1, 2))
+            assert np.all(deviation <= 1e-12 * np.linalg.norm(reference, axis=(1, 2)))
+
+
+class TestNonFinite:
+    """A generator with a nan or inf entry raises before any solve."""
+
+    @pytest.fixture
+    def finite_solves(self, monkeypatch):
+        for name in ("inv", "eigvals"):
+            solve = getattr(np.linalg, name)
+
+            def checked(a, solve=solve):
+                assert np.all(np.isfinite(a))
+                return solve(a)
+
+            monkeypatch.setattr(np.linalg, name, checked)
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_raises_alone_and_in_a_stack(self, finite_solves, entry):
+        good = build_liouvillian(collective_eit_config(), DriveSpec(0.04, 0.5))
+        bad = good.copy()
+        bad[3, 5] = entry
+        degenerate = build_liouvillian(symmetric_config(Topology.BRAIDED, np.pi / 2), DriveSpec(0.0, 0.5))
+        with pytest.raises(SteadyStateError, match="^generator is not finite$"):
+            steady_state(bad)
+        for stack in ([good, bad, good], [bad, degenerate], [good, bad, np.zeros((16, 16))]):
+            with pytest.raises(SteadyStateError, match="^generator is not finite$"):
+                _steady_states(np.stack(stack))
+        # an earlier failing point still raises first
+        with pytest.raises(SteadyStateError, match="not unique"):
+            _steady_states(np.stack([degenerate, bad]))
+
+
 class TestScattering:
     @pytest.mark.parametrize(
         "cfg",
@@ -439,3 +497,43 @@ class TestSpectrum:
         cfg = single_atom_eit_config()
         spec = inelastic_spectrum(cfg, DriveSpec(0.01, 0.9), np.linspace(-6, 6, 61))
         assert spec.s_total.max() > 0.0
+
+
+class TestSpectrumOracle:
+    """The regression-theorem spectrum against a direct solve of
+    (i nu - L) z = vec(dB rho) with the complex L, without ``eig``."""
+
+    NU = np.array([-7.5, -2.2, -0.6, 0.3, 0.9, 3.1, 11.0])
+
+    @staticmethod
+    def direct_spectrum(cfg, drive, nu):
+        liouv = build_liouvillian(cfg, drive)
+        rho = null_vector_states(liouv[None])[0]
+        c_t, c_r, _ = _output_coefficients(cfg, characteristics(cfg))
+        channels = []
+        for coeffs in (c_t, c_r):
+            op = coeffs[0] * SIGMA_MINUS_A + coeffs[1] * SIGMA_MINUS_B
+            fluct = op - np.trace(rho @ op) * np.eye(4)
+            shifted = 1j * nu[:, None, None] * np.eye(16) - liouv
+            z = np.linalg.solve(shifted, np.broadcast_to(_vec(fluct @ rho), (len(nu), 16))[..., None])
+            unvec_z = z[..., 0].reshape(-1, 4, 4).transpose(0, 2, 1)
+            channels.append(np.einsum("ij,nji->n", fluct.conj().T, unvec_z).real / math.pi)
+        return channels
+
+    @pytest.mark.parametrize("index", range(5), ids=["7a", "7b", "7c", "8a", "8b"])
+    def test_matches_direct_solve(self, index):
+        cfg, amplitude_sq = figure_sets()[index]
+        drive = DriveSpec(amplitude_sq, 0.3)
+        spec = inelastic_spectrum(cfg, drive, self.NU)
+        # S(nu) integrates to a flux below |alpha|^2 over a width of the rate scale
+        tol = 1e-12 * amplitude_sq / rate_scale(Geometries.of([cfg]).rates)[0]
+        for got, want in zip((spec.s_transmit, spec.s_reflect), self.direct_spectrum(cfg, drive, self.NU)):
+            assert np.max(np.abs(got - want)) <= tol
+
+    @pytest.mark.parametrize("index", range(5), ids=["7a", "7b", "7c", "8a", "8b"])
+    def test_zero_frequency_is_continuous(self, index):
+        # i nu - L is singular at nu = 0, where the stationary mode is masked out
+        cfg, amplitude_sq = figure_sets()[index]
+        spec = inelastic_spectrum(cfg, DriveSpec(amplitude_sq, 0.3), np.array([0.0, 1e-6, -1e-6]))
+        for s in (spec.s_transmit, spec.s_reflect):
+            assert abs(s[0] - 0.5 * (s[1] + s[2])) <= 1e-9 * abs(s[0])
