@@ -28,6 +28,7 @@ module (error forwarded verbatim), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -686,8 +687,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process (parsing leaves it unchanged)."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     fmt = args.format
     if fmt is None:
         fmt = "json" if args.command == "eit-classify" else "csv"

@@ -45,6 +45,10 @@ class TopologyError(GawqedError):
     """The four coupling points do not form a recognised interleaving."""
 
 
+class QuantityOverflowError(GawqedError):
+    """A characteristic quantity overflows: the rates are too large for floats."""
+
+
 class Topology(Enum):
     """Interleaving class of the two atoms' coupling points along the guide."""
 
@@ -207,7 +211,10 @@ class Geometries:
 
         The formulas are those of :func:`characteristics`; every term is an
         elementwise function of its own geometry's numbers, so a geometry's
-        fields do not depend on the rest of the stack.
+        fields do not depend on the rest of the stack.  Raises
+        :class:`QuantityOverflowError`, naming the first field (in the
+        order of :class:`CharQuantities`) that is not finite in some
+        geometry, when the rates overflow a quantity to inf or nan.
         """
         phases, rates = self.phases, self.rates
         roots = np.sqrt(rates)
@@ -215,25 +222,34 @@ class Geometries:
         re = np.sum(roots * np.cos(phases), axis=-1)
         im = np.sum(roots * np.sin(phases), axis=-1)
         w = re + 1j * im
-        gamma = np.abs(w) ** 2
         alpha = 2.0 * np.arctan2(im, re)
         spread = np.abs(phases[..., 1] - phases[..., 0])
-        lamb = np.sqrt(rates[..., 0] * rates[..., 1]) * np.sin(spread)
-        # the pairs of one point of a and one of b, [geometry, 2 * point of a + point of b]
-        root = np.sqrt(rates[:, 0, :, None] * rates[:, 1, None, :]).reshape(-1, 4)
         separation = (phases[:, 1, None, :] - phases[:, 0, :, None]).reshape(-1, 4)
-        return CharQuantities(
+        # products of rates beyond ~1e308 overflow: the check below reports them
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma = np.abs(w) ** 2
+            lamb = np.sqrt(rates[..., 0] * rates[..., 1]) * np.sin(spread)
+            # the pairs of one point of a and one of b, [geometry, 2 * point of a + point of b]
+            root = np.sqrt(rates[:, 0, :, None] * rates[:, 1, None, :]).reshape(-1, 4)
+            g_ab = 0.5 * np.sum(root * np.sin(np.abs(separation)), axis=-1)
+            gamma_ab = np.sum(root * np.cos(separation), axis=-1)
+        quantities = CharQuantities(
             lamb_a=lamb[:, 0],
             lamb_b=lamb[:, 1],
             gamma_a=gamma[:, 0],
             gamma_b=gamma[:, 1],
-            g_ab=0.5 * np.sum(root * np.sin(np.abs(separation)), axis=-1),
-            gamma_ab=np.sum(root * np.cos(separation), axis=-1),
+            g_ab=g_ab,
+            gamma_ab=gamma_ab,
             alpha_a=alpha[:, 0],
             alpha_b=alpha[:, 1],
             w_a=w[:, 0],
             w_b=w[:, 1],
         )
+        # w and alpha are finite for finite phases and rates
+        if not np.isfinite(np.concatenate([lamb.ravel(), gamma.ravel(), g_ab, gamma_ab])).all():
+            name = next(f.name for f in fields(quantities) if not np.isfinite(getattr(quantities, f.name)).all())
+            raise QuantityOverflowError(f"characteristic quantity {name} is not finite: the rates overflow it")
+        return quantities
 
 
 def rate_scale(rates) -> np.ndarray:

@@ -11,6 +11,15 @@ against the one-photon amplitudes are the headline cross-checks.
 Basis ordering is fixed as {gg, ge, eg, ee} (first letter = atom a) and the
 Liouvillian acts on column-stacked density matrices, so the 16 x 16 generator
 is reproducible bit-for-bit.
+
+Steady states are solved in the real Hermitian-basis form of the generator,
+with the trace condition bordering the null-space problem
+(:func:`_steady_states_real`, the one path of :func:`steady_state`,
+:func:`inelastic_spectrum` and :func:`incoherent_channel_flux`).  The
+generator is affine in the drive detuning, so :func:`master_sweep` solves a
+whole grid from one eigendecomposition of the bordered pencil
+(:func:`_pencil_steady_states`) and sends only the points that it does not
+certify to :func:`_steady_states_real`.
 """
 
 from __future__ import annotations
@@ -172,6 +181,15 @@ _BLOCK = 256
 #: (:func:`_steady_states_real`): 100 times clear of 1 / (sqrt2 STATIONARY_TOL)
 _CERTIFIED_BOUND = 1.0 / (100.0 * math.sqrt(2.0) * STATIONARY_TOL)
 
+#: ||V||_F ||V^-1||_F (>= kappa_2(V)) above this sends a whole sweep past
+#: :func:`_pencil_steady_states`.  With unit eigenvectors sigma_min(V) >=
+#: 1 / kappa_2(V), so the Gram form of ||V D W_1||_F^2 rounds within
+#: ~800 u kappa^2 <= 1e-3 of itself, far inside the certificate's factor-100
+#: margin; and the unrefined y is within ~u kappa <= 1e-11 of
+#: M(delta)^-1 e_0, which one refinement step reduces to rounding.  5000
+#: random driven configs read at most 4.7e3 (median 23).
+_PENCIL_CONDITION = 1e5
+
 
 def _liouvillian_parts(
     cfg: SystemConfig, alpha: float, ch: CharQuantities
@@ -291,27 +309,9 @@ def _steady_states_real(form: np.ndarray, leak: np.ndarray) -> np.ndarray:
         y[unique] = inverse[unique, :, 0]
     elif np.any(unique):
         y[unique] = np.linalg.inv(bordered[unique])[..., 0]
-    rho = (y @ _MEMBER_ROWS).reshape(count, 4, 4)
-    rho_h = rho.conj().transpose(0, 2, 1)
-
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.linalg.norm(np.einsum("nij,nj->ni", form, y), axis=-1)
-    failures = [
-        ~finite,
-        ~preserving,
-        ~unique,
-        residual > 1e-9 * scale,
-        np.max(np.abs(rho - rho_h), axis=(-2, -1)) > 1e-12,
-        np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > 1e-12,
-    ]
-    hermitian = 0.5 * (rho + rho_h)
-    # positivity is tested only where the other checks passed, as in a
-    # point-by-point run: eigvalsh raises on the NaN a failed solve leaves
-    negative = np.zeros(count, dtype=bool)
-    checked = ~np.logical_or.reduce(failures)
-    if np.any(checked):
-        negative[checked] = np.min(np.linalg.eigvalsh(hermitian[checked]), axis=-1) < -1e-10
-    failures.append(negative)
+    hermitian, failures = _checked_states(y, [~finite, ~preserving, ~unique, residual > 1e-9 * scale])
 
     failed = np.logical_or.reduce(failures)
     if np.any(failed):
@@ -328,6 +328,111 @@ def _steady_states_real(form: np.ndarray, leak: np.ndarray) -> np.ndarray:
         )
         raise SteadyStateError(next(m for f, m in zip(failures, messages) if f[k]))
     return hermitian
+
+
+def _checked_states(y: np.ndarray, failures: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The states rho = sum_k y_k H_k of the (N, 16) coordinates ``y``:
+    their Hermitian parts, and ``failures`` (one (N,) mask per check of the
+    generator) followed by the state's checks: Hermitian, unit trace, no
+    negative eigenvalue."""
+    rho = (y @ _MEMBER_ROWS).reshape(-1, 4, 4)
+    rho_h = rho.conj().transpose(0, 2, 1)
+    failures = failures + [
+        np.max(np.abs(rho - rho_h), axis=(-2, -1)) > 1e-12,
+        np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > 1e-12,
+    ]
+    hermitian = 0.5 * (rho + rho_h)
+    # positivity is tested only where the other checks passed, as in a
+    # point-by-point run: eigvalsh raises on the NaN a failed solve leaves
+    negative = np.zeros(len(y), dtype=bool)
+    checked = ~np.logical_or.reduce(failures)
+    if np.any(checked):
+        negative[checked] = np.min(np.linalg.eigvalsh(hermitian[checked]), axis=-1) < -1e-10
+    return hermitian, failures + [negative]
+
+
+def _pencil_steady_states(
+    f0: np.ndarray, f1: np.ndarray, detuning: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steady states of F(delta) = F0 + delta F1 on the grid ``detuning``
+    from one eigendecomposition, and the mask of the points it accepts.
+
+    The bordered matrix of F(delta) (:func:`_steady_states_real`) is the
+    pencil M(delta) = M_r + (delta - delta_r) J, with M_r that of the grid's
+    midpoint delta_r and J = F1.real with row 0 zeroed (it is zero already:
+    the detuning term leaves the trace row alone).  With M_r^-1 J =
+    V diag(mu) V^-1 and W = V^-1 M_r^-1, M(delta)^-1 = V diag(d) W for
+    d = 1 / (1 + (delta - delta_r) mu), so every point costs (16,)-vector
+    work: y = Re V (d W e_0), refined once against the exact M(delta) with
+    the residual y F0^T + delta y F1^T, trace row in row 0.
+
+    A point is accepted only when it passes every check of
+    :func:`_steady_states_real` with the same thresholds, on values of the
+    pencil: ||L||_F from the Gram entries of (F0, F1); the Hermiticity
+    bound max |Im F0| + |delta| max |Im F1|; trace preservation as
+    t F0 + delta t F1; the certificate, with ||M(delta)^-1[:, 1:]||_F^2 in
+    the exact Gram form Re d^H [(V^H V) o (W_1 W_1^H)^T] d, W_1 = W[:, 1:];
+    the residual and the state's checks as there.  Nothing is accepted
+    (and the caller solves every point directly) when the grid has one
+    point, when F0, F1 or M_r is not finite, when M_r is exactly singular
+    or when V is ill-conditioned (:data:`_PENCIL_CONDITION`).  Returns the
+    (N, 4, 4) Hermitian parts (zero where not accepted) and the (N,) mask.
+    """
+    count = len(detuning)
+    rho, accepted = np.zeros((count, 4, 4), dtype=complex), np.zeros(count, dtype=bool)
+    if count < 2:
+        return rho, accepted
+    form0, form1 = f0.real, f1.real
+    column = detuning[:, None]
+
+    def generator_times(y):  # F(delta) y at every point
+        return y @ form0.T + column * (y @ form1.T)
+
+    # overflow and nan are caught by the checks, each written so that a nan
+    # fails it: such a point, or such a grid, is not accepted
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        parts = np.stack([f0.ravel(), f1.ravel()])
+        gram = (parts.conj() @ parts.T).real
+        reference = 0.5 * (detuning.min() + detuning.max())
+        bordered = form0 + reference * form1
+        if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(bordered))):
+            return rho, accepted
+        bordered[0] = _TRACE_ROW
+        slope = form1.copy()
+        slope[0] = 0.0
+        try:
+            inverse = np.linalg.inv(bordered)
+            mu, v = np.linalg.eig(inverse @ slope)
+            v_inv = np.linalg.inv(v)
+        except np.linalg.LinAlgError:  # M_r or V singular, or M_r^-1 not finite
+            return rho, accepted
+        if not np.linalg.norm(v) * np.linalg.norm(v_inv) <= _PENCIL_CONDITION:
+            return rho, accepted
+        w = v_inv @ inverse
+
+        d = 1.0 / (1.0 + (column - reference) * mu)
+        y = ((d * w[:, 0]) @ v.T).real
+        correction = -generator_times(y)
+        correction[:, 0] = 1.0 - y @ _TRACE_ROW
+        y = y + ((d * (correction @ w.T)) @ v.T).real
+
+        scale = np.sqrt(gram[0, 0] + detuning * (2.0 * gram[0, 1] + detuning * gram[1, 1]))
+        leak = np.max(np.abs(f0.imag)) + np.abs(detuning) * np.max(np.abs(f1.imag))
+        trace_leak = np.max(np.abs(_TRACE_ROW @ form0 + column * (_TRACE_ROW @ form1)), axis=-1)
+        w1 = w[:, 1:]
+        weights = (v.conj().T @ v) * (w1 @ w1.conj().T).T
+        tail = np.sqrt(np.real(np.sum(d.conj() * (d @ weights.T), axis=-1)))
+        bound = np.hypot(scale * tail, np.linalg.norm(y, axis=-1))
+        residual = np.linalg.norm(generator_times(y), axis=-1)
+        hermitian, failures = _checked_states(y, [
+            ~np.isfinite(scale),
+            ~(leak <= 1e-12 * scale),
+            ~((trace_leak <= 1e-12 * scale) & (bound < _CERTIFIED_BOUND)),
+            ~(residual <= 1e-9 * scale),
+        ])
+    accepted = ~np.logical_or.reduce(failures)
+    rho[accepted] = hermitian[accepted]
+    return rho, accepted
 
 
 def _steady_states(liouv: np.ndarray) -> np.ndarray:
@@ -424,11 +529,17 @@ def master_sweep(
     """Steady-state transmission, reflection and inelastic flux on a detuning grid.
 
     Uses L(delta) = L0 + delta L1 in the Hermitian basis: F0 = B^H L0 B and
-    F1 = B^H L1 B are formed once, and the steady states of the real forms
-    F0.real + delta F1.real are solved as stacks of ``_BLOCK`` points, grid
-    order kept, so the first failing point raises as a point-by-point sweep
-    would.  Each point's Hermiticity check reads its imaginary part
-    F0.imag + delta F1.imag (:func:`_steady_states_real`).
+    F1 = B^H L1 B are formed once.  Their bordered matrices form a pencil in
+    delta, and one eigendecomposition of it (:func:`_pencil_steady_states`)
+    gives the steady state of every grid point, refined once against the
+    exact generator.  A point is kept only if it passes every check of
+    :func:`_steady_states_real` with the same thresholds, uniqueness
+    certificate included.  The other points, and the whole grid when the
+    pencil cannot serve it (one point, a singular reference matrix, an
+    ill-conditioned eigenbasis), are solved directly by
+    :func:`_steady_states_real` from F0.real + delta F1.real and
+    F0.imag + delta F1.imag, as stacks of ``_BLOCK`` points in grid order;
+    so every error, and its message, is the one of a point-by-point sweep.
     """
     if amplitude_sq <= 0.0:
         raise GawqedError("master-equation scattering requires a nonzero drive")
@@ -436,10 +547,12 @@ def master_sweep(
     alpha = math.sqrt(amplitude_sq)
     ch = characteristics(cfg)
     f0, f1 = _hermitian_form_parts(cfg, alpha, ch)
-    blocks = (detuning[start:start + _BLOCK, None, None] for start in range(0, len(detuning), _BLOCK))
-    rho = np.concatenate([
-        _steady_states_real(f0.real + block * f1.real, f0.imag + block * f1.imag) for block in blocks
-    ])
+    rho, accepted = _pencil_steady_states(f0, f1, detuning)
+    rest = np.flatnonzero(~accepted)
+    for start in range(0, len(rest), _BLOCK):
+        points = rest[start:start + _BLOCK]
+        block = detuning[points, None, None]
+        rho[points] = _steady_states_real(f0.real + block * f1.real, f0.imag + block * f1.imag)
 
     c_t, c_r, through_phase = _output_coefficients(cfg, ch)
     flux = np.zeros(len(detuning))

@@ -671,16 +671,38 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, sweep", [("master-sweep", "delta_a:-1:1:3"),
                                                 ("inelastic-spectrum", "nu:-1:1:3")])
     def test_non_finite_generator_is_3(self, capsys, tmp_path, command, sweep):
-        # rates of 1e300 overflow the characteristic quantities to inf and nan
-        path = write_config(tmp_path, {
-            "symmetric": {"topology": "separate", "phi": 0.7, "gamma": 1e300},
-            "drive": {"alpha_sq": 0.04, "detuning": 0.3},
-        })
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            code, out, err = run_main(capsys, "--config", path, "--command", command, "--sweep", sweep)
+        # rates of 1e154 keep the characteristic quantities finite, while the
+        # Frobenius norm of the generator overflows
+        path = write_config(tmp_path, dict(OVERFLOWING, symmetric=dict(OVERFLOWING["symmetric"], gamma=1e154)))
+        code, out, err = run_main(capsys, "--config", path, "--command", command, "--sweep", sweep)
         assert code == 3 and out == ""
         assert json.loads(err) == {"error": "SteadyStateError", "message": "generator is not finite"}
+
+    @pytest.mark.parametrize("command, sweep", [
+        ("characteristics", None), ("characteristics", "phi:0.5:1:3"),
+        ("spectrum", "delta_a:-1:1:3"), ("spectrum", "phi:0.5:1:3"),
+        ("loci", "phi:0.5:1:3"), ("fano", "phi:0.5:1:3"), ("eit-classify", None),
+        ("eit-spectrum", "delta_a:-1:1:3"), ("master-sweep", "delta_a:-1:1:3"),
+        ("inelastic-spectrum", "nu:-1:1:3"),
+    ])
+    def test_overflowing_quantities_are_3(self, capsys, tmp_path, command, sweep):
+        # rates of 1e300 overflow lamb_a = sqrt(gamma_a1 gamma_a2) sin(...) to inf
+        path = write_config(tmp_path, OVERFLOWING)
+        code, out, err = run_main(capsys, "--config", path, "--command", command,
+                                  *(["--sweep", sweep] if sweep else []))
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "QuantityOverflowError",
+            "message": "characteristic quantity lamb_a is not finite: the rates overflow it",
+        }
+
+    @pytest.mark.parametrize("command", ["master-sweep", "spectrum"])
+    def test_overflow_error_is_the_only_stderr_line(self, tmp_path, command):
+        # numpy's RuntimeWarning lines would come before the JSON record
+        path = write_config(tmp_path, OVERFLOWING)
+        proc = invoke("--config", path, "--command", command, "--sweep", "delta_a:-1:1:3")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"] == "QuantityOverflowError"
 
     def test_degenerate_sweep_grid_is_2(self, sep_config):
         proc = invoke("--config", sep_config, "--command", "spectrum", "--sweep", "delta_a:0:1:1")
@@ -692,6 +714,13 @@ class TestExitCodes:
         assert main(["--config", sep_config, "--command", "eit-classify"]) == 0
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["regime"] == "EIT"
+
+
+#: a driven config whose rates overflow the characteristic quantities
+OVERFLOWING = {
+    "symmetric": {"topology": "separate", "phi": 0.7, "gamma": 1e300},
+    "drive": {"alpha_sq": 0.04, "detuning": 0.3},
+}
 
 
 def run_main(capsys, *argv):

@@ -21,7 +21,7 @@ from gawqed import (
     symmetric_config,
 )
 
-from gawqed.core import Geometries, rate_scale
+from gawqed.core import Geometries, QuantityOverflowError, rate_scale
 from gawqed.scattering import DECOUPLE_TOL
 
 from conftest import random_system
@@ -238,6 +238,17 @@ class TestStackedQuantities:
                 if abs(w) ** 2 > DECOUPLE_TOL * scale:
                     gap = abs(cmath.exp(0.5j * alpha) - w / abs(w))
                     assert gap <= 8 * eps * math.sqrt(scale) / abs(w), (k, alpha)
+
+    def test_overflow_names_the_first_non_finite_quantity(self):
+        # only atom b's rates overflow their product, so lamb_a stays finite
+        big = make((0.0, 1.0), (2.0, 3.0), rates=(1.0, 1.0, 1e300, 1e300))
+        fine = make((0.0, 1.0), (2.0, 3.0))
+        for cfgs in ([big], [fine, big]):
+            with pytest.raises(QuantityOverflowError, match="^characteristic quantity lamb_b is not finite"):
+                Geometries.of(cfgs).quantities()
+        with pytest.raises(QuantityOverflowError, match="quantity lamb_b"):
+            characteristics(big)
+        Geometries.of([fine, make((0.0, 1.0), (2.0, 3.0), rates=(1e150,) * 4)]).quantities()
 
 
 class TestSpectrumPeriodicity:

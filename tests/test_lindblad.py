@@ -19,6 +19,7 @@ from gawqed import (
     steady_state,
     symmetric_config,
 )
+from gawqed import lindblad
 from gawqed.core import Geometries, detunings, rate_scale
 from gawqed.lindblad import (
     _BLOCK,
@@ -28,9 +29,11 @@ from gawqed.lindblad import (
     SIGMA_MINUS_B,
     SteadyStateError,
     _dissipator,
+    _hermitian_form_parts,
     _liouvillian_parts,
     _output_coefficients,
     _steady_states,
+    _steady_states_real,
     _vec,
     incoherent_channel_flux,
     master_sweep,
@@ -450,6 +453,121 @@ class TestMasterSweep:
     def test_zero_drive_rejected(self):
         with pytest.raises(Exception, match="nonzero drive"):
             master_sweep(symmetric_config(Topology.SEPARATE, 0.3), 0.0, np.zeros(3))
+
+
+def fallback_points(monkeypatch):
+    """The number of points :func:`master_sweep` hands to
+    ``_steady_states_real``, in a list that the spy fills."""
+    counted = [0]
+    direct = lindblad._steady_states_real
+
+    def spy(form, leak):
+        counted[0] += len(form)
+        return direct(form, leak)
+
+    monkeypatch.setattr(lindblad, "_steady_states_real", spy)
+    return counted
+
+
+def direct_sweep_message(cfg, amplitude_sq, grid):
+    """The error of solving every point of the grid directly, as one stack."""
+    f0, f1 = lindblad._hermitian_form_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
+    block = grid[:, None, None]
+    with pytest.raises(SteadyStateError) as info:
+        _steady_states_real(f0.real + block * f1.real, f0.imag + block * f1.imag)
+    return str(info.value)
+
+
+class TestPencil:
+    """Sweeps are solved from one eigendecomposition of the bordered pencil
+    M(delta) = M_r + (delta - delta_r) J; points it does not accept, and
+    whole grids it cannot serve, go to ``_steady_states_real``."""
+
+    def test_detuning_slope(self):
+        # J = F1.real: zero trace row, skew, rank 10, for every config and drive
+        rng = np.random.default_rng(21)
+        configs = figure_sets() + [(random_system(rng), float(rng.uniform(1e-4, 0.2))) for _ in range(10)]
+        for cfg, amplitude_sq in configs:
+            f1 = _hermitian_form_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))[1].real
+            assert np.all(f1[0] == 0.0)
+            assert np.all(f1 == -f1.T)
+            assert np.linalg.matrix_rank(f1) == 10
+
+    def test_no_fallback_on_driven_configs(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        sweeps = [(cfg, amplitude_sq, np.linspace(-6, 6, 121)) for cfg, amplitude_sq in figure_sets()]
+        sweeps += [(random_system(rng), float(rng.uniform(1e-4, 0.2)), np.linspace(-6, 6, 41))
+                   for _ in range(40)]
+        counted = fallback_points(monkeypatch)
+        for cfg, amplitude_sq, grid in sweeps:
+            master_sweep(cfg, amplitude_sq, grid)
+        assert counted[0] == 0
+
+    @pytest.mark.parametrize("index", range(5), ids=["7a", "7b", "7c", "8a", "8b"])
+    def test_certificate_matches_the_inverse_bound(self, monkeypatch, index):
+        # with the certificate's limit set between two neighbouring values of
+        # the inverse-based bound, the pencil's Gram form keeps exactly the
+        # points below it
+        cfg, amplitude_sq = figure_sets()[index]
+        f0, f1 = _hermitian_form_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
+        grid = np.linspace(-6, 6, 121)
+        bordered = f0.real + grid[:, None, None] * f1.real
+        bordered[:, 0] = lindblad._TRACE_ROW
+        inverse = np.linalg.inv(bordered)
+        scale = np.linalg.norm(f0 + grid[:, None, None] * f1, axis=(1, 2))
+        bound = np.hypot(scale * np.linalg.norm(inverse[..., 1:], axis=(1, 2)), np.linalg.norm(inverse[..., 0], axis=1))
+        ordered = np.sort(bound)
+        k = 50 + int(np.argmax(ordered[51:71] / ordered[50:70]))  # the widest gap near the median
+        assert ordered[k + 1] / ordered[k] > 1.005
+        limit = math.sqrt(ordered[k] * ordered[k + 1])
+        monkeypatch.setattr(lindblad, "_CERTIFIED_BOUND", limit)
+        _, accepted = lindblad._pencil_steady_states(f0, f1, grid)
+        np.testing.assert_array_equal(accepted, bound < limit)
+
+    @pytest.mark.parametrize("case", ["degenerate-crossing", "singular-reference"])
+    def test_degenerate_grid_falls_back_whole(self, monkeypatch, case):
+        grid = np.linspace(-1, 1, 5)
+        if case == "degenerate-crossing":
+            # decoherence-free: the dynamics is Hamiltonian at every detuning
+            cfg, amplitude_sq, count = symmetric_config(Topology.BRAIDED, np.pi / 2), 0.01, 8
+        else:
+            # F(delta) = delta G: zero, so M_r exactly singular, at the midpoint 0
+            cfg, amplitude_sq, count = collective_eit_config(), 0.04, 16
+            f0, f1 = _hermitian_form_parts(cfg, 0.2, characteristics(cfg))
+            monkeypatch.setattr(lindblad, "_hermitian_form_parts", lambda *args: (0.0 * f0, f0 + 0.5 * f1))
+        message = direct_sweep_message(cfg, amplitude_sq, grid)
+        assert degenerate_message(count) in message
+        counted = fallback_points(monkeypatch)
+        with pytest.raises(SteadyStateError) as info:
+            master_sweep(cfg, amplitude_sq, grid)
+        assert str(info.value) == message
+        assert counted[0] == len(grid)
+
+    def test_ill_conditioned_basis_falls_back_whole(self, monkeypatch):
+        cfg, grid = collective_eit_config(), np.linspace(-1, 1, 5)
+        pencil = master_sweep(cfg, 0.04, grid)
+        monkeypatch.setattr(lindblad, "_PENCIL_CONDITION", 1.0)
+        counted = fallback_points(monkeypatch)
+        sweep = master_sweep(cfg, 0.04, grid)
+        assert counted[0] == len(grid)
+        np.testing.assert_array_equal(sweep.rho, np.stack([
+            scattering_from_master(cfg, DriveSpec(0.04, float(delta))).steady.rho for delta in grid
+        ]))
+        assert np.max(np.abs(sweep.rho - pencil.rho)) <= 1e-14
+
+    def test_real_eigenvalues(self, monkeypatch):
+        # a detuning-independent generator: K = 0, whose eigendecomposition is real
+        cfg = collective_eit_config()
+        f0, f1 = _hermitian_form_parts(cfg, 0.2, characteristics(cfg))
+        monkeypatch.setattr(lindblad, "_hermitian_form_parts", lambda *args: (f0, 0.0 * f1))
+        dtypes = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: dtypes.append([x.dtype for x in eig(a)]) or eig(a))
+        counted = fallback_points(monkeypatch)
+        sweep = master_sweep(cfg, 0.04, np.linspace(-6, 6, 7))
+        assert dtypes == [[np.float64, np.float64]] and counted[0] == 0
+        direct = _steady_states_real(f0.real[None], f0.imag[None])[0]
+        assert np.max(np.abs(sweep.rho - direct)) <= 1e-14
 
 
 class TestQuench:
