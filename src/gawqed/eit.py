@@ -269,7 +269,7 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
         )
     scale = float(modes.scale[0])
     ztol = DECOUPLE_TOL * scale
-    width = float(modes.width[0])
+    width = float(modes.width[0]) * scale
     u_a, u_b = modes.bright[:, 0]
     # at rank 1, Gamma = tr Gamma u u^T
     if abs(width * (u_a**2 - u_b**2)) <= ztol:
@@ -278,7 +278,7 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
         scheme, dark = Scheme.SINGLE_ATOM, DarkState.EG if abs(u_a) < abs(u_b) else DarkState.GE
     else:
         scheme, dark = Scheme.DARK_MODE, DarkState.MIXED
-    control = float(modes.coupling[0])
+    control = float(modes.coupling[0]) * scale
     notes = []
     published = _published_nested_control(cfg, scale) if scheme is Scheme.COLLECTIVE_SA else None
     if published is not None:
@@ -289,7 +289,7 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
         regime, transparency = Regime.NOT_APPLICABLE, None
     else:
         regime = _root_regime(control, width, scale)
-        transparency = float(modes.dark_energy[0])
+        transparency = float(modes.dark_energy[0]) * scale
     return EitVerdict(
         scheme, dark, regime,
         control_strength=abs(control), bright_width=width,

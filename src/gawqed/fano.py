@@ -25,10 +25,9 @@ from .core import (
     Geometries,
     SystemConfig,
     Topology,
-    rate_scale,
     symmetric_config,
 )
-from .scattering import DECOUPLE_TOL, _amplitude_arrays, _reflection_numerator
+from .scattering import DECOUPLE_TOL, _amplitude_arrays, _decay_modes, _mode_form
 
 #: width ratio above which the broad channel counts as a continuum
 WIDTH_RATIO_THRESHOLD = 10.0
@@ -129,39 +128,36 @@ def lorentz_pair(cfg: SystemConfig) -> LorentzPair:
 def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
     """The fields of :func:`lorentz_pair` for every geometry of a stack, as
     (N,) arrays.  The first failing geometry in stack order raises the error
-    of its one-geometry call."""
+    of its one-geometry call.  The poles and residues are formed in units
+    of the rate scale, r's numerator at the poles by
+    :func:`~gawqed.scattering._mode_form`."""
     ch = geoms.quantities()
-    scale = rate_scale(geoms.rates)
-    tiny = DECOUPLE_TOL * scale
-    h_aa = ch.lamb_a - 0.5j * ch.gamma_a
-    h_bb = (ch.lamb_b - geoms.delta_ab) - 0.5j * ch.gamma_b
-    c = ch.g_ab - 0.5j * ch.gamma_ab
+    modes = _decay_modes(geoms, ch)
+    scale = modes.scale
+    h_aa = (ch.lamb_a - 0.5j * ch.gamma_a) / scale
+    h_bb = ((ch.lamb_b - geoms.delta_ab) - 0.5j * ch.gamma_b) / scale
+    c = (ch.g_ab - 0.5j * ch.gamma_ab) / scale
     mean, half = 0.5 * (h_aa + h_bb), 0.5 * (h_aa - h_bb)
     s = np.sqrt(half * half + c * c)
-    s = np.where((np.abs(c) > tiny) & ((s * c.conj()).real < 0.0), -s, s)
-    poles = (mean + s, mean - s)
-    widths = tuple(-z.imag for z in poles)
-
-    chis = []
+    s = np.where((np.abs(c) > DECOUPLE_TOL) & ((s * c.conj()).real < 0.0), -s, s)
+    # (N, 2): the plus and the minus pole of each geometry
+    poles = np.stack([mean + s, mean - s], axis=1)
+    gaps = poles - poles[:, ::-1]
+    widths = -poles.imag
+    _, r_num, _ = _mode_form(modes, poles)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for z_here, z_other, width in zip(poles, poles[::-1], widths):
-            ka, kb = 1j * (z_here - h_aa), 1j * (z_here - h_bb)
-            # i c = Gamma_ab / 2 + i g_ab
-            r_num = _reflection_numerator(ch.w_a, ch.w_b, 1j * c, ka, kb)
-            dark = (width <= tiny) | (np.abs(z_here - z_other) <= tiny)
-            chis.append(np.where(dark, 0j, 1j * (r_num / (-(z_here - z_other))) / width))
-    centres = tuple(z.real for z in poles)
-
+        # det = -(x - z)(x - z'): r's residue at z is r_num(z) / -(z - z')
+        chis = 1j * (r_num / -gaps) / widths
+    chis = np.where((widths <= DECOUPLE_TOL) | (np.abs(gaps) <= DECOUPLE_TOL), 0j, chis)
+    negative = np.min(widths, axis=1) < -DECOUPLE_TOL
+    fields = (*(scale * poles.real.T), *(scale * widths.T), *chis.T)
     try:
-        negative = np.minimum(*widths) < -tiny
         if negative.any():
             k = int(np.argmax(negative))
-            raise DecompositionError(
-                f"negative channel width: {(float(widths[0][k]), float(widths[1][k]))}"
-            )
+            raise DecompositionError(f"negative channel width: {(float(fields[2][k]), float(fields[3][k]))}")
         probe = scale[:, None] * _PROBE
         _, r_exact = _amplitude_arrays(geoms, probe, ch)
-        rebuilt = LorentzPair(*(f[:, None] for f in (*centres, *widths, *chis))).reconstruct(probe)
+        rebuilt = LorentzPair(*(f[:, None] for f in fields)).reconstruct(probe)
         residual = np.max(np.abs(rebuilt - r_exact), axis=1)
         failed = ~(residual <= DECOMPOSITION_TOL)
         if failed.any():
@@ -175,7 +171,7 @@ def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
         for k in range(len(geoms) if len(geoms) > 1 else 0):
             _lorentz_arrays(geoms[k:k + 1])
         raise
-    return (*centres, *widths, *chis)
+    return fields
 
 
 def lorentz_decompose(topology: Topology, phi: float, gamma: float = 1.0) -> LorentzPair:
@@ -242,6 +238,6 @@ def fano_fit(pair: LorentzPair) -> FanoFit:
         raise FanoRegimeError("narrow channel is dark (zero prefactor); Fano fit undefined")
     two_theta = cmath.phase(pair.chi_plus / pair.chi_minus)
     q = math.cos(two_theta) * (d_narrow - d_broad) / g_broad + sign * math.sin(two_theta)
-    chi_sq = abs(pair.chi_plus) ** 2
-    f_scale = chi_sq * g_broad**2 / ((d_broad - d_narrow) ** 2 + g_broad**2)
+    # |chi|^2 Gamma^2 / (Delta^2 + Gamma^2), with no product of two rates
+    f_scale = abs(pair.chi_plus) ** 2 / (((d_broad - d_narrow) / g_broad) ** 2 + 1.0)
     return FanoFit(q=q, f_scale=f_scale, center=d_narrow, width=g_narrow)

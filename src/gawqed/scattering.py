@@ -1,19 +1,15 @@
 """Single-photon transmission/reflection for two giant atoms on a waveguide.
 
-Two independent routes to the same spectra live here:
-
-* :func:`amplitudes_general` evaluates the closed-form amplitudes built from
-  the characteristic quantities (valid for every topology, unequal bare rates
-  and detuned atoms), and
-* :func:`solve_real_space` assembles the piecewise plane-wave ansatz for a
-  photon incident from the left and solves the resulting 10-unknown complex
-  linear system directly.
-
-The second is the oracle: it knows nothing about Lamb shifts or collective
-decays, only about delta couplings at four positions, so agreement between the
-two is a strong end-to-end check.  The reflection peaks and minimum of any
-geometry, as the real roots of the closed form's numerators, complete the
-module.
+Two independent routes to the same spectra live here: the closed form in
+the basis of the decay modes (:class:`DecayModes`, :func:`_mode_form`),
+valid for every topology, unequal bare rates and detuned atoms, which the
+amplitudes, the residues of the Lorentz channels (:mod:`gawqed.fano`) and
+the peak and minimum loci all read; and the real-space oracle
+:func:`solve_real_space`, which solves the 10-unknown linear system of the
+piecewise plane-wave ansatz for a photon incident from the left.  The
+oracle knows nothing about Lamb shifts or collective decays, only about
+delta couplings at four positions, so agreement between the two is a
+strong end-to-end check.
 """
 
 from __future__ import annotations
@@ -33,18 +29,14 @@ from .core import (
     symmetric_config,
 )
 
-#: |denominator| below this (times the rate scale squared) counts as a real-axis pole.
-POLE_TOL = 1e-14
-
 #: rates/couplings up to this times the rate scale, zero included, count as zero for decoupling.
 DECOUPLE_TOL = 1e-12
 
 #: a locus root counts as real, or as sitting on a peak, within this times the rate scale
 ROOT_TOL = 1e-9
 
-
-class PoleError(GawqedError):
-    """The scattering denominator vanished on the real axis."""
+#: a peak discriminant within this times the rate scale squared of zero is a double root
+DOUBLE_PEAK_TOL = 1e-14
 
 
 class OracleSingularError(GawqedError):
@@ -78,38 +70,35 @@ def _scatter_point(delta_a: float, t: complex, r: complex) -> ScatterPoint:
     return ScatterPoint(delta_a=delta_a, t=t, r=r, T=abs(t) ** 2, R=abs(r) ** 2)
 
 
-def _reflection_numerator(w_a, w_b, cross, ka, kb):
-    """Numerator of r over den = ka kb - cross^2, cross = Gamma_ab/2 + i g_ab.
-
-    ka = i (delta - H_aa) and kb = i (delta - H_bb) with H_jj the diagonal of
-    the effective Hamiltonian, and w_a, w_b the coupling phasors; delta may
-    be complex, so this also gives r's residues at its poles.
-    """
-    return 0.5 * (w_b**2 * ka + w_a**2 * kb) + cross * w_a * w_b
-
-
 @dataclass(frozen=True)
 class DecayModes:
     """Bright and dark mode of each geometry of a stack, as (N,) arrays.
 
     H_eff = H - i Gamma / 2 on the delta_a axis, with
     H = [[lamb_a, g_ab], [g_ab, lamb_b - delta_ab]] and the decay matrix
-    Gamma = [[Gamma_a, Gamma_ab], [Gamma_ab, Gamma_b]] = Re(w w^H), positive
-    semidefinite with eigenvalues (tr Gamma +- |w_a^2 + w_b^2|) / 2.  A real
-    pole needs an eigenvector of H in Gamma's null space, so every special
-    case depends on ``rank`` and ``coupling`` alone: rank 0, the guide does
-    not see the atoms (``coupling`` is 0); rank 1 without coupling, the dark
-    mode is decoupled and the bright mode scatters alone (both are
-    ``decoupled``); rank 1 otherwise, EIT-like, transparent at
-    ``dark_energy``.  ``bright`` and ``dark``, (2, N), are the unit vectors
-    u and v of Gamma's larger and smaller eigenvalue.  ``scale`` is the
-    :func:`~gawqed.core.rate_scale` of each geometry, the unit of every
-    tolerance of the one-photon kernels.
+    Gamma = Re(w w^H), w = (w_a, w_b), positive semidefinite with
+    eigenvalues (tr Gamma +- |w_a^2 + w_b^2|) / 2.  ``bright``, (2, N), is
+    its principal axis u, and v = (-u_b, u_a).  In the basis (u, v),
+    Gamma = diag(|w_u|^2, |w_v|^2) with the rotated phasors ``w_u`` = u.w
+    and ``w_v`` = v.w, and H has e_u = u^T H u and e_v = v^T H v on its
+    diagonal and the control c = u^T H v off it.  A real pole needs an
+    eigenvector of H in Gamma's null space, so every special case depends
+    on ``rank`` and ``coupling`` alone: rank 0, the guide does not see the
+    atoms (``coupling`` is 0); rank 1 without coupling, the dark mode is
+    decoupled and the bright mode scatters alone (both are ``decoupled``);
+    rank 1 otherwise, EIT-like, transparent at ``dark_energy``.  Elsewhere
+    the closed form's det (:func:`_mode_form`) has no real zero:
+    |det| >= |w_u|^2 |w_v|^2 / 4 at rank 2, det ~ c^2 near e_v at rank 1.
+    ``scale`` is the :func:`~gawqed.core.rate_scale` of each geometry (1
+    where every rate is zero): the unit of the other fields (its square
+    root that of ``w_u`` and ``w_v``) and of every tolerance of the
+    one-photon kernels, so that they form no product of two rates.
     """
 
     rank: np.ndarray
     bright: np.ndarray
-    dark: np.ndarray
+    w_u: np.ndarray
+    w_v: np.ndarray
     coupling: np.ndarray  # u^T H v
     bright_energy: np.ndarray  # u^T H u
     dark_energy: np.ndarray  # v^T H v
@@ -120,17 +109,18 @@ class DecayModes:
 
 def _decay_modes(geoms: Geometries, ch: CharQuantities) -> DecayModes:
     """The :class:`DecayModes` of a stack, ``ch`` its quantities.  Rank,
-    coupling and width count as zero up to ``DECOUPLE_TOL`` times the rate
-    scale."""
-    w_a, w_b = ch.w_a, ch.w_b
+    coupling and width count as zero up to ``DECOUPLE_TOL``."""
     scale = rate_scale(geoms.rates)
-    tol = DECOUPLE_TOL * scale
-    width = ch.gamma_a + ch.gamma_b
+    # with no rate at all, any unit will do
+    scale = np.where(scale > 0.0, scale, 1.0)
+    root = np.sqrt(scale)
+    w_a, w_b = ch.w_a / root, ch.w_b / root
+    width = (ch.gamma_a + ch.gamma_b) / scale
     # the small eigenvalue det Gamma / lambda_max, free of cancellation;
     # 0/0 at zero width, where the width decides the rank
     with np.errstate(invalid="ignore"):
         smallest = 2.0 * (w_a.conjugate() * w_b).imag ** 2 / (width + np.abs(w_a**2 + w_b**2))
-    rank = np.where(width <= tol, 0, np.where(smallest <= tol, 1, 2))
+    rank = np.where(width <= DECOUPLE_TOL, 0, np.where(smallest <= DECOUPLE_TOL, 1, 2))
     # u = (cos chi, sin chi) along Gamma's principal axis, 2 chi the angle of
     # (Gamma_a - Gamma_b, 2 Gamma_ab).  With H = mean + [[half, g_ab], [g_ab, -half]]
     # the energies take the traceless part at that doubled angle, so that
@@ -142,24 +132,63 @@ def _decay_modes(geoms: Geometries, ch: CharQuantities) -> DecayModes:
     half = 0.5 * (ch.lamb_a - (ch.lamb_b - geoms.delta_ab))
     split = half * cos_2 + ch.g_ab * sin_2
     # without a bright mode nothing couples to the guide
-    coupling = np.where(rank == 0, 0.0, ch.g_ab * cos_2 - half * sin_2)
+    coupling = np.where(rank == 0, 0.0, ch.g_ab * cos_2 - half * sin_2) / scale
     return DecayModes(
         rank=rank,
         bright=np.array([cos_chi, sin_chi]),
-        dark=np.array([-sin_chi, cos_chi]),
+        w_u=cos_chi * w_a + sin_chi * w_b,
+        w_v=cos_chi * w_b - sin_chi * w_a,
         coupling=coupling,
-        bright_energy=mean + split,
-        dark_energy=mean - split,
+        bright_energy=(mean + split) / scale,
+        dark_energy=(mean - split) / scale,
         width=width,
-        decoupled=(rank <= 1) & (np.abs(coupling) <= tol),
+        decoupled=(rank <= 1) & (np.abs(coupling) <= DECOUPLE_TOL),
         scale=scale,
     )
+
+
+def _mode_form(modes: DecayModes, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """det, r's numerator and t's numerator of the closed form at x = delta_a / scale.
+
+    In the basis of :class:`DecayModes`, K = i (x - H) - Gamma / 2 has
+    k_u = i (x - e_u) - |w_u|^2 / 2 and k_v = i (x - e_v) - |w_v|^2 / 2 on
+    its diagonal and -i c off it, with no cross decay.  From
+    r = w^T adj(K) w / (2 det) and t = 1 + w^H adj(K) w / (2 det):
+    det = k_u k_v + c^2, r det = (w_u^2 k_v + 2 i c w_u w_v + w_v^2 k_u) / 2
+    and t det = c^2 - (x - e_u)(x - e_v) - |w_u|^2 |w_v|^2 / 4.  Gamma's
+    eigenvalues come from the same rotated phasors as the numerators, so
+    the form is unitary by construction.  Everything is in units of the
+    rate scale; x may be complex (r's residues at its poles), and the
+    per-geometry fields run down its first axis.
+
+    Why det has no real zero outside the decoupled case: det = -(x - z)(x - z')
+    over the eigenvalues z, z' of H - i Gamma / 2, whose imaginary parts lie
+    in Gamma's numerical range [-|w_u|^2, -|w_v|^2] / 2 and sum to
+    -tr Gamma / 2, so |det| >= |w_u|^2 |w_v|^2 / 4 >= |w_v|^4 / 4 at rank 2.
+    At rank 1 with c != 0, det ~ c^2 near x = e_v.  In floating point,
+    Im det = -(|w_u|^2 (x - e_v) + |w_v|^2 (x - e_u)) / 2 cancels only where
+    (x - e_u)(x - e_v) <= 0, and there Re det is a sum of terms >= 0, at
+    least c^2 + |w_u|^2 |w_v|^2 / 4: det is 0 only where c and w_v both
+    are, which the decoupled branch of :func:`_amplitude_arrays` takes.
+    """
+    column = (-1,) + (1,) * (np.ndim(x) - 1)
+    e_u, e_v, c, w_u, w_v = (
+        field.reshape(column)
+        for field in (modes.bright_energy, modes.dark_energy, modes.coupling, modes.w_u, modes.w_v)
+    )
+    lam_u, lam_v = np.abs(w_u) ** 2, np.abs(w_v) ** 2
+    d_u, d_v = x - e_u, x - e_v
+    k_u, k_v = 1j * d_u - 0.5 * lam_u, 1j * d_v - 0.5 * lam_v
+    det = k_u * k_v + c * c
+    r_num = 0.5 * (w_u**2 * k_v + w_v**2 * k_u) + 1j * c * w_u * w_v
+    t_num = c * c - d_u * d_v - 0.25 * lam_u * lam_v
+    return det, r_num, t_num
 
 
 def _amplitude_arrays(
     geoms: Geometries, delta_a, ch: CharQuantities | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """t and r of the general closed form on a stack of geometries.
+    """t and r of the closed form (:func:`_mode_form`) on a stack of geometries.
 
     The per-geometry terms have shape (N,) and broadcast against
     ``delta_a``: one geometry takes a whole grid, N geometries take N
@@ -169,54 +198,35 @@ def _amplitude_arrays(
     analytically, per geometry: the bright mode alone scatters, with
     t = i (delta - e_u) / (i (delta - e_u) - tr Gamma / 2) and
     r = (w_a^2 + w_b^2) / 2 over the same denominator, and without a bright
-    mode t = 1 and r = 0.  Any other real-axis pole raises
-    :class:`PoleError` for the first failing entry in broadcast order.
-    ``ch`` is the stack's :meth:`~gawqed.core.Geometries.quantities`, passed
-    by a caller that holds it already.
+    mode t = 1 and r = 0.  ``ch`` is the stack's
+    :meth:`~gawqed.core.Geometries.quantities`, passed by a caller that
+    holds it already.
     """
     delta_a = np.asarray(delta_a, dtype=float)
-    # per-geometry terms run down the first axis of a 2-D grid
-    shape = (len(geoms),) + (1,) * (delta_a.ndim - 1)
-    if ch is None:
-        ch = geoms.quantities()
+    ch = geoms.quantities() if ch is None else ch
     modes = _decay_modes(geoms, ch)
-    lamb_a, lamb_b, gamma_a, gamma_b, g_ab, gamma_ab, w_a, w_b = (
-        field.reshape(shape) for field in (
-            ch.lamb_a, ch.lamb_b, ch.gamma_a, ch.gamma_b, ch.g_ab, ch.gamma_ab, ch.w_a, ch.w_b
-        )
-    )
-
-    da = delta_a - lamb_a
-    db = (delta_a + geoms.delta_ab.reshape(shape)) - lamb_b
-    ka = 1j * da - 0.5 * gamma_a
-    kb = 1j * db - 0.5 * gamma_b
-    cross = 0.5 * gamma_ab + 1j * g_ab
-    t_const = 0.25 * (gamma_ab**2 - gamma_a * gamma_b) + g_ab**2
-    den = ka * kb - cross**2
-    decoupled = modes.decoupled.reshape(shape)
-    pole = ~decoupled & (np.abs(den) < POLE_TOL * modes.scale.reshape(shape) ** 2)
-    if pole.any():
-        k = int(np.argmax(pole.ravel()))
-        where = np.broadcast_to(delta_a, pole.shape).ravel()[k:k + 1]
-        raise PoleError(f"scattering denominator vanished on the real axis near delta_a={where}")
+    # per-geometry terms run down the first axis of a 2-D grid
+    column = (len(geoms),) + (1,) * (delta_a.ndim - 1)
+    x = delta_a / modes.scale.reshape(column)
+    det, r_num, t_num = _mode_form(modes, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = (-da * db + t_const) / den
-        r = _reflection_numerator(w_a, w_b, cross, ka, kb) / den
+        t, r = t_num / det, r_num / det
+    decoupled = modes.decoupled.reshape(column)
     if decoupled.any():
-        bright = modes.rank.reshape(shape) > 0
-        detuning = 1j * (delta_a - modes.bright_energy.reshape(shape))
-        lorentz = np.where(bright, detuning - 0.5 * modes.width.reshape(shape), 1.0)
+        bright = modes.rank.reshape(column) > 0
+        detuning = 1j * (x - modes.bright_energy.reshape(column))
+        lorentz = np.where(bright, detuning - 0.5 * modes.width.reshape(column), 1.0)
+        w_sq = ((ch.w_a**2 + ch.w_b**2) / modes.scale).reshape(column)
         t = np.where(decoupled, np.where(bright, detuning, 1.0) / lorentz, t)
-        r = np.where(decoupled, np.where(bright, 0.5 * (w_a**2 + w_b**2), 0.0) / lorentz, r)
+        r = np.where(decoupled, np.where(bright, 0.5 * w_sq, 0.0) / lorentz, r)
     return t, r
 
 
 def amplitudes_general(cfg: SystemConfig, delta_a: float) -> ScatterPoint:
     """General transmission/reflection amplitudes at one probe detuning.
 
-    Works for all three topologies, unequal bare rates, and detuned atoms.
-    Raises :class:`PoleError` if the denominator magnitude drops below
-    ``POLE_TOL`` times the rate scale squared without a recognised decoupling cause.
+    Works for all three topologies, unequal bare rates, and detuned atoms;
+    the one-point case of :func:`_amplitude_arrays`.
     """
     t, r = _amplitude_arrays(Geometries.of([cfg]), float(delta_a))
     return _scatter_point(float(delta_a), complex(t[0]), complex(r[0]))
@@ -233,54 +243,46 @@ class Loci:
 def _loci_arrays(geoms: Geometries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Detunings of the R = 1 peaks and the R = 0 minimum, three (N,) arrays.
 
-    The peaks are the real roots of t's numerator
-    -(delta - lamb_a)(delta - lamb_b + delta_ab) + t_const, a quadratic
-    with t_const = (Gamma_ab^2 - Gamma_a Gamma_b) / 4 + g_ab^2: centre +-
-    sqrt(disc).  A disc within ``POLE_TOL`` scale^2 of zero is a double
-    root, one peak (``peak_2`` nan); a negative one gives no peak.
-    The minimum is the root of r's numerator, linear in delta with the
-    coefficient i (w_a^2 + w_b^2) / 2.  It is nan where that coefficient
-    vanishes (the locus diverges), where the root is not real (|Im| above
-    ``ROOT_TOL`` max(scale, |Re|)), or where it lies within ``ROOT_TOL``
-    scale of a peak: there both numerators vanish, a removable pole and
-    not a zero of R.  Where the dark mode is decoupled (:class:`DecayModes`)
-    R is one bright-mode Lorentzian: one peak, the root at e_u of t's
-    numerator -(delta - e_u)(delta - e_v) (e_u itself if rounding left no
-    real root), and no minimum; without a bright mode R is 0 everywhere
-    and every field is nan.
+    In units of the rate scale, the peaks are the real roots of t's
+    numerator c^2 - (x - e_u)(x - e_v) - |w_u|^2 |w_v|^2 / 4
+    (:func:`_mode_form`), a quadratic: centre +- sqrt(disc).  A disc within
+    ``DOUBLE_PEAK_TOL`` of zero is a double root, one peak (``peak_2``
+    nan); a negative one gives no peak.  The minimum is the root of r's
+    numerator, linear in x with the slope i (w_a^2 + w_b^2) / 2.  It is nan
+    where that slope vanishes (the locus diverges), where the root is not
+    real (|Im| above ``ROOT_TOL`` max(1, |Re|)), or where it lies within
+    ``ROOT_TOL`` of a peak: there both numerators vanish, a removable pole
+    and not a zero of R.  Where the dark mode is decoupled
+    (:class:`DecayModes`) R is one bright-mode Lorentzian: one peak, the
+    root at e_u of t's numerator -(x - e_u)(x - e_v) (e_u itself if
+    rounding left no real root), and no minimum; without a bright mode R is
+    0 everywhere and every field is nan.
     """
     ch = geoms.quantities()
     modes = _decay_modes(geoms, ch)
-    scale = modes.scale
-    lamb_a = ch.lamb_a
-    # atom b's resonance on the delta_a axis
-    lamb_b = ch.lamb_b - geoms.delta_ab
-    centre = 0.5 * (lamb_a + lamb_b)
-    t_const = 0.25 * (ch.gamma_ab**2 - ch.gamma_a * ch.gamma_b) + ch.g_ab**2
-    disc = (0.5 * (lamb_a - lamb_b)) ** 2 + t_const
-    double = np.abs(disc) <= POLE_TOL * scale**2
+    e_u, e_v, c = modes.bright_energy, modes.dark_energy, modes.coupling
+    centre = 0.5 * (e_u + e_v)
+    disc = (0.5 * (e_u - e_v)) ** 2 + c * c - 0.25 * np.abs(modes.w_u) ** 2 * np.abs(modes.w_v) ** 2
+    double = np.abs(disc) <= DOUBLE_PEAK_TOL
     split = np.sqrt(np.where(double, 0.0, np.abs(disc)))
     peak_1 = np.where(double | (disc > 0.0), centre - split, np.nan)
     peak_2 = np.where(~double & (disc > 0.0), centre + split, np.nan)
 
-    # r's numerator is slope delta + its value at delta = 0
-    slope = 0.5j * (ch.w_a**2 + ch.w_b**2)
-    divergent = np.abs(slope) <= DECOUPLE_TOL * scale
-    ka, kb = -1j * lamb_a - 0.5 * ch.gamma_a, -1j * lamb_b - 0.5 * ch.gamma_b
-    cross = 0.5 * ch.gamma_ab + 1j * ch.g_ab
-    root = -_reflection_numerator(ch.w_a, ch.w_b, cross, ka, kb) / np.where(divergent, 1.0, slope)
+    slope = 0.5j * (ch.w_a**2 + ch.w_b**2) / modes.scale
+    divergent = np.abs(slope) <= DECOUPLE_TOL
+    _, r_num, _ = _mode_form(modes, 0.0)
+    root = -r_num / np.where(divergent, 1.0, slope)
     minimum = root.real
     # fmin: a missing peak is no peak to sit on
-    on_peak = np.fmin(np.abs(minimum - peak_1), np.abs(minimum - peak_2)) <= ROOT_TOL * scale
-    complex_root = np.abs(root.imag) > ROOT_TOL * np.maximum(scale, np.abs(minimum))
+    on_peak = np.fmin(np.abs(minimum - peak_1), np.abs(minimum - peak_2)) <= ROOT_TOL
+    complex_root = np.abs(root.imag) > ROOT_TOL * np.maximum(1.0, np.abs(minimum))
 
-    e_u = modes.bright_energy
     near = np.where(np.abs(peak_2 - e_u) < np.abs(peak_1 - e_u), peak_2, peak_1)
     bright_peak = np.where(modes.rank == 0, np.nan, np.where(np.isnan(near), e_u, near))
     return (
-        np.where(modes.decoupled, bright_peak, peak_1),
-        np.where(modes.decoupled, np.nan, peak_2),
-        np.where(divergent | complex_root | on_peak | modes.decoupled, np.nan, minimum),
+        modes.scale * np.where(modes.decoupled, bright_peak, peak_1),
+        modes.scale * np.where(modes.decoupled, np.nan, peak_2),
+        modes.scale * np.where(divergent | complex_root | on_peak | modes.decoupled, np.nan, minimum),
     )
 
 

@@ -15,7 +15,10 @@ from gawqed import SABasisQuantities, SystemConfig, Topology, classify_topology,
 from gawqed.core import GawqedError, Geometries, rate_scale
 from gawqed.eit import EitPreconditionError
 from gawqed.fano import FanoRegimeError
-from gawqed.scattering import POLE_TOL, Loci, ScatterPoint, _amplitude_arrays, _scatter_point
+from gawqed.scattering import Loci, ScatterPoint, _amplitude_arrays, _scatter_point
+
+#: |denominator| of a closed form below this times gamma^2 counts as a pole
+POLE_TOL = 1e-14
 
 
 class SymmetryError(GawqedError):

@@ -27,6 +27,7 @@ from gawqed import (
     Topology,
     amplitudes_general,
     characteristics,
+    classify_eit,
     classify_topology,
     lorentz_pair,
     peak_minimum_loci,
@@ -1064,9 +1065,10 @@ def run_scaled(raw: dict, command: str, sweep: str | None, s: float, directory: 
     return code, None, dict(zip(header, zip(*rows)))
 
 
-def scale_deviation(fields: dict, reference: dict, s: float) -> float:
-    """Worst |x(s) / s^k - x(1)| / max(1, |x(1)|) over the numeric fields;
-    raises AssertionError where a label or a NaN or None pattern differs."""
+def scale_deviation(fields: dict, reference: dict, s: float, relative: bool = True) -> float:
+    """Worst |x(s) / s^k - x(1)| / max(1, |x(1)|) over the numeric fields,
+    or without the divisor if not ``relative``; raises AssertionError where
+    a label or a NaN or None pattern differs."""
     assert fields.keys() == reference.keys()
     worst = 0.0
     for name, ref in reference.items():
@@ -1081,7 +1083,9 @@ def scale_deviation(fields: dict, reference: dict, s: float) -> float:
         if name in SCALED_FIELDS:
             x = x / s
         finite = ~np.isnan(x_ref)
-        dev = np.abs(x - x_ref)[finite] / np.maximum(1.0, np.abs(x_ref[finite]))
+        dev = np.abs(x - x_ref)[finite]
+        if relative:
+            dev /= np.maximum(1.0, np.abs(x_ref[finite]))
         worst = max(worst, float(np.max(dev, initial=0.0)))
     return worst
 
@@ -1112,3 +1116,43 @@ class TestScaleCovariance:
                 if code == 0:
                     tol = SCALE_TOL.get(command, SCALE_TOL_DEFAULT)
                     assert scale_deviation(fields, reference, s) <= tol, (command, sweep)
+
+    #: the one-photon commands, on spacings whose channels are all wider than 0.1 gamma
+    ONE_PHOTON_COMMANDS = [
+        ("spectrum", "delta_a:-6:6:201"),
+        ("spectrum", "phi:0.8:2.6:10"),
+        ("loci", "phi:0.8:2.6:10"),
+        ("fano", "phi:0.8:2.6:10"),
+        ("eit-classify", None),
+        ("eit-spectrum", "delta_a:-6:6:201"),
+    ]
+
+    @pytest.mark.parametrize("s", [1e-150, 1e-6, 1e6, 1e154])
+    def test_one_photon_commands_at_extreme_scales(self, tmp_path, s):
+        # a product of two rates of 1e154 overflows; 1e-150 is the other end of the range
+        unit, scaled = (scaled_config("nested", math.pi / 2, -1.0, x) for x in (1.0, s))
+        for command, sweep in self.ONE_PHOTON_COMMANDS:
+            code, _, fields = run_scaled(scaled, command, sweep, s, tmp_path)
+            ref_code, _, reference = run_scaled(unit, command, sweep, 1.0, tmp_path)
+            assert code == ref_code == 0, (command, sweep)
+            assert scale_deviation(fields, reference, s, relative=False) <= 1e-14, (command, sweep)
+
+    def test_fano_at_1e154_is_finite_and_quiet(self, tmp_path):
+        path = write_config(tmp_path, scaled_config("nested", math.pi / 2, -1.0, 1e154))
+        proc = invoke("--config", path, "--command", "fano", "--sweep", "phi:0.8:2.6:10")
+        assert proc.returncode == 0 and proc.stderr == ""
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        assert len(rows) == 10 and all(math.isfinite(float(v)) for row in rows for v in row[1:9])
+
+
+def test_eit_spectrum_through_near_decoupled_transparency(capsys, tmp_path):
+    # nested phi = pi/4 just off the decoupling delta_ab: the control is ~5e-9,
+    # and the grid's first point is the transparency detuning itself
+    raw = {"symmetric": {"topology": "nested", "phi": math.pi / 4}, "delta_ab": -(2 + math.sqrt(2)) + 1e-8}
+    x = classify_eit(build_system(raw)).transparency_delta_a
+    path = write_config(tmp_path, raw)
+    code, out, err = run_main(capsys, "--config", path, "--command", "eit-spectrum",
+                              "--sweep", f"delta_a:{x!r}:{x + 1.0!r}:3")
+    assert code == 0 and err == ""
+    row = [float(v) for v in out.splitlines()[1].split(",")]
+    assert row[0] == x and abs(row[5] + row[6] - 1) <= 1e-10

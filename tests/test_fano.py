@@ -19,7 +19,7 @@ from gawqed import (
 from gawqed import cli, fano
 from gawqed.core import Geometries
 from gawqed.fano import DecompositionError, FanoRegimeError, LorentzPair, _lorentz_arrays
-from gawqed.scattering import PoleError, _amplitude_arrays
+from gawqed.scattering import OracleSingularError, _amplitude_arrays
 
 from conftest import random_system, shift_probe_check
 from paper_forms import _topology_amplitude_arrays, amplitudes_topology, rabi_approximation
@@ -218,15 +218,15 @@ class TestStackedCore:
         assert str(stack.value) == str(point.value)
         _lorentz_arrays(Geometries.of(cfgs[:260]))
         _lorentz_arrays(Geometries.of(cfgs[261:280]))
-        # a pole in the probe check of a later geometry fails the stack first
+        # an error in the probe check of a later geometry fails the stack first
         shifted = fano._amplitude_arrays
 
-        def pole_at_270(geoms, delta, ch=None):
+        def fail_at_270(geoms, delta, ch=None):
             if (geoms.delta_ab == cfgs[270].delta_ab).any():
-                raise PoleError("pole in the probe grid of geometry 270")
+                raise OracleSingularError("failure in the probe grid of geometry 270")
             return shifted(geoms, delta, ch)
 
-        monkeypatch.setattr(fano, "_amplitude_arrays", pole_at_270)
+        monkeypatch.setattr(fano, "_amplitude_arrays", fail_at_270)
         with pytest.raises(DecompositionError) as stack:
             _lorentz_arrays(Geometries.of(cfgs))
         assert str(stack.value) == str(point.value)

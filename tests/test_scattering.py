@@ -12,13 +12,21 @@ from gawqed import (
     Topology,
     amplitudes_general,
     characteristics,
+    classify_eit,
     peak_minimum_loci,
     solve_real_space,
     symmetric_config,
 )
 
 from gawqed.core import Geometries
-from gawqed.scattering import OracleSingularError, _amplitude_arrays, _loci_arrays, _real_space_arrays
+from gawqed.scattering import (
+    OracleSingularError,
+    _amplitude_arrays,
+    _decay_modes,
+    _loci_arrays,
+    _mode_form,
+    _real_space_arrays,
+)
 
 from conftest import random_system
 from paper_forms import SymmetryError, _topology_amplitude_arrays, amplitudes_topology, paper_loci
@@ -55,6 +63,57 @@ class TestGeneralAmplitudes:
         cfg = random_system(np.random.default_rng(seed))
         pt = amplitudes_general(cfg, delta)
         assert pt.T + pt.R == pytest.approx(1.0, abs=1e-10)
+
+
+def near_decoupled(eps):
+    """Nested phi = pi/4 at delta_ab = -(2 + sqrt 2) + eps: Gamma has rank 1
+    and the control c ~ eps / 2 couples the dark mode, decoupled at eps = 0."""
+    return symmetric_config(Topology.NESTED, np.pi / 4, delta_ab=-(2 + np.sqrt(2)) + eps)
+
+
+class TestModeForm:
+    """The decay-mode closed form where cancellation eats digits."""
+
+    @pytest.mark.parametrize("dev", [1e-3, 1e-4, 1e-5])
+    def test_near_dark_unitarity(self, dev):
+        # braided phi -> pi/2: a pole of width ~ dev^2 next to each vacuum-Rabi peak
+        phi = np.pi / 2 + dev
+        cfg = symmetric_config(Topology.BRAIDED, phi)
+        peaks = peak_minimum_loci(Topology.BRAIDED, phi).peaks
+        assert len(peaks) == 2
+        for peak in peaks:
+            t, r = _amplitude_arrays(Geometries.of([cfg]), peak + np.linspace(-20 * dev**2, 20 * dev**2, 41))
+            assert np.max(np.abs(np.abs(t) ** 2 + np.abs(r) ** 2 - 1)) <= 1e-14
+
+    @pytest.mark.parametrize("eps", [10.0**k for k in range(-10, -1)])
+    def test_near_decoupled_transparency(self, eps):
+        cfg = near_decoupled(eps)
+        verdict = classify_eit(cfg)
+        assert verdict.transparency_delta_a is not None
+        pt = amplitudes_general(cfg, verdict.transparency_delta_a)
+        assert abs(pt.T + pt.R - 1) <= 1e-10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_rank_two_det_bound(self, seed):
+        # |det| >= |w_u|^2 |w_v|^2 / 4 on the real axis, pole centres included
+        rng = np.random.default_rng(seed)
+        geoms = Geometries.of([random_system(rng)])
+        modes = _decay_modes(geoms, geoms.quantities())
+        assert modes.rank[0] == 2
+        centre = 0.5 * (modes.bright_energy + modes.dark_energy)
+        x = np.concatenate([modes.bright_energy, modes.dark_energy, centre, rng.uniform(-6.0, 6.0, 20)])
+        det, _, _ = _mode_form(modes, x)
+        bound = 0.25 * np.abs(modes.w_u[0]) ** 2 * np.abs(modes.w_v[0]) ** 2
+        assert np.min(np.abs(det)) >= (1 - 1e-12) * bound > 0
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-6, 1e-2])
+    def test_rank_one_det_is_control_squared_at_dark_energy(self, eps):
+        geoms = Geometries.of([near_decoupled(eps)])
+        modes = _decay_modes(geoms, geoms.quantities())
+        assert modes.rank[0] == 1 and not modes.decoupled[0]
+        det, _, _ = _mode_form(modes, modes.dark_energy)
+        assert det[0] == pytest.approx(modes.coupling[0] ** 2, rel=1e-6)
 
 
 class TestOracle:
