@@ -156,7 +156,7 @@ def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
             k = int(np.argmax(negative))
             raise DecompositionError(f"negative channel width: {(float(fields[2][k]), float(fields[3][k]))}")
         probe = scale[:, None] * _PROBE
-        _, r_exact = _amplitude_arrays(geoms, probe, ch)
+        _, r_exact = _amplitude_arrays(geoms, probe, ch, modes)
         rebuilt = LorentzPair(*(f[:, None] for f in fields)).reconstruct(probe)
         residual = np.max(np.abs(rebuilt - r_exact), axis=1)
         failed = ~(residual <= DECOMPOSITION_TOL)

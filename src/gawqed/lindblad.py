@@ -14,12 +14,12 @@ is reproducible bit-for-bit.
 
 Steady states are solved in the real Hermitian-basis form of the generator,
 with the trace condition bordering the null-space problem
-(:func:`_steady_states_real`, the one path of :func:`steady_state`,
+(:func:`_steady_state`, the one-point solve of :func:`steady_state`,
 :func:`inelastic_spectrum` and :func:`incoherent_channel_flux`).  The
 generator is affine in the drive detuning, so :func:`master_sweep` solves a
 whole grid from one eigendecomposition of the bordered pencil
-(:func:`_pencil_steady_states`) and sends only the points that it does not
-certify to :func:`_steady_states_real`.
+(:func:`_steady_states`, through :func:`_pencil_steady_states`) and sends
+only the points that it does not accept to :func:`_steady_state`.
 """
 
 from __future__ import annotations
@@ -174,11 +174,8 @@ _MEMBER_ROWS = _MEMBERS.reshape(16, 16)
 #: tr sum_k y_k H_k = _TRACE_ROW @ y: 1 on the diagonal members, 0 elsewhere
 _TRACE_ROW = np.trace(_MEMBERS, axis1=1, axis2=2).real
 
-#: generators per batched inverse/eigvals call; bounds the memory of long sweeps
-_BLOCK = 256
-
 #: ||M_s^-1||_F ||L||_F below this certifies one stationary direction
-#: (:func:`_steady_states_real`): 100 times clear of 1 / (sqrt2 STATIONARY_TOL)
+#: (:func:`_steady_state`): 100 times clear of 1 / (sqrt2 STATIONARY_TOL)
 _CERTIFIED_BOUND = 1.0 / (100.0 * math.sqrt(2.0) * STATIONARY_TOL)
 
 #: ||V||_F ||V^-1||_F (>= kappa_2(V)) above this sends a whole sweep past
@@ -242,19 +239,19 @@ def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
     return l0 + drive.frequency_detuning * l1
 
 
-def _steady_states_real(form: np.ndarray, leak: np.ndarray) -> np.ndarray:
-    """Stationary density matrices of a stack of generators in the Hermitian
-    basis: ``form`` and ``leak`` are the real and the imaginary part of the
-    (N, 16, 16) stack F = B^H L B, B the unitary of :data:`_HERMITIAN_BASIS`.
+def _steady_state(form: np.ndarray) -> np.ndarray:
+    """Stationary density matrix of one generator in the Hermitian basis:
+    ``form`` is the complex 16 x 16 F = B^H L B, B the unitary of
+    :data:`_HERMITIAN_BASIS`.
 
-    Every generator gets the checks below, in this order, and the first
-    generator of the stack that fails one raises that check's error: its
-    entries and ||L||_F are finite (every tolerance scales with ||L||_F,
-    which equals ||F||_F because B is unitary); it preserves Hermiticity,
+    The checks below run in this order, and the first that fails raises its
+    error: F and ||L||_F are finite (every tolerance scales with ||L||_F,
+    which equals ||F||_F because B is unitary); F preserves Hermiticity,
     max |Im F| <= 1e-12 ||L||_F; it has one stationary direction; the
-    residual ||F y|| is at most 1e-9 ||L||_F; the state is Hermitian, has
-    unit trace and no negative eigenvalue.  A non-finite generator reaches
-    neither ``inv`` nor ``eigvals``.
+    bordered matrix M below is invertible; the residual ||F y|| is at most
+    1e-9 ||L||_F; the state is Hermitian, has unit trace and no negative
+    eigenvalue.  A non-finite generator reaches neither ``inv`` nor
+    ``eigvals``.
 
     A generator that maps Hermitian matrices to Hermitian matrices is real in
     this basis, so the solve is real.  The coordinates y of the steady state
@@ -272,62 +269,56 @@ def _steady_states_real(form: np.ndarray, leak: np.ndarray) -> np.ndarray:
     change with the scale of the rates; M_s^-1 is M^-1 with column 0
     divided by ||L||_F.  Below 1 / (100 sqrt2 ``STATIONARY_TOL``) = 7.1e7,
     every nonzero eigenvalue lies more than 100 sqrt2 times outside the
-    threshold of the count, and the count is 1.  Every other generator, and
-    every generator of a stack in which some M is exactly singular (the
-    batched inverse fails as a whole), is counted with a real ``eigvals``
-    of F.
+    threshold of the count, and the count is 1.  Every other generator,
+    an exactly singular M included, is counted with a real ``eigvals`` of
+    F.  An exactly singular M leaves the bordered system without a unique
+    solution, so with one stationary direction it raises as a trace
+    failure: where t F = 0, its null vector v has t v = 0 and F v = 0, so
+    the one stationary direction is traceless.
     """
-    count = len(form)
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.hypot(np.linalg.norm(form, axis=(-2, -1)), np.linalg.norm(leak, axis=(-2, -1)))
-    finite = np.isfinite(scale)
-    preserving = np.max(np.abs(leak), axis=(-2, -1)) <= 1e-12 * scale
-    bordered = form.copy()
-    bordered[:, 0, :] = _TRACE_ROW
-    bordered[~finite] = np.eye(16)  # keeps non-finite generators out of the inverse
+        scale = np.linalg.norm(form)
+    if not np.isfinite(scale):
+        raise SteadyStateError("generator is not finite")
+    if not np.max(np.abs(form.imag)) <= 1e-12 * scale:
+        raise SteadyStateError("generator does not preserve Hermiticity")
+    real = form.real
+    bordered = real.copy()
+    bordered[0] = _TRACE_ROW
     try:
         inverse = np.linalg.inv(bordered)
-    except np.linalg.LinAlgError:  # one exactly singular M fails the whole stack
-        inverse, certified = None, np.zeros(count, dtype=bool)
-    else:
+    except np.linalg.LinAlgError:  # M exactly singular
+        inverse = None
+    certified = False
+    if inverse is not None:
         # the proof needs t F = 0; an overflowing inverse reads inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
-            trace_kept = np.max(np.abs(_TRACE_ROW @ form), axis=-1) <= 1e-12 * scale
-            bound = np.hypot(
-                scale * np.linalg.norm(inverse[..., 1:], axis=(-2, -1)),
-                np.linalg.norm(inverse[..., 0], axis=-1),
+            bound = np.hypot(scale * np.linalg.norm(inverse[:, 1:]), np.linalg.norm(inverse[:, 0]))
+        certified = np.max(np.abs(_TRACE_ROW @ real)) <= 1e-12 * scale and bound < _CERTIFIED_BOUND
+    if not certified:
+        n_zero = int(np.sum(np.abs(np.linalg.eigvals(real)) <= STATIONARY_TOL * scale))
+        if n_zero != 1:
+            raise SteadyStateError(
+                f"steady state is not unique: {n_zero} stationary directions "
+                "(decoupled or purely Hamiltonian dynamics)"
             )
-        certified = trace_kept & (bound < _CERTIFIED_BOUND)
-    n_zero = np.ones(count, dtype=int)
-    counted = finite & ~certified
-    if np.any(counted):
-        eigvals = np.linalg.eigvals(form[counted])
-        n_zero[counted] = np.sum(np.abs(eigvals) <= STATIONARY_TOL * scale[counted, None], -1)
-    unique = n_zero == 1
-    y = np.zeros((count, 16))
-    if inverse is not None:
-        y[unique] = inverse[unique, :, 0]
-    elif np.any(unique):
-        y[unique] = np.linalg.inv(bordered[unique])[..., 0]
+    if inverse is None:
+        raise SteadyStateError("steady state trace deviates from 1")
+    y = inverse[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(np.einsum("nij,nj->ni", form, y), axis=-1)
-    hermitian, failures = _checked_states(y, [~finite, ~preserving, ~unique, residual > 1e-9 * scale])
-
-    failed = np.logical_or.reduce(failures)
-    if np.any(failed):
-        k = int(np.argmax(failed))
-        messages = (
-            "generator is not finite",
-            "generator does not preserve Hermiticity",
-            f"steady state is not unique: {n_zero[k]} stationary directions "
-            "(decoupled or purely Hamiltonian dynamics)",
-            f"stationarity residual {residual[k]:.2e} too large",
-            "steady state is not Hermitian",
-            "steady state trace deviates from 1",
-            "steady state has a negative eigenvalue",
-        )
-        raise SteadyStateError(next(m for f, m in zip(failures, messages) if f[k]))
-    return hermitian
+        residual = np.linalg.norm(real @ y)
+    if not residual <= 1e-9 * scale:
+        raise SteadyStateError(f"stationarity residual {residual:.2e} too large")
+    hermitian, failures = _checked_states(y[None], [])
+    messages = (
+        "steady state is not Hermitian",
+        "steady state trace deviates from 1",
+        "steady state has a negative eigenvalue",
+    )
+    for failed, message in zip(failures, messages):
+        if failed[0]:
+            raise SteadyStateError(message)
+    return hermitian[0]
 
 
 def _checked_states(y: np.ndarray, failures: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -357,7 +348,7 @@ def _pencil_steady_states(
     """Steady states of F(delta) = F0 + delta F1 on the grid ``detuning``
     from one eigendecomposition, and the mask of the points it accepts.
 
-    The bordered matrix of F(delta) (:func:`_steady_states_real`) is the
+    The bordered matrix of F(delta) (:func:`_steady_state`) is the
     pencil M(delta) = M_r + (delta - delta_r) J, with M_r that of the grid's
     midpoint delta_r and J = F1.real with row 0 zeroed (it is zero already:
     the detuning term leaves the trace row alone).  With M_r^-1 J =
@@ -367,7 +358,7 @@ def _pencil_steady_states(
     the residual y F0^T + delta y F1^T, trace row in row 0.
 
     A point is accepted only when it passes every check of
-    :func:`_steady_states_real` with the same thresholds, on values of the
+    :func:`_steady_state` with the same thresholds, on values of the
     pencil: ||L||_F from the Gram entries of (F0, F1); the Hermiticity
     bound max |Im F0| + |delta| max |Im F1|; trace preservation as
     t F0 + delta t F1; the certificate, with ||M(delta)^-1[:, 1:]||_F^2 in
@@ -435,38 +426,34 @@ def _pencil_steady_states(
     return rho, accepted
 
 
-def _steady_states(liouv: np.ndarray) -> np.ndarray:
-    """:func:`_steady_states_real` of a (N, 16, 16) stack of complex
-    generators L, through their coordinates B^H L B in the Hermitian basis."""
-    with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite generator
-        form = _HERMITIAN_BASIS_H @ liouv @ _HERMITIAN_BASIS
-    return _steady_states_real(form.real, form.imag)
+def _steady_states(f0: np.ndarray, f1: np.ndarray, detuning: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) steady states of F(delta) = F0 + delta F1 on the grid
+    ``detuning``: those that :func:`_pencil_steady_states` accepts, and
+    :func:`_steady_state` of every other point in grid order, so that the
+    first failing point raises the error of a point-by-point sweep."""
+    rho, accepted = _pencil_steady_states(f0, f1, detuning)
+    for k in np.flatnonzero(~accepted):
+        rho[k] = _steady_state(f0 + detuning[k] * f1)
+    return rho
 
 
 def steady_state(liouvillian: np.ndarray) -> SteadyState:
     """Unique stationary density matrix of a complex 16 x 16 generator.
 
-    Forms the generator's coordinates B^H L B in the Hermitian basis once;
-    a generator that maps Hermitian matrices to Hermitian matrices is real
-    there.  The steady state solves the real null-space problem with the
-    trace condition replacing the first (redundant) row, by inverting that
-    bordered matrix M.  The inverse also certifies uniqueness: with M_s the
-    bordered matrix whose trace row is scaled by ||L||_F,
-    ||M_s^-1||_F ||L||_F bounds ||L||_F / |lambda| for every nonzero
-    eigenvalue lambda of a trace-preserving L, and an invertible M leaves
-    zero a simple eigenvalue.  A bound below 1 / (100 sqrt2
-    ``STATIONARY_TOL``) proves one stationary direction, 100 times clear of
-    the count's threshold.  Where the bound is larger, where M is exactly
-    singular or where L does not preserve the trace, the eigenvalues within
-    ``STATIONARY_TOL`` times ||L||_F of zero are counted instead
-    (:func:`_steady_states_real`).
-    Raises :class:`SteadyStateError` if the generator is not finite, if it
-    does not map Hermitian matrices to Hermitian matrices (its coordinates
-    have an imaginary part beyond 1e-12 ||L||_F), if the zero eigenvalue is
-    degenerate (e.g. a decoherence-free configuration whose dynamics is
-    purely Hamiltonian) or if the solution is unphysical.
+    Forms the generator's coordinates B^H L B in the Hermitian basis, where
+    a generator that maps Hermitian matrices to Hermitian matrices is real,
+    and solves them with :func:`_steady_state`: column 0 of the inverse of
+    the bordered matrix, whose norm also certifies that the steady state
+    is unique (the eigenvalues near zero are counted only where it does
+    not).  Raises :class:`SteadyStateError` if the generator is not finite,
+    if it does not map Hermitian matrices to Hermitian matrices (its
+    coordinates have an imaginary part beyond 1e-12 ||L||_F), if the zero
+    eigenvalue is degenerate (e.g. a decoherence-free configuration whose
+    dynamics is purely Hamiltonian) or if the solution is unphysical.
     """
-    return SteadyState(rho=_steady_states(liouvillian[None])[0])
+    with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite generator
+        form = _HERMITIAN_BASIS_H @ liouvillian @ _HERMITIAN_BASIS
+    return SteadyState(rho=_steady_state(form))
 
 
 def _output_coefficients(
@@ -533,13 +520,12 @@ def master_sweep(
     delta, and one eigendecomposition of it (:func:`_pencil_steady_states`)
     gives the steady state of every grid point, refined once against the
     exact generator.  A point is kept only if it passes every check of
-    :func:`_steady_states_real` with the same thresholds, uniqueness
-    certificate included.  The other points, and the whole grid when the
-    pencil cannot serve it (one point, a singular reference matrix, an
-    ill-conditioned eigenbasis), are solved directly by
-    :func:`_steady_states_real` from F0.real + delta F1.real and
-    F0.imag + delta F1.imag, as stacks of ``_BLOCK`` points in grid order;
-    so every error, and its message, is the one of a point-by-point sweep.
+    :func:`_steady_state` with the same thresholds, uniqueness certificate
+    included.  The other points, and the whole grid when the pencil cannot
+    serve it (one point, a singular reference matrix, an ill-conditioned
+    eigenbasis), are solved by :func:`_steady_state` of F0 + delta F1 one
+    by one in grid order (:func:`_steady_states`); so every error, and its
+    message, is the one of a point-by-point sweep.
     """
     if amplitude_sq <= 0.0:
         raise GawqedError("master-equation scattering requires a nonzero drive")
@@ -547,12 +533,7 @@ def master_sweep(
     alpha = math.sqrt(amplitude_sq)
     ch = characteristics(cfg)
     f0, f1 = _hermitian_form_parts(cfg, alpha, ch)
-    rho, accepted = _pencil_steady_states(f0, f1, detuning)
-    rest = np.flatnonzero(~accepted)
-    for start in range(0, len(rest), _BLOCK):
-        points = rest[start:start + _BLOCK]
-        block = detuning[points, None, None]
-        rho[points] = _steady_states_real(f0.real + block * f1.real, f0.imag + block * f1.imag)
+    rho = _steady_states(f0, f1, detuning)
 
     c_t, c_r, through_phase = _output_coefficients(cfg, ch)
     flux = np.zeros(len(detuning))
@@ -608,7 +589,7 @@ def inelastic_spectrum(
     ch = characteristics(cfg)
     f0, f1 = _hermitian_form_parts(cfg, drive.alpha, ch)
     form = f0 + drive.frequency_detuning * f1
-    rho = _steady_states_real(form.real[None], form.imag[None])[0]
+    rho = _steady_state(form)
     eigvals, eigvecs = np.linalg.eig(form.real)
 
     c_t, c_r, _ = _output_coefficients(cfg, ch)
@@ -642,7 +623,7 @@ def incoherent_channel_flux(cfg: SystemConfig, drive: DriveSpec) -> tuple[float,
     The one-point case of the per-channel moments of :func:`master_sweep`.
     """
     ch = characteristics(cfg)
-    l0, l1 = _liouvillian_parts(cfg, drive.alpha, ch)
-    rho = steady_state(l0 + drive.frequency_detuning * l1).rho[None]
+    f0, f1 = _hermitian_form_parts(cfg, drive.alpha, ch)
+    rho = _steady_state(f0 + drive.frequency_detuning * f1)[None]
     c_t, c_r, _ = _output_coefficients(cfg, ch)
     return float(_channel_moments(rho, c_t)[1][0]), float(_channel_moments(rho, c_r)[1][0])

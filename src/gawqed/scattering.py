@@ -186,7 +186,7 @@ def _mode_form(modes: DecayModes, x) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 def _amplitude_arrays(
-    geoms: Geometries, delta_a, ch: CharQuantities | None = None
+    geoms: Geometries, delta_a, ch: CharQuantities | None = None, modes: DecayModes | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """t and r of the closed form (:func:`_mode_form`) on a stack of geometries.
 
@@ -199,12 +199,12 @@ def _amplitude_arrays(
     t = i (delta - e_u) / (i (delta - e_u) - tr Gamma / 2) and
     r = (w_a^2 + w_b^2) / 2 over the same denominator, and without a bright
     mode t = 1 and r = 0.  ``ch`` is the stack's
-    :meth:`~gawqed.core.Geometries.quantities`, passed by a caller that
-    holds it already.
+    :meth:`~gawqed.core.Geometries.quantities` and ``modes`` its
+    :class:`DecayModes`, passed by a caller that holds them already.
     """
     delta_a = np.asarray(delta_a, dtype=float)
     ch = geoms.quantities() if ch is None else ch
-    modes = _decay_modes(geoms, ch)
+    modes = _decay_modes(geoms, ch) if modes is None else modes
     # per-geometry terms run down the first axis of a 2-D grid
     column = (len(geoms),) + (1,) * (delta_a.ndim - 1)
     x = delta_a / modes.scale.reshape(column)

@@ -20,8 +20,8 @@ def shift_probe_check(monkeypatch, shift):
     one shift per geometry of a stack."""
     exact = fano._amplitude_arrays
 
-    def shifted(geoms, delta, ch=None):
-        t, r = exact(geoms, delta, ch)
+    def shifted(geoms, delta, ch=None, modes=None):
+        t, r = exact(geoms, delta, ch, modes)
         return t, r + shift(geoms)[:, None]
 
     monkeypatch.setattr(fano, "_amplitude_arrays", shifted)

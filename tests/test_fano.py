@@ -221,10 +221,10 @@ class TestStackedCore:
         # an error in the probe check of a later geometry fails the stack first
         shifted = fano._amplitude_arrays
 
-        def fail_at_270(geoms, delta, ch=None):
+        def fail_at_270(geoms, delta, ch=None, modes=None):
             if (geoms.delta_ab == cfgs[270].delta_ab).any():
                 raise OracleSingularError("failure in the probe grid of geometry 270")
-            return shifted(geoms, delta, ch)
+            return shifted(geoms, delta, ch, modes)
 
         monkeypatch.setattr(fano, "_amplitude_arrays", fail_at_270)
         with pytest.raises(DecompositionError) as stack:

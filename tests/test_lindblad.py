@@ -22,7 +22,6 @@ from gawqed import (
 from gawqed import lindblad
 from gawqed.core import Geometries, detunings, rate_scale
 from gawqed.lindblad import (
-    _BLOCK,
     _HERMITIAN_BASIS,
     STATIONARY_TOL,
     SIGMA_MINUS_A,
@@ -32,8 +31,7 @@ from gawqed.lindblad import (
     _hermitian_form_parts,
     _liouvillian_parts,
     _output_coefficients,
-    _steady_states,
-    _steady_states_real,
+    _steady_state,
     _vec,
     incoherent_channel_flux,
     master_sweep,
@@ -249,13 +247,19 @@ def degenerate_message(count):
     return f"not unique: {count} stationary directions"
 
 
+def solve_in_turn(generators):
+    """``steady_state`` of each generator in turn: the first that fails raises."""
+    for liouv in generators:
+        steady_state(liouv)
+
+
 class TestCertificate:
     """Uniqueness is certified from the bordered inverse; ``eigvals`` counts
     only the generators that the certificate leaves open."""
 
     @staticmethod
     def counted_without_eigvals(monkeypatch, generators):
-        """Per generator, whether ``_steady_states`` decided its count without
+        """Per generator, whether ``steady_state`` decided its count without
         ``eigvals``, and the message it raised (None if it passed)."""
         calls = []
         eigvals = np.linalg.eigvals
@@ -264,7 +268,7 @@ class TestCertificate:
         for liouv in generators:
             calls.clear()
             try:
-                _steady_states(liouv[None])
+                steady_state(liouv)
                 messages.append(None)
             except SteadyStateError as exc:
                 messages.append(str(exc))
@@ -295,15 +299,15 @@ class TestCertificate:
         zero = np.zeros((16, 16), dtype=complex)
         count = stationary_count(degenerate)
         assert count not in (1, 16)
-        # a zero generator's bordered matrix is exactly singular, which fails
-        # the batched inverse of its whole stack
+        # a zero generator's bordered matrix is exactly singular: its count
+        # comes from eigvals
         for stack, first in (
             ([good, good, degenerate, good, zero], count),
             ([good, zero, good, degenerate], 16),
             ([zero], 16),
         ):
             with pytest.raises(SteadyStateError, match=degenerate_message(first)):
-                _steady_states(np.stack(stack))
+                solve_in_turn(stack)
 
     def test_singular_stack_checks_earlier_points(self):
         # decay of a at rate 1 against pumping at rate -0.5: one stationary
@@ -319,7 +323,7 @@ class TestCertificate:
             ([zero, unphysical], degenerate_message(16)),
         ):
             with pytest.raises(SteadyStateError, match=message):
-                _steady_states(np.stack(stack))
+                solve_in_turn(stack)
 
     def test_overflowing_inverse_falls_back(self):
         # atom b decays 1e-250 times slower: the bordered matrix is invertible,
@@ -329,6 +333,18 @@ class TestCertificate:
         assert count == 4
         with pytest.raises(SteadyStateError, match=degenerate_message(count)):
             steady_state(liouv)
+
+    def test_traceless_stationary_direction(self):
+        # rho -> -rho + tr(D rho) D / 2, D = E_00 - E_11: Hermiticity-preserving,
+        # not trace-preserving; its one stationary direction D is traceless, so
+        # the bordered matrix is exactly singular and no unit-trace state exists
+        d = np.diag([1.0, -1.0, 0.0, 0.0]).astype(complex)
+        liouv = -np.eye(16) + 0.5 * np.outer(_vec(d), _vec(d.T))
+        assert stationary_count(liouv) == 1
+        form = _HERMITIAN_BASIS.conj().T @ liouv @ _HERMITIAN_BASIS
+        for solve, generator in ((steady_state, liouv), (_steady_state, form)):
+            with pytest.raises(SteadyStateError, match="^steady state trace deviates from 1$"):
+                solve(generator)
 
     def test_certificate_needs_trace_preservation(self):
         # uniform decay of everything: Hermiticity-preserving, not trace-preserving,
@@ -348,7 +364,7 @@ class TestRealFormSteadyState:
         base = np.stack([liouv for liouv in generators() if stationary_count(liouv) == 1])
         assert len(base) == (180 if generators is random_generators else 605)
         for s in (1.0, 1e-6, 1e6, 1e10):
-            rho = _steady_states(s * base)
+            rho = np.stack([steady_state(liouv).rho for liouv in s * base])
             reference = null_vector_states(s * base)
             deviation = np.linalg.norm(rho - reference, axis=(1, 2))
             assert np.all(deviation <= 1e-12 * np.linalg.norm(reference, axis=(1, 2)))
@@ -378,10 +394,10 @@ class TestNonFinite:
             steady_state(bad)
         for stack in ([good, bad, good], [bad, degenerate], [good, bad, np.zeros((16, 16))]):
             with pytest.raises(SteadyStateError, match="^generator is not finite$"):
-                _steady_states(np.stack(stack))
+                solve_in_turn(stack)
         # an earlier failing point still raises first
         with pytest.raises(SteadyStateError, match="not unique"):
-            _steady_states(np.stack([degenerate, bad]))
+            solve_in_turn([degenerate, bad])
 
 
 class TestScattering:
@@ -434,9 +450,8 @@ class TestScattering:
 
 class TestMasterSweep:
     def test_matches_one_point_calls(self):
-        # more points than one block, so the block boundary is crossed
         cfg = random_system(np.random.default_rng(13))
-        grid = np.linspace(-6, 6, _BLOCK + 45)
+        grid = np.linspace(-6, 6, 301)
         sweep = master_sweep(cfg, 0.02, grid)
         for k, delta in enumerate(grid):
             one = scattering_from_master(cfg, DriveSpec(0.02, float(delta)))
@@ -456,32 +471,49 @@ class TestMasterSweep:
 
 
 def fallback_points(monkeypatch):
-    """The number of points :func:`master_sweep` hands to
-    ``_steady_states_real``, in a list that the spy fills."""
-    counted = [0]
-    direct = lindblad._steady_states_real
+    """The generators :func:`master_sweep` hands to ``_steady_state``, in a
+    list that the spy fills."""
+    solved = []
+    direct = lindblad._steady_state
 
-    def spy(form, leak):
-        counted[0] += len(form)
-        return direct(form, leak)
+    def spy(form):
+        solved.append(form)
+        return direct(form)
 
-    monkeypatch.setattr(lindblad, "_steady_states_real", spy)
-    return counted
+    monkeypatch.setattr(lindblad, "_steady_state", spy)
+    return solved
 
 
 def direct_sweep_message(cfg, amplitude_sq, grid):
-    """The error of solving every point of the grid directly, as one stack."""
+    """The error of solving the points of the grid directly in turn, and
+    the number of points solved up to and including the failing one."""
     f0, f1 = lindblad._hermitian_form_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
-    block = grid[:, None, None]
+    solved = 0
     with pytest.raises(SteadyStateError) as info:
-        _steady_states_real(f0.real + block * f1.real, f0.imag + block * f1.imag)
-    return str(info.value)
+        for delta in grid:
+            solved += 1
+            _steady_state(f0 + delta * f1)
+    return str(info.value), solved
+
+
+def inverse_bounds(f0, f1, grid):
+    """The certificate's bound ||M_s^-1||_F ||L||_F from the inverse at
+    every grid point, and a limit between two neighbouring values of it."""
+    bordered = f0.real + grid[:, None, None] * f1.real
+    bordered[:, 0] = lindblad._TRACE_ROW
+    inverse = np.linalg.inv(bordered)
+    scale = np.linalg.norm(f0 + grid[:, None, None] * f1, axis=(1, 2))
+    bound = np.hypot(scale * np.linalg.norm(inverse[..., 1:], axis=(1, 2)), np.linalg.norm(inverse[..., 0], axis=1))
+    ordered = np.sort(bound)
+    k = 50 + int(np.argmax(ordered[51:71] / ordered[50:70]))  # the widest gap near the median
+    assert ordered[k + 1] / ordered[k] > 1.005
+    return bound, math.sqrt(ordered[k] * ordered[k + 1])
 
 
 class TestPencil:
     """Sweeps are solved from one eigendecomposition of the bordered pencil
     M(delta) = M_r + (delta - delta_r) J; points it does not accept, and
-    whole grids it cannot serve, go to ``_steady_states_real``."""
+    whole grids it cannot serve, go to ``_steady_state`` one by one."""
 
     def test_detuning_slope(self):
         # J = F1.real: zero trace row, skew, rank 10, for every config and drive
@@ -498,10 +530,10 @@ class TestPencil:
         sweeps = [(cfg, amplitude_sq, np.linspace(-6, 6, 121)) for cfg, amplitude_sq in figure_sets()]
         sweeps += [(random_system(rng), float(rng.uniform(1e-4, 0.2)), np.linspace(-6, 6, 41))
                    for _ in range(40)]
-        counted = fallback_points(monkeypatch)
+        solved = fallback_points(monkeypatch)
         for cfg, amplitude_sq, grid in sweeps:
             master_sweep(cfg, amplitude_sq, grid)
-        assert counted[0] == 0
+        assert len(solved) == 0
 
     @pytest.mark.parametrize("index", range(5), ids=["7a", "7b", "7c", "8a", "8b"])
     def test_certificate_matches_the_inverse_bound(self, monkeypatch, index):
@@ -511,45 +543,62 @@ class TestPencil:
         cfg, amplitude_sq = figure_sets()[index]
         f0, f1 = _hermitian_form_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
         grid = np.linspace(-6, 6, 121)
-        bordered = f0.real + grid[:, None, None] * f1.real
-        bordered[:, 0] = lindblad._TRACE_ROW
-        inverse = np.linalg.inv(bordered)
-        scale = np.linalg.norm(f0 + grid[:, None, None] * f1, axis=(1, 2))
-        bound = np.hypot(scale * np.linalg.norm(inverse[..., 1:], axis=(1, 2)), np.linalg.norm(inverse[..., 0], axis=1))
-        ordered = np.sort(bound)
-        k = 50 + int(np.argmax(ordered[51:71] / ordered[50:70]))  # the widest gap near the median
-        assert ordered[k + 1] / ordered[k] > 1.005
-        limit = math.sqrt(ordered[k] * ordered[k + 1])
+        bound, limit = inverse_bounds(f0, f1, grid)
         monkeypatch.setattr(lindblad, "_CERTIFIED_BOUND", limit)
         _, accepted = lindblad._pencil_steady_states(f0, f1, grid)
         np.testing.assert_array_equal(accepted, bound < limit)
 
+    def test_pencil_and_direct_solve_meet(self, monkeypatch):
+        # fig. 7a with the certificate's limit inside the grid's bounds: the
+        # pencil accepts the points below it and hands the others, in grid
+        # order, to the one-point solve, which certifies them by eigvals
+        cfg, amplitude_sq = figure_sets()[0]
+        f0, f1 = _hermitian_form_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
+        grid = np.linspace(-6, 6, 121)
+        bound, limit = inverse_bounds(f0, f1, grid)
+        monkeypatch.setattr(lindblad, "_CERTIFIED_BOUND", limit)
+        solved = fallback_points(monkeypatch)
+        sweep = master_sweep(cfg, amplitude_sq, grid)
+        rejected = grid[bound >= limit]
+        assert 0 < len(rejected) < len(grid)
+        assert len(solved) == len(rejected)
+        for form, delta in zip(solved, rejected):
+            np.testing.assert_array_equal(form, f0 + delta * f1)
+        for k, delta in enumerate(grid):
+            one = scattering_from_master(cfg, DriveSpec(amplitude_sq, float(delta)))
+            assert np.max(np.abs(sweep.rho[k] - one.steady.rho)) <= 1e-14
+            for name in ("t", "r", "inelastic_flux"):
+                assert abs(getattr(sweep, name)[k] - getattr(one, name)) <= 1e-14
+
     @pytest.mark.parametrize("case", ["degenerate-crossing", "singular-reference"])
     def test_degenerate_grid_falls_back_whole(self, monkeypatch, case):
+        # the pencil accepts no point, so the sweep solves the points one by
+        # one up to and including the first failing one
         grid = np.linspace(-1, 1, 5)
         if case == "degenerate-crossing":
             # decoherence-free: the dynamics is Hamiltonian at every detuning
-            cfg, amplitude_sq, count = symmetric_config(Topology.BRAIDED, np.pi / 2), 0.01, 8
+            cfg, amplitude_sq, count, first = symmetric_config(Topology.BRAIDED, np.pi / 2), 0.01, 8, 1
         else:
             # F(delta) = delta G: zero, so M_r exactly singular, at the midpoint 0
-            cfg, amplitude_sq, count = collective_eit_config(), 0.04, 16
+            cfg, amplitude_sq, count, first = collective_eit_config(), 0.04, 16, 3
             f0, f1 = _hermitian_form_parts(cfg, 0.2, characteristics(cfg))
             monkeypatch.setattr(lindblad, "_hermitian_form_parts", lambda *args: (0.0 * f0, f0 + 0.5 * f1))
-        message = direct_sweep_message(cfg, amplitude_sq, grid)
+        message, direct = direct_sweep_message(cfg, amplitude_sq, grid)
         assert degenerate_message(count) in message
-        counted = fallback_points(monkeypatch)
+        assert direct == first
+        solved = fallback_points(monkeypatch)
         with pytest.raises(SteadyStateError) as info:
             master_sweep(cfg, amplitude_sq, grid)
         assert str(info.value) == message
-        assert counted[0] == len(grid)
+        assert len(solved) == first
 
     def test_ill_conditioned_basis_falls_back_whole(self, monkeypatch):
         cfg, grid = collective_eit_config(), np.linspace(-1, 1, 5)
         pencil = master_sweep(cfg, 0.04, grid)
         monkeypatch.setattr(lindblad, "_PENCIL_CONDITION", 1.0)
-        counted = fallback_points(monkeypatch)
+        solved = fallback_points(monkeypatch)
         sweep = master_sweep(cfg, 0.04, grid)
-        assert counted[0] == len(grid)
+        assert len(solved) == len(grid)
         np.testing.assert_array_equal(sweep.rho, np.stack([
             scattering_from_master(cfg, DriveSpec(0.04, float(delta))).steady.rho for delta in grid
         ]))
@@ -563,10 +612,10 @@ class TestPencil:
         dtypes = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda a: dtypes.append([x.dtype for x in eig(a)]) or eig(a))
-        counted = fallback_points(monkeypatch)
+        solved = fallback_points(monkeypatch)
         sweep = master_sweep(cfg, 0.04, np.linspace(-6, 6, 7))
-        assert dtypes == [[np.float64, np.float64]] and counted[0] == 0
-        direct = _steady_states_real(f0.real[None], f0.imag[None])[0]
+        assert dtypes == [[np.float64, np.float64]] and len(solved) == 0
+        direct = _steady_state(f0)
         assert np.max(np.abs(sweep.rho - direct)) <= 1e-14
 
 
