@@ -12,9 +12,13 @@ Basis ordering is fixed as {gg, ge, eg, ee} (first letter = atom a) and the
 Liouvillian acts on column-stacked density matrices, so the 16 x 16 generator
 is reproducible bit-for-bit.
 
-Steady states are solved in the real Hermitian-basis form of the generator,
-with the trace condition bordering the null-space problem
-(:func:`_steady_state`, the one-point solve of :func:`steady_state`,
+The generator is assembled directly in its real Hermitian-basis form
+F = B^H L B (:func:`_master_form`): every term of :data:`_SUPEROPS` maps
+Hermitian matrices to Hermitian matrices and carries a real coefficient, so
+F is a real combination of the terms' real forms, projected once at import.
+Only :func:`build_liouvillian` returns the complex L = B F B^H.  Steady
+states are solved on F, with the trace condition bordering the null-space
+problem (:func:`_steady_state`, the one-point solve of :func:`steady_state`,
 :func:`inelastic_spectrum` and :func:`incoherent_channel_flux`).  The
 generator is affine in the drive detuning, so :func:`master_sweep` solves a
 whole grid from one eigendecomposition of the bordered pencil
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CharQuantities, GawqedError, SystemConfig, characteristics
+from .core import GawqedError, SystemConfig, characteristics
 
 #: |eigenvalue| <= this times ||L||_F is a stationary direction (all 16 for L = 0)
 STATIONARY_TOL = 1e-10
@@ -125,23 +129,20 @@ def _dissipator(sj: np.ndarray, sk: np.ndarray) -> np.ndarray:
 _SP_A, _SP_B = SIGMA_MINUS_A.conj().T, SIGMA_MINUS_B.conj().T
 _N_A, _N_B = _SP_A @ SIGMA_MINUS_A, _SP_B @ SIGMA_MINUS_B
 
-#: the generator is sum_k coefficient_k * _SUPEROPS[k]; the coefficients are
-#: listed in :func:`_liouvillian_parts`
+#: the terms of the generator, each mapping Hermitian matrices to Hermitian
+#: matrices, in the order of the real coefficients of :func:`_master_form`
 _SUPEROPS = np.stack([
     _commutator(_N_A),
     _commutator(_N_B),
     _commutator(_SP_A @ SIGMA_MINUS_B + _SP_B @ SIGMA_MINUS_A),
-    _commutator(_SP_A),
-    _commutator(SIGMA_MINUS_A),
-    _commutator(_SP_B),
-    _commutator(SIGMA_MINUS_B),
+    _commutator(-0.5j * (_SP_A - SIGMA_MINUS_A)),
+    _commutator(0.5 * (_SP_A + SIGMA_MINUS_A)),
+    _commutator(-0.5j * (_SP_B - SIGMA_MINUS_B)),
+    _commutator(0.5 * (_SP_B + SIGMA_MINUS_B)),
     _dissipator(SIGMA_MINUS_A, SIGMA_MINUS_A),
     _dissipator(SIGMA_MINUS_B, SIGMA_MINUS_B),
     _dissipator(SIGMA_MINUS_A, SIGMA_MINUS_B) + _dissipator(SIGMA_MINUS_B, SIGMA_MINUS_A),
 ])
-
-#: d L / d delta: the drive detuning enters only through -delta (n_a + n_b)
-_DETUNING_GENERATOR = -(_SUPEROPS[0] + _SUPEROPS[1])
 
 
 def _hermitian_members() -> np.ndarray:
@@ -171,6 +172,11 @@ _HERMITIAN_BASIS_H = _HERMITIAN_BASIS.conj().T
 #: coordinates tr(H_k X) of X
 _MEMBER_ROWS = _MEMBERS.reshape(16, 16)
 
+#: the real forms B^H S B of the terms of :data:`_SUPEROPS` (their imaginary
+#: parts are rounding, below 3e-17), and d F / d delta = -(F_0 + F_1)
+_FORMS = (_HERMITIAN_BASIS_H @ _SUPEROPS @ _HERMITIAN_BASIS).real
+_DETUNING_FORM = -(_FORMS[0] + _FORMS[1])
+
 #: tr sum_k y_k H_k = _TRACE_ROW @ y: 1 on the diagonal members, 0 elsewhere
 _TRACE_ROW = np.trace(_MEMBERS, axis1=1, axis2=2).real
 
@@ -188,44 +194,49 @@ _CERTIFIED_BOUND = 1.0 / (100.0 * math.sqrt(2.0) * STATIONARY_TOL)
 _PENCIL_CONDITION = 1e5
 
 
-def _liouvillian_parts(
-    cfg: SystemConfig, alpha: float, ch: CharQuantities
-) -> tuple[np.ndarray, np.ndarray]:
-    """(L0, L1) with L(delta) = L0 + delta * L1 exactly, delta the drive detuning.
+def _master_form(
+    cfg: SystemConfig, alpha: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, complex]:
+    """(F0, F1, c_t, c_r, through_phase): the real form
+    F(delta) = F0 + delta F1 = B^H L(delta) B of the generator, B the unitary
+    of :data:`_HERMITIAN_BASIS` and delta the drive detuning, and the
+    per-atom coefficients of the output operators.
 
     H = lamb_a n_a + (lamb_b - delta_ab) n_b + g_ab (s_a^+ s_b + s_b^+ s_a)
-    - (i/2) sum_j (Omega_j s_j^+ - Omega_j^* s_j) - delta (n_a + n_b), and the
-    dissipators carry Gamma_a, Gamma_b and Gamma_ab; ``ch`` is
-    ``characteristics(cfg)``.
+    - (i/2) sum_j (Omega_j s_j^+ - Omega_j^* s_j) - delta (n_a + n_b), with
+    each drive written as Re Omega_j (-i/2)(s_j^+ - s_j)
+    + Im Omega_j (s_j^+ + s_j)/2, and the dissipators carry Gamma_a, Gamma_b
+    and Gamma_ab: F0 = sum_k c_k _FORMS[k] with these ten real
+    coefficients c.  The outputs are
+    b_t = alpha through_phase + sum_j c_t[j] sigma_j^- and
+    b_r = sum_j c_r[j] sigma_j^-, with phases referenced to the leftmost
+    point and the transmitted output evaluated at the rightmost one:
+    c_r[j] = e^{-i theta_first} w_j / sqrt2,
+    c_t[j] = e^{i theta_last} conj(w_j) / sqrt2 and
+    through_phase = e^{i (theta_last - theta_first)}, w_j the atom's coupling
+    phasor from ``characteristics(cfg)``.  The drives are
+    Omega_j = 2 alpha c_r[j] = sum_n sqrt(2 gamma_jn) alpha e^{i (theta_jn - theta_first)}.
     """
-    # Omega_j = sum_n sqrt(2 gamma_jn) alpha e^{i (theta_jn - theta_1)}
-    om_a, om_b = 2.0 * alpha * _output_coefficients(cfg, ch)[1]
+    ch = characteristics(cfg)
+    theta_first = cfg.atom_a.points[0].phase_coord
+    theta_last = max(cfg.atom_a.phases + cfg.atom_b.phases)
+    w = np.array([ch.w_a, ch.w_b]) / math.sqrt(2.0)
+    c_t, c_r = cmath.exp(1j * theta_last) * w.conj(), cmath.exp(-1j * theta_first) * w
+    om_a, om_b = 2.0 * alpha * c_r
     coefficients = np.array([
         ch.lamb_a,
         ch.lamb_b - cfg.delta_ab,
         ch.g_ab,
-        -0.5j * om_a,
-        0.5j * om_a.conjugate(),
-        -0.5j * om_b,
-        0.5j * om_b.conjugate(),
+        om_a.real,
+        om_a.imag,
+        om_b.real,
+        om_b.imag,
         ch.gamma_a,
         ch.gamma_b,
         ch.gamma_ab,
     ])
-    return np.tensordot(coefficients, _SUPEROPS, axes=1), _DETUNING_GENERATOR
-
-
-def _hermitian_form_parts(
-    cfg: SystemConfig, alpha: float, ch: CharQuantities
-) -> tuple[np.ndarray, np.ndarray]:
-    """(F0, F1) = (B^H L0 B, B^H L1 B), complex, for the parts of
-    :func:`_liouvillian_parts`, B the unitary of :data:`_HERMITIAN_BASIS`.
-
-    F0.real + delta F1.real is the real form of L(delta), and
-    F0.imag + delta F1.imag is rounding where L(delta) preserves Hermiticity.
-    """
-    f0, f1 = _HERMITIAN_BASIS_H @ np.stack(_liouvillian_parts(cfg, alpha, ch)) @ _HERMITIAN_BASIS
-    return f0, f1
+    f0 = np.tensordot(coefficients, _FORMS, axes=1)
+    return f0, _DETUNING_FORM, c_t, c_r, cmath.exp(1j * (theta_last - theta_first))
 
 
 def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
@@ -234,30 +245,29 @@ def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
     The Hamiltonian carries the Lamb-shifted detunings, the exchange coupling
     g_ab and the position-phased Rabi drives; dissipation consists of the two
     individual decays and the collective cross terms weighted by Gamma_ab.
+    It is L = B F B^H of the real form F of :func:`_master_form`.
     """
-    l0, l1 = _liouvillian_parts(cfg, drive.alpha, characteristics(cfg))
-    return l0 + drive.frequency_detuning * l1
+    f0, f1 = _master_form(cfg, drive.alpha)[:2]
+    return _HERMITIAN_BASIS @ (f0 + drive.frequency_detuning * f1) @ _HERMITIAN_BASIS_H
 
 
 def _steady_state(form: np.ndarray) -> np.ndarray:
-    """Stationary density matrix of one generator in the Hermitian basis:
-    ``form`` is the complex 16 x 16 F = B^H L B, B the unitary of
+    """Stationary density matrix of one generator in its real form:
+    ``form`` is the real 16 x 16 F = B^H L B, B the unitary of
     :data:`_HERMITIAN_BASIS`.
 
     The checks below run in this order, and the first that fails raises its
     error: F and ||L||_F are finite (every tolerance scales with ||L||_F,
-    which equals ||F||_F because B is unitary); F preserves Hermiticity,
-    max |Im F| <= 1e-12 ||L||_F; it has one stationary direction; the
-    bordered matrix M below is invertible; the residual ||F y|| is at most
-    1e-9 ||L||_F; the state is Hermitian, has unit trace and no negative
-    eigenvalue.  A non-finite generator reaches neither ``inv`` nor
-    ``eigvals``.
+    which equals ||F||_F because B is unitary); it has one stationary
+    direction; the bordered matrix M below is invertible; the residual
+    ||F y|| is at most 1e-9 ||L||_F; the state has unit trace and no
+    negative eigenvalue.  A non-finite generator reaches neither ``inv``
+    nor ``eigvals``.
 
-    A generator that maps Hermitian matrices to Hermitian matrices is real in
-    this basis, so the solve is real.  The coordinates y of the steady state
-    are column 0 of the inverse of the bordered matrix M, F with row 0
-    replaced by the real trace row t (t y = tr sum_k y_k H_k), and
-    rho = sum_k y_k H_k.  The same inverse certifies that F has exactly one
+    The coordinates y of the steady state are column 0 of the inverse of
+    the bordered matrix M, F with row 0 replaced by the real trace row t
+    (t y = tr sum_k y_k H_k), and rho = sum_k y_k H_k, Hermitian exactly
+    because y is real.  The same inverse certifies that F has exactly one
     stationary direction.  Let F preserve the trace (t F = 0) and let M_s
     be M with its trace row scaled by ||L||_F.  An eigenvector v with
     F v = lambda v, lambda != 0, has t v = 0, so M_s v = lambda (v - v_0 e_0)
@@ -280,10 +290,7 @@ def _steady_state(form: np.ndarray) -> np.ndarray:
         scale = np.linalg.norm(form)
     if not np.isfinite(scale):
         raise SteadyStateError("generator is not finite")
-    if not np.max(np.abs(form.imag)) <= 1e-12 * scale:
-        raise SteadyStateError("generator does not preserve Hermiticity")
-    real = form.real
-    bordered = real.copy()
+    bordered = form.copy()
     bordered[0] = _TRACE_ROW
     try:
         inverse = np.linalg.inv(bordered)
@@ -294,9 +301,9 @@ def _steady_state(form: np.ndarray) -> np.ndarray:
         # the proof needs t F = 0; an overflowing inverse reads inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
             bound = np.hypot(scale * np.linalg.norm(inverse[:, 1:]), np.linalg.norm(inverse[:, 0]))
-        certified = np.max(np.abs(_TRACE_ROW @ real)) <= 1e-12 * scale and bound < _CERTIFIED_BOUND
+        certified = np.max(np.abs(_TRACE_ROW @ form)) <= 1e-12 * scale and bound < _CERTIFIED_BOUND
     if not certified:
-        n_zero = int(np.sum(np.abs(np.linalg.eigvals(real)) <= STATIONARY_TOL * scale))
+        n_zero = int(np.sum(np.abs(np.linalg.eigvals(form)) <= STATIONARY_TOL * scale))
         if n_zero != 1:
             raise SteadyStateError(
                 f"steady state is not unique: {n_zero} stationary directions "
@@ -306,52 +313,46 @@ def _steady_state(form: np.ndarray) -> np.ndarray:
         raise SteadyStateError("steady state trace deviates from 1")
     y = inverse[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(real @ y)
+        residual = np.linalg.norm(form @ y)
     if not residual <= 1e-9 * scale:
         raise SteadyStateError(f"stationarity residual {residual:.2e} too large")
-    hermitian, failures = _checked_states(y[None], [])
-    messages = (
-        "steady state is not Hermitian",
-        "steady state trace deviates from 1",
-        "steady state has a negative eigenvalue",
-    )
+    rho, failures = _checked_states(y[None], [])
+    messages = ("steady state trace deviates from 1", "steady state has a negative eigenvalue")
     for failed, message in zip(failures, messages):
         if failed[0]:
             raise SteadyStateError(message)
-    return hermitian[0]
+    return rho[0]
 
 
 def _checked_states(y: np.ndarray, failures: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The states rho = sum_k y_k H_k of the (N, 16) coordinates ``y``:
-    their Hermitian parts, and ``failures`` (one (N,) mask per check of the
-    generator) followed by the state's checks: Hermitian, unit trace, no
-    negative eigenvalue."""
+    """The states rho = sum_k y_k H_k of the real (N, 16) coordinates ``y``,
+    and ``failures`` (one (N,) mask per check of the generator) followed by
+    the state's checks: unit trace, no negative eigenvalue.
+
+    Each rho is Hermitian exactly: its entries (j, k) and (k, j) are
+    y_s / sqrt2 +- i y_a / sqrt2 of the same two real coordinates."""
     rho = (y @ _MEMBER_ROWS).reshape(-1, 4, 4)
-    rho_h = rho.conj().transpose(0, 2, 1)
-    failures = failures + [
-        np.max(np.abs(rho - rho_h), axis=(-2, -1)) > 1e-12,
-        np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > 1e-12,
-    ]
-    hermitian = 0.5 * (rho + rho_h)
+    failures = failures + [np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > 1e-12]
     # positivity is tested only where the other checks passed, as in a
     # point-by-point run: eigvalsh raises on the NaN a failed solve leaves
     negative = np.zeros(len(y), dtype=bool)
     checked = ~np.logical_or.reduce(failures)
     if np.any(checked):
-        negative[checked] = np.min(np.linalg.eigvalsh(hermitian[checked]), axis=-1) < -1e-10
-    return hermitian, failures + [negative]
+        negative[checked] = np.min(np.linalg.eigvalsh(rho[checked]), axis=-1) < -1e-10
+    return rho, failures + [negative]
 
 
 def _pencil_steady_states(
     f0: np.ndarray, f1: np.ndarray, detuning: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Steady states of F(delta) = F0 + delta F1 on the grid ``detuning``
-    from one eigendecomposition, and the mask of the points it accepts.
+    """Steady states of the real form F(delta) = F0 + delta F1 on the grid
+    ``detuning`` from one eigendecomposition, and the mask of the points it
+    accepts.
 
     The bordered matrix of F(delta) (:func:`_steady_state`) is the
     pencil M(delta) = M_r + (delta - delta_r) J, with M_r that of the grid's
-    midpoint delta_r and J = F1.real with row 0 zeroed (it is zero already:
-    the detuning term leaves the trace row alone).  With M_r^-1 J =
+    midpoint delta_r and J = F1 with row 0 zeroed (it is zero already: the
+    detuning term leaves the trace row alone).  With M_r^-1 J =
     V diag(mu) V^-1 and W = V^-1 M_r^-1, M(delta)^-1 = V diag(d) W for
     d = 1 / (1 + (delta - delta_r) mu), so every point costs (16,)-vector
     work: y = Re V (d W e_0), refined once against the exact M(delta) with
@@ -359,37 +360,35 @@ def _pencil_steady_states(
 
     A point is accepted only when it passes every check of
     :func:`_steady_state` with the same thresholds, on values of the
-    pencil: ||L||_F from the Gram entries of (F0, F1); the Hermiticity
-    bound max |Im F0| + |delta| max |Im F1|; trace preservation as
-    t F0 + delta t F1; the certificate, with ||M(delta)^-1[:, 1:]||_F^2 in
+    pencil: ||L||_F from the Gram entries of (F0, F1); trace preservation
+    as t F0 + delta t F1; the certificate, with ||M(delta)^-1[:, 1:]||_F^2 in
     the exact Gram form Re d^H [(V^H V) o (W_1 W_1^H)^T] d, W_1 = W[:, 1:];
     the residual and the state's checks as there.  Nothing is accepted
     (and the caller solves every point directly) when the grid has one
     point, when F0, F1 or M_r is not finite, when M_r is exactly singular
     or when V is ill-conditioned (:data:`_PENCIL_CONDITION`).  Returns the
-    (N, 4, 4) Hermitian parts (zero where not accepted) and the (N,) mask.
+    (N, 4, 4) states (zero where not accepted) and the (N,) mask.
     """
     count = len(detuning)
     rho, accepted = np.zeros((count, 4, 4), dtype=complex), np.zeros(count, dtype=bool)
     if count < 2:
         return rho, accepted
-    form0, form1 = f0.real, f1.real
     column = detuning[:, None]
 
     def generator_times(y):  # F(delta) y at every point
-        return y @ form0.T + column * (y @ form1.T)
+        return y @ f0.T + column * (y @ f1.T)
 
     # overflow and nan are caught by the checks, each written so that a nan
     # fails it: such a point, or such a grid, is not accepted
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         parts = np.stack([f0.ravel(), f1.ravel()])
-        gram = (parts.conj() @ parts.T).real
+        gram = parts @ parts.T
         reference = 0.5 * (detuning.min() + detuning.max())
-        bordered = form0 + reference * form1
+        bordered = f0 + reference * f1
         if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(bordered))):
             return rho, accepted
         bordered[0] = _TRACE_ROW
-        slope = form1.copy()
+        slope = f1.copy()
         slope[0] = 0.0
         try:
             inverse = np.linalg.inv(bordered)
@@ -408,21 +407,19 @@ def _pencil_steady_states(
         y = y + ((d * (correction @ w.T)) @ v.T).real
 
         scale = np.sqrt(gram[0, 0] + detuning * (2.0 * gram[0, 1] + detuning * gram[1, 1]))
-        leak = np.max(np.abs(f0.imag)) + np.abs(detuning) * np.max(np.abs(f1.imag))
-        trace_leak = np.max(np.abs(_TRACE_ROW @ form0 + column * (_TRACE_ROW @ form1)), axis=-1)
+        trace_leak = np.max(np.abs(_TRACE_ROW @ f0 + column * (_TRACE_ROW @ f1)), axis=-1)
         w1 = w[:, 1:]
         weights = (v.conj().T @ v) * (w1 @ w1.conj().T).T
         tail = np.sqrt(np.real(np.sum(d.conj() * (d @ weights.T), axis=-1)))
         bound = np.hypot(scale * tail, np.linalg.norm(y, axis=-1))
         residual = np.linalg.norm(generator_times(y), axis=-1)
-        hermitian, failures = _checked_states(y, [
+        states, failures = _checked_states(y, [
             ~np.isfinite(scale),
-            ~(leak <= 1e-12 * scale),
             ~((trace_leak <= 1e-12 * scale) & (bound < _CERTIFIED_BOUND)),
             ~(residual <= 1e-9 * scale),
         ])
     accepted = ~np.logical_or.reduce(failures)
-    rho[accepted] = hermitian[accepted]
+    rho[accepted] = states[accepted]
     return rho, accepted
 
 
@@ -442,40 +439,24 @@ def steady_state(liouvillian: np.ndarray) -> SteadyState:
 
     Forms the generator's coordinates B^H L B in the Hermitian basis, where
     a generator that maps Hermitian matrices to Hermitian matrices is real,
-    and solves them with :func:`_steady_state`: column 0 of the inverse of
-    the bordered matrix, whose norm also certifies that the steady state
-    is unique (the eigenvalues near zero are counted only where it does
-    not).  Raises :class:`SteadyStateError` if the generator is not finite,
-    if it does not map Hermitian matrices to Hermitian matrices (its
-    coordinates have an imaginary part beyond 1e-12 ||L||_F), if the zero
-    eigenvalue is degenerate (e.g. a decoherence-free configuration whose
-    dynamics is purely Hamiltonian) or if the solution is unphysical.
+    and solves their real part with :func:`_steady_state`: column 0 of the
+    inverse of the bordered matrix, whose norm also certifies that the
+    steady state is unique (the eigenvalues near zero are counted only
+    where it does not).  Raises :class:`SteadyStateError` if the generator
+    is not finite, if it does not map Hermitian matrices to Hermitian
+    matrices (its coordinates have an imaginary part beyond
+    1e-12 ||L||_F), if the zero eigenvalue is degenerate (e.g. a
+    decoherence-free configuration whose dynamics is purely Hamiltonian)
+    or if the solution is unphysical.
     """
-    with np.errstate(invalid="ignore"):  # 0 * inf in a non-finite generator
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf in a non-finite generator
         form = _HERMITIAN_BASIS_H @ liouvillian @ _HERMITIAN_BASIS
-    return SteadyState(rho=_steady_state(form))
-
-
-def _output_coefficients(
-    cfg: SystemConfig, ch: CharQuantities
-) -> tuple[np.ndarray, np.ndarray, complex]:
-    """Per-atom coefficients of the transmitted/reflected output operators.
-
-    b_t = alpha e^{i (theta_last - theta_first)} + sum_j c_t[j] sigma_j^-,
-    b_r = sum_j c_r[j] sigma_j^-, with phases referenced to the leftmost
-    point and the transmitted output evaluated at the rightmost one:
-    c_r[j] = e^{-i theta_first} w_j / sqrt2 and
-    c_t[j] = e^{i theta_last} conj(w_j) / sqrt2, w_j the atom's coupling phasor
-    from ``ch = characteristics(cfg)``.
-    """
-    theta_first = cfg.atom_a.points[0].phase_coord
-    theta_last = max(cfg.atom_a.phases + cfg.atom_b.phases)
-    w = np.array([ch.w_a, ch.w_b]) / math.sqrt(2.0)
-    return (
-        cmath.exp(1j * theta_last) * w.conj(),
-        cmath.exp(-1j * theta_first) * w,
-        cmath.exp(1j * (theta_last - theta_first)),
-    )
+        scale = np.linalg.norm(form)
+    if not np.isfinite(scale):
+        raise SteadyStateError("generator is not finite")
+    if not np.max(np.abs(form.imag)) <= 1e-12 * scale:
+        raise SteadyStateError("generator does not preserve Hermiticity")
+    return SteadyState(rho=_steady_state(form.real))
 
 
 def _channel_operator(coeffs: np.ndarray) -> np.ndarray:
@@ -515,8 +496,9 @@ def master_sweep(
 ) -> MasterSweep:
     """Steady-state transmission, reflection and inelastic flux on a detuning grid.
 
-    Uses L(delta) = L0 + delta L1 in the Hermitian basis: F0 = B^H L0 B and
-    F1 = B^H L1 B are formed once.  Their bordered matrices form a pencil in
+    Uses the real form F(delta) = F0 + delta F1 of the generator in the
+    Hermitian basis (:func:`_master_form`), assembled once per sweep from
+    the real coefficients.  Their bordered matrices form a pencil in
     delta, and one eigendecomposition of it (:func:`_pencil_steady_states`)
     gives the steady state of every grid point, refined once against the
     exact generator.  A point is kept only if it passes every check of
@@ -531,11 +513,9 @@ def master_sweep(
         raise GawqedError("master-equation scattering requires a nonzero drive")
     detuning = np.atleast_1d(np.asarray(detuning, dtype=float))
     alpha = math.sqrt(amplitude_sq)
-    ch = characteristics(cfg)
-    f0, f1 = _hermitian_form_parts(cfg, alpha, ch)
+    f0, f1, c_t, c_r, through_phase = _master_form(cfg, alpha)
     rho = _steady_states(f0, f1, detuning)
 
-    c_t, c_r, through_phase = _output_coefficients(cfg, ch)
     flux = np.zeros(len(detuning))
     amplitudes = []
     for coeffs, offset in ((c_t, through_phase * alpha), (c_r, 0.0)):
@@ -586,13 +566,11 @@ def inelastic_spectrum(
     eigenfrequency that actually contributes (transmitted channel first).
     """
     nu = np.asarray(nu_grid, dtype=float)
-    ch = characteristics(cfg)
-    f0, f1 = _hermitian_form_parts(cfg, drive.alpha, ch)
+    f0, f1, c_t, c_r, _ = _master_form(cfg, drive.alpha)
     form = f0 + drive.frequency_detuning * f1
     rho = _steady_state(form)
-    eigvals, eigvecs = np.linalg.eig(form.real)
+    eigvals, eigvecs = np.linalg.eig(form)
 
-    c_t, c_r, _ = _output_coefficients(cfg, ch)
     ops = np.stack([_channel_operator(c_t), _channel_operator(c_r)])
     fluct = ops - np.einsum("ij,cji->c", rho, ops)[:, None, None] * _ID4
     # coordinates tr(H_k X) of dB rho_ss (the initial vector) and of dB'
@@ -622,8 +600,6 @@ def incoherent_channel_flux(cfg: SystemConfig, drive: DriveSpec) -> tuple[float,
 
     The one-point case of the per-channel moments of :func:`master_sweep`.
     """
-    ch = characteristics(cfg)
-    f0, f1 = _hermitian_form_parts(cfg, drive.alpha, ch)
+    f0, f1, c_t, c_r, _ = _master_form(cfg, drive.alpha)
     rho = _steady_state(f0 + drive.frequency_detuning * f1)[None]
-    c_t, c_r, _ = _output_coefficients(cfg, ch)
     return float(_channel_moments(rho, c_t)[1][0]), float(_channel_moments(rho, c_r)[1][0])

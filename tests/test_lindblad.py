@@ -19,7 +19,7 @@ from gawqed import (
     steady_state,
     symmetric_config,
 )
-from gawqed import lindblad
+from gawqed import cli, lindblad
 from gawqed.core import Geometries, detunings, rate_scale
 from gawqed.lindblad import (
     _HERMITIAN_BASIS,
@@ -28,14 +28,13 @@ from gawqed.lindblad import (
     SIGMA_MINUS_B,
     SteadyStateError,
     _dissipator,
-    _hermitian_form_parts,
-    _liouvillian_parts,
-    _output_coefficients,
+    _master_form,
     _steady_state,
     _vec,
     incoherent_channel_flux,
     master_sweep,
 )
+from gawqed.scattering import _amplitude_arrays
 
 from conftest import random_system
 
@@ -101,10 +100,10 @@ class TestGenerator:
             cfg = random_system(rng)
             drive = DriveSpec(float(rng.uniform(1e-4, 0.1)), float(rng.uniform(-6, 6)))
             reference = reference_liouvillian(cfg, drive)
-            l0, l1 = _liouvillian_parts(cfg, drive.alpha, characteristics(cfg))
-            affine = l0 + drive.frequency_detuning * l1
+            f0, f1 = _master_form(cfg, drive.alpha)[:2]
+            affine = f0 + drive.frequency_detuning * f1
             bound = 1e-15 * np.linalg.norm(reference)
-            assert np.max(np.abs(affine - reference)) <= bound
+            assert np.max(np.abs(affine - _HERMITIAN_BASIS.conj().T @ reference @ _HERMITIAN_BASIS)) <= bound
             assert np.max(np.abs(build_liouvillian(cfg, drive) - reference)) <= bound
 
     def test_trace_preservation(self):
@@ -197,12 +196,11 @@ def figure_sets():
 def figure_generators():
     """The generators of the paper's figure sets 7a-c and 8a-b on the
     121-point master-sweep grid."""
-    grid = np.linspace(-6, 6, 121)[:, None, None]
-    stacks = []
-    for cfg, amplitude_sq in figure_sets():
-        l0, l1 = _liouvillian_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
-        stacks.append(l0 + grid * l1)
-    return list(np.concatenate(stacks))
+    return [
+        build_liouvillian(cfg, DriveSpec(amplitude_sq, float(delta)))
+        for cfg, amplitude_sq in figure_sets()
+        for delta in np.linspace(-6, 6, 121)
+    ]
 
 
 def null_vector_states(stack):
@@ -369,6 +367,18 @@ class TestRealFormSteadyState:
             deviation = np.linalg.norm(rho - reference, axis=(1, 2))
             assert np.all(deviation <= 1e-12 * np.linalg.norm(reference, axis=(1, 2)))
 
+    def test_states_are_hermitian_exactly(self):
+        # rho = sum_k y_k H_k of real coordinates y is Hermitian bit for bit
+        rng = np.random.default_rng(29)
+        states = [
+            master_sweep(random_system(rng), float(rng.uniform(1e-4, 0.2)), np.linspace(-6, 6, 41)).rho
+            for _ in range(20)
+        ]
+        states += [steady_state(liouv).rho[None] for liouv in random_generators() if stationary_count(liouv) == 1]
+        rho = np.concatenate(states)
+        assert len(rho) == 20 * 41 + 180
+        np.testing.assert_array_equal(rho, rho.conj().swapaxes(-1, -2))
+
 
 class TestNonFinite:
     """A generator with a nan or inf entry raises before any solve."""
@@ -435,6 +445,30 @@ class TestScattering:
         ratio = abs(res3.T - gen.T) / abs(res4.T - gen.T)
         assert 8.0 < ratio < 12.0
 
+    def test_random_configs_converge_linearly_in_drive(self):
+        # the oracle-check draws of seed 0: the master T and R approach the
+        # closed form as |alpha|^2 -> 0, the deviation ten times smaller per
+        # decade wherever it is above rounding
+        geoms, delta, _ = cli._random_draws(np.random.default_rng(0), 300)
+        t, r = _amplitude_arrays(geoms, delta)
+        cfgs = [
+            SystemConfig(*(
+                GiantAtom(label, tuple(CouplingPoint(float(p), float(g))
+                                       for p, g in zip(geoms.phases[k, j], geoms.rates[k, j])))
+                for j, label in enumerate("ab")
+            ), delta_ab=float(geoms.delta_ab[k]))
+            for k in range(len(geoms))
+        ]
+        deviations = []
+        for amplitude_sq in (1e-4, 1e-5):
+            sweeps = [master_sweep(cfg, amplitude_sq, d) for cfg, d in zip(cfgs, delta)]
+            big_t, big_r = (np.concatenate([getattr(sweep, name) for sweep in sweeps]) for name in ("T", "R"))
+            deviations.append(np.maximum(np.abs(big_t - np.abs(t) ** 2), np.abs(big_r - np.abs(r) ** 2)))
+        above = deviations[1] > 1e-10
+        assert above.sum() >= 290
+        ratio = deviations[0][above] / deviations[1][above]
+        assert np.all((8.0 <= ratio) & (ratio <= 12.0))
+
     def test_conservation_randomized(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -487,7 +521,7 @@ def fallback_points(monkeypatch):
 def direct_sweep_message(cfg, amplitude_sq, grid):
     """The error of solving the points of the grid directly in turn, and
     the number of points solved up to and including the failing one."""
-    f0, f1 = lindblad._hermitian_form_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
+    f0, f1 = lindblad._master_form(cfg, math.sqrt(amplitude_sq))[:2]
     solved = 0
     with pytest.raises(SteadyStateError) as info:
         for delta in grid:
@@ -499,7 +533,7 @@ def direct_sweep_message(cfg, amplitude_sq, grid):
 def inverse_bounds(f0, f1, grid):
     """The certificate's bound ||M_s^-1||_F ||L||_F from the inverse at
     every grid point, and a limit between two neighbouring values of it."""
-    bordered = f0.real + grid[:, None, None] * f1.real
+    bordered = f0 + grid[:, None, None] * f1
     bordered[:, 0] = lindblad._TRACE_ROW
     inverse = np.linalg.inv(bordered)
     scale = np.linalg.norm(f0 + grid[:, None, None] * f1, axis=(1, 2))
@@ -516,11 +550,11 @@ class TestPencil:
     whole grids it cannot serve, go to ``_steady_state`` one by one."""
 
     def test_detuning_slope(self):
-        # J = F1.real: zero trace row, skew, rank 10, for every config and drive
+        # J = F1: zero trace row, skew, rank 10, for every config and drive
         rng = np.random.default_rng(21)
         configs = figure_sets() + [(random_system(rng), float(rng.uniform(1e-4, 0.2))) for _ in range(10)]
         for cfg, amplitude_sq in configs:
-            f1 = _hermitian_form_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))[1].real
+            f1 = _master_form(cfg, math.sqrt(amplitude_sq))[1]
             assert np.all(f1[0] == 0.0)
             assert np.all(f1 == -f1.T)
             assert np.linalg.matrix_rank(f1) == 10
@@ -541,7 +575,7 @@ class TestPencil:
         # the inverse-based bound, the pencil's Gram form keeps exactly the
         # points below it
         cfg, amplitude_sq = figure_sets()[index]
-        f0, f1 = _hermitian_form_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
+        f0, f1 = _master_form(cfg, math.sqrt(amplitude_sq))[:2]
         grid = np.linspace(-6, 6, 121)
         bound, limit = inverse_bounds(f0, f1, grid)
         monkeypatch.setattr(lindblad, "_CERTIFIED_BOUND", limit)
@@ -553,7 +587,7 @@ class TestPencil:
         # pencil accepts the points below it and hands the others, in grid
         # order, to the one-point solve, which certifies them by eigvals
         cfg, amplitude_sq = figure_sets()[0]
-        f0, f1 = _hermitian_form_parts(cfg, math.sqrt(amplitude_sq), characteristics(cfg))
+        f0, f1 = _master_form(cfg, math.sqrt(amplitude_sq))[:2]
         grid = np.linspace(-6, 6, 121)
         bound, limit = inverse_bounds(f0, f1, grid)
         monkeypatch.setattr(lindblad, "_CERTIFIED_BOUND", limit)
@@ -581,8 +615,8 @@ class TestPencil:
         else:
             # F(delta) = delta G: zero, so M_r exactly singular, at the midpoint 0
             cfg, amplitude_sq, count, first = collective_eit_config(), 0.04, 16, 3
-            f0, f1 = _hermitian_form_parts(cfg, 0.2, characteristics(cfg))
-            monkeypatch.setattr(lindblad, "_hermitian_form_parts", lambda *args: (0.0 * f0, f0 + 0.5 * f1))
+            f0, f1, *outputs = _master_form(cfg, 0.2)
+            monkeypatch.setattr(lindblad, "_master_form", lambda *args: (0.0 * f0, f0 + 0.5 * f1, *outputs))
         message, direct = direct_sweep_message(cfg, amplitude_sq, grid)
         assert degenerate_message(count) in message
         assert direct == first
@@ -607,8 +641,8 @@ class TestPencil:
     def test_real_eigenvalues(self, monkeypatch):
         # a detuning-independent generator: K = 0, whose eigendecomposition is real
         cfg = collective_eit_config()
-        f0, f1 = _hermitian_form_parts(cfg, 0.2, characteristics(cfg))
-        monkeypatch.setattr(lindblad, "_hermitian_form_parts", lambda *args: (f0, 0.0 * f1))
+        f0, f1, *outputs = _master_form(cfg, 0.2)
+        monkeypatch.setattr(lindblad, "_master_form", lambda *args: (f0, 0.0 * f1, *outputs))
         dtypes = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda a: dtypes.append([x.dtype for x in eig(a)]) or eig(a))
@@ -676,7 +710,7 @@ class TestSpectrumOracle:
     def direct_spectrum(cfg, drive, nu):
         liouv = build_liouvillian(cfg, drive)
         rho = null_vector_states(liouv[None])[0]
-        c_t, c_r, _ = _output_coefficients(cfg, characteristics(cfg))
+        c_t, c_r = _master_form(cfg, drive.alpha)[2:4]
         channels = []
         for coeffs in (c_t, c_r):
             op = coeffs[0] * SIGMA_MINUS_A + coeffs[1] * SIGMA_MINUS_B
