@@ -314,8 +314,8 @@ def _fano_columns(raw: dict, phis: list[float]) -> list:
     """The ``fano`` table after its phi column, decomposed in stacks of
     ``STACK_BLOCK`` spacings.
 
-    When a stack fails, its spacings are rerun one by one, so that the error
-    of the first failing spacing is raised, naming that spacing.
+    A failing stack raises the error of its first failing spacing
+    (:func:`~gawqed.fano._lorentz_arrays`), which this names.
     """
     blocks, regimes = [], []
     fits = np.full((4, len(phis)), math.nan)
@@ -324,13 +324,8 @@ def _fano_columns(raw: dict, phis: list[float]) -> list:
         geoms = _phi_geometries(raw, block)
         try:
             fields = fano._lorentz_arrays(geoms)
-        except fano.DecompositionError:
-            for k, phi in enumerate(block):
-                try:
-                    fano._lorentz_arrays(geoms[k:k + 1])
-                except fano.DecompositionError as exc:
-                    raise fano.DecompositionError(f"{exc} at phi={phi}") from exc
-            raise
+        except fano.DecompositionError as exc:
+            raise fano.DecompositionError(f"{exc} at phi={block[exc.row]}") from exc
         blocks.append(fields)
         scales = rate_scale(geoms.rates).tolist()
         for k, (scale, *values) in enumerate(zip(scales, *(field.tolist() for field in fields))):
@@ -416,6 +411,8 @@ def run(spec: RunSpec) -> int:
         raise ConfigError(
             f"command {spec.command!r} accepts sweep variables {allowed}, got {variable!r}"
         )
+    if spec.command == "eit-classify" and spec.fmt != "json":
+        raise ConfigError(f"command 'eit-classify' writes json only, got --format {spec.fmt}")
 
     raw = None
     if spec.command != "oracle-check":
@@ -443,7 +440,7 @@ def run(spec: RunSpec) -> int:
     phis = [float(p) for p in grid] if variable == "phi" else []
     if spec.command == "spectrum":
         if variable == "phi":
-            delta = float(raw.get("drive", {}).get("detuning", 0.0))
+            delta = _drive_from(raw).frequency_detuning if "drive" in raw else 0.0
             header = ["phi", "re_t", "im_t", "re_r", "im_r", "T", "R"]
             geoms = _phi_geometries(raw, phis)
         else:

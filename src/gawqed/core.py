@@ -202,10 +202,6 @@ class Geometries:
     def __len__(self) -> int:
         return len(self.delta_ab)
 
-    def __getitem__(self, rows: slice) -> "Geometries":
-        """The sub-stack of the geometries ``rows``."""
-        return Geometries(self.phases[rows], self.rates[rows], self.delta_ab[rows])
-
     def quantities(self) -> CharQuantities:
         """The :class:`CharQuantities` of every geometry, each field an (N,) array.
 

@@ -44,7 +44,12 @@ class FanoRegimeError(GawqedError):
 
 
 class DecompositionError(GawqedError):
-    """The channel parameters fail the reconstruction identity."""
+    """The channel parameters fail the reconstruction identity; ``row`` is
+    the failing geometry of the stack."""
+
+    def __init__(self, message: str, row: int = 0) -> None:
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -116,19 +121,22 @@ def lorentz_pair(cfg: SystemConfig) -> LorentzPair:
     is mean + s for the principal square root s.  A channel of (numerically)
     zero width, or one whose pole coincides with the other, gets chi = 0.
 
-    Raises :class:`DecompositionError` for a negative width or when the pair
-    misses the general amplitude by more than ``DECOMPOSITION_TOL`` on a probe
-    grid spanning +-6 times the rate scale.  This is the one-geometry
-    case of :func:`_lorentz_arrays`; the CLI's ``fano`` phi sweep evaluates
-    its grid with that kernel in blocks of spacings, one stack per block.
+    Raises :class:`DecompositionError` for a negative width, else when the
+    pair misses the general amplitude by more than ``DECOMPOSITION_TOL`` on
+    a probe grid spanning +-6 times the rate scale.  This is the
+    one-geometry case of :func:`_lorentz_arrays`; the CLI's ``fano`` phi
+    sweep evaluates its grid with that kernel in blocks of spacings, one
+    stack per block, and names the spacing of the error's ``row``.
     """
     return LorentzPair(*(field[0].item() for field in _lorentz_arrays(Geometries.of([cfg]))))
 
 
 def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
     """The fields of :func:`lorentz_pair` for every geometry of a stack, as
-    (N,) arrays.  The first failing geometry in stack order raises the error
-    of its one-geometry call.  The poles and residues are formed in units
+    (N,) arrays.  The width check and the probe check run over the whole
+    stack; the first geometry in stack order that fails either raises the
+    error of its one-geometry call (the width's where it fails both), with
+    ``row`` its index in the stack.  The poles and residues are formed in units
     of the rate scale, r's numerator at the poles by
     :func:`~gawqed.scattering._mode_form`."""
     ch = geoms.quantities()
@@ -151,26 +159,18 @@ def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
     chis = np.where((widths <= DECOUPLE_TOL) | (np.abs(gaps) <= DECOUPLE_TOL), 0j, chis)
     negative = np.min(widths, axis=1) < -DECOUPLE_TOL
     fields = (*(scale * poles.real.T), *(scale * widths.T), *chis.T)
-    try:
-        if negative.any():
-            k = int(np.argmax(negative))
-            raise DecompositionError(f"negative channel width: {(float(fields[2][k]), float(fields[3][k]))}")
-        probe = scale[:, None] * _PROBE
-        _, r_exact = _amplitude_arrays(geoms, probe, ch, modes)
-        rebuilt = LorentzPair(*(f[:, None] for f in fields)).reconstruct(probe)
-        residual = np.max(np.abs(rebuilt - r_exact), axis=1)
-        failed = ~(residual <= DECOMPOSITION_TOL)
-        if failed.any():
-            raise DecompositionError(
-                f"reconstruction residual {residual[int(np.argmax(failed))]:.2e} "
-                f"exceeds {DECOMPOSITION_TOL}"
-            )
-    except GawqedError:
-        # the stack raised for one of its failures: rerun it one by one, so
-        # that the first failing geometry raises its own error
-        for k in range(len(geoms) if len(geoms) > 1 else 0):
-            _lorentz_arrays(geoms[k:k + 1])
-        raise
+    probe = scale[:, None] * _PROBE
+    _, r_exact = _amplitude_arrays(geoms, probe, ch, modes)
+    rebuilt = LorentzPair(*(f[:, None] for f in fields)).reconstruct(probe)
+    residual = np.max(np.abs(rebuilt - r_exact), axis=1)
+    failed = negative | ~(residual <= DECOMPOSITION_TOL)
+    if failed.any():
+        k = int(np.argmax(failed))
+        if negative[k]:
+            message = f"negative channel width: {(float(fields[2][k]), float(fields[3][k]))}"
+        else:
+            message = f"reconstruction residual {residual[k]:.2e} exceeds {DECOMPOSITION_TOL}"
+        raise DecompositionError(message, row=k)
     return fields
 
 

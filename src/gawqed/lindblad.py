@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GawqedError, SystemConfig, characteristics
+from .core import ConfigError, GawqedError, SystemConfig, characteristics
 
 #: |eigenvalue| <= this times ||L||_F is a stationary direction (all 16 for L = 0)
 STATIONARY_TOL = 1e-10
@@ -65,7 +65,10 @@ class DriveSpec:
     frequency_detuning: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.amplitude_sq) and self.amplitude_sq >= 0.0):
+        for name in ("amplitude_sq", "frequency_detuning"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if not self.amplitude_sq >= 0.0:
             raise GawqedError(f"amplitude_sq must be >= 0, got {self.amplitude_sq}")
 
     @property

@@ -35,6 +35,9 @@ DECOUPLE_TOL = 1e-12
 #: a locus root counts as real, or as sitting on a peak, within this times the rate scale
 ROOT_TOL = 1e-9
 
+#: |delta_a| / scale from which the closed form is evaluated scaled down
+_HUGE = 2.0**500
+
 #: a peak discriminant within this times the rate scale squared of zero is a double root
 DOUBLE_PEAK_TOL = 1e-14
 
@@ -147,7 +150,7 @@ def _decay_modes(geoms: Geometries, ch: CharQuantities) -> DecayModes:
     )
 
 
-def _mode_form(modes: DecayModes, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _mode_form(modes: DecayModes, x, root=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """det, r's numerator and t's numerator of the closed form at x = delta_a / scale.
 
     In the basis of :class:`DecayModes`, K = i (x - H) - Gamma / 2 has
@@ -170,12 +173,20 @@ def _mode_form(modes: DecayModes, x) -> tuple[np.ndarray, np.ndarray, np.ndarray
     (x - e_u)(x - e_v) <= 0, and there Re det is a sum of terms >= 0, at
     least c^2 + |w_u|^2 |w_v|^2 / 4: det is 0 only where c and w_v both
     are, which the decoupled branch of :func:`_amplitude_arrays` takes.
+
+    ``root``, powers of two that broadcast against x, scales x, the
+    energies and c by root^2 and the phasors by root: det and both
+    numerators scale by root^4, and t and r not at all.
     """
     column = (-1,) + (1,) * (np.ndim(x) - 1)
     e_u, e_v, c, w_u, w_v = (
         field.reshape(column)
         for field in (modes.bright_energy, modes.dark_energy, modes.coupling, modes.w_u, modes.w_v)
     )
+    if root is not None:
+        square = root * root
+        x, e_u, e_v, c, w_u, w_v = (x * square, e_u * square, e_v * square, c * square,
+                                    w_u * root, w_v * root)
     lam_u, lam_v = np.abs(w_u) ** 2, np.abs(w_v) ** 2
     d_u, d_v = x - e_u, x - e_v
     k_u, k_v = 1j * d_u - 0.5 * lam_u, 1j * d_v - 0.5 * lam_v
@@ -208,7 +219,13 @@ def _amplitude_arrays(
     # per-geometry terms run down the first axis of a 2-D grid
     column = (len(geoms),) + (1,) * (delta_a.ndim - 1)
     x = delta_a / modes.scale.reshape(column)
-    det, r_num, t_num = _mode_form(modes, x)
+    # the forms multiply two detunings, which overflows from |x| ~ 1e154 on:
+    # there they are evaluated on x scaled to about 1
+    size = np.abs(x)
+    root = None
+    if np.max(size, initial=0.0) >= _HUGE:
+        root = np.ldexp(1.0, np.where(size >= _HUGE, -(np.frexp(size)[1] // 2), 0))
+    det, r_num, t_num = _mode_form(modes, x, root)
     with np.errstate(divide="ignore", invalid="ignore"):
         t, r = t_num / det, r_num / det
     decoupled = modes.decoupled.reshape(column)
@@ -306,100 +323,58 @@ def peak_minimum_loci(topology: Topology, phi: float, gamma: float = 1.0) -> Loc
 # ---------------------------------------------------------------------------
 
 
-def _real_space_template() -> np.ndarray:
-    """Coefficients of the augmented real-space system [A | rhs], (34, 10, 11).
-
-    [A | rhs] of one geometry is the features of that geometry, contracted
-    with this template.  Sorted point m contributes the features
-    (e^{i theta}, e^{-i theta}, V_a, V_b, V_a e^{i theta}/2, V_b e^{i theta}/2,
-    V_a e^{-i theta}/2, V_b e^{-i theta}/2) at index 4 * kind + m, with V_j its
-    coupling to atom j (zero for the other atom's points); features 32 and 33
-    are the atoms' detunings.  Rows 0-3 are the right-mover jumps
-    -i e^{i theta} (A_m - A_{m-1}) + V f = 0, rows 4-7 the left-mover jumps
-    +i e^{-i theta} (B_{m+1} - B_m) + V f = 0, rows 8-9 the atoms
-    -Delta_j f_j + sum_n V_n [mean(Phi_R) + mean(Phi_L)] = 0.
-    """
-    tpl = np.zeros((34, 10, 11), dtype=complex)
-    # unknown holding each region's right-mover amplitude; region 0 holds the
-    # incident 1, a known term that moves to the rhs (column 10)
-    right = (10, 0, 1, 2, 3)
-    # and its left-mover amplitude; nothing comes in from the right
-    left = (4, 5, 6, 7, None)
-
-    def put(feature, row, col, coeff):
-        if col is not None:
-            tpl[feature, row, col] += -coeff if col == 10 else coeff
-
-    for m in range(4):
-        put(m, m, right[m + 1], -1j)
-        put(m, m, right[m], 1j)
-        put(4 + m, 4 + m, left[m + 1], 1j)
-        put(4 + m, 4 + m, left[m], -1j)
-        for j in (0, 1):
-            put(8 + 4 * j + m, m, 8 + j, 1.0)
-            put(8 + 4 * j + m, 4 + m, 8 + j, 1.0)
-            for col in (right[m], right[m + 1]):
-                put(16 + 4 * j + m, 8 + j, col, 1.0)
-            for col in (left[m], left[m + 1]):
-                put(24 + 4 * j + m, 8 + j, col, 1.0)
-    put(32, 8, 8, -1.0)
-    put(33, 9, 9, -1.0)
-    return tpl
-
-
-def _gather_template(tpl: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The template as index arrays: entry ``entries[e]`` of the flat
-    [A | rhs] is sum_s coeffs[s, e] * features[feats[s, e]] over the (at most
-    two) features it has.  Two gathers instead of a matrix product keep BLAS
-    out, whose buffers add ~0.35 MB to the peak memory of a CLI run."""
-    flat = tpl.reshape(len(tpl), -1)
-    entries = np.flatnonzero(np.any(flat != 0, axis=0))
-    feats = np.zeros((2, len(entries)), dtype=int)
-    coeffs = np.zeros((2, len(entries)), dtype=complex)
-    for e, entry in enumerate(entries):
-        for s, k in enumerate(np.flatnonzero(flat[:, entry])):
-            feats[s, e], coeffs[s, e] = k, flat[k, entry]
-    return entries, feats, coeffs
-
-
-_ENTRIES, _FEATS, _COEFFS = _gather_template(_real_space_template())
-
-#: owning atom (0 = a, 1 = b) of the points (a1, a2, b1, b2), and the atoms
+#: owning atom (0 = a, 1 = b) of the points (a1, a2, b1, b2)
 _POINT_ATOM = np.array([0, 0, 1, 1])
-_ATOMS = np.array([[0], [1]])
+
+#: unknown holding each region's right-mover amplitude (region 0 holds the
+#: incident 1, a known term) and its left-mover amplitude (nothing comes in
+#: from the right)
+_RIGHT = (None, 0, 1, 2, 3)
+_LEFT = (4, 5, 6, 7, None)
 
 
 def _real_space_arrays(geoms: Geometries, delta_a) -> np.ndarray:
     """Unknowns of :func:`solve_real_space` for a stack of geometries, (N, 10).
 
-    ``delta_a`` has shape (N,) or is one number.  A singular system or a
-    residual above 1e-8 |rhs| raises :class:`OracleSingularError`
-    for the first failing geometry in stack order.
+    ``delta_a`` has shape (N,) or is one number.  The rows of the system
+    are the equations of :func:`solve_real_space`, written point by point
+    over the four sorted points: rows 0-3 the right-mover jumps
+    -i e^{i theta} (A_{m+1} - A_m) + V f = 0, rows 4-7 the left-mover jumps
+    i e^{-i theta} (B_{m+1} - B_m) + V f = 0, with V the point's coupling to
+    its atom and f that atom's amplitude, and rows 8-9 the atoms
+    -Delta_j f_j + sum_m V_m [mean(Phi_R) + mean(Phi_L)] = 0 over the
+    atom's points.  A singular system or a residual above 1e-8 |rhs|
+    raises :class:`OracleSingularError` for the first failing geometry in
+    stack order.
     """
     count = len(geoms)
+    delta_a = np.asarray(delta_a, dtype=float)
     flat = geoms.phases.reshape(count, 4)
     order = np.argsort(flat, axis=1, kind="stable")  # stable: a before b on ties
     pick = np.arange(count)[:, None], order
     ep = np.exp(1j * flat[pick])
     inv = 1.0 / ep
     v = np.sqrt(geoms.rates.reshape(count, 4)[pick] / 2.0)
-    coupling = v[:, None, :] * (_POINT_ATOM[order][:, None, :] == _ATOMS)  # (N, atom, point)
-    half = 0.5 * coupling
-    det = np.empty((count, 2))
-    det[:, 0] = delta_a
-    det[:, 1] = delta_a + geoms.delta_ab
-    features = np.concatenate(
-        [ep, inv]
-        + [part.reshape(count, 8) for part in (coupling, half * ep[:, None], half * inv[:, None])]
-        + [det],
-        axis=1,
-    )
-    system = np.zeros((count, 110), dtype=complex)
-    values = features[:, _FEATS[0]] * _COEFFS[0]
-    values += features[:, _FEATS[1]] * _COEFFS[1]
-    system[:, _ENTRIES] = values
-    system = system.reshape(count, 10, 11)
+    # row and column of the atom of each sorted point
+    atom = 8 + _POINT_ATOM[order]
+    rows = np.arange(count)
+    system = np.zeros((count, 10, 11), dtype=complex)
     A, rhs = system[..., :10], system[..., 10]
+    A[:, 8, 8] = -delta_a
+    A[:, 9, 9] = -(delta_a + geoms.delta_ab)
+    for m in range(4):
+        f, half = atom[:, m], 0.5 * v[:, m]
+        # the right-mover jump in row m, the left-mover jump in row 4 + m
+        for row, cols, phase, after in ((m, _RIGHT, ep[:, m], -1j), (4 + m, _LEFT, inv[:, m], 1j)):
+            A[rows, row, f] = v[:, m]
+            for col, coeff in ((cols[m + 1], after), (cols[m], -after)):
+                if col is not None:
+                    A[:, row, col] = coeff * phase
+                    # the atom takes the mean of the one-sided limits at its point
+                    A[rows, f, col] += half * phase
+    # the terms of the incident 1, moved to the rhs
+    rhs[:, 0] = -1j * ep[:, 0]
+    rhs[rows, atom[:, 0]] = -0.5 * v[:, 0] * ep[:, 0]
 
     singular = np.zeros(count, dtype=bool)
     try:

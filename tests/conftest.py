@@ -1,5 +1,6 @@
 """Shared test helpers."""
 
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from gawqed import fano
-from gawqed.core import CouplingPoint, GiantAtom, SystemConfig, Topology
+from gawqed.core import CouplingPoint, Geometries, GiantAtom, SystemConfig, Topology, rate_scale
 
 # CLI tests start ``python -m gawqed.cli``: give those processes the package
 # of this checkout too, as ``pythonpath`` in pyproject.toml does for pytest
@@ -25,6 +26,21 @@ def shift_probe_check(monkeypatch, shift):
         return t, r + shift(geoms)[:, None]
 
     monkeypatch.setattr(fano, "_amplitude_arrays", shifted)
+
+
+def fake_negative_width(monkeypatch, hit):
+    """Give both channels a negative width in the geometries of a stack
+    where ``hit(geoms)`` holds.  A real width cannot be negative (the decay
+    matrix is positive semidefinite): this lowers Gamma_a and Gamma_b by
+    ten times the rate scale, past the largest eigenvalue of the matrix."""
+    exact = Geometries.quantities
+
+    def quantities(geoms):
+        ch = exact(geoms)
+        drop = 10.0 * rate_scale(geoms.rates) * hit(geoms)
+        return dataclasses.replace(ch, gamma_a=ch.gamma_a - drop, gamma_b=ch.gamma_b - drop)
+
+    monkeypatch.setattr(Geometries, "quantities", quantities)
 
 
 def random_system(rng: np.random.Generator) -> SystemConfig:

@@ -38,7 +38,7 @@ from gawqed.cli import build_system, main, validate_config
 from gawqed.core import ConfigError, Geometries, symmetric_config
 from gawqed.scattering import OracleSingularError
 
-from conftest import random_system, shift_probe_check
+from conftest import fake_negative_width, random_system, shift_probe_check
 
 #: the config format as a JSON Schema: the oracle for ``validate_config``
 CONFIG_SCHEMA = {
@@ -409,6 +409,21 @@ class TestCommands:
             vals = [float(x) for x in line.split(",")]
             assert vals[5] + vals[6] == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("raw", [
+        {"symmetric": {"topology": "separate", "phi": 1.0}},
+        {"symmetric": {"topology": "nested", "phi": 0.3, "gamma": 0.01}, "delta_ab": 2.5},
+        {"symmetric": {"topology": "braided", "phi": math.pi / 2}},
+    ], ids=["separate", "nested-detuned", "braided-decoupled"])
+    def test_spectrum_finite_at_huge_detunings(self, capsys, tmp_path, raw):
+        # (x - e_u)(x - e_v) overflows past |x| ~ 1e154 unless scaled
+        path = write_config(tmp_path, raw)
+        code, out, err = run_main(capsys, "--config", path, "--command", "spectrum",
+                                  "--sweep", "delta_a:-1e300:1e300:5", "--format", "json")
+        assert code == 0 and err == ""
+        for row in json.loads(out):
+            assert all(math.isfinite(value) for value in row.values())
+            assert abs(row["T"] + row["R"] - 1.0) <= 1e-15
+
     def test_spectrum_argmin_matches_loci(self, tmp_path):
         phi = 0.05 * math.pi
         path = tmp_path / "cfg.json"
@@ -705,6 +720,32 @@ class TestExitCodes:
         assert proc.returncode == 3 and proc.stdout == ""
         assert json.loads(proc.stderr)["error"] == "QuantityOverflowError"
 
+    @pytest.mark.parametrize(
+        "drive, args",
+        [
+            ({"alpha_sq": math.inf}, ("master-sweep", "delta_a:-1:1:3")),
+            ({"alpha_sq": math.nan}, ("inelastic-spectrum", "nu:-1:1:3")),
+            ({"alpha_sq": 0.04, "detuning": math.inf}, ("inelastic-spectrum", "nu:-1:1:3")),
+            ({"alpha_sq": 0.04, "detuning": -math.inf}, ("spectrum", "phi:0.1:1:3")),
+            ({"alpha_sq": 0.04, "detuning": math.nan}, ("spectrum", "phi:0.1:1:3")),
+        ],
+        ids=["alpha-inf", "alpha-nan", "detuning-inf", "phi-detuning-inf", "phi-detuning-nan"],
+    )
+    def test_non_finite_drive_is_2(self, tmp_path, drive, args):
+        # json reads NaN and Infinity, and the schema passes them
+        path = write_config(tmp_path, {"symmetric": {"topology": "separate", "phi": 0.7}, "drive": drive})
+        command, sweep = args
+        proc = invoke("--config", path, "--command", command, "--sweep", sweep)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == "config"
+
+    def test_eit_classify_csv_is_2(self, sep_config):
+        proc = invoke("--config", sep_config, "--command", "eit-classify", "--format", "csv")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["error"] == "config"
+
     def test_degenerate_sweep_grid_is_2(self, sep_config):
         proc = invoke("--config", sep_config, "--command", "spectrum", "--sweep", "delta_a:0:1:1")
         assert proc.returncode == 2
@@ -882,6 +923,27 @@ class TestStackedCommands:
         shift_probe_check(monkeypatch, lambda geoms: 1e-6 * np.isin(geoms.phases[:, 0, 1], failing))
         with pytest.raises(fano.DecompositionError) as point:
             lorentz_pair(build_system(raw, phi_override=float(phis[200])))
+        code, out, err = run_main(capsys, "--config", path, "--command", "fano",
+                                  "--sweep", "phi:0.05:3.09:301")
+        assert code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "DecompositionError", "message": f"{point.value} at phi={float(phis[200])}"
+        }
+
+    @pytest.mark.parametrize("negative_at", [240, 200])
+    def test_fano_names_phi_of_first_failing_check(self, capsys, tmp_path, monkeypatch, negative_at):
+        # the probe check of index 200 misses and the widths of
+        # ``negative_at`` are negative: the error is that of index 200,
+        # the width's where 200 fails both
+        raw = {"symmetric": {"topology": "separate", "phi": 1.0}}
+        path = write_config(tmp_path, raw)
+        phis = np.linspace(0.05, 3.09, 301)
+        shift_probe_check(monkeypatch, lambda geoms: 1e-6 * (geoms.phases[:, 0, 1] == phis[200]))
+        fake_negative_width(monkeypatch, lambda geoms: geoms.phases[:, 0, 1] == phis[negative_at])
+        with pytest.raises(fano.DecompositionError) as point:
+            lorentz_pair(build_system(raw, phi_override=float(phis[200])))
+        first = "negative channel width" if negative_at == 200 else "reconstruction residual"
+        assert str(point.value).startswith(first)
         code, out, err = run_main(capsys, "--config", path, "--command", "fano",
                                   "--sweep", "phi:0.05:3.09:301")
         assert code == 3 and out == ""

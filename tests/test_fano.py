@@ -19,9 +19,9 @@ from gawqed import (
 from gawqed import cli, fano
 from gawqed.core import Geometries
 from gawqed.fano import DecompositionError, FanoRegimeError, LorentzPair, _lorentz_arrays
-from gawqed.scattering import OracleSingularError, _amplitude_arrays
+from gawqed.scattering import _amplitude_arrays
 
-from conftest import random_system, shift_probe_check
+from conftest import fake_negative_width, random_system, shift_probe_check
 from paper_forms import _topology_amplitude_arrays, amplitudes_topology, rabi_approximation
 
 
@@ -218,18 +218,28 @@ class TestStackedCore:
         assert str(stack.value) == str(point.value)
         _lorentz_arrays(Geometries.of(cfgs[:260]))
         _lorentz_arrays(Geometries.of(cfgs[261:280]))
-        # an error in the probe check of a later geometry fails the stack first
-        shifted = fano._amplitude_arrays
 
-        def fail_at_270(geoms, delta, ch=None, modes=None):
-            if (geoms.delta_ab == cfgs[270].delta_ab).any():
-                raise OracleSingularError("failure in the probe grid of geometry 270")
-            return shifted(geoms, delta, ch, modes)
-
-        monkeypatch.setattr(fano, "_amplitude_arrays", fail_at_270)
+    @pytest.mark.parametrize("negative_at", [280, 260])
+    def test_first_failing_check_raises(self, monkeypatch, negative_at):
+        # the probe check of geometry 260 misses and both widths of
+        # ``negative_at`` are negative: the first of them fails the stack,
+        # the width first where one geometry fails both
+        cfgs = special_stack()
+        shift_probe_check(monkeypatch, lambda geoms: 1e-6 * (geoms.delta_ab == cfgs[260].delta_ab))
+        fake_negative_width(monkeypatch, lambda geoms: geoms.delta_ab == cfgs[negative_at].delta_ab)
+        with pytest.raises(DecompositionError, match=r"negative channel width: \(-"):
+            lorentz_pair(cfgs[negative_at])
+        with pytest.raises(DecompositionError) as point:
+            lorentz_pair(cfgs[260])
+        first = "negative channel width" if negative_at == 260 else "reconstruction residual 1.00e-06"
+        assert str(point.value).startswith(first)
         with pytest.raises(DecompositionError) as stack:
             _lorentz_arrays(Geometries.of(cfgs))
-        assert str(stack.value) == str(point.value)
+        assert str(stack.value) == str(point.value) and stack.value.row == 260
+        if negative_at == 280:
+            with pytest.raises(DecompositionError) as rest:
+                _lorentz_arrays(Geometries.of(cfgs[261:]))
+            assert rest.value.row == 19 and str(rest.value).startswith("negative channel width")
 
 
 class TestRegime:
