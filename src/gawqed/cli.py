@@ -10,15 +10,18 @@ The ``spectrum``, ``characteristics`` and ``loci`` ``phi`` sweeps stack the
 symmetric shortcut's geometry at every grid point and evaluate the stack
 in one call; ``fano`` decomposes its spacings in stacks of 128.
 ``oracle-check`` draws its random configs straight into stacked geometry
-arrays, 128 at a time, without building a config object, and evaluates the
-closed form and the real-space solve on each block as one stack.  Rows are
-always written in grid order, so output files are deterministic.  Tables
-are handed to the writers as columns.  CSV floats are "%.17g": float
-columns are formatted by the vectorised kernel of ``gawqed._fmt17``, 256
-rows at a time, byte for byte as ``format(v, ".17g")`` formats each value,
-on every platform; other columns go value by value through ``_fmt``.  JSON
-tables are written by json's C encoder, byte for byte as ``json.dump``
-with ``indent=2`` writes them, with null for a non-finite float.
+arrays, 128 at a time, from the raw words of the generator and without
+building a config object, and evaluates the closed form and the
+real-space solve on each block as one stack.  Rows are always written in
+grid order, so output files are deterministic.  Tables are handed to the
+writers as columns.  CSV floats are "%.17g": float columns are formatted
+by the vectorised kernel of ``gawqed._fmt17``, 256 rows at a time, byte
+for byte as ``format(v, ".17g")`` formats each value, on every platform;
+other columns go value by value through ``_fmt``.  JSON text is built
+column by column, 64 rows at a time (floats by ``float.__repr__``, null
+for a non-finite one; ints by ``int.__repr__``; strings and None by
+``json.dumps`` of each distinct value), byte for byte as ``json.dump``
+with ``indent=2`` writes the rows.
 ``--jobs`` is accepted for compatibility and ignored.
 
 Exit codes: 0 success, 2 config/usage violation, 3 numerical failure from a
@@ -64,6 +67,11 @@ STACK_BLOCK = 128
 #: table rows formatted and written together by the CSV writer (the kernel
 #: holds ~0.3 kB per value while it formats a block; blocks bound the peak)
 CSV_BLOCK = 256
+
+#: table rows encoded and written together by the JSON writer (a block's
+#: texts take ~0.6 kB per row until it is joined; a 2000-row oracle-check
+#: peaked ~0.2 MB higher with blocks of 256)
+JSON_BLOCK = 64
 
 COMMANDS = (
     "characteristics",
@@ -368,24 +376,81 @@ def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
     return low + (high - low) * u
 
 
+#: the low half of a 64-bit word, its high half's shift, and the shift that
+#: leaves the 53 bits of a double in [0, 1)
+_LOW_HALF, _HALF, _DOUBLE_SHIFT = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+
+
+def _stream_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kinds and doubles of ``count`` configs that each call
+    ``rng.integers(3)`` and then ``rng.random(10)``, bit for bit, read from
+    the raw words of the stream, and ``rng`` left as those calls leave it.
+
+    The stream contract (numpy's PCG64; any other bit generator is
+    refused): a double is (w >> 11) 2^-53 of a fresh 64-bit word w.  A kind
+    is Lemire's (3 x) >> 32 of a 32-bit x, which is the half that the
+    generator holds (``has_uint32``, ``uinteger``) if it holds one, and
+    otherwise the low half of a fresh word, whose high half it then holds;
+    x = 0 alone is rejected, and the kind is drawn again.  So without a
+    rejection the stream alternates: two configs share one word for their
+    kinds, and the configs are read from it as pairs of 21 words (the
+    first config of a stream that starts with a held half is the second of
+    a pair).  At a rejection, the configs before it are kept, and the stream
+    is set back to just after the rejected half, so that the next pass draws
+    that config again from there.
+    """
+    bits = rng.bit_generator
+    if type(bits) is not np.random.PCG64:
+        raise TypeError(f"the random configs are drawn from PCG64, not {type(bits).__name__}")
+    kinds, doubles = [np.zeros(0, dtype=np.intp)], [np.zeros((0, 10))]
+    while count:
+        state = bits.state
+        held = state["has_uint32"]
+        words = bits.random_raw(10 * count + (count + 1 - held) // 2)
+        pairs = np.zeros(((count + held + 1) // 2, 21), dtype=np.uint64)
+        pairs.reshape(-1)[11 * held:11 * held + len(words)] = words
+        if held:
+            pairs[0, 0] = np.uint64(state["uinteger"]) << _HALF
+        halves = np.stack([pairs[:, 0] & _LOW_HALF, pairs[:, 0] >> _HALF], axis=1).reshape(-1)
+        halves = halves[held:held + count]
+        rejected = np.flatnonzero(halves == 0)
+        done = int(rejected[0]) if len(rejected) else count
+        kinds.append(((halves[:done] * np.uint64(3)) >> _HALF).astype(np.intp))
+        fresh = pairs[:, 1:].reshape(-1, 10)[held:held + done] >> _DOUBLE_SHIFT
+        doubles.append(fresh.astype(np.float64) * 2.0**-53)
+        # the pair position of the last config read (or half-read, at a
+        # rejection); it drew a fresh word for its kind if it is first in
+        # its pair, and the generator then holds that word's high half
+        last = held + min(done, count - 1)
+        first = last % 2 == 0
+        if done < count:
+            bits.state = state
+            bits.random_raw(21 * (last // 2) + (1 if first else 11) - 11 * held)
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = int(first), int(pairs[last // 2, 0] >> _HALF)
+        bits.state = state
+        count -= done
+    return np.concatenate(kinds), np.concatenate(doubles)
+
+
 def _random_draws(rng: np.random.Generator, count: int) -> tuple[Geometries, np.ndarray, list[str]]:
     """``count`` random configs, each with one probe detuning, as one stack.
 
     Returns the geometries, the detunings and the topology names.  Each
-    config draws its topology, then ten doubles: four phases in [0, 4 pi),
-    sorted and dealt to (a1, a2, b1, b2) by the topology, the rates of a1,
-    a2, b1 and b2 in [0.05, 3), delta_ab in [-4, 4) and the detuning in
-    [-6, 6).  These are the words of the generator's stream, and the values
-    bit for bit, that drawing one ``SystemConfig`` after another took.  Every
-    row is a valid config with atom a leftmost, so no config is built; the
-    drawn topology is the one :func:`~gawqed.core.classify_topology` gives,
-    unless two drawn phases tie exactly.
+    config draws its topology, ``rng.integers(3)``, then ten doubles,
+    ``rng.random(10)``; :func:`_stream_draws` reads both from the raw words
+    of ``rng``, which must be PCG64, and leaves its state, held half
+    included, as those calls leave it.  The doubles are four phases in
+    [0, 4 pi), sorted and dealt to (a1, a2, b1, b2) by the topology, the
+    rates of a1, a2, b1 and b2 in [0.05, 3), delta_ab in [-4, 4) and the
+    detuning in [-6, 6).  These are the words of the
+    generator's stream, and the values bit for bit, that drawing one
+    ``SystemConfig`` after another took.  Every row is a valid config with
+    atom a leftmost, so no config is built; the drawn topology is the one
+    :func:`~gawqed.core.classify_topology` gives, unless two drawn phases
+    tie exactly.
     """
-    kinds = np.empty(count, dtype=np.intp)
-    u = np.empty((count, 10))
-    for n in range(count):
-        kinds[n] = rng.integers(3)
-        u[n] = rng.random(10)
+    kinds, u = _stream_draws(rng, count)
     sorted_phases = np.sort(_uniform(0.0, 4.0 * math.pi, u[:, :4]))
     phases = np.take_along_axis(sorted_phases, _DRAWN_POINTS[kinds], axis=1)
     geoms = Geometries(
@@ -511,9 +576,8 @@ def _run_oracle_check(spec: RunSpec) -> int:
     header = ["index", "topology", "delta_a", "dev_t", "dev_r"]
     columns = [range(count), names, delta, dev_t, dev_r]
     if spec.fmt == "json":
-        fields = {"tolerance": tol, "max_deviation": _json_value(worst)}
-        rows = _json_records(header, columns)
-        _write_text(spec.out_path, chain(_json_document(fields, rows), ["\n"]))
+        fields = {"tolerance": tol, "max_deviation": worst}
+        _write_text(spec.out_path, chain(_json_document(fields, header, columns), ["\n"]))
     else:
         _write_rows(spec.out_path, "csv", header, columns)
     if not worst < tol:
@@ -559,7 +623,7 @@ def _write_text(path: str | None, chunks: Iterable[str]) -> None:
 def _write_rows(path: str | None, fmt: str, header: list[str], columns: list) -> None:
     """Write the table ``columns`` (one sequence per name of ``header``)."""
     if fmt == "json":
-        _write_text(path, chain(_json_rows(_json_records(header, columns)), ["\n"]))
+        _write_text(path, chain(_json_rows(header, columns), ["\n"]))
     else:
         _write_text(path, chain([",".join(header) + "\n"], _csv_blocks(columns)))
 
@@ -595,47 +659,52 @@ def _csv_blocks(columns: list) -> Iterator[str]:
         yield table[table != 0].tobytes().decode()
 
 
-def _json_value(value):
-    """``value``, or None for a float that is not finite (JSON has no NaN)."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+def _json_texts(column) -> list[str]:
+    """The JSON text of each value of ``column``, null for a float that is
+    not finite (JSON has no NaN), as ``json.dumps`` writes each value.
+
+    A float column is written by ``float.__repr__`` with one ``np.isfinite``
+    over it, an int column by ``int.__repr__``, a column of strings and
+    None by ``json.dumps`` of each distinct value; a column of any other
+    mix value by value."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = list(map(float.__repr__, values))
+        for k in np.flatnonzero(~np.isfinite(values)).tolist():
+            texts[k] = "null"
+        return texts
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    if kinds <= {str, type(None)}:
+        encoded = {value: json.dumps(value) for value in set(values)}
+        return [encoded[value] for value in values]
+    return [json.dumps(None if isinstance(v, float) and not math.isfinite(v) else v) for v in values]
 
 
-def _json_records(header: list[str], columns: list) -> Iterator[dict]:
-    """The rows of the table ``columns`` as dicts keyed by ``header``."""
-    lists = [col.tolist() if isinstance(col, np.ndarray) else col for col in columns]
-    return ({k: _json_value(v) for k, v in zip(header, row)} for row in zip(*lists))
-
-
-def _json_rows(rows: Iterable[dict], level: int = 0) -> Iterator[str]:
-    """The text of ``json.dumps(list(rows), indent=2)``, in chunks, for flat
-    dicts in a list that sits ``level`` containers deep.
-
-    json indents with its pure-Python encoder; this encodes each row with
-    the C encoder instead, the line breaks carried by its item separator
-    (an encoded string holds no raw newline).
-    """
+def _json_rows(header: list[str], columns: list, level: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(rows, indent=2)``, in chunks of ``JSON_BLOCK``
+    rows, for the rows of the table ``columns`` as dicts keyed by
+    ``header``, in a list that sits ``level`` containers deep; each value
+    as :func:`_json_texts` writes it."""
     outer = "\n" + "  " * (level + 1)
     inner = outer + "  "
-    encode = json.JSONEncoder(separators=("," + inner, ": ")).encode
-    items = ("{" + inner + encode(row)[1:-1] + outer + "}" if row else "{}" for row in rows)
-    first = next(items, None)
-    if first is None:
-        yield "[]"
-        return
-    yield "[" + outer + first
-    for item in items:
-        yield "," + outer + item
-    yield outer[:-2] + "]"
+    keys = ("," + inner).join(json.dumps(key).replace("%", "%%") + ": %s" for key in header)
+    row = "{" + inner + keys + outer + "}"
+    count = len(columns[0]) if columns else 0
+    for start in range(0, count, JSON_BLOCK):
+        texts = [_json_texts(col[start:start + JSON_BLOCK]) for col in columns]
+        yield ("," if start else "[") + outer + ("," + outer).join(map(row.__mod__, zip(*texts)))
+    yield outer[:-2] + "]" if count else "[]"
 
 
-def _json_document(fields: dict, rows: Iterable[dict]) -> Iterator[str]:
-    """The text of ``json.dumps({**fields, "rows": list(rows)}, indent=2)``,
-    in chunks, for scalar ``fields`` and flat dicts ``rows``."""
-    yield "{" + "".join(f"\n  {json.dumps(key)}: {json.dumps(value)}," for key, value in fields.items())
+def _json_document(fields: dict, header: list[str], columns: list) -> Iterator[str]:
+    """The text of ``json.dumps({**fields, "rows": rows}, indent=2)``, in
+    chunks, for scalar ``fields`` and the table of :func:`_json_rows`."""
+    texts = _json_texts(list(fields.values()))
+    yield "{" + "".join(f"\n  {json.dumps(key)}: {text}," for key, text in zip(fields, texts))
     yield '\n  "rows": '
-    yield from _json_rows(rows, 1)
+    yield from _json_rows(header, columns, 1)
     yield "\n}"
 
 

@@ -330,19 +330,45 @@ def _steady_state(form: np.ndarray) -> np.ndarray:
 def _checked_states(y: np.ndarray, failures: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """The states rho = sum_k y_k H_k of the real (N, 16) coordinates ``y``,
     and ``failures`` (one (N,) mask per check of the generator) followed by
-    the state's checks: unit trace, no negative eigenvalue.
+    the state's checks: unit trace, no negative eigenvalue
+    (:func:`_negative_states`).
 
     Each rho is Hermitian exactly: its entries (j, k) and (k, j) are
-    y_s / sqrt2 +- i y_a / sqrt2 of the same two real coordinates."""
+    y_s / sqrt2 +- i y_a / sqrt2 of the same two real coordinates.  Every
+    check runs on every state; the first failing one is the verdict."""
     rho = (y @ _MEMBER_ROWS).reshape(-1, 4, 4)
     failures = failures + [np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > 1e-12]
-    # positivity is tested only where the other checks passed, as in a
-    # point-by-point run: eigvalsh raises on the NaN a failed solve leaves
-    negative = np.zeros(len(y), dtype=bool)
-    checked = ~np.logical_or.reduce(failures)
-    if np.any(checked):
-        negative[checked] = np.min(np.linalg.eigvalsh(rho[checked]), axis=-1) < -1e-10
-    return rho, failures + [negative]
+    return rho, failures + [_negative_states(rho)]
+
+
+def _negative_states(rho: np.ndarray) -> np.ndarray:
+    """Whether each Hermitian rho of an (N, 4, 4) stack has an eigenvalue
+    below -1e-10, from the pivots of the LDL^H factorisation of
+    A = rho + 1e-10 I, which has a negative eigenvalue exactly there.
+
+    Eliminating column k leaves the Schur complement of its pivot p, and
+    by Sylvester's law of inertia A has a negative eigenvalue if p < 0.  So
+    it has if p = 0 over a nonzero column b: the principal block
+    [[0, b_i], [b_i*, c]] has the determinant -|b_i|^2.  A zero pivot over a
+    zero column splits off an eigenvalue 0 (rho's -1e-10, not below), and
+    elimination goes on without it; if every pivot is positive, A is
+    positive definite.  A step after a pivot that is not positive only adds
+    more verdicts of the same kind, and a NaN pivot reads as negative."""
+    a = rho + 1e-10 * _ID4
+    # a tiny pivot may overflow the update: the pivot after it is then
+    # -inf or NaN, both negative verdicts
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(3):
+            column, pivot = a[:, k + 1:, k], a[:, k, k].real
+            scaled = column.conj() / np.where(pivot > 0.0, pivot, np.inf)[:, None]
+            a[:, k + 1:, k + 1:] -= column[:, :, None] * scaled[:, None, :]
+    pivots = a.diagonal(axis1=1, axis2=2).real
+    lowest = pivots.min(axis=-1)  # NaN if any pivot is
+    negative = ~(lowest >= 0.0)
+    if (lowest == 0.0).any():
+        for k in range(3):
+            negative |= (pivots[:, k] == 0.0) & np.any(a[:, k + 1:, k] != 0.0, axis=-1)
+    return negative
 
 
 def _pencil_steady_states(

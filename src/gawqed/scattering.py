@@ -174,9 +174,10 @@ def _mode_form(modes: DecayModes, x, root=None) -> tuple[np.ndarray, np.ndarray,
     least c^2 + |w_u|^2 |w_v|^2 / 4: det is 0 only where c and w_v both
     are, which the decoupled branch of :func:`_amplitude_arrays` takes.
 
-    ``root``, powers of two that broadcast against x, scales x, the
-    energies and c by root^2 and the phasors by root: det and both
-    numerators scale by root^4, and t and r not at all.
+    ``root``, powers of two that broadcast against x, says that x is
+    given times root^2, and scales the energies and c by root^2 and the
+    phasors by root to match: det and both numerators scale by root^4, and
+    t and r not at all.
     """
     column = (-1,) + (1,) * (np.ndim(x) - 1)
     e_u, e_v, c, w_u, w_v = (
@@ -185,8 +186,7 @@ def _mode_form(modes: DecayModes, x, root=None) -> tuple[np.ndarray, np.ndarray,
     )
     if root is not None:
         square = root * root
-        x, e_u, e_v, c, w_u, w_v = (x * square, e_u * square, e_v * square, c * square,
-                                    w_u * root, w_v * root)
+        e_u, e_v, c, w_u, w_v = e_u * square, e_v * square, c * square, w_u * root, w_v * root
     lam_u, lam_v = np.abs(w_u) ** 2, np.abs(w_v) ** 2
     d_u, d_v = x - e_u, x - e_v
     k_u, k_v = 1j * d_u - 0.5 * lam_u, 1j * d_v - 0.5 * lam_v
@@ -218,22 +218,32 @@ def _amplitude_arrays(
     modes = _decay_modes(geoms, ch) if modes is None else modes
     # per-geometry terms run down the first axis of a 2-D grid
     column = (len(geoms),) + (1,) * (delta_a.ndim - 1)
-    x = delta_a / modes.scale.reshape(column)
-    # the forms multiply two detunings, which overflows from |x| ~ 1e154 on:
-    # there they are evaluated on x scaled to about 1
+    scale = modes.scale.reshape(column)
+    with np.errstate(over="ignore"):
+        x = delta_a / scale
+    # the forms multiply two detunings, which overflows from |x| ~ 1e154 on,
+    # and x itself overflows past ~1.8e308: from |x| = 2^500 on, x is
+    # formed again, and the forms evaluated, times root^2, which brings it
+    # to about 1.  |x| < 2^(exponent + 1) holds also where x overflowed
     size = np.abs(x)
     root = None
     if np.max(size, initial=0.0) >= _HUGE:
-        root = np.ldexp(1.0, np.where(size >= _HUGE, -(np.frexp(size)[1] // 2), 0))
+        exponent = np.frexp(delta_a)[1] - np.frexp(scale)[1]
+        halves = np.where(size >= _HUGE, -(exponent // 2), 0)
+        root = np.ldexp(1.0, halves)
+        x = np.ldexp(delta_a, 2 * halves) / scale
     det, r_num, t_num = _mode_form(modes, x, root)
     with np.errstate(divide="ignore", invalid="ignore"):
         t, r = t_num / det, r_num / det
     decoupled = modes.decoupled.reshape(column)
     if decoupled.any():
         bright = modes.rank.reshape(column) > 0
-        detuning = 1j * (x - modes.bright_energy.reshape(column))
-        lorentz = np.where(bright, detuning - 0.5 * modes.width.reshape(column), 1.0)
+        energy, width = modes.bright_energy.reshape(column), modes.width.reshape(column)
         w_sq = ((ch.w_a**2 + ch.w_b**2) / modes.scale).reshape(column)
+        if root is not None:  # in the units of x
+            energy, width, w_sq = energy * root**2, width * root**2, w_sq * root**2
+        detuning = 1j * (x - energy)
+        lorentz = np.where(bright, detuning - 0.5 * width, 1.0)
         t = np.where(decoupled, np.where(bright, detuning, 1.0) / lorentz, t)
         r = np.where(decoupled, np.where(bright, 0.5 * w_sq, 0.0) / lorentz, r)
     return t, r

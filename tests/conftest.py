@@ -58,3 +58,15 @@ def random_system(rng: np.random.Generator) -> SystemConfig:
     atom_a = GiantAtom("a", (CouplingPoint(pa[0], rates[0]), CouplingPoint(pa[1], rates[1])))
     atom_b = GiantAtom("b", (CouplingPoint(pb[0], rates[2]), CouplingPoint(pb[1], rates[3])))
     return SystemConfig(atom_a, atom_b, delta_ab=float(rng.uniform(-4.0, 4.0)))
+
+
+def scalar_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The kinds and doubles of ``count`` configs drawn call by call, each
+    ``rng.integers(3)`` and then ``rng.random(10)``: the scalar reference of
+    the raw-word draws of ``oracle-check`` (``cli._stream_draws``)."""
+    kinds = np.empty(count, dtype=np.intp)
+    doubles = np.empty((count, 10))
+    for n in range(count):
+        kinds[n] = rng.integers(3)
+        doubles[n] = rng.random(10)
+    return kinds, doubles

@@ -38,7 +38,7 @@ from gawqed.cli import build_system, main, validate_config
 from gawqed.core import ConfigError, Geometries, symmetric_config
 from gawqed.scattering import OracleSingularError
 
-from conftest import fake_negative_width, random_system, shift_probe_check
+from conftest import fake_negative_width, random_system, scalar_draws, shift_probe_check
 
 #: the config format as a JSON Schema: the oracle for ``validate_config``
 CONFIG_SCHEMA = {
@@ -285,6 +285,50 @@ def csv_reference(header, columns):
     return ",".join(header) + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
 
 
+def json_clean(value):
+    """``value`` with null for every float that is not finite, as the JSON
+    writers write it."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    if isinstance(value, dict):
+        return {k: json_clean(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [json_clean(v) for v in value]
+    return value
+
+
+def json_scalars():
+    """Every kind of value a JSON table cell holds: floats with nan, +-inf,
+    -0.0 and subnormals, ints, booleans, strings (non-ASCII and escapes) and None."""
+    return st.one_of(st.floats(), st.integers(), st.booleans(), st.text(), st.none())
+
+
+@st.composite
+def json_tables(draw):
+    """A header of distinct keys and its columns of 0, 1, a few or more than
+    ``JSON_BLOCK`` rows, each column a list of one kind or mixed, a float
+    array or a range; a long column repeats a few drawn values."""
+    count = draw(st.sampled_from([0, 1, 3, cli.JSON_BLOCK + 2]))
+    header = draw(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    kinds = {
+        "floats": st.floats(),
+        "ints": st.integers(),
+        "strings": st.one_of(st.text(), st.none()),
+        "mixed": json_scalars(),
+    }
+    columns = []
+    for _ in header:
+        kind = draw(st.sampled_from([*kinds, "array", "range"]))
+        if kind == "range":
+            start = draw(st.integers(-(2**70), 2**70))
+            columns.append(range(start, start + count))
+            continue
+        pool = draw(st.lists(kinds.get(kind, st.floats()), min_size=1, max_size=6))
+        column = [pool[k % len(pool)] for k in range(count)]
+        columns.append(np.array(column, dtype=float) if kind == "array" else column)
+    return header, columns
+
+
 class TestWriter:
     def test_csv_matches_per_value_format(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(2)
@@ -365,8 +409,30 @@ class TestWriter:
     @pytest.mark.parametrize("count", [0, 1, len(JSON_ROWS)])
     def test_json_document_matches_json_dump(self, count):
         fields = {"tolerance": 1e-10, "max_deviation": math.nan, "label": "x", "n": 3}
-        rows = self.JSON_ROWS[:count]
-        assert "".join(cli._json_document(fields, rows)) == json.dumps(dict(fields, rows=rows), indent=2)
+        header, rows = ["a", "b", "c", "d"], self.JSON_ROWS[:count]
+        columns = [[row[key] for row in rows] for key in header]
+        reference = json.dumps(json_clean(dict(fields, rows=rows)), indent=2)
+        assert "".join(cli._json_document(fields, header, columns)) == reference
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=json_tables(), level=st.sampled_from([0, 1]))
+    def test_json_table_matches_json_dump_property(self, table, level):
+        header, columns = table
+        rows = [dict(zip(header, row)) for row in zip(*columns)] if columns else []
+        # a list one container deep is the list inside [...] at its indent
+        reference = json.dumps(json_clean([rows] if level else rows), indent=2)
+        if level:
+            reference = reference[len("[\n  "):-len("\n]")]
+        assert "".join(cli._json_rows(header, columns, level)) == reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=json_tables(), fields=st.dictionaries(st.text(), json_scalars(), max_size=3))
+    def test_json_document_matches_json_dump_property(self, table, fields):
+        header, columns = table
+        fields.pop("rows", None)
+        rows = [dict(zip(header, row)) for row in zip(*columns)] if columns else []
+        reference = json.dumps(json_clean(dict(fields, rows=rows)), indent=2)
+        assert "".join(cli._json_document(fields, header, columns)) == reference
 
 
 class TestCommands:
@@ -413,9 +479,13 @@ class TestCommands:
         {"symmetric": {"topology": "separate", "phi": 1.0}},
         {"symmetric": {"topology": "nested", "phi": 0.3, "gamma": 0.01}, "delta_ab": 2.5},
         {"symmetric": {"topology": "braided", "phi": math.pi / 2}},
-    ], ids=["separate", "nested-detuned", "braided-decoupled"])
+        {"atoms": [{"points": [{"phase": p, "rate": 1e-10} for p in pair]} for pair in ((0.0, 2.0), (1.0, 3.5))],
+         "delta_ab": 3e-10},
+        {"symmetric": {"topology": "braided", "phi": math.pi / 2, "gamma": 1e-10}},
+    ], ids=["separate", "nested-detuned", "braided-decoupled", "tiny-rates", "braided-decoupled-tiny-rates"])
     def test_spectrum_finite_at_huge_detunings(self, capsys, tmp_path, raw):
-        # (x - e_u)(x - e_v) overflows past |x| ~ 1e154 unless scaled
+        # (x - e_u)(x - e_v) overflows past |x| ~ 1e154 unless scaled, and
+        # x = delta_a / scale itself past ~1.8e308 (rates 1e-10)
         path = write_config(tmp_path, raw)
         code, out, err = run_main(capsys, "--config", path, "--command", "spectrum",
                                   "--sweep", "delta_a:-1e300:1e300:5", "--format", "json")
@@ -819,6 +889,58 @@ class TestStackedCommands:
             assert delta.tobytes() == np.array(deltas).tobytes()
             assert names == [classify_topology(cfg).value for cfg in cfgs]
             assert rng.bit_generator.state == reference.bit_generator.state
+
+    #: PCG64(0) advanced by this many words draws a word whose low half is
+    #: zero next: a kind drawn from it is rejected by Lemire's method
+    ZERO_LOW_HALF = 2648504173
+
+    @staticmethod
+    def assert_same_draws(rng, reference, count):
+        kinds, doubles = cli._stream_draws(rng, count)
+        expected_kinds, expected_doubles = scalar_draws(reference, count)
+        assert kinds.tolist() == expected_kinds.tolist()
+        assert doubles.shape == expected_doubles.shape and doubles.tobytes() == expected_doubles.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
+    def test_stream_draws_match_scalar_calls(self, held):
+        # consecutive blocks of odd and even counts, from a stream that holds
+        # half a word or none
+        for seed in range(4):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            if held:
+                rng.integers(3), reference.integers(3)
+            assert rng.bit_generator.state["has_uint32"] == held
+            for count in (1, 2, 3, 127, 128, 129, 1, 255):
+                self.assert_same_draws(rng, reference, count)
+
+    def test_stream_draws_redraw_a_rejected_kind(self):
+        # a held half of zero is rejected, so is a fresh low half of zero
+        for count in (1, 2, 5):
+            rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+            for generator in (rng, reference):
+                state = generator.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, 0
+                generator.bit_generator.state = state
+            self.assert_same_draws(rng, reference, count)
+            self.assert_same_draws(rng, reference, 4)
+        probe = np.random.PCG64(0)
+        probe.advance(self.ZERO_LOW_HALF)
+        assert int(probe.random_raw()) & 0xFFFFFFFF == 0
+        # the zero word as the kind word of config 0, 1 or 2 of a block, or
+        # among the doubles, with the stream holding half a word or none
+        for lead, held in itertools.product(range(0, 34), (False, True)):
+            rng, reference = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))
+            for generator in (rng, reference):
+                generator.bit_generator.advance(self.ZERO_LOW_HALF - lead)
+                if held:
+                    generator.integers(3)
+            for count in (3, 2):
+                self.assert_same_draws(rng, reference, count)
+
+    def test_stream_draws_need_pcg64(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            cli._stream_draws(np.random.Generator(np.random.MT19937(0)), 3)
 
     def test_oracle_singular_config_in_later_block(self, capsys, monkeypatch):
         # config 261 (index 260) lies past the first block of configs

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -378,6 +379,73 @@ class TestRealFormSteadyState:
         rho = np.concatenate(states)
         assert len(rho) == 20 * 41 + 180
         np.testing.assert_array_equal(rho, rho.conj().swapaxes(-1, -2))
+
+
+def eigvalsh_verdict(rho):
+    """The positivity verdict of the states check, from the eigenvalues."""
+    return np.min(np.linalg.eigvalsh(rho), axis=-1) < -1e-10
+
+
+class TestPositivity:
+    """The LDL^H pivots of rho + 1e-10 I give the verdict "an eigenvalue
+    below -1e-10" (lindblad._negative_states)."""
+
+    def test_boundary_diagonal_states(self):
+        # the smallest eigenvalue -1e-10 + k ulp, at each position, with a
+        # coupled 2 x 2 block on two other positions or on none
+        ulp = np.spacing(1e-10)
+        block = np.array([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.4]])
+        for k, position, coupled in itertools.product(range(-3, 4), range(4), (False, True)):
+            rho = np.diag(np.full(4, 0.25)).astype(complex)
+            rho[position, position] = -1e-10 + k * ulp
+            if coupled:
+                others = [j for j in range(4) if j != position][1:]
+                rho[np.ix_(others, others)] = block
+            else:
+                assert eigvalsh_verdict(rho[None]).tolist() == [k < 0]
+            assert lindblad._negative_states(rho[None]).tolist() == [k < 0], (k, position, coupled)
+
+    def test_zero_pivot_over_a_coupled_column(self):
+        # rho_00 = -1e-10 makes the first pivot exactly 0; with rho_01 != 0
+        # the smallest eigenvalue lies below -1e-10, without it it is -1e-10
+        rho = np.diag([-1e-10, 0.5, 0.5, 1e-10]).astype(complex)
+        coupled = rho.copy()
+        coupled[0, 1], coupled[1, 0] = 1e-6j, -1e-6j
+        stack = np.stack([rho, coupled])
+        assert eigvalsh_verdict(stack).tolist() == [False, True]
+        assert lindblad._negative_states(stack).tolist() == [False, True]
+
+    def test_pure_and_rotated_states(self):
+        rng = np.random.default_rng(41)
+        psi = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        pure = np.concatenate([np.eye(4)[:, :, None] * np.eye(4)[:, None, :],
+                               psi[:, :, None] * psi[:, None, :].conj()]).astype(complex)
+        # a random unitary frame around eigenvalues that clear -1e-10 by
+        # 1e-13, far outside either method's rounding
+        unitary = np.linalg.qr(rng.normal(size=(40, 4, 4)) + 1j * rng.normal(size=(40, 4, 4)))[0]
+        lowest = -1e-10 + np.where(np.arange(40) % 2, 1e-13, -1e-13)
+        spectrum = np.stack([lowest, *np.full((3, 40), 1.0 / 3)], axis=1)
+        rotated = unitary @ (spectrum[:, :, None] * unitary.conj().swapaxes(1, 2))
+        rotated = 0.5 * (rotated + rotated.conj().swapaxes(1, 2))
+        for states, expected in ((pure, np.zeros(len(pure), bool)), (rotated, np.arange(40) % 2 == 0)):
+            assert eigvalsh_verdict(states).tolist() == expected.tolist()
+            assert lindblad._negative_states(states).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("generators", [random_generators, figure_generators], ids=["random", "figures"])
+    def test_matches_eigvalsh_on_null_vectors(self, generators):
+        # every generator, the degenerate configs included: their null
+        # vectors mix stationary directions, and some are not positive
+        states = null_vector_states(np.stack(generators()))
+        verdict = eigvalsh_verdict(states)
+        assert verdict.sum() == (15 if generators is random_generators else 0)
+        assert lindblad._negative_states(states).tolist() == verdict.tolist()
+
+    def test_nan_state_is_negative(self):
+        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        broken = rho.copy()
+        broken[2, 1] = math.nan
+        assert lindblad._negative_states(np.stack([rho, broken])).tolist() == [False, True]
 
 
 class TestNonFinite:
