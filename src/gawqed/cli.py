@@ -8,7 +8,8 @@ the whole grid in one array call; ``eit-spectrum`` is ``spectrum`` for a
 config that ``eit.classify_eit`` gives an EIT, ATS or Boundary verdict.
 The ``spectrum``, ``characteristics`` and ``loci`` ``phi`` sweeps stack the
 symmetric shortcut's geometry at every grid point and evaluate the stack
-in one call; ``fano`` decomposes its spacings in stacks of 128.
+in one call; ``fano`` decomposes, classifies and fits its spacings in
+stacks of 128, each stack in one call of each kernel.
 ``oracle-check`` draws its random configs straight into stacked geometry
 arrays, 128 at a time, from the raw words of the generator and without
 building a config object, and evaluates the closed form and the
@@ -73,18 +74,6 @@ CSV_BLOCK = 256
 #: peaked ~0.2 MB higher with blocks of 256)
 JSON_BLOCK = 64
 
-COMMANDS = (
-    "characteristics",
-    "spectrum",
-    "loci",
-    "fano",
-    "eit-classify",
-    "eit-spectrum",
-    "master-sweep",
-    "inelastic-spectrum",
-    "oracle-check",
-)
-
 #: per config section: (required keys, optional keys)
 CONFIG_KEYS = {
     "config": ((), ("atoms", "delta_ab", "drive", "symmetric")),
@@ -100,7 +89,8 @@ CONFIG_NUMBERS = {"delta_ab": None, "phi": None, "gamma": "> 0", "alpha_sq": ">=
 
 TOPOLOGIES = [t.value for t in Topology]
 
-#: sweep variables each command accepts (None = runs without a sweep)
+#: the commands, in the order of ``--command``'s choices, and the sweep
+#: variables each accepts (None = runs without a sweep)
 SWEEP_VARIABLES = {
     "characteristics": {None, "phi"},
     "spectrum": {None, "delta_a", "phi"},
@@ -112,6 +102,8 @@ SWEEP_VARIABLES = {
     "inelastic-spectrum": {"nu"},
     "oracle-check": {None, "delta_a"},
 }
+
+COMMANDS = tuple(SWEEP_VARIABLES)
 
 
 @dataclass(frozen=True)
@@ -319,14 +311,13 @@ def _amplitude_columns(grid: np.ndarray, t: np.ndarray, r: np.ndarray) -> list[n
 
 
 def _fano_columns(raw: dict, phis: list[float]) -> list:
-    """The ``fano`` table after its phi column, decomposed in stacks of
-    ``STACK_BLOCK`` spacings.
+    """The ``fano`` table after its phi column, decomposed and fitted in
+    stacks of ``STACK_BLOCK`` spacings.
 
     A failing stack raises the error of its first failing spacing
     (:func:`~gawqed.fano._lorentz_arrays`), which this names.
     """
-    blocks, regimes = [], []
-    fits = np.full((4, len(phis)), math.nan)
+    blocks = []
     for start in range(0, len(phis), STACK_BLOCK):
         block = phis[start:start + STACK_BLOCK]
         geoms = _phi_geometries(raw, block)
@@ -334,19 +325,11 @@ def _fano_columns(raw: dict, phis: list[float]) -> list:
             fields = fano._lorentz_arrays(geoms)
         except fano.DecompositionError as exc:
             raise fano.DecompositionError(f"{exc} at phi={block[exc.row]}") from exc
-        blocks.append(fields)
-        scales = rate_scale(geoms.rates).tolist()
-        for k, (scale, *values) in enumerate(zip(scales, *(field.tolist() for field in fields))):
-            pair = fano.LorentzPair(*values)
-            regimes.append(fano._pair_regime(pair, scale))
-            if regimes[-1] != "none":
-                fit = fano.fano_fit(pair)
-                fits[:, start + k] = fit.q, fit.f_scale, fit.center, fit.width
-    d_plus, d_minus, g_plus, g_minus, chi_plus, chi_minus = map(np.concatenate, zip(*blocks))
+        blocks.append((*fields, *fano._fano_arrays(fields, rate_scale(geoms.rates))))
+    d_plus, d_minus, g_plus, g_minus, chi_plus, chi_minus, *fit = map(np.concatenate, zip(*blocks))
     return [
         d_plus, d_minus, g_plus, g_minus,
-        chi_plus.real, chi_plus.imag, chi_minus.real, chi_minus.imag,
-        regimes, *fits,
+        chi_plus.real, chi_plus.imag, chi_minus.real, chi_minus.imag, *fit,
     ]
 
 

@@ -9,14 +9,13 @@ profile R = F (q + eps)^2 / (1 + eps^2).
 
 This module provides the channel parameters from the poles and residues of
 r, the Fano fit parameters and a regime classifier (operationalising "much
-broader" as a width ratio above 10).
+broader" as a width ratio above 10), each as array code over a stack of
+geometries whose one-geometry case is the public function.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -126,7 +125,8 @@ def lorentz_pair(cfg: SystemConfig) -> LorentzPair:
     a probe grid spanning +-6 times the rate scale.  This is the
     one-geometry case of :func:`_lorentz_arrays`; the CLI's ``fano`` phi
     sweep evaluates its grid with that kernel in blocks of spacings, one
-    stack per block, and names the spacing of the error's ``row``.
+    stack per block, names the spacing of the error's ``row`` and takes
+    each block's regimes and fits from :func:`_fano_arrays`.
     """
     return LorentzPair(*(field[0].item() for field in _lorentz_arrays(Geometries.of([cfg]))))
 
@@ -188,22 +188,10 @@ def lorentz_decompose(topology: Topology, phi: float, gamma: float = 1.0) -> Lor
 
 def fano_regime(topology: Topology, phi: float, gamma: float = 1.0) -> str:
     """Which channel dominates at width ratio > 10: 'plus_dominant',
-    'minus_dominant', or 'none' (including fully decoupled phases)."""
-    return _pair_regime(lorentz_decompose(topology, phi, gamma), gamma)
-
-
-def _pair_regime(pair: LorentzPair, scale: float) -> str:
-    """The width-ratio rule of :func:`fano_regime` on a decomposed pair."""
-    g_p, g_m = pair.gamma_plus, pair.gamma_minus
-    tiny = DECOUPLE_TOL * scale
-    # a numerically zero width means either a decoupled configuration or a
-    # perfectly dark narrow mode: no usable Fano lineshape either way
-    if g_p > tiny and g_m > tiny:
-        if g_p / g_m > WIDTH_RATIO_THRESHOLD:
-            return "plus_dominant"
-        if g_m / g_p > WIDTH_RATIO_THRESHOLD:
-            return "minus_dominant"
-    return "none"
+    'minus_dominant', or 'none' (including fully decoupled phases); the
+    one-pair case of :func:`_fano_arrays`."""
+    pair = lorentz_decompose(topology, phi, gamma)
+    return str(_fano_arrays(tuple(np.array([v]) for v in astuple(pair)), gamma)[0][0])
 
 
 def fano_fit(pair: LorentzPair) -> FanoFit:
@@ -215,7 +203,8 @@ def fano_fit(pair: LorentzPair) -> FanoFit:
     lineshape).  The prefactor angle difference 2*theta between
     the channels generalises the plain-asymmetry formula; for the
     separate/braided channels (prefactors +-e^{3 i phi}) it reduces to
-    q = (Delta_broad - Delta_narrow) / Gamma_broad.
+    q = (Delta_broad - Delta_narrow) / Gamma_broad.  The one-pair case of
+    :func:`_fit_arrays`.
     """
     g_p, g_m = pair.gamma_plus, pair.gamma_minus
     if min(g_p, g_m) <= 0.0:
@@ -226,18 +215,45 @@ def fano_fit(pair: LorentzPair) -> FanoFit:
             f"width ratio {ratio:.3f} below {WIDTH_RATIO_THRESHOLD}; "
             "Fano approximation invalid"
         )
-    if g_p >= g_m:
-        d_broad, g_broad = pair.delta_plus, pair.gamma_plus
-        d_narrow, g_narrow, chi_narrow = pair.delta_minus, pair.gamma_minus, pair.chi_minus
-        sign = +1.0
-    else:
-        d_broad, g_broad = pair.delta_minus, pair.gamma_minus
-        d_narrow, g_narrow, chi_narrow = pair.delta_plus, pair.gamma_plus, pair.chi_plus
-        sign = -1.0
-    if chi_narrow == 0.0:
+    fit = _fit_arrays(tuple(np.array([v]) for v in astuple(pair)), np.ones(1, dtype=bool))
+    return FanoFit(*fit[:, 0].tolist())
+
+
+def _fano_arrays(fields: tuple[np.ndarray, ...], scale: float | np.ndarray) -> tuple[np.ndarray, ...]:
+    """The regime label of every pair of a stack (the six (N,) fields of
+    :func:`_lorentz_arrays`, with the rate scale of each pair), then its q,
+    f_scale, center and width by :func:`_fit_arrays`, NaN where the label
+    is 'none'.
+
+    A numerically zero width means either a decoupled configuration or a
+    perfectly dark narrow mode: no usable Fano lineshape either way.
+    """
+    g_plus, g_minus = fields[2], fields[3]
+    usable = np.minimum(g_plus, g_minus) > DECOUPLE_TOL * scale
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plus = usable & (g_plus / g_minus > WIDTH_RATIO_THRESHOLD)
+        minus = usable & (g_minus / g_plus > WIDTH_RATIO_THRESHOLD)
+    regimes = np.where(plus, "plus_dominant", np.where(minus, "minus_dominant", "none"))
+    return regimes, *_fit_arrays(fields, plus | minus)
+
+
+def _fit_arrays(fields: tuple[np.ndarray, ...], fitted: np.ndarray) -> np.ndarray:
+    """The (4, N) q, f_scale, center and width of :func:`fano_fit` for the
+    pairs ``fitted`` of a stack, NaN for the others (apart from the regime
+    rule, which labels 'none' some pairs that fano_fit admits); a fitted pair
+    whose narrow prefactor is 0 raises the :class:`FanoRegimeError` of a dark one."""
+    d_plus, d_minus, g_plus, g_minus, chi_plus, chi_minus = (f[fitted] for f in fields)
+    plus_broad = g_plus >= g_minus
+    d_broad, d_narrow = np.where(plus_broad, [d_plus, d_minus], [d_minus, d_plus])
+    g_broad, g_narrow = np.where(plus_broad, [g_plus, g_minus], [g_minus, g_plus])
+    if (np.where(plus_broad, chi_minus, chi_plus) == 0.0).any():
         raise FanoRegimeError("narrow channel is dark (zero prefactor); Fano fit undefined")
-    two_theta = cmath.phase(pair.chi_plus / pair.chi_minus)
-    q = math.cos(two_theta) * (d_narrow - d_broad) / g_broad + sign * math.sin(two_theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        two_theta = np.angle(chi_plus / chi_minus)
+    q = np.cos(two_theta) * (d_narrow - d_broad) / g_broad
+    q += np.where(plus_broad, np.sin(two_theta), -np.sin(two_theta))
     # |chi|^2 Gamma^2 / (Delta^2 + Gamma^2), with no product of two rates
-    f_scale = abs(pair.chi_plus) ** 2 / (((d_broad - d_narrow) / g_broad) ** 2 + 1.0)
-    return FanoFit(q=q, f_scale=f_scale, center=d_narrow, width=g_narrow)
+    f_scale = np.abs(chi_plus) ** 2 / (((d_broad - d_narrow) / g_broad) ** 2 + 1.0)
+    fit = np.full((4, len(fitted)), np.nan)
+    fit[:, fitted] = q, f_scale, d_narrow, g_narrow
+    return fit

@@ -1073,6 +1073,32 @@ class TestStackedCommands:
             "error": "DecompositionError", "message": f"{point.value} at phi={float(phis[200])}"
         }
 
+    def test_fano_dark_narrow_prefactor_is_3(self, capsys, tmp_path, monkeypatch):
+        # a narrow prefactor of exactly 0 in a row with a regime, in the
+        # second block of spacings: the fit raises the error of a dark channel
+        path = write_config(tmp_path, {"symmetric": {"topology": "separate", "phi": 1.0}})
+        exact = fano._lorentz_arrays
+        darkened = []
+
+        def lorentz_arrays(geoms):
+            d_plus, d_minus, g_plus, g_minus, chi_plus, chi_minus = exact(geoms)
+            if not darkened and len(geoms.delta_ab) < cli.STACK_BLOCK:
+                k = int(np.argmax(g_plus > 10.0 * g_minus))
+                assert g_plus[k] > 10.0 * g_minus[k] > 0.0 and chi_minus[k] != 0.0
+                chi_minus = chi_minus.copy()
+                chi_minus[k] = 0.0
+                darkened.append(k)
+            return d_plus, d_minus, g_plus, g_minus, chi_plus, chi_minus
+
+        monkeypatch.setattr(fano, "_lorentz_arrays", lorentz_arrays)
+        code, out, err = run_main(capsys, "--config", path, "--command", "fano",
+                                  "--sweep", f"phi:0.05:3.09:{cli.STACK_BLOCK + 100}")
+        assert darkened and code == 3 and out == ""
+        assert json.loads(err) == {
+            "error": "FanoRegimeError",
+            "message": "narrow channel is dark (zero prefactor); Fano fit undefined",
+        }
+
     @pytest.mark.parametrize("topology", ["separate", "braided"])
     def test_fano_dark_points_warning_free(self, capsys, tmp_path, topology):
         # the grid holds phi = pi/2 (braided: decoupled; separate: one dark
@@ -1320,6 +1346,31 @@ class TestScaleCovariance:
             ref_code, _, reference = run_scaled(unit, command, sweep, 1.0, tmp_path)
             assert code == ref_code == 0, (command, sweep)
             assert scale_deviation(fields, reference, s, relative=False) <= 1e-14, (command, sweep)
+
+    #: the one-photon commands, ``characteristics`` and the benchmark's phi grids
+    EXACT_COMMANDS = ONE_PHOTON_COMMANDS + [("characteristics", None)] + [
+        (command, "phi:0.05:3.09:301") for command in ("spectrum", "characteristics", "loci", "fano")
+    ]
+
+    @pytest.mark.parametrize("k", [-60, -10, 10, 60])
+    @pytest.mark.parametrize("geometry", ["separate", "braided", "nested", "explicit"])
+    def test_one_photon_commands_exact_at_powers_of_4(self, tmp_path, geometry, k):
+        # scaling by a power of 4 is exact in every floating-point step of the
+        # one-photon path, square roots included: the outputs are bit-identical
+        # once s is divided out
+        s = 4.0**k
+        unit, scaled = (scaled_config(geometry, math.pi / 2, -1.0, x) for x in (1.0, s))
+        computed = 0
+        for command, sweep in self.EXACT_COMMANDS:
+            code, kind, fields = run_scaled(scaled, command, sweep, s, tmp_path)
+            ref_code, ref_kind, reference = run_scaled(unit, command, sweep, 1.0, tmp_path)
+            assert (code, kind) == (ref_code, ref_kind), (command, sweep)
+            if code == 0:
+                assert scale_deviation(fields, reference, s, relative=False) == 0.0, (command, sweep)
+                computed += 1
+        # an explicit config has no phi sweeps, and braided phi = pi/2 is
+        # decoupled, so eit-spectrum exits 3 at every scale
+        assert computed == {"explicit": 4, "braided": 10}.get(geometry, len(self.EXACT_COMMANDS))
 
     def test_fano_at_1e154_is_finite_and_quiet(self, tmp_path):
         path = write_config(tmp_path, scaled_config("nested", math.pi / 2, -1.0, 1e154))

@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from gawqed import (
     symmetric_config,
 )
 from gawqed import cli, fano
-from gawqed.core import Geometries
+from gawqed.core import Geometries, rate_scale
 from gawqed.fano import DecompositionError, FanoRegimeError, LorentzPair, _lorentz_arrays
-from gawqed.scattering import _amplitude_arrays
+from gawqed.scattering import DECOUPLE_TOL, _amplitude_arrays
 
 from conftest import fake_negative_width, random_system, shift_probe_check
 from paper_forms import _topology_amplitude_arrays, amplitudes_topology, rabi_approximation
@@ -334,6 +335,70 @@ class TestFit:
         fit = fano_fit(lorentz_decompose(Topology.NESTED, 0.7095 * np.pi))
         assert abs(fit.q) < 5e-3
         assert fit.center == pytest.approx(0.59, abs=0.01)
+
+
+def scalar_regime(pair: LorentzPair, scale: float) -> str:
+    """The width-ratio rule, pair by pair: the reference of the stacked
+    labels of ``fano._fano_arrays``."""
+    g_p, g_m = pair.gamma_plus, pair.gamma_minus
+    tiny = DECOUPLE_TOL * scale
+    if g_p > tiny and g_m > tiny:
+        if g_p / g_m > fano.WIDTH_RATIO_THRESHOLD:
+            return "plus_dominant"
+        if g_m / g_p > fano.WIDTH_RATIO_THRESHOLD:
+            return "minus_dominant"
+    return "none"
+
+
+def scalar_fit(pair: LorentzPair) -> tuple[float, float, float, float]:
+    """q, f_scale, center and width of the Fano fit in scalar complex
+    arithmetic, pair by pair: the reference of ``fano._fit_arrays``."""
+    if pair.gamma_plus >= pair.gamma_minus:
+        d_broad, g_broad = pair.delta_plus, pair.gamma_plus
+        d_narrow, g_narrow = pair.delta_minus, pair.gamma_minus
+        sign = +1.0
+    else:
+        d_broad, g_broad = pair.delta_minus, pair.gamma_minus
+        d_narrow, g_narrow = pair.delta_plus, pair.gamma_plus
+        sign = -1.0
+    two_theta = cmath.phase(pair.chi_plus / pair.chi_minus)
+    q = math.cos(two_theta) * (d_narrow - d_broad) / g_broad + sign * math.sin(two_theta)
+    f_scale = abs(pair.chi_plus) ** 2 / (((d_broad - d_narrow) / g_broad) ** 2 + 1.0)
+    return q, f_scale, d_narrow, g_narrow
+
+
+class TestStackedFit:
+    @pytest.mark.parametrize("topology", [t.value for t in Topology])
+    @pytest.mark.parametrize("gamma, delta_ab", [(1.0, 0.0), (1.0, 1.0), (1.0, 0.3),
+                                                 (1e-6, 1e-6), (3.7, 1.11)])
+    def test_matches_the_per_pair_formula(self, topology, gamma, delta_ab):
+        # the benchmark's 301-spacing phi grid, detuned and scaled
+        raw = {"symmetric": {"topology": topology, "phi": 1.0, "gamma": gamma}, "delta_ab": delta_ab}
+        geoms = cli._phi_geometries(raw, np.linspace(0.05, 3.09, 301).tolist())
+        fields = _lorentz_arrays(geoms)
+        scales = rate_scale(geoms.rates)
+        regimes, *fit = fano._fano_arrays(fields, scales)
+        pairs = [LorentzPair(*values) for values in zip(*(f.tolist() for f in fields))]
+        expected = [scalar_regime(pair, scale) for pair, scale in zip(pairs, scales.tolist())]
+        assert regimes.tolist() == expected
+        assert 0 < expected.count("none") < len(expected)
+        reference = np.full((4, len(pairs)), np.nan)
+        for k, pair in enumerate(pairs):
+            if expected[k] != "none":
+                reference[:, k] = scalar_fit(pair)
+        for column, ref in zip(fit, reference):
+            assert np.array_equal(np.isnan(column), np.isnan(ref))
+        # center and width are the narrow channel's fields, bit for bit
+        assert np.array_equal(fit[2:], reference[2:], equal_nan=True)
+        for column, ref in zip(fit[:2], reference[:2]):
+            assert np.nanmax(np.abs(column - ref)) <= 1e-15 * np.nanmax(np.abs(ref))
+
+    def test_fano_fit_is_the_one_pair_case(self):
+        for kind, phi in ((Topology.SEPARATE, 0.05), (Topology.SEPARATE, 0.45), (Topology.NESTED, 0.1)):
+            pair = lorentz_decompose(kind, phi * np.pi)
+            fit = fano_fit(pair)
+            assert (fit.center, fit.width) == scalar_fit(pair)[2:]
+            assert fit.q == pytest.approx(scalar_fit(pair)[0], abs=1e-15)
 
 
 class TestRabi:
