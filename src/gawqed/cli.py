@@ -11,7 +11,7 @@ symmetric shortcut's geometry at every grid point and evaluate the stack
 in one call; ``fano`` decomposes, classifies and fits its spacings in
 stacks of 128, each stack in one call of each kernel.
 ``oracle-check`` draws its random configs straight into stacked geometry
-arrays, 128 at a time, from the raw words of the generator and without
+arrays, 128 at a time, each block from one ``rng.random`` call and without
 building a config object, and evaluates the closed form and the
 real-space solve on each block as one stack.  Rows are always written in
 grid order, so output files are deterministic.  Tables are handed to the
@@ -359,89 +359,30 @@ def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
     return low + (high - low) * u
 
 
-#: the low half of a 64-bit word, its high half's shift, and the shift that
-#: leaves the 53 bits of a double in [0, 1)
-_LOW_HALF, _HALF, _DOUBLE_SHIFT = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
-
-
-def _stream_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kinds and doubles of ``count`` configs that each call
-    ``rng.integers(3)`` and then ``rng.random(10)``, bit for bit, read from
-    the raw words of the stream, and ``rng`` left as those calls leave it.
-
-    The stream contract (numpy's PCG64; any other bit generator is
-    refused): a double is (w >> 11) 2^-53 of a fresh 64-bit word w.  A kind
-    is Lemire's (3 x) >> 32 of a 32-bit x, which is the half that the
-    generator holds (``has_uint32``, ``uinteger``) if it holds one, and
-    otherwise the low half of a fresh word, whose high half it then holds;
-    x = 0 alone is rejected, and the kind is drawn again.  So without a
-    rejection the stream alternates: two configs share one word for their
-    kinds, and the configs are read from it as pairs of 21 words (the
-    first config of a stream that starts with a held half is the second of
-    a pair).  At a rejection, the configs before it are kept, and the stream
-    is set back to just after the rejected half, so that the next pass draws
-    that config again from there.
-    """
-    bits = rng.bit_generator
-    if type(bits) is not np.random.PCG64:
-        raise TypeError(f"the random configs are drawn from PCG64, not {type(bits).__name__}")
-    kinds, doubles = [np.zeros(0, dtype=np.intp)], [np.zeros((0, 10))]
-    while count:
-        state = bits.state
-        held = state["has_uint32"]
-        words = bits.random_raw(10 * count + (count + 1 - held) // 2)
-        pairs = np.zeros(((count + held + 1) // 2, 21), dtype=np.uint64)
-        pairs.reshape(-1)[11 * held:11 * held + len(words)] = words
-        if held:
-            pairs[0, 0] = np.uint64(state["uinteger"]) << _HALF
-        halves = np.stack([pairs[:, 0] & _LOW_HALF, pairs[:, 0] >> _HALF], axis=1).reshape(-1)
-        halves = halves[held:held + count]
-        rejected = np.flatnonzero(halves == 0)
-        done = int(rejected[0]) if len(rejected) else count
-        kinds.append(((halves[:done] * np.uint64(3)) >> _HALF).astype(np.intp))
-        fresh = pairs[:, 1:].reshape(-1, 10)[held:held + done] >> _DOUBLE_SHIFT
-        doubles.append(fresh.astype(np.float64) * 2.0**-53)
-        # the pair position of the last config read (or half-read, at a
-        # rejection); it drew a fresh word for its kind if it is first in
-        # its pair, and the generator then holds that word's high half
-        last = held + min(done, count - 1)
-        first = last % 2 == 0
-        if done < count:
-            bits.state = state
-            bits.random_raw(21 * (last // 2) + (1 if first else 11) - 11 * held)
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = int(first), int(pairs[last // 2, 0] >> _HALF)
-        bits.state = state
-        count -= done
-    return np.concatenate(kinds), np.concatenate(doubles)
-
-
 def _random_draws(rng: np.random.Generator, count: int) -> tuple[Geometries, np.ndarray, list[str]]:
     """``count`` random configs, each with one probe detuning, as one stack.
 
-    Returns the geometries, the detunings and the topology names.  Each
-    config draws its topology, ``rng.integers(3)``, then ten doubles,
-    ``rng.random(10)``; :func:`_stream_draws` reads both from the raw words
-    of ``rng``, which must be PCG64, and leaves its state, held half
-    included, as those calls leave it.  The doubles are four phases in
+    Returns the geometries, the detunings and the topology names.  Config n
+    is row n of one ``rng.random((count, 11))`` call, so it is bit for bit
+    what ``rng.random(11)`` draws for it, with any bit generator and however
+    the configs are split into blocks.  Its first column u gives the
+    topology, the integer part of 3 u; the other ten give four phases in
     [0, 4 pi), sorted and dealt to (a1, a2, b1, b2) by the topology, the
     rates of a1, a2, b1 and b2 in [0.05, 3), delta_ab in [-4, 4) and the
-    detuning in [-6, 6).  These are the words of the
-    generator's stream, and the values bit for bit, that drawing one
-    ``SystemConfig`` after another took.  Every row is a valid config with
-    atom a leftmost, so no config is built; the drawn topology is the one
-    :func:`~gawqed.core.classify_topology` gives, unless two drawn phases
-    tie exactly.
+    detuning in [-6, 6).  Every row is a valid config with atom a leftmost,
+    so no config is built; the drawn topology is the one
+    :func:`~gawqed.core.classify_topology` gives, unless two phases tie.
     """
-    kinds, u = _stream_draws(rng, count)
-    sorted_phases = np.sort(_uniform(0.0, 4.0 * math.pi, u[:, :4]))
+    u = rng.random((count, 11))
+    kinds = (3.0 * u[:, 0]).astype(np.intp)
+    sorted_phases = np.sort(_uniform(0.0, 4.0 * math.pi, u[:, 1:5]))
     phases = np.take_along_axis(sorted_phases, _DRAWN_POINTS[kinds], axis=1)
     geoms = Geometries(
         phases.reshape(count, 2, 2),
-        _uniform(0.05, 3.0, u[:, 4:8]).reshape(count, 2, 2),
-        _uniform(-4.0, 4.0, u[:, 8]),
+        _uniform(0.05, 3.0, u[:, 5:9]).reshape(count, 2, 2),
+        _uniform(-4.0, 4.0, u[:, 9]),
     )
-    return geoms, _uniform(-6.0, 6.0, u[:, 9]), [_DRAWN_TOPOLOGIES[k] for k in kinds.tolist()]
+    return geoms, _uniform(-6.0, 6.0, u[:, 10]), [_DRAWN_TOPOLOGIES[k] for k in kinds.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,12 @@ class TopologyError(GawqedError):
 
 
 class QuantityOverflowError(GawqedError):
-    """A characteristic quantity overflows: the rates are too large for floats."""
+    """A characteristic quantity exceeds :data:`QUANTITY_LIMIT`: the rates are too large for floats."""
+
+
+#: the largest magnitude of a characteristic quantity: the one-photon code
+#: adds a few of them before it divides by the rate scale
+QUANTITY_LIMIT = np.finfo(float).max / 16
 
 
 class Topology(Enum):
@@ -207,28 +212,37 @@ class Geometries:
 
         The formulas are those of :func:`characteristics`; every term is an
         elementwise function of its own geometry's numbers, so a geometry's
-        fields do not depend on the rest of the stack.  Raises
+        fields do not depend on the rest of the stack.  Each geometry is
+        computed in units of a power of 4, the largest one at or below its
+        rate scale, so that a product of two rates neither underflows nor
+        overflows; scaling back by that power is exact, so the unit changes
+        no bit where the products do not leave the range of doubles.  Raises
         :class:`QuantityOverflowError`, naming the first field (in the
-        order of :class:`CharQuantities`) that is not finite in some
-        geometry, when the rates overflow a quantity to inf or nan.
+        order of :class:`CharQuantities`) that exceeds
+        :data:`QUANTITY_LIMIT` in magnitude (or is nan) in some geometry.
         """
-        phases, rates = self.phases, self.rates
+        phases = self.phases
+        # unit = root_unit**2, a power of 4, and the rates in that unit lie below 4
+        root_unit = np.ldexp(1.0, (np.frexp(rate_scale(self.rates))[1] - 1) // 2)[:, None]
+        unit = root_unit * root_unit
+        rates = self.rates / unit[..., None]
         roots = np.sqrt(rates)
-        # real and imaginary part of w_j, [geometry, atom]
+        # real and imaginary part of w_j / sqrt(unit), [geometry, atom]
         re = np.sum(roots * np.cos(phases), axis=-1)
         im = np.sum(roots * np.sin(phases), axis=-1)
         w = re + 1j * im
         alpha = 2.0 * np.arctan2(im, re)
         spread = np.abs(phases[..., 1] - phases[..., 0])
         separation = (phases[:, 1, None, :] - phases[:, 0, :, None]).reshape(-1, 4)
-        # products of rates beyond ~1e308 overflow: the check below reports them
+        # rates near the largest double overflow a quantity: the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            gamma = np.abs(w) ** 2
-            lamb = np.sqrt(rates[..., 0] * rates[..., 1]) * np.sin(spread)
+            gamma = np.abs(w) ** 2 * unit
+            lamb = np.sqrt(rates[..., 0] * rates[..., 1]) * np.sin(spread) * unit
             # the pairs of one point of a and one of b, [geometry, 2 * point of a + point of b]
             root = np.sqrt(rates[:, 0, :, None] * rates[:, 1, None, :]).reshape(-1, 4)
-            g_ab = 0.5 * np.sum(root * np.sin(np.abs(separation)), axis=-1)
-            gamma_ab = np.sum(root * np.cos(separation), axis=-1)
+            g_ab = 0.5 * np.sum(root * np.sin(np.abs(separation)), axis=-1) * unit[:, 0]
+            gamma_ab = np.sum(root * np.cos(separation), axis=-1) * unit[:, 0]
+        w = w * root_unit
         quantities = CharQuantities(
             lamb_a=lamb[:, 0],
             lamb_b=lamb[:, 1],
@@ -242,9 +256,9 @@ class Geometries:
             w_b=w[:, 1],
         )
         # w and alpha are finite for finite phases and rates
-        if not np.isfinite(np.concatenate([lamb.ravel(), gamma.ravel(), g_ab, gamma_ab])).all():
-            name = next(f.name for f in fields(quantities) if not np.isfinite(getattr(quantities, f.name)).all())
-            raise QuantityOverflowError(f"characteristic quantity {name} is not finite: the rates overflow it")
+        if not (np.abs(np.concatenate([lamb.ravel(), gamma.ravel(), g_ab, gamma_ab])) <= QUANTITY_LIMIT).all():
+            name = next(f.name for f in fields(quantities) if not (np.abs(getattr(quantities, f.name)) <= QUANTITY_LIMIT).all())
+            raise QuantityOverflowError(f"characteristic quantity {name} exceeds {QUANTITY_LIMIT:.3e}: the rates overflow it")
         return quantities
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from gawqed import fano
-from gawqed.core import CouplingPoint, Geometries, GiantAtom, SystemConfig, Topology, rate_scale
+from gawqed.core import CouplingPoint, Geometries, GiantAtom, SystemConfig, rate_scale
 
 # CLI tests start ``python -m gawqed.cli``: give those processes the package
 # of this checkout too, as ``pythonpath`` in pyproject.toml does for pytest
@@ -44,29 +44,37 @@ def fake_negative_width(monkeypatch, hit):
 
 
 def random_system(rng: np.random.Generator) -> SystemConfig:
-    """One random config, drawn config by config: the scalar reference of
-    the stacked draws of ``oracle-check`` (``cli._random_draws``)."""
-    kind = (Topology.SEPARATE, Topology.BRAIDED, Topology.NESTED)[int(rng.integers(3))]
+    """One random config: a topology, four sorted phases in [0, 4 pi) dealt
+    to the points by it, four rates in [0.05, 3) and delta_ab in [-4, 4)."""
+    kind = int(rng.integers(3))
     th = np.sort(rng.uniform(0.0, 4.0 * math.pi, 4))
-    rates = rng.uniform(0.05, 3.0, 4)
-    if kind is Topology.SEPARATE:
+    return dealt_config(kind, th.tolist(), rng.uniform(0.05, 3.0, 4).tolist(), float(rng.uniform(-4.0, 4.0)))
+
+
+def oracle_draw(rng: np.random.Generator) -> tuple[SystemConfig, float]:
+    """One random config of ``oracle-check`` and its probe detuning, drawn
+    config by config from one ``rng.random(11)`` call: the scalar reference
+    of the stacked draws (``cli._random_draws``)."""
+    u = rng.random(11).tolist()
+
+    def uniform(low, high, x):
+        # rng.uniform(low, high) of the double x = rng.random()
+        return low + (high - low) * x
+
+    th = sorted(uniform(0.0, 4.0 * math.pi, x) for x in u[1:5])
+    rates = [uniform(0.05, 3.0, x) for x in u[5:9]]
+    return dealt_config(int(3.0 * u[0]), th, rates, uniform(-4.0, 4.0, u[9])), uniform(-6.0, 6.0, u[10])
+
+
+def dealt_config(kind: int, th: list[float], rates: list[float], delta_ab: float) -> SystemConfig:
+    """The separate (kind 0), braided (1) or nested (2) config of the sorted
+    phases ``th``, with the rates of a1, a2, b1 and b2."""
+    if kind == 0:
         pa, pb = (th[0], th[1]), (th[2], th[3])
-    elif kind is Topology.BRAIDED:
+    elif kind == 1:
         pa, pb = (th[0], th[2]), (th[1], th[3])
     else:
         pa, pb = (th[0], th[3]), (th[1], th[2])
     atom_a = GiantAtom("a", (CouplingPoint(pa[0], rates[0]), CouplingPoint(pa[1], rates[1])))
     atom_b = GiantAtom("b", (CouplingPoint(pb[0], rates[2]), CouplingPoint(pb[1], rates[3])))
-    return SystemConfig(atom_a, atom_b, delta_ab=float(rng.uniform(-4.0, 4.0)))
-
-
-def scalar_draws(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The kinds and doubles of ``count`` configs drawn call by call, each
-    ``rng.integers(3)`` and then ``rng.random(10)``: the scalar reference of
-    the raw-word draws of ``oracle-check`` (``cli._stream_draws``)."""
-    kinds = np.empty(count, dtype=np.intp)
-    doubles = np.empty((count, 10))
-    for n in range(count):
-        kinds[n] = rng.integers(3)
-        doubles[n] = rng.random(10)
-    return kinds, doubles
+    return SystemConfig(atom_a, atom_b, delta_ab=delta_ab)

@@ -38,7 +38,7 @@ from gawqed.cli import build_system, main, validate_config
 from gawqed.core import ConfigError, Geometries, symmetric_config
 from gawqed.scattering import OracleSingularError
 
-from conftest import fake_negative_width, random_system, scalar_draws, shift_probe_check
+from conftest import fake_negative_width, oracle_draw, random_system, shift_probe_check
 
 #: the config format as a JSON Schema: the oracle for ``validate_config``
 CONFIG_SCHEMA = {
@@ -772,14 +772,14 @@ class TestExitCodes:
         ("inelastic-spectrum", "nu:-1:1:3"),
     ])
     def test_overflowing_quantities_are_3(self, capsys, tmp_path, command, sweep):
-        # rates of 1e300 overflow lamb_a = sqrt(gamma_a1 gamma_a2) sin(...) to inf
+        # rates of 1e308 put lamb_a = sqrt(gamma_a1 gamma_a2) sin(...) above QUANTITY_LIMIT
         path = write_config(tmp_path, OVERFLOWING)
         code, out, err = run_main(capsys, "--config", path, "--command", command,
                                   *(["--sweep", sweep] if sweep else []))
         assert code == 3 and out == ""
         assert json.loads(err) == {
             "error": "QuantityOverflowError",
-            "message": "characteristic quantity lamb_a is not finite: the rates overflow it",
+            "message": "characteristic quantity lamb_a exceeds 1.124e+307: the rates overflow it",
         }
 
     @pytest.mark.parametrize("command", ["master-sweep", "spectrum"])
@@ -830,7 +830,7 @@ class TestExitCodes:
 
 #: a driven config whose rates overflow the characteristic quantities
 OVERFLOWING = {
-    "symmetric": {"topology": "separate", "phi": 0.7, "gamma": 1e300},
+    "symmetric": {"topology": "separate", "phi": 0.7, "gamma": 1e308},
     "drive": {"alpha_sq": 0.04, "detuning": 0.3},
 }
 
@@ -861,8 +861,7 @@ class TestStackedCommands:
         rng = np.random.default_rng(0)
         assert len(report["rows"]) == 300
         for index, row in enumerate(report["rows"]):
-            cfg = random_system(rng)
-            delta = float(rng.uniform(-6.0, 6.0))
+            cfg, delta = oracle_draw(rng)
             assert (row["index"], row["topology"], row["delta_a"]) == (
                 index, classify_topology(cfg).value, delta
             )
@@ -877,11 +876,7 @@ class TestStackedCommands:
         rng, reference = np.random.default_rng(7), np.random.default_rng(7)
         for count in (1, 127, 128, 129, 300, 5000):
             geoms, delta, names = cli._random_draws(rng, count)
-            cfgs = []
-            deltas = []
-            for _ in range(count):
-                cfgs.append(random_system(reference))
-                deltas.append(float(reference.uniform(-6.0, 6.0)))
+            cfgs, deltas = zip(*(oracle_draw(reference) for _ in range(count)))
             expected = Geometries.of(cfgs)
             for field in ("phases", "rates", "delta_ab"):
                 drawn, ref = getattr(geoms, field), getattr(expected, field)
@@ -890,57 +885,15 @@ class TestStackedCommands:
             assert names == [classify_topology(cfg).value for cfg in cfgs]
             assert rng.bit_generator.state == reference.bit_generator.state
 
-    #: PCG64(0) advanced by this many words draws a word whose low half is
-    #: zero next: a kind drawn from it is rejected by Lemire's method
-    ZERO_LOW_HALF = 2648504173
-
-    @staticmethod
-    def assert_same_draws(rng, reference, count):
-        kinds, doubles = cli._stream_draws(rng, count)
-        expected_kinds, expected_doubles = scalar_draws(reference, count)
-        assert kinds.tolist() == expected_kinds.tolist()
-        assert doubles.shape == expected_doubles.shape and doubles.tobytes() == expected_doubles.tobytes()
-        assert rng.bit_generator.state == reference.bit_generator.state
-
-    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held-half"])
-    def test_stream_draws_match_scalar_calls(self, held):
-        # consecutive blocks of odd and even counts, from a stream that holds
-        # half a word or none
-        for seed in range(4):
-            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-            if held:
-                rng.integers(3), reference.integers(3)
-            assert rng.bit_generator.state["has_uint32"] == held
-            for count in (1, 2, 3, 127, 128, 129, 1, 255):
-                self.assert_same_draws(rng, reference, count)
-
-    def test_stream_draws_redraw_a_rejected_kind(self):
-        # a held half of zero is rejected, so is a fresh low half of zero
-        for count in (1, 2, 5):
-            rng, reference = np.random.default_rng(3), np.random.default_rng(3)
-            for generator in (rng, reference):
-                state = generator.bit_generator.state
-                state["has_uint32"], state["uinteger"] = 1, 0
-                generator.bit_generator.state = state
-            self.assert_same_draws(rng, reference, count)
-            self.assert_same_draws(rng, reference, 4)
-        probe = np.random.PCG64(0)
-        probe.advance(self.ZERO_LOW_HALF)
-        assert int(probe.random_raw()) & 0xFFFFFFFF == 0
-        # the zero word as the kind word of config 0, 1 or 2 of a block, or
-        # among the doubles, with the stream holding half a word or none
-        for lead, held in itertools.product(range(0, 34), (False, True)):
-            rng, reference = (np.random.Generator(np.random.PCG64(0)) for _ in range(2))
-            for generator in (rng, reference):
-                generator.bit_generator.advance(self.ZERO_LOW_HALF - lead)
-                if held:
-                    generator.integers(3)
-            for count in (3, 2):
-                self.assert_same_draws(rng, reference, count)
-
-    def test_stream_draws_need_pcg64(self):
-        with pytest.raises(TypeError, match="PCG64"):
-            cli._stream_draws(np.random.Generator(np.random.MT19937(0)), 3)
+    def test_oracle_report_does_not_depend_on_the_block(self, capsys, monkeypatch):
+        reports = []
+        for block in (7, 128):
+            monkeypatch.setattr(cli, "STACK_BLOCK", block)
+            code, out, _ = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:300",
+                                    "--format", "json")
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
 
     def test_oracle_singular_config_in_later_block(self, capsys, monkeypatch):
         # config 261 (index 260) lies past the first block of configs
@@ -1337,9 +1290,10 @@ class TestScaleCovariance:
         ("eit-spectrum", "delta_a:-6:6:201"),
     ]
 
-    @pytest.mark.parametrize("s", [1e-150, 1e-6, 1e6, 1e154])
+    @pytest.mark.parametrize("s", [1e-300, 1e-160, 1e-150, 1e-6, 1e6, 1e154, 1e300])
     def test_one_photon_commands_at_extreme_scales(self, tmp_path, s):
-        # a product of two rates of 1e154 overflows; 1e-150 is the other end of the range
+        # a product of two rates of 1e154 overflows, one of 1e-160 is subnormal:
+        # the quantities are computed in a power-of-4 unit near the rate scale
         unit, scaled = (scaled_config("nested", math.pi / 2, -1.0, x) for x in (1.0, s))
         for command, sweep in self.ONE_PHOTON_COMMANDS:
             code, _, fields = run_scaled(scaled, command, sweep, s, tmp_path)
@@ -1352,7 +1306,7 @@ class TestScaleCovariance:
         (command, "phi:0.05:3.09:301") for command in ("spectrum", "characteristics", "loci", "fano")
     ]
 
-    @pytest.mark.parametrize("k", [-60, -10, 10, 60])
+    @pytest.mark.parametrize("k", [-270, -60, -10, 10, 60, 270])
     @pytest.mark.parametrize("geometry", ["separate", "braided", "nested", "explicit"])
     def test_one_photon_commands_exact_at_powers_of_4(self, tmp_path, geometry, k):
         # scaling by a power of 4 is exact in every floating-point step of the

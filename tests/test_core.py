@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -21,7 +22,7 @@ from gawqed import (
     symmetric_config,
 )
 
-from gawqed.core import Geometries, QuantityOverflowError, rate_scale
+from gawqed.core import QUANTITY_LIMIT, Geometries, QuantityOverflowError, rate_scale
 from gawqed.scattering import DECOUPLE_TOL
 
 from conftest import random_system
@@ -240,15 +241,20 @@ class TestStackedQuantities:
                     assert gap <= 8 * eps * math.sqrt(scale) / abs(w), (k, alpha)
 
     def test_overflow_names_the_first_non_finite_quantity(self):
-        # only atom b's rates overflow their product, so lamb_a stays finite
-        big = make((0.0, 1.0), (2.0, 3.0), rates=(1.0, 1.0, 1e300, 1e300))
+        # only atom b's rates are out of range, so lamb_a stays in range
+        big = make((0.0, 1.0), (2.0, 3.0), rates=(1.0, 1.0, 1e308, 1e308))
         fine = make((0.0, 1.0), (2.0, 3.0))
         for cfgs in ([big], [fine, big]):
-            with pytest.raises(QuantityOverflowError, match="^characteristic quantity lamb_b is not finite"):
+            with pytest.raises(QuantityOverflowError, match="^characteristic quantity lamb_b exceeds"):
                 Geometries.of(cfgs).quantities()
         with pytest.raises(QuantityOverflowError, match="quantity lamb_b"):
             characteristics(big)
-        Geometries.of([fine, make((0.0, 1.0), (2.0, 3.0), rates=(1e150,) * 4)]).quantities()
+        # gamma_a = 4e307 is finite, but a sum of a few such quantities is not
+        close = make((0.0, 1e-3), (2.0, 3.0), rates=(1e307, 1e307, 1.0, 1.0))
+        message = f"characteristic quantity gamma_a exceeds {QUANTITY_LIMIT:.3e}:"
+        with pytest.raises(QuantityOverflowError, match="^" + re.escape(message)):
+            characteristics(close)
+        Geometries.of([fine, make((0.0, 1.0), (2.0, 3.0), rates=(1e300,) * 4)]).quantities()
 
 
 class TestSpectrumPeriodicity:
