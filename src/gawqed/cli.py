@@ -38,7 +38,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from dataclasses import asdict
 from itertools import chain
 
 import numpy as np
@@ -104,36 +104,6 @@ SWEEP_VARIABLES = {
 }
 
 COMMANDS = tuple(SWEEP_VARIABLES)
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    variable: str
-    start: float
-    stop: float
-    points: int
-
-    def __post_init__(self) -> None:
-        if self.points < 2:
-            raise ConfigError("sweep needs at least 2 points")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError("sweep start and stop must be finite")
-        if not math.isfinite(self.stop - self.start):
-            raise ConfigError("sweep span stop - start must be finite")
-        if not self.start < self.stop:
-            raise ConfigError("sweep start must be below stop")
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.start, self.stop, self.points)
-
-
-@dataclass(frozen=True)
-class RunSpec:
-    config_path: str | None
-    command: str
-    sweep: SweepSpec | None
-    out_path: str | None
-    fmt: str
 
 
 def oracle_tolerance() -> float:
@@ -218,48 +188,34 @@ def validate_config(raw) -> None:
                 raise _violation(f"{value!r} is less than or equal to the minimum of 0")
 
 
-def _phi_sweep_shortcut(raw: dict) -> dict:
+def _symmetric(raw: dict, phi: float) -> SystemConfig:
+    """The symmetric shortcut of a validated raw config, expanded at spacing
+    ``phi`` by :func:`~gawqed.core.symmetric_config` with the config's
+    ``delta_ab``; a config without the shortcut has no phi to sweep."""
     if "symmetric" not in raw:
         raise ConfigError("phi sweeps need the symmetric shortcut in the config")
-    return raw["symmetric"]
+    shortcut = raw["symmetric"]
+    return symmetric_config(
+        Topology(shortcut["topology"]),
+        float(phi),
+        float(shortcut.get("gamma", 1.0)),
+        float(raw.get("delta_ab", 0.0)),
+    )
 
 
-def build_system(raw: dict, phi_override: float | None = None) -> SystemConfig:
-    """SystemConfig from a validated raw config document.
-
-    ``phi_override`` re-expands the symmetric shortcut at a different spacing
-    (used by phi sweeps); it is rejected for explicit-geometry configs.  The
-    shortcut builds :func:`~gawqed.core.symmetric_config` with the config's
-    ``delta_ab``.
-    """
-    delta_ab = float(raw.get("delta_ab", 0.0))
-    if phi_override is None and "symmetric" in raw:
-        phi_override = raw["symmetric"]["phi"]
-    if phi_override is not None:
-        shortcut = _phi_sweep_shortcut(raw)
-        return symmetric_config(
-            Topology(shortcut["topology"]),
-            float(phi_override),
-            float(shortcut.get("gamma", 1.0)),
-            delta_ab,
-        )
-    built = []
+def build_system(raw: dict) -> SystemConfig:
+    """SystemConfig from a validated raw config document."""
+    if "symmetric" in raw:
+        return _symmetric(raw, raw["symmetric"]["phi"])
+    atoms = []
     for label, spec in zip("ab", raw["atoms"]):
-        pts = sorted(spec["points"], key=lambda p: p["phase"])
-        built.append(
-            GiantAtom(
-                label,
-                (
-                    CouplingPoint(float(pts[0]["phase"]), float(pts[0]["rate"])),
-                    CouplingPoint(float(pts[1]["phase"]), float(pts[1]["rate"])),
-                ),
-            )
-        )
-    return SystemConfig(atom_a=built[0], atom_b=built[1], delta_ab=delta_ab)
+        points = sorted(spec["points"], key=lambda p: p["phase"])
+        atoms.append(GiantAtom(label, tuple(CouplingPoint(float(p["phase"]), float(p["rate"])) for p in points)))
+    return SystemConfig(*atoms, float(raw.get("delta_ab", 0.0)))
 
 
 def _phi_geometries(raw: dict, phis: list[float]) -> Geometries:
-    """The configs ``build_system(raw, phi)`` for every phi, as one stack.
+    """The configs ``_symmetric(raw, phi)`` for every phi, as one stack.
 
     The phases phi (0, 1, 2, 3) are dealt to the points by
     :data:`~gawqed.core.POINT_ORDER`, without a config per spacing.  Only
@@ -267,14 +223,14 @@ def _phi_geometries(raw: dict, phis: list[float]) -> Geometries:
     every finite phi >= 0; so the configs of the first spacing and of the
     first other one raise the error of the first invalid spacing.
     """
-    shortcut = _phi_sweep_shortcut(raw)
     spacings = np.array(phis, dtype=float)
     with np.errstate(over="ignore"):
         spaced = spacings[:, None] * np.arange(4.0)
     spaced[:, 0] = 0.0
     invalid = ~((spacings >= 0.0) & np.isfinite(spaced).all(axis=1))
     for k in sorted({0, int(np.argmax(invalid))}):
-        build_system(raw, phi_override=phis[k])
+        _symmetric(raw, phis[k])
+    shortcut = raw["symmetric"]
     order = POINT_ORDER[Topology(shortcut["topology"])]
     return Geometries(
         spaced[:, order].reshape(-1, 2, 2),
@@ -306,10 +262,6 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _amplitude_columns(grid: np.ndarray, t: np.ndarray, r: np.ndarray) -> list[np.ndarray]:
-    return [grid, t.real, t.imag, r.real, r.imag, np.abs(t) ** 2, np.abs(r) ** 2]
-
-
 def _fano_columns(raw: dict, phis: list[float]) -> list:
     """The ``fano`` table after its phi column, decomposed and fitted in
     stacks of ``STACK_BLOCK`` spacings.
@@ -331,21 +283,6 @@ def _fano_columns(raw: dict, phis: list[float]) -> list:
         d_plus, d_minus, g_plus, g_minus,
         chi_plus.real, chi_plus.imag, chi_minus.real, chi_minus.imag, *fit,
     ]
-
-
-def _eit_spectrum_columns(cfg: SystemConfig, grid: np.ndarray) -> list[np.ndarray]:
-    """The general amplitudes, for a config with an EIT/ATS verdict."""
-    verdict = eit.classify_eit(cfg)
-    if verdict.regime is eit.Regime.NOT_APPLICABLE:
-        raise eit.EitPreconditionError(
-            verdict.note or "configuration supports no EIT scheme; use 'spectrum' instead"
-        )
-    return _amplitude_columns(grid, *_amplitude_arrays(Geometries.of([cfg]), grid))
-
-
-def _master_columns(raw: dict, grid: np.ndarray) -> list[np.ndarray]:
-    sweep = lindblad.master_sweep(build_system(raw), _drive_from(raw).amplitude_sq, grid)
-    return [grid, sweep.T, sweep.R, sweep.inelastic_flux, sweep.conservation_residual]
 
 
 #: the topologies ``oracle-check`` draws from, and for each the points
@@ -390,85 +327,78 @@ def _random_draws(rng: np.random.Generator, count: int) -> tuple[Geometries, np.
 # ---------------------------------------------------------------------------
 
 
-def run(spec: RunSpec) -> int:
-    """Execute a command; returns the process exit status."""
-    if spec.command not in COMMANDS:
-        raise ConfigError(f"unknown command {spec.command!r}; choose from {COMMANDS}")
-    variable = spec.sweep.variable if spec.sweep else None
-    if variable not in SWEEP_VARIABLES[spec.command]:
-        allowed = sorted(str(v) for v in SWEEP_VARIABLES[spec.command])
-        raise ConfigError(
-            f"command {spec.command!r} accepts sweep variables {allowed}, got {variable!r}"
-        )
-    if spec.command == "eit-classify" and spec.fmt != "json":
-        raise ConfigError(f"command 'eit-classify' writes json only, got --format {spec.fmt}")
+def run(command: str, config_path: str | None, sweep: str | None, out_path: str | None,
+        fmt: str | None) -> int:
+    """Execute ``command``; returns the process exit status.
 
-    raw = None
-    if spec.command != "oracle-check":
-        if spec.config_path is None:
-            raise ConfigError(f"command {spec.command!r} needs --config")
-        raw = _read_config(spec.config_path)
+    The usage checks run in this order: the ``--sweep`` text, the sweep
+    variable, the format, then ``--config``.  Every table leads with its
+    sweep variable (``delta_a`` without a sweep), except ``characteristics``
+    without a sweep, which has no grid.
+    """
+    variable, grid = _parse_sweep(sweep) if sweep else (None, None)
+    if variable not in SWEEP_VARIABLES[command]:
+        allowed = sorted(str(v) for v in SWEEP_VARIABLES[command])
+        raise ConfigError(f"command {command!r} accepts sweep variables {allowed}, got {variable!r}")
+    fmt = fmt or ("json" if command == "eit-classify" else "csv")
+    if command == "eit-classify" and fmt != "json":
+        raise ConfigError(f"command 'eit-classify' writes json only, got --format {fmt}")
+    if command == "oracle-check":
+        return _run_oracle_check(100 if grid is None else len(grid), out_path, fmt)
+    if config_path is None:
+        raise ConfigError(f"command {command!r} needs --config")
+    raw = _read_config(config_path)
 
-    if spec.command == "oracle-check":
-        return _run_oracle_check(spec)
-    if spec.command == "eit-classify":
+    if command == "eit-classify":
         verdict = eit.classify_eit(build_system(raw))
-        payload = {
-            "scheme": verdict.scheme.value,
-            "dark_state": verdict.dark_state.value,
-            "regime": verdict.regime.value,
-            "control_strength": verdict.control_strength,
-            "bright_width": verdict.bright_width,
-            "transparency_delta_a": verdict.transparency_delta_a,
-            "note": verdict.note,
-        }
-        _write_json(spec.out_path, payload)
+        payload = {name: getattr(value, "value", value) for name, value in asdict(verdict).items()}
+        _write_text(out_path, [json.dumps(payload, indent=2), "\n"])
         return 0
 
-    grid = spec.sweep.grid() if spec.sweep else np.linspace(-6.0, 6.0, 2001)
-    phis = [float(p) for p in grid] if variable == "phi" else []
-    if spec.command == "spectrum":
-        if variable == "phi":
+    if grid is None:
+        grid = np.linspace(-6.0, 6.0, 2001)
+    phis = grid.tolist() if variable == "phi" else None
+    if command in ("spectrum", "eit-spectrum"):
+        if phis:
             delta = _drive_from(raw).frequency_detuning if "drive" in raw else 0.0
-            header = ["phi", "re_t", "im_t", "re_r", "im_r", "T", "R"]
             geoms = _phi_geometries(raw, phis)
         else:
-            header = ["delta_a", "re_t", "im_t", "re_r", "im_r", "T", "R"]
-            geoms, delta = Geometries.of([build_system(raw)]), grid
-        columns = _amplitude_columns(grid, *_amplitude_arrays(geoms, delta))
-    elif spec.command == "characteristics":
+            cfg = build_system(raw)
+            verdict = eit.classify_eit(cfg) if command == "eit-spectrum" else None
+            if verdict is not None and verdict.regime is eit.Regime.NOT_APPLICABLE:
+                raise eit.EitPreconditionError(
+                    verdict.note or "configuration supports no EIT scheme; use 'spectrum' instead"
+                )
+            geoms, delta = Geometries.of([cfg]), grid
+        t, r = _amplitude_arrays(geoms, delta)
+        names = ["re_t", "im_t", "re_r", "im_r", "T", "R"]
+        columns = [t.real, t.imag, r.real, r.imag, np.abs(t) ** 2, np.abs(r) ** 2]
+    elif command == "characteristics":
         names = ["lamb_a", "lamb_b", "gamma_a", "gamma_b", "g_ab", "gamma_ab", "alpha_a", "alpha_b"]
-        if variable == "phi":
-            header, leading, geoms = ["phi"] + names, [grid], _phi_geometries(raw, phis)
-        else:
-            header, leading, geoms = names, [], Geometries.of([build_system(raw)])
+        geoms = _phi_geometries(raw, phis) if phis else Geometries.of([build_system(raw)])
         ch = geoms.quantities()
-        columns = leading + [getattr(ch, name) for name in names]
-    elif spec.command == "loci":
-        header = ["phi", "peak_1", "peak_2", "minimum"]
-        columns = [grid, *_loci_arrays(_phi_geometries(raw, phis))]
-    elif spec.command == "fano":
-        header = [
-            "phi", "delta_plus", "delta_minus", "gamma_plus", "gamma_minus",
+        columns = [getattr(ch, name) for name in names]
+    elif command == "loci":
+        names, columns = ["peak_1", "peak_2", "minimum"], _loci_arrays(_phi_geometries(raw, phis))
+    elif command == "fano":
+        names = [
+            "delta_plus", "delta_minus", "gamma_plus", "gamma_minus",
             "re_chi_plus", "im_chi_plus", "re_chi_minus", "im_chi_minus",
             "regime", "q", "f_scale", "center", "width",
         ]
-        columns = [grid] + _fano_columns(raw, phis)
-    elif spec.command == "eit-spectrum":
-        header = ["delta_a", "re_t", "im_t", "re_r", "im_r", "T", "R"]
-        columns = _eit_spectrum_columns(build_system(raw), grid)
-    elif spec.command == "master-sweep":
-        header = ["delta_a", "T", "R", "F", "residual"]
-        columns = _master_columns(raw, grid)
-    elif spec.command == "inelastic-spectrum":
-        cfg = build_system(raw)
-        result = lindblad.inelastic_spectrum(cfg, _drive_from(raw), grid)
-        header = ["nu", "s_transmit", "s_reflect", "s_total"]
-        columns = [result.nu, result.s_transmit, result.s_reflect, result.s_total]
-    else:  # pragma: no cover - command list is closed
-        raise ConfigError(f"unhandled command {spec.command!r}")
+        columns = _fano_columns(raw, phis)
+    elif command == "master-sweep":
+        result = lindblad.master_sweep(build_system(raw), _drive_from(raw).amplitude_sq, grid)
+        names = ["T", "R", "F", "residual"]
+        columns = [result.T, result.R, result.inelastic_flux, result.conservation_residual]
+    else:
+        result = lindblad.inelastic_spectrum(build_system(raw), _drive_from(raw), grid)
+        names = ["s_transmit", "s_reflect", "s_total"]
+        columns = [result.s_transmit, result.s_reflect, result.s_total]
 
-    _write_rows(spec.out_path, spec.fmt, header, columns)
+    if variable or command != "characteristics":
+        names, columns = [variable or "delta_a", *names], [grid, *columns]
+    _write_rows(out_path, fmt, names, columns)
     return 0
 
 
@@ -485,8 +415,7 @@ def _oracle_deviations(geoms: Geometries, delta: np.ndarray) -> tuple[np.ndarray
     return np.abs(t - x[:, 3]), np.abs(r - x[:, 4])
 
 
-def _run_oracle_check(spec: RunSpec) -> int:
-    count = spec.sweep.points if spec.sweep else 100
+def _run_oracle_check(count: int, out_path: str | None, fmt: str) -> int:
     tol = oracle_tolerance()
     rng = np.random.default_rng(0)
     names, blocks = [], []
@@ -499,15 +428,13 @@ def _run_oracle_check(spec: RunSpec) -> int:
     worst = float(np.max([dev_t, dev_r]))
     header = ["index", "topology", "delta_a", "dev_t", "dev_r"]
     columns = [range(count), names, delta, dev_t, dev_r]
-    if spec.fmt == "json":
+    if fmt == "json":
         fields = {"tolerance": tol, "max_deviation": worst}
-        _write_text(spec.out_path, chain(_json_document(fields, header, columns), ["\n"]))
+        _write_text(out_path, chain(_json_document(fields, header, columns), ["\n"]))
     else:
-        _write_rows(spec.out_path, "csv", header, columns)
+        _write_rows(out_path, fmt, header, columns)
     if not worst < tol:
-        raise GawqedError(
-            f"oracle deviation {worst:.3e} exceeds tolerance {tol:.3e}"
-        )
+        raise GawqedError(f"oracle deviation {worst:.3e} exceeds tolerance {tol:.3e}")
     return 0
 
 
@@ -528,20 +455,14 @@ def _read_config(path: str) -> dict:
     return raw
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
-
-
 def _write_text(path: str | None, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks`` in turn, each as soon as it is made."""
-    out, owned = _open_out(path)
-    try:
+    """Write the text ``chunks`` in turn to ``path`` (stdout if None), each
+    as soon as it is made."""
+    if path is None:
+        sys.stdout.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as out:
         out.writelines(chunks)
-    finally:
-        if owned:
-            out.close()
 
 
 def _write_rows(path: str | None, fmt: str, header: list[str], columns: list) -> None:
@@ -632,27 +553,35 @@ def _json_document(fields: dict, header: list[str], columns: list) -> Iterator[s
     yield "\n}"
 
 
-def _write_json(path: str | None, payload) -> None:
-    _write_text(path, [json.dumps(payload, indent=2), "\n"])
-
-
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
 
-def _parse_sweep(text: str) -> SweepSpec:
+def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
+    """The variable and grid of ``--sweep VAR:START:STOP:POINTS``."""
     parts = text.split(":")
     if len(parts) != 4:
         raise ConfigError("--sweep must look like VAR:START:STOP:POINTS")
-    var, start, stop, points = parts
+    variable, start, stop, points = parts
     try:
-        return SweepSpec(var, float(start), float(stop), int(points))
+        start, stop, points = float(start), float(stop), int(points)
     except ValueError as exc:
         raise ConfigError(f"bad sweep specification {text!r}: {exc}") from exc
+    if points < 2:
+        raise ConfigError("sweep needs at least 2 points")
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ConfigError("sweep start and stop must be finite")
+    if not math.isfinite(stop - start):
+        raise ConfigError("sweep span stop - start must be finite")
+    if not start < stop:
+        raise ConfigError("sweep start must be below stop")
+    return variable, np.linspace(start, stop, points)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="gawqed",
         description="Single-photon scattering and EIT analysis for two giant atoms "
@@ -670,27 +599,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _main_parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built once per process (parsing leaves it unchanged)."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _main_parser().parse_args(argv)
-    fmt = args.format
-    if fmt is None:
-        fmt = "json" if args.command == "eit-classify" else "csv"
+    args = build_parser().parse_args(argv)
     try:
-        sweep = _parse_sweep(args.sweep) if args.sweep else None
-        spec = RunSpec(
-            config_path=args.config,
-            command=args.command,
-            sweep=sweep,
-            out_path=args.out,
-            fmt=fmt,
-        )
-        return run(spec)
+        return run(args.command, args.config, args.sweep, args.out, args.format)
     except ConfigError as exc:
         _emit_error("config", exc)
         return 2

@@ -166,10 +166,7 @@ def collective_eit_amplitudes(
         raise EitPreconditionError(f"cross decay Gamma_SA = {q.gamma_sa} is not zero")
     if abs(q.g_sa) <= ztol:
         raise EitPreconditionError("control coupling g_SA is zero")
-    den = 1j * d_dark * (1j * d_bright - 0.5 * g_bright) + q.g_sa**2
-    t = (-d_dark * d_bright + q.g_sa**2) / den
-    r = r_phase * (0.5j * g_bright * d_dark) / den
-    return _scatter_point(delta_a, t, r)
+    return _lambda_point(delta_a, d_dark, d_bright, g_bright, q.g_sa, r_phase)
 
 
 def single_atom_eit_amplitudes(
@@ -205,10 +202,18 @@ def single_atom_eit_amplitudes(
                 "single-atom EIT is impossible"
             )
         raise EitPreconditionError("exchange coupling g_ab is zero")
-    den = 1j * d_dark * (1j * d_bright - 0.5 * g_bright) + ch.g_ab**2
-    t = (-d_dark * d_bright + ch.g_ab**2) / den
     phase = w_bright**2 / abs(w_bright) ** 2
-    r = phase * (0.5j * g_bright * d_dark) / den
+    return _lambda_point(delta_a, d_dark, d_bright, g_bright, ch.g_ab, phase)
+
+
+def _lambda_point(delta_a, d_dark, d_bright, g_bright, control, r_phase) -> ScatterPoint:
+    """The amplitudes of the driven Lambda atom both schemes reduce to: a
+    dark mode at detuning ``d_dark``, a bright one at ``d_bright`` with
+    width ``g_bright``, the coherent coupling ``control`` between them, and
+    r times the phasor ``r_phase``."""
+    den = 1j * d_dark * (1j * d_bright - 0.5 * g_bright) + control**2
+    t = (-d_dark * d_bright + control**2) / den
+    r = r_phase * (0.5j * g_bright * d_dark) / den
     return _scatter_point(delta_a, t, r)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
@@ -36,6 +37,7 @@ from gawqed import (
 from gawqed import _fmt17, cli, fano
 from gawqed.cli import build_system, main, validate_config
 from gawqed.core import ConfigError, Geometries, symmetric_config
+from gawqed.eit import EitVerdict
 from gawqed.scattering import OracleSingularError
 
 from conftest import fake_negative_width, oracle_draw, random_system, shift_probe_check
@@ -200,7 +202,6 @@ class TestConfig:
             explicit = {"atoms": expand_symmetric(dict(shortcut, phi=phi))["atoms"], "delta_ab": -0.4}
             expected = build_system(explicit)
             assert build_system({"symmetric": dict(shortcut, phi=phi), "delta_ab": -0.4}) == expected
-            assert build_system({"symmetric": shortcut, "delta_ab": -0.4}, phi_override=phi) == expected
 
     def test_schema_rejects_one_atom(self):
         with pytest.raises(ConfigError):
@@ -822,10 +823,62 @@ class TestExitCodes:
         proc = invoke("--config", sep_config, "--command", "spectrum", "--sweep", "delta_a:2:1:5")
         assert proc.returncode == 2
 
+    # CONFIG stands for the sep_config path, EXPLICIT for a config of two
+    # explicit atoms
+    @pytest.mark.parametrize("argv, message", [
+        (["--config", "CONFIG", "--command", "spectrum", "--sweep", "delta_a:0:1"],
+         "--sweep must look like VAR:START:STOP:POINTS"),
+        (["--config", "CONFIG", "--command", "spectrum", "--sweep", "delta_a:x:1:3"],
+         "bad sweep specification 'delta_a:x:1:3': could not convert string to float: 'x'"),
+        (["--config", "CONFIG", "--command", "spectrum", "--sweep", "delta_a:0:1:2.5"],
+         "bad sweep specification 'delta_a:0:1:2.5': invalid literal for int() with base 10: '2.5'"),
+        (["--config", "CONFIG", "--command", "spectrum", "--sweep", "delta_a:0:1:1"],
+         "sweep needs at least 2 points"),
+        (["--config", "CONFIG", "--command", "spectrum", "--sweep", "delta_a:-inf:1:3"],
+         "sweep start and stop must be finite"),
+        (["--config", "CONFIG", "--command", "spectrum", "--sweep", "delta_a:-1e308:1e308:3"],
+         "sweep span stop - start must be finite"),
+        (["--config", "CONFIG", "--command", "spectrum", "--sweep", "delta_a:1:1:3"],
+         "sweep start must be below stop"),
+        (["--config", "CONFIG", "--command", "loci", "--sweep", "delta_a:0:1:5"],
+         "command 'loci' accepts sweep variables ['phi'], got 'delta_a'"),
+        (["--config", "CONFIG", "--command", "eit-classify", "--format", "csv"],
+         "command 'eit-classify' writes json only, got --format csv"),
+        (["--command", "spectrum"], "command 'spectrum' needs --config"),
+        (["--config", "EXPLICIT", "--command", "spectrum", "--sweep", "phi:0.5:1:4"],
+         "phi sweeps need the symmetric shortcut in the config"),
+    ], ids=["three-fields", "start-not-a-number", "fractional-points", "one-point", "infinite-bound",
+            "overflowing-span", "empty-range", "wrong-variable", "eit-classify-csv", "no-config",
+            "phi-sweep-of-explicit"])
+    def test_usage_error_is_one_json_line(self, capsys, tmp_path, sep_config, argv, message):
+        explicit = write_config(tmp_path, {"atoms": expand_symmetric({"topology": "nested", "phi": 1.0})["atoms"]},
+                                name="explicit.json")
+        argv = [{"CONFIG": sep_config, "EXPLICIT": explicit}.get(arg, arg) for arg in argv]
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"error": "config", "message": message}) + "\n"
+
     def test_main_entry_point(self, sep_config, capsys):
         assert main(["--config", sep_config, "--command", "eit-classify"]) == 0
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["regime"] == "EIT"
+
+    def test_eit_classify_payload(self, sep_config, capsys):
+        # keys in the order of the verdict's fields, enums by their value
+        code, out, _ = run_main(capsys, "--config", sep_config, "--command", "eit-classify")
+        assert code == 0
+        assert list(json.loads(out)) == [field.name for field in dataclasses.fields(EitVerdict)]
+        assert out == (
+            '{\n'
+            '  "scheme": "CollectiveSA",\n'
+            '  "dark_state": "S",\n'
+            '  "regime": "EIT",\n'
+            '  "control_strength": 0.5,\n'
+            '  "bright_width": 4.000000000000001,\n'
+            '  "transparency_delta_a": 0.5000000000000001,\n'
+            '  "note": null\n'
+            '}\n'
+        )
 
 
 #: a driven config whose rates overflow the characteristic quantities
@@ -949,7 +1002,7 @@ class TestStackedCommands:
             raw = {"symmetric": {"topology": topology.value, "phi": 1.0, "gamma": 0.7}, "delta_ab": 0.3}
             for phis in (np.linspace(0.05, 3.09, 301), np.linspace(0.0, 7.0, 50)):
                 stack = cli._phi_geometries(raw, phis.tolist())
-                expected = Geometries.of([build_system(raw, phi_override=phi) for phi in phis.tolist()])
+                expected = Geometries.of([cli._symmetric(raw, phi) for phi in phis.tolist()])
                 for field in ("phases", "rates", "delta_ab"):
                     assert getattr(stack, field).tobytes() == getattr(expected, field).tobytes(), field
 
@@ -962,14 +1015,14 @@ class TestStackedCommands:
         assert code == 0
         for line in out.splitlines()[1:]:
             phi, *values = line.split(",")
-            ch = characteristics(build_system(raw, phi_override=float(phi)))
+            ch = characteristics(cli._symmetric(raw, float(phi)))
             assert values == [format(getattr(ch, name), ".17g") for name in (
                 "lamb_a", "lamb_b", "gamma_a", "gamma_b", "g_ab", "gamma_ab", "alpha_a", "alpha_b")]
         code, out, _ = run_main(capsys, "--config", path, "--command", "spectrum", *sweep)
         assert code == 0
         for line in out.splitlines()[1:]:
             phi, re_t, im_t, re_r, im_r, big_t, big_r = map(float, line.split(","))
-            pt = amplitudes_general(build_system(raw, phi_override=phi), 0.4)
+            pt = amplitudes_general(cli._symmetric(raw, phi), 0.4)
             assert abs(complex(re_t, im_t) - pt.t) <= 1e-14 and abs(complex(re_r, im_r) - pt.r) <= 1e-14
             assert big_t == pytest.approx(pt.T, abs=1e-14) and big_r == pytest.approx(pt.R, abs=1e-14)
 
@@ -984,7 +1037,7 @@ class TestStackedCommands:
             outputs[delta_ab] = json.loads(out)
         assert outputs[0.0] != outputs[2.0]
         for row in outputs[2.0]:
-            pair = lorentz_pair(build_system(dict(raw, delta_ab=2.0), phi_override=row["phi"]))
+            pair = lorentz_pair(cli._symmetric(dict(raw, delta_ab=2.0), row["phi"]))
             assert (row["delta_plus"], row["gamma_minus"]) == (pair.delta_plus, pair.gamma_minus)
 
     def test_fano_names_first_failing_phi(self, capsys, tmp_path, monkeypatch):
@@ -997,7 +1050,7 @@ class TestStackedCommands:
         failing = phis[[200, 240, 290]]
         shift_probe_check(monkeypatch, lambda geoms: 1e-6 * np.isin(geoms.phases[:, 0, 1], failing))
         with pytest.raises(fano.DecompositionError) as point:
-            lorentz_pair(build_system(raw, phi_override=float(phis[200])))
+            lorentz_pair(cli._symmetric(raw, float(phis[200])))
         code, out, err = run_main(capsys, "--config", path, "--command", "fano",
                                   "--sweep", "phi:0.05:3.09:301")
         assert code == 3 and out == ""
@@ -1016,7 +1069,7 @@ class TestStackedCommands:
         shift_probe_check(monkeypatch, lambda geoms: 1e-6 * (geoms.phases[:, 0, 1] == phis[200]))
         fake_negative_width(monkeypatch, lambda geoms: geoms.phases[:, 0, 1] == phis[negative_at])
         with pytest.raises(fano.DecompositionError) as point:
-            lorentz_pair(build_system(raw, phi_override=float(phis[200])))
+            lorentz_pair(cli._symmetric(raw, float(phis[200])))
         first = "negative channel width" if negative_at == 200 else "reconstruction residual"
         assert str(point.value).startswith(first)
         code, out, err = run_main(capsys, "--config", path, "--command", "fano",
