@@ -152,8 +152,9 @@ def validate_config(raw) -> None:
 
     Checks run in a fixed order: unknown top-level keys, exactly one of
     ``atoms``/``symmetric``, required keys in each section, unknown keys in
-    each section, then types and bounds (bools are not numbers).  Messages
-    use the wording of JSON Schema validators.
+    each section, then types and bounds (bools are not numbers, and an
+    integer must convert to a double).  Messages use the wording of JSON
+    Schema validators where they have one.
     """
     _unknown_keys(_object(raw), "config")
     if ("atoms" in raw) == ("symmetric" in raw):
@@ -182,6 +183,10 @@ def validate_config(raw) -> None:
                 continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise _violation(f"{value!r} is not of type 'number'")
+            try:
+                float(value)
+            except OverflowError:  # an integer beyond the double range
+                raise _violation(f"{value!r} does not convert to a finite double") from None
             if CONFIG_NUMBERS[key] == ">= 0" and value < 0:
                 raise _violation(f"{value!r} is less than the minimum of 0")
             if CONFIG_NUMBERS[key] == "> 0" and value <= 0:

@@ -18,12 +18,12 @@ Hermitian matrices to Hermitian matrices and carries a real coefficient, so
 F is a real combination of the terms' real forms, projected once at import.
 Only :func:`build_liouvillian` returns the complex L = B F B^H.  Steady
 states are solved on F, with the trace condition bordering the null-space
-problem (:func:`_steady_state`, the one-point solve of :func:`steady_state`,
-:func:`inelastic_spectrum` and :func:`incoherent_channel_flux`).  The
-generator is affine in the drive detuning, so :func:`master_sweep` solves a
-whole grid from one eigendecomposition of the bordered pencil
-(:func:`_steady_states`, through :func:`_pencil_steady_states`) and sends
-only the points that it does not accept to :func:`_steady_state`.
+problem, by one solver: the generator is affine in the drive detuning, so
+:func:`_pencil_steady_states` solves a whole grid from one
+eigendecomposition of the bordered pencil, and one point is the pencil
+whose reference is that point.  :func:`_steady_state` turns a one-point
+verdict into its error, for :func:`steady_state`, the spectra and every
+point of a sweep that the pencil does not accept (:func:`_steady_states`).
 """
 
 from __future__ import annotations
@@ -184,11 +184,11 @@ _DETUNING_FORM = -(_FORMS[0] + _FORMS[1])
 _TRACE_ROW = np.trace(_MEMBERS, axis1=1, axis2=2).real
 
 #: ||M_s^-1||_F ||L||_F below this certifies one stationary direction
-#: (:func:`_steady_state`): 100 times clear of 1 / (sqrt2 STATIONARY_TOL)
+#: (:func:`_pencil_steady_states`): 100 times clear of 1 / (sqrt2 STATIONARY_TOL)
 _CERTIFIED_BOUND = 1.0 / (100.0 * math.sqrt(2.0) * STATIONARY_TOL)
 
-#: ||V||_F ||V^-1||_F (>= kappa_2(V)) above this sends a whole sweep past
-#: :func:`_pencil_steady_states`.  With unit eigenvectors sigma_min(V) >=
+#: ||V||_F ||V^-1||_F (>= kappa_2(V)) above this fails every point of a
+#: sweep in :func:`_pencil_steady_states`.  With unit eigenvectors sigma_min(V) >=
 #: 1 / kappa_2(V), so the Gram form of ||V D W_1||_F^2 rounds within
 #: ~800 u kappa^2 <= 1e-3 of itself, far inside the certificate's factor-100
 #: margin; and the unrefined y is within ~u kappa <= 1e-11 of
@@ -255,90 +255,34 @@ def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
 
 
 def _steady_state(form: np.ndarray) -> np.ndarray:
-    """Stationary density matrix of one generator in its real form:
-    ``form`` is the real 16 x 16 F = B^H L B, B the unitary of
-    :data:`_HERMITIAN_BASIS`.
-
-    The checks below run in this order, and the first that fails raises its
-    error: F and ||L||_F are finite (every tolerance scales with ||L||_F,
-    which equals ||F||_F because B is unitary); it has one stationary
-    direction; the bordered matrix M below is invertible; the residual
-    ||F y|| is at most 1e-9 ||L||_F; the state has unit trace and no
-    negative eigenvalue.  A non-finite generator reaches neither ``inv``
-    nor ``eigvals``.
-
-    The coordinates y of the steady state are column 0 of the inverse of
-    the bordered matrix M, F with row 0 replaced by the real trace row t
-    (t y = tr sum_k y_k H_k), and rho = sum_k y_k H_k, Hermitian exactly
-    because y is real.  The same inverse certifies that F has exactly one
-    stationary direction.  Let F preserve the trace (t F = 0) and let M_s
-    be M with its trace row scaled by ||L||_F.  An eigenvector v with
-    F v = lambda v, lambda != 0, has t v = 0, so M_s v = lambda (v - v_0 e_0)
-    and sigma_min(M_s) <= |lambda|; a zero eigenvalue of multiplicity two or
-    more has an eigenvector with t v = 0, which makes M singular.  So an
-    invertible M means one zero eigenvalue, and every other one has
-    |lambda| >= 1 / ||M_s^-1||_F.  The argument holds in any orthonormal
-    basis, and F is similar to L.  The bound ||M_s^-1||_F ||L||_F does not
-    change with the scale of the rates; M_s^-1 is M^-1 with column 0
-    divided by ||L||_F.  Below 1 / (100 sqrt2 ``STATIONARY_TOL``) = 7.1e7,
-    every nonzero eigenvalue lies more than 100 sqrt2 times outside the
-    threshold of the count, and the count is 1.  Every other generator,
-    an exactly singular M included, is counted with a real ``eigvals`` of
-    F.  An exactly singular M leaves the bordered system without a unique
-    solution, so with one stationary direction it raises as a trace
-    failure: where t F = 0, its null vector v has t v = 0 and F v = 0, so
-    the one stationary direction is traceless.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = np.linalg.norm(form)
-    if not np.isfinite(scale):
-        raise SteadyStateError("generator is not finite")
-    bordered = form.copy()
-    bordered[0] = _TRACE_ROW
-    try:
-        inverse = np.linalg.inv(bordered)
-    except np.linalg.LinAlgError:  # M exactly singular
-        inverse = None
-    certified = False
-    if inverse is not None:
-        # the proof needs t F = 0; an overflowing inverse reads inf or nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = np.hypot(scale * np.linalg.norm(inverse[:, 1:]), np.linalg.norm(inverse[:, 0]))
-        certified = np.max(np.abs(_TRACE_ROW @ form)) <= 1e-12 * scale and bound < _CERTIFIED_BOUND
-    if not certified:
-        n_zero = int(np.sum(np.abs(np.linalg.eigvals(form)) <= STATIONARY_TOL * scale))
+    """Stationary density matrix of the real form ``form`` of one generator,
+    F = B^H L B (B the unitary of :data:`_HERMITIAN_BASIS`): the one-point
+    pencil (:func:`_pencil_steady_states`), raising its first failed check's
+    error.  Where the certificate fails, a real ``eigvals`` of F counts the
+    stationary directions, and a count of 1 goes on to the next check; so an
+    exactly singular bordered matrix with one stationary direction raises as
+    a trace failure (where t F = 0, its null vector v has t v = 0 and
+    F v = 0: that direction is traceless).  A non-finite F reaches neither
+    ``inv`` nor ``eigvals``."""
+    rho, failed, residual = _pencil_steady_states(form, np.zeros_like(form), np.zeros(1))
+    messages = (
+        "generator is not finite",
+        None,  # no certificate: the count decides
+        "steady state trace deviates from 1",  # M exactly singular
+        f"stationarity residual {residual[0]:.2e} too large",
+        "steady state trace deviates from 1",
+        "steady state has a negative eigenvalue",
+    )
+    for check in np.flatnonzero(failed[:, 0]):
+        if messages[check] is not None:
+            raise SteadyStateError(messages[check])
+        n_zero = int(np.sum(np.abs(np.linalg.eigvals(form)) <= STATIONARY_TOL * np.linalg.norm(form)))
         if n_zero != 1:
             raise SteadyStateError(
                 f"steady state is not unique: {n_zero} stationary directions "
                 "(decoupled or purely Hamiltonian dynamics)"
             )
-    if inverse is None:
-        raise SteadyStateError("steady state trace deviates from 1")
-    y = inverse[:, 0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.linalg.norm(form @ y)
-    if not residual <= 1e-9 * scale:
-        raise SteadyStateError(f"stationarity residual {residual:.2e} too large")
-    rho, failures = _checked_states(y[None], [])
-    messages = ("steady state trace deviates from 1", "steady state has a negative eigenvalue")
-    for failed, message in zip(failures, messages):
-        if failed[0]:
-            raise SteadyStateError(message)
     return rho[0]
-
-
-def _checked_states(y: np.ndarray, failures: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The states rho = sum_k y_k H_k of the real (N, 16) coordinates ``y``,
-    and ``failures`` (one (N,) mask per check of the generator) followed by
-    the state's checks: unit trace, no negative eigenvalue
-    (:func:`_negative_states`).
-
-    Each rho is Hermitian exactly: its entries (j, k) and (k, j) are
-    y_s / sqrt2 +- i y_a / sqrt2 of the same two real coordinates.  Every
-    check runs on every state; the first failing one is the verdict."""
-    rho = (y @ _MEMBER_ROWS).reshape(-1, 4, 4)
-    failures = failures + [np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) > 1e-12]
-    return rho, failures + [_negative_states(rho)]
 
 
 def _negative_states(rho: np.ndarray) -> np.ndarray:
@@ -373,61 +317,84 @@ def _negative_states(rho: np.ndarray) -> np.ndarray:
 
 def _pencil_steady_states(
     f0: np.ndarray, f1: np.ndarray, detuning: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Steady states of the real form F(delta) = F0 + delta F1 on the grid
-    ``detuning`` from one eigendecomposition, and the mask of the points it
-    accepts.
+    ``detuning`` from one eigendecomposition, and the verdict of every check
+    at every point.
 
-    The bordered matrix of F(delta) (:func:`_steady_state`) is the
-    pencil M(delta) = M_r + (delta - delta_r) J, with M_r that of the grid's
-    midpoint delta_r and J = F1 with row 0 zeroed (it is zero already: the
-    detuning term leaves the trace row alone).  With M_r^-1 J =
-    V diag(mu) V^-1 and W = V^-1 M_r^-1, M(delta)^-1 = V diag(d) W for
-    d = 1 / (1 + (delta - delta_r) mu), so every point costs (16,)-vector
-    work: y = Re V (d W e_0), refined once against the exact M(delta) with
-    the residual y F0^T + delta y F1^T, trace row in row 0.
+    The coordinates y of a steady state solve M y = e_0, M the bordered
+    matrix: F with row 0 replaced by the real trace row t
+    (t y = tr sum_k y_k H_k).  rho = sum_k y_k H_k is Hermitian exactly, its
+    entries (j, k) and (k, j) being y_s / sqrt2 +- i y_a / sqrt2 of the same
+    two real coordinates.  M(delta) = M_r + (delta - delta_r) J, with M_r
+    that of the grid's midpoint delta_r and J = F1 with row 0 zeroed (it is
+    zero already: the detuning term leaves the trace row alone).  With
+    M_r^-1 J = V diag(mu) V^-1 and W = V^-1 M_r^-1,
+    M(delta)^-1 = V diag(d) W for d = 1 / (1 + (delta - delta_r) mu), so
+    every point costs (16,)-vector work: y = Re V (d W e_0), refined once
+    against the exact M(delta) with the residual y F0^T + delta y F1^T,
+    trace row in row 0.  Where every point is the reference (one point),
+    d = 1 for every mu: V = I, mu = 0, W = M_r^-1, and no ``eig`` runs.
 
-    A point is accepted only when it passes every check of
-    :func:`_steady_state` with the same thresholds, on values of the
-    pencil: ||L||_F from the Gram entries of (F0, F1); trace preservation
-    as t F0 + delta t F1; the certificate, with ||M(delta)^-1[:, 1:]||_F^2 in
-    the exact Gram form Re d^H [(V^H V) o (W_1 W_1^H)^T] d, W_1 = W[:, 1:];
-    the residual and the state's checks as there.  Nothing is accepted
-    (and the caller solves every point directly) when the grid has one
-    point, when F0, F1 or M_r is not finite, when M_r is exactly singular
-    or when V is ill-conditioned (:data:`_PENCIL_CONDITION`).  Returns the
-    (N, 4, 4) states (zero where not accepted) and the (N,) mask.
+    The same inverse certifies that F has exactly one stationary direction.
+    Let F preserve the trace (t F = 0) and let M_s be M with its trace row
+    scaled by ||L||_F (= ||F||_F, B being unitary).  An eigenvector v with
+    F v = lambda v, lambda != 0, has t v = 0, so M_s v = lambda (v - v_0 e_0)
+    and sigma_min(M_s) <= |lambda|; a zero eigenvalue of multiplicity two or
+    more has an eigenvector with t v = 0, which makes M singular.  So an
+    invertible M means one zero eigenvalue, and every other one has
+    |lambda| >= 1 / ||M_s^-1||_F.  The argument holds in any orthonormal
+    basis, and F is similar to L.  The bound ||M_s^-1||_F ||L||_F does not
+    change with the scale of the rates; M_s^-1 is M^-1 with column 0 (y)
+    divided by ||L||_F.  Below 1 / (100 sqrt2 ``STATIONARY_TOL``) = 7.1e7,
+    every nonzero eigenvalue lies more than 100 sqrt2 times outside the
+    threshold of the count, and the count is 1.  On the pencil, ||L||_F
+    comes from the Gram entries of (F0, F1), t F is t F0 + delta t F1, and
+    ||M(delta)^-1[:, 1:]||_F^2 is the exact Gram form
+    Re d^H [(V^H V) o (W_1 W_1^H)^T] d, W_1 = W[:, 1:].
+
+    Returns the (N, 4, 4) states, the (6, N) mask of failed checks and the
+    (N,) residuals ||F y||.  The mask's rows, in :func:`_steady_state`'s
+    order: F(delta) is not finite (every tolerance scales with ||L||_F); no
+    certificate; M_r is exactly singular; the residual exceeds
+    1e-9 ||L||_F; the trace is off 1 by more than 1e-12; rho has an
+    eigenvalue below -1e-10 (:func:`_negative_states`).  A grid whose F0,
+    F1 or M_r is not finite (it reaches no ``inv``), whose M_r is exactly
+    singular or whose V is ill-conditioned (:data:`_PENCIL_CONDITION`)
+    fails every check but the first at every point.
     """
     count = len(detuning)
-    rho, accepted = np.zeros((count, 4, 4), dtype=complex), np.zeros(count, dtype=bool)
-    if count < 2:
-        return rho, accepted
     column = detuning[:, None]
 
     def generator_times(y):  # F(delta) y at every point
         return y @ f0.T + column * (y @ f1.T)
 
-    # overflow and nan are caught by the checks, each written so that a nan
-    # fails it: such a point, or such a grid, is not accepted
+    # overflow and nan fail the checks, each written so that a nan fails it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         parts = np.stack([f0.ravel(), f1.ravel()])
         gram = parts @ parts.T
-        reference = 0.5 * (detuning.min() + detuning.max())
+        scale = np.sqrt(gram[0, 0] + detuning * (2.0 * gram[0, 1] + detuning * gram[1, 1]))
+        refused = np.zeros((count, 4, 4), dtype=complex), np.ones((6, count), dtype=bool), np.full(count, np.nan)
+        refused[1][0] = ~np.isfinite(scale)
+        reference = 0.5 * (detuning.min() + detuning.max()) if count else 0.0
         bordered = f0 + reference * f1
         if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(bordered))):
-            return rho, accepted
+            return refused
         bordered[0] = _TRACE_ROW
-        slope = f1.copy()
-        slope[0] = 0.0
         try:
             inverse = np.linalg.inv(bordered)
-            mu, v = np.linalg.eig(inverse @ slope)
-            v_inv = np.linalg.inv(v)
+            if np.all(detuning == reference):
+                mu, v, w = np.zeros(16), np.eye(16), inverse
+            else:
+                slope = f1.copy()
+                slope[0] = 0.0
+                mu, v = np.linalg.eig(inverse @ slope)
+                v_inv = np.linalg.inv(v)
+                if not np.linalg.norm(v) * np.linalg.norm(v_inv) <= _PENCIL_CONDITION:
+                    return refused
+                w = v_inv @ inverse
         except np.linalg.LinAlgError:  # M_r or V singular, or M_r^-1 not finite
-            return rho, accepted
-        if not np.linalg.norm(v) * np.linalg.norm(v_inv) <= _PENCIL_CONDITION:
-            return rho, accepted
-        w = v_inv @ inverse
+            return refused
 
         d = 1.0 / (1.0 + (column - reference) * mu)
         y = ((d * w[:, 0]) @ v.T).real
@@ -435,30 +402,34 @@ def _pencil_steady_states(
         correction[:, 0] = 1.0 - y @ _TRACE_ROW
         y = y + ((d * (correction @ w.T)) @ v.T).real
 
-        scale = np.sqrt(gram[0, 0] + detuning * (2.0 * gram[0, 1] + detuning * gram[1, 1]))
         trace_leak = np.max(np.abs(_TRACE_ROW @ f0 + column * (_TRACE_ROW @ f1)), axis=-1)
         w1 = w[:, 1:]
         weights = (v.conj().T @ v) * (w1 @ w1.conj().T).T
         tail = np.sqrt(np.real(np.sum(d.conj() * (d @ weights.T), axis=-1)))
         bound = np.hypot(scale * tail, np.linalg.norm(y, axis=-1))
         residual = np.linalg.norm(generator_times(y), axis=-1)
-        states, failures = _checked_states(y, [
+        rho = (y @ _MEMBER_ROWS).reshape(-1, 4, 4)
+        failed = np.stack([
             ~np.isfinite(scale),
             ~((trace_leak <= 1e-12 * scale) & (bound < _CERTIFIED_BOUND)),
+            np.zeros(count, dtype=bool),  # M_r is invertible
             ~(residual <= 1e-9 * scale),
+            np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0) > 1e-12,
+            _negative_states(rho),
         ])
-    accepted = ~np.logical_or.reduce(failures)
-    rho[accepted] = states[accepted]
-    return rho, accepted
+    return rho, failed, residual
 
 
 def _steady_states(f0: np.ndarray, f1: np.ndarray, detuning: np.ndarray) -> np.ndarray:
     """(N, 4, 4) steady states of F(delta) = F0 + delta F1 on the grid
-    ``detuning``: those that :func:`_pencil_steady_states` accepts, and
+    ``detuning``: those that pass every check of the pencil, and
     :func:`_steady_state` of every other point in grid order, so that the
-    first failing point raises the error of a point-by-point sweep."""
-    rho, accepted = _pencil_steady_states(f0, f1, detuning)
-    for k in np.flatnonzero(~accepted):
+    first failing point raises the error of a point-by-point sweep.  A grid
+    of one point is the one-point call, bit for bit."""
+    if len(detuning) == 1:
+        return _steady_state(f0 + detuning[0] * f1)[None]
+    rho, failed, _ = _pencil_steady_states(f0, f1, detuning)
+    for k in np.flatnonzero(failed.any(axis=0)):
         rho[k] = _steady_state(f0 + detuning[k] * f1)
     return rho
 
@@ -530,13 +501,12 @@ def master_sweep(
     the real coefficients.  Their bordered matrices form a pencil in
     delta, and one eigendecomposition of it (:func:`_pencil_steady_states`)
     gives the steady state of every grid point, refined once against the
-    exact generator.  A point is kept only if it passes every check of
-    :func:`_steady_state` with the same thresholds, uniqueness certificate
-    included.  The other points, and the whole grid when the pencil cannot
-    serve it (one point, a singular reference matrix, an ill-conditioned
-    eigenbasis), are solved by :func:`_steady_state` of F0 + delta F1 one
-    by one in grid order (:func:`_steady_states`); so every error, and its
-    message, is the one of a point-by-point sweep.
+    exact generator and kept if it passes every check, uniqueness
+    certificate included.  The other points, every point of a grid that the
+    pencil cannot serve (a singular reference matrix, an ill-conditioned
+    eigenbasis) and a grid of one point are solved by :func:`_steady_state`
+    one by one in grid order (:func:`_steady_states`); so every error, and
+    its message, is the one of a point-by-point sweep.
     """
     if amplitude_sq <= 0.0:
         raise GawqedError("master-equation scattering requires a nonzero drive")

@@ -167,6 +167,19 @@ def invoke(*args, env=None):
     )
 
 
+#: an integer beyond the double range, which JSON can still write
+HUGE = 10**400
+
+#: the configs that test_usage_error_is_one_json_line names in capitals
+USAGE_CONFIGS = {
+    "EXPLICIT": {"atoms": expand_symmetric({"topology": "nested", "phi": 1.0})["atoms"]},
+    "HUGE_PHI": {"symmetric": {"topology": "separate", "phi": HUGE}},
+    "HUGE_RATE": {"atoms": [{"points": [{"phase": 0.0, "rate": 1.0}, {"phase": 1.0, "rate": HUGE}]},
+                            {"points": [{"phase": 2.0, "rate": 1.0}, {"phase": 3.0, "rate": 1.0}]}]},
+    "UNDRIVEN": {"symmetric": {"topology": "separate", "phi": 1.0}},
+}
+
+
 @pytest.fixture
 def sep_config(tmp_path):
     path = tmp_path / "sep.json"
@@ -823,8 +836,8 @@ class TestExitCodes:
         proc = invoke("--config", sep_config, "--command", "spectrum", "--sweep", "delta_a:2:1:5")
         assert proc.returncode == 2
 
-    # CONFIG stands for the sep_config path, EXPLICIT for a config of two
-    # explicit atoms
+    # CONFIG stands for the sep_config path and each other capitalised
+    # argument for a config of USAGE_CONFIGS
     @pytest.mark.parametrize("argv, message", [
         (["--config", "CONFIG", "--command", "spectrum", "--sweep", "delta_a:0:1"],
          "--sweep must look like VAR:START:STOP:POINTS"),
@@ -847,13 +860,21 @@ class TestExitCodes:
         (["--command", "spectrum"], "command 'spectrum' needs --config"),
         (["--config", "EXPLICIT", "--command", "spectrum", "--sweep", "phi:0.5:1:4"],
          "phi sweeps need the symmetric shortcut in the config"),
+        (["--config", "HUGE_PHI", "--command", "characteristics"],
+         f"config schema violation: {HUGE} does not convert to a finite double"),
+        (["--config", "HUGE_RATE", "--command", "characteristics"],
+         f"config schema violation: {HUGE} does not convert to a finite double"),
+        (["--config", "UNDRIVEN", "--command", "master-sweep"],
+         "this command needs a 'drive' entry in the config"),
+        (["--config", "UNDRIVEN", "--command", "inelastic-spectrum", "--sweep", "nu:-1:1:3"],
+         "this command needs a 'drive' entry in the config"),
     ], ids=["three-fields", "start-not-a-number", "fractional-points", "one-point", "infinite-bound",
             "overflowing-span", "empty-range", "wrong-variable", "eit-classify-csv", "no-config",
-            "phi-sweep-of-explicit"])
+            "phi-sweep-of-explicit", "huge-phi", "huge-rate", "master-sweep-undriven",
+            "inelastic-spectrum-undriven"])
     def test_usage_error_is_one_json_line(self, capsys, tmp_path, sep_config, argv, message):
-        explicit = write_config(tmp_path, {"atoms": expand_symmetric({"topology": "nested", "phi": 1.0})["atoms"]},
-                                name="explicit.json")
-        argv = [{"CONFIG": sep_config, "EXPLICIT": explicit}.get(arg, arg) for arg in argv]
+        configs = {name: write_config(tmp_path, raw, name=f"{name}.json") for name, raw in USAGE_CONFIGS.items()}
+        argv = [dict(configs, CONFIG=sep_config).get(arg, arg) for arg in argv]
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == json.dumps({"error": "config", "message": message}) + "\n"

@@ -353,6 +353,21 @@ class TestCertificate:
         with pytest.raises(SteadyStateError, match=degenerate_message(0)):
             steady_state(liouv)
 
+    def test_inaccurate_inverse_fails_the_residual(self, monkeypatch):
+        # an inverse off by 1e-3 of its largest entry: the state misses
+        # stationarity by far more than 1e-9 ||L||_F
+        rng = np.random.default_rng(31)
+        inv = np.linalg.inv
+
+        def noisy(a):
+            exact = inv(a)
+            return exact + 1e-3 * np.max(np.abs(exact)) * rng.standard_normal(exact.shape)
+
+        monkeypatch.setattr(np.linalg, "inv", noisy)
+        liouv = build_liouvillian(collective_eit_config(), DriveSpec(0.04, 0.5))
+        with pytest.raises(SteadyStateError, match=r"^stationarity residual \S+ too large$"):
+            steady_state(liouv)
+
 
 class TestRealFormSteadyState:
     """The real bordered solve in the Hermitian basis gives the complex
@@ -613,9 +628,11 @@ def inverse_bounds(f0, f1, grid):
 
 
 class TestPencil:
-    """Sweeps are solved from one eigendecomposition of the bordered pencil
-    M(delta) = M_r + (delta - delta_r) J; points it does not accept, and
-    whole grids it cannot serve, go to ``_steady_state`` one by one."""
+    """Every steady state is solved from the bordered pencil
+    M(delta) = M_r + (delta - delta_r) J: a sweep from one eigendecomposition,
+    a single point as the pencil of one.  The points of a sweep that fail a
+    check, and every point of a grid it cannot serve, go to ``_steady_state``
+    one by one, which reads the one-point pencil's verdicts."""
 
     def test_detuning_slope(self):
         # J = F1: zero trace row, skew, rank 10, for every config and drive
@@ -647,8 +664,8 @@ class TestPencil:
         grid = np.linspace(-6, 6, 121)
         bound, limit = inverse_bounds(f0, f1, grid)
         monkeypatch.setattr(lindblad, "_CERTIFIED_BOUND", limit)
-        _, accepted = lindblad._pencil_steady_states(f0, f1, grid)
-        np.testing.assert_array_equal(accepted, bound < limit)
+        _, failed, _ = lindblad._pencil_steady_states(f0, f1, grid)
+        np.testing.assert_array_equal(~failed.any(axis=0), bound < limit)
 
     def test_pencil_and_direct_solve_meet(self, monkeypatch):
         # fig. 7a with the certificate's limit inside the grid's bounds: the
