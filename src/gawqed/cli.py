@@ -454,7 +454,7 @@ def _read_config(path: str) -> dict:
             raw = json.load(fh)
         except UnicodeDecodeError as exc:
             raise ConfigError(f"config is not UTF-8: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     validate_config(raw)
     return raw

@@ -213,18 +213,15 @@ class Geometries:
         The formulas are those of :func:`characteristics`; every term is an
         elementwise function of its own geometry's numbers, so a geometry's
         fields do not depend on the rest of the stack.  Each geometry is
-        computed in units of a power of 4, the largest one at or below its
-        rate scale, so that a product of two rates neither underflows nor
-        overflows; scaling back by that power is exact, so the unit changes
-        no bit where the products do not leave the range of doubles.  Raises
+        computed in its :func:`rate_unit`; scaling back by that power of 4 is
+        exact, so the unit changes no bit where the products of two rates do
+        not leave the range of doubles.  Raises
         :class:`QuantityOverflowError`, naming the first field (in the
         order of :class:`CharQuantities`) that exceeds
         :data:`QUANTITY_LIMIT` in magnitude (or is nan) in some geometry.
         """
         phases = self.phases
-        # unit = root_unit**2, a power of 4, and the rates in that unit lie below 4
-        root_unit = np.ldexp(1.0, (np.frexp(rate_scale(self.rates))[1] - 1) // 2)[:, None]
-        unit = root_unit * root_unit
+        unit, root_unit = (x[:, None] for x in rate_unit(self.rates))
         rates = self.rates / unit[..., None]
         roots = np.sqrt(rates)
         # real and imaginary part of w_j / sqrt(unit), [geometry, atom]
@@ -270,6 +267,15 @@ def rate_scale(rates) -> np.ndarray:
         np.maximum(rates[..., 0, 0], rates[..., 0, 1]),
         np.maximum(rates[..., 1, 0], rates[..., 1, 1]),
     )
+
+
+def rate_unit(rates) -> tuple[np.ndarray, np.ndarray]:
+    """(unit, root) of ``rates`` [..., atom, point], one per config: the unit
+    of every kernel, root**2, is the largest power of 4 at or below
+    :func:`rate_scale` (1/4 for zero rates).  The rates in it lie below 4, so
+    a product of two neither underflows nor overflows."""
+    root = np.ldexp(1.0, (np.frexp(rate_scale(rates))[1] - 1) // 2)
+    return root * root, root
 
 
 def detunings(cfg: SystemConfig, delta_a: float) -> tuple[float, float]:

@@ -16,7 +16,11 @@ The generator is assembled directly in its real Hermitian-basis form
 F = B^H L B (:func:`_master_form`): every term of :data:`_SUPEROPS` maps
 Hermitian matrices to Hermitian matrices and carries a real coefficient, so
 F is a real combination of the terms' real forms, projected once at import.
-Only :func:`build_liouvillian` returns the complex L = B F B^H.  Steady
+It is built in the power-of-4 unit u of the one-photon quantities
+(:func:`gawqed.core.rate_unit`), its callers dividing detunings, frequencies
+and |alpha|^2 by u: every output is bit-identical under scaling by a power
+of 4, and F stays finite from rates of 1e-300 to 1e300.  Only
+:func:`build_liouvillian` returns the complex L = u B F B^H.  Steady
 states are solved on F, with the trace condition bordering the null-space
 problem, by one solver: the generator is affine in the drive detuning, so
 :func:`_pencil_steady_states` solves a whole grid from one
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GawqedError, SystemConfig, characteristics
+from .core import ConfigError, GawqedError, SystemConfig, characteristics, rate_unit
 
 #: |eigenvalue| <= this times ||L||_F is a stationary direction (all 16 for L = 0)
 STATIONARY_TOL = 1e-10
@@ -199,18 +203,19 @@ _PENCIL_CONDITION = 1e5
 
 def _master_form(
     cfg: SystemConfig, alpha: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, complex]:
-    """(F0, F1, c_t, c_r, through_phase): the real form
-    F(delta) = F0 + delta F1 = B^H L(delta) B of the generator, B the unitary
-    of :data:`_HERMITIAN_BASIS` and delta the drive detuning, and the
-    per-atom coefficients of the output operators.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, complex, float]:
+    """(F0, F1, c_t, c_r, through_phase, u): the real form
+    F(delta) / u = F0 + (delta / u) F1 = B^H L(delta) B / u of the generator,
+    B the unitary of :data:`_HERMITIAN_BASIS`, delta the drive detuning and
+    u the config's :func:`~gawqed.core.rate_unit`, and the per-atom
+    coefficients of the output operators divided by sqrt(u).
 
     H = lamb_a n_a + (lamb_b - delta_ab) n_b + g_ab (s_a^+ s_b + s_b^+ s_a)
     - (i/2) sum_j (Omega_j s_j^+ - Omega_j^* s_j) - delta (n_a + n_b), with
     each drive written as Re Omega_j (-i/2)(s_j^+ - s_j)
     + Im Omega_j (s_j^+ + s_j)/2, and the dissipators carry Gamma_a, Gamma_b
     and Gamma_ab: F0 = sum_k c_k _FORMS[k] with these ten real
-    coefficients c.  The outputs are
+    coefficients c, each divided by u.  The outputs are
     b_t = alpha through_phase + sum_j c_t[j] sigma_j^- and
     b_r = sum_j c_r[j] sigma_j^-, with phases referenced to the leftmost
     point and the transmitted output evaluated at the rightmost one:
@@ -221,25 +226,19 @@ def _master_form(
     Omega_j = 2 alpha c_r[j] = sum_n sqrt(2 gamma_jn) alpha e^{i (theta_jn - theta_first)}.
     """
     ch = characteristics(cfg)
+    unit, root = (float(x) for x in rate_unit((cfg.atom_a.rates, cfg.atom_b.rates)))
     theta_first = cfg.atom_a.points[0].phase_coord
     theta_last = max(cfg.atom_a.phases + cfg.atom_b.phases)
-    w = np.array([ch.w_a, ch.w_b]) / math.sqrt(2.0)
+    w = np.array([ch.w_a, ch.w_b]) / root / math.sqrt(2.0)
     c_t, c_r = cmath.exp(1j * theta_last) * w.conj(), cmath.exp(-1j * theta_first) * w
-    om_a, om_b = 2.0 * alpha * c_r
+    om_a, om_b = 2.0 * (alpha / root) * c_r
     coefficients = np.array([
-        ch.lamb_a,
-        ch.lamb_b - cfg.delta_ab,
-        ch.g_ab,
-        om_a.real,
-        om_a.imag,
-        om_b.real,
-        om_b.imag,
-        ch.gamma_a,
-        ch.gamma_b,
-        ch.gamma_ab,
+        ch.lamb_a / unit, (ch.lamb_b - cfg.delta_ab) / unit, ch.g_ab / unit,
+        om_a.real, om_a.imag, om_b.real, om_b.imag,
+        ch.gamma_a / unit, ch.gamma_b / unit, ch.gamma_ab / unit,
     ])
     f0 = np.tensordot(coefficients, _FORMS, axes=1)
-    return f0, _DETUNING_FORM, c_t, c_r, cmath.exp(1j * (theta_last - theta_first))
+    return f0, _DETUNING_FORM, c_t, c_r, cmath.exp(1j * (theta_last - theta_first)), unit
 
 
 def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
@@ -248,10 +247,11 @@ def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
     The Hamiltonian carries the Lamb-shifted detunings, the exchange coupling
     g_ab and the position-phased Rabi drives; dissipation consists of the two
     individual decays and the collective cross terms weighted by Gamma_ab.
-    It is L = B F B^H of the real form F of :func:`_master_form`.
+    It is L = u B F B^H of the real form F / u of :func:`_master_form`.
     """
-    f0, f1 = _master_form(cfg, drive.alpha)[:2]
-    return _HERMITIAN_BASIS @ (f0 + drive.frequency_detuning * f1) @ _HERMITIAN_BASIS_H
+    f0, f1, *_, unit = _master_form(cfg, drive.alpha)
+    form = f0 + (drive.frequency_detuning / unit) * f1
+    return unit * (_HERMITIAN_BASIS @ form @ _HERMITIAN_BASIS_H)
 
 
 def _steady_state(form: np.ndarray) -> np.ndarray:
@@ -498,11 +498,12 @@ def master_sweep(
 
     Uses the real form F(delta) = F0 + delta F1 of the generator in the
     Hermitian basis (:func:`_master_form`), assembled once per sweep from
-    the real coefficients.  Their bordered matrices form a pencil in
-    delta, and one eigendecomposition of it (:func:`_pencil_steady_states`)
-    gives the steady state of every grid point, refined once against the
-    exact generator and kept if it passes every check, uniqueness
-    certificate included.  The other points, every point of a grid that the
+    the real coefficients in the config's rate unit u, in which the grid,
+    |alpha|^2 and the flux are taken too.  Their bordered matrices form a
+    pencil in delta, and one eigendecomposition of it
+    (:func:`_pencil_steady_states`) gives the steady state of every grid
+    point, refined once against the exact generator and kept if it passes
+    every check, uniqueness certificate included.  The other points, every point of a grid that the
     pencil cannot serve (a singular reference matrix, an ill-conditioned
     eigenbasis) and a grid of one point are solved by :func:`_steady_state`
     one by one in grid order (:func:`_steady_states`); so every error, and
@@ -511,9 +512,10 @@ def master_sweep(
     if amplitude_sq <= 0.0:
         raise GawqedError("master-equation scattering requires a nonzero drive")
     detuning = np.atleast_1d(np.asarray(detuning, dtype=float))
+    f0, f1, c_t, c_r, through_phase, unit = _master_form(cfg, math.sqrt(amplitude_sq))
+    rho = _steady_states(f0, f1, detuning / unit)
+    amplitude_sq = amplitude_sq / unit  # as the flux below, in the unit u
     alpha = math.sqrt(amplitude_sq)
-    f0, f1, c_t, c_r, through_phase = _master_form(cfg, alpha)
-    rho = _steady_states(f0, f1, detuning)
 
     flux = np.zeros(len(detuning))
     amplitudes = []
@@ -525,7 +527,7 @@ def master_sweep(
 
     big_t, big_r = np.abs(t) ** 2, np.abs(r) ** 2
     residual = np.abs(flux / amplitude_sq - (1.0 - big_t - big_r))
-    return MasterSweep(detuning, rho, t, r, big_t, big_r, flux, residual)
+    return MasterSweep(detuning, rho, t, r, big_t, big_r, flux * unit, residual)
 
 
 def scattering_from_master(cfg: SystemConfig, drive: DriveSpec) -> LindbladResult:
@@ -561,12 +563,14 @@ def inelastic_spectrum(
     F = B^H L B gives the modes, dB rho_ss and the observer dB' enter as
     coordinate vectors, and both channels share one resolvent
     1 / (i nu - lambda), contracted with a (16, 2) matrix of mode weights.
-    Raises :class:`SpectrumSingularError` if nu hits an undamped Liouvillian
-    eigenfrequency that actually contributes (transmitted channel first).
+    F, nu and the weights are in the config's rate unit u, and S(nu), a flux
+    per frequency, is the same in any unit.  Raises
+    :class:`SpectrumSingularError` if nu hits an undamped eigenfrequency that
+    actually contributes (transmitted channel first).
     """
     nu = np.asarray(nu_grid, dtype=float)
-    f0, f1, c_t, c_r, _ = _master_form(cfg, drive.alpha)
-    form = f0 + drive.frequency_detuning * f1
+    f0, f1, c_t, c_r, _, unit = _master_form(cfg, drive.alpha)
+    form = f0 + (drive.frequency_detuning / unit) * f1
     rho = _steady_state(form)
     eigvals, eigvecs = np.linalg.eig(form)
 
@@ -580,7 +584,7 @@ def inelastic_spectrum(
     weights = (observer @ eigvecs).T * np.linalg.solve(eigvecs, start.T)
 
     scale = float(np.linalg.norm(form))
-    denom = 1j * nu[:, None] - eigvals[None, :]
+    denom = 1j * (nu / unit)[:, None] - eigvals[None, :]
     close = np.abs(denom) < 1e-12 * scale
     if close.any():
         for contributing in (np.abs(weights) > 1e-12 * scale).T:
@@ -592,13 +596,3 @@ def inelastic_spectrum(
     resolvent = np.divide(1.0, denom, out=np.zeros_like(denom), where=~close)
     s_transmit, s_reflect = (weights.T @ resolvent.T).real / math.pi
     return SpectrumResult(nu=nu, s_transmit=s_transmit, s_reflect=s_reflect)
-
-
-def incoherent_channel_flux(cfg: SystemConfig, drive: DriveSpec) -> tuple[float, float]:
-    """Equal-time incoherent flux of each channel (the spectrum's integral).
-
-    The one-point case of the per-channel moments of :func:`master_sweep`.
-    """
-    f0, f1, c_t, c_r, _ = _master_form(cfg, drive.alpha)
-    rho = _steady_state(f0 + drive.frequency_detuning * f1)[None]
-    return float(_channel_moments(rho, c_t)[1][0]), float(_channel_moments(rho, c_r)[1][0])

@@ -179,6 +179,22 @@ USAGE_CONFIGS = {
     "UNDRIVEN": {"symmetric": {"topology": "separate", "phi": 1.0}},
 }
 
+#: config texts that json reads into no Python object, likewise named in capitals
+USAGE_TEXTS = {
+    "LONG_INT": '{"delta_ab": ' + "1" * 5001 + "}",
+    "DEEP_ARRAY": "[" * 100_000,
+}
+
+
+def json_message(text: str) -> str:
+    """The usage message of a config ``text`` that json cannot read: its
+    error names Python's limits, in words that vary between versions."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return f"config is not valid JSON: {exc}"
+    raise AssertionError("json read the text")
+
 
 @pytest.fixture
 def sep_config(tmp_path):
@@ -771,9 +787,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, sweep", [("master-sweep", "delta_a:-1:1:3"),
                                                 ("inelastic-spectrum", "nu:-1:1:3")])
     def test_non_finite_generator_is_3(self, capsys, tmp_path, command, sweep):
-        # rates of 1e154 keep the characteristic quantities finite, while the
-        # Frobenius norm of the generator overflows
-        path = write_config(tmp_path, dict(OVERFLOWING, symmetric=dict(OVERFLOWING["symmetric"], gamma=1e154)))
+        # unit rates and |alpha|^2 = 1e308: the drive terms are ~1e154 in the
+        # rate unit, and the Frobenius norm of the generator overflows
+        path = write_config(tmp_path, {"symmetric": {"topology": "separate", "phi": 0.7},
+                                       "drive": {"alpha_sq": 1e308, "detuning": 0.3}})
         code, out, err = run_main(capsys, "--config", path, "--command", command, "--sweep", sweep)
         assert code == 3 and out == ""
         assert json.loads(err) == {"error": "SteadyStateError", "message": "generator is not finite"}
@@ -868,12 +885,17 @@ class TestExitCodes:
          "this command needs a 'drive' entry in the config"),
         (["--config", "UNDRIVEN", "--command", "inelastic-spectrum", "--sweep", "nu:-1:1:3"],
          "this command needs a 'drive' entry in the config"),
+        (["--config", "LONG_INT", "--command", "characteristics"], json_message(USAGE_TEXTS["LONG_INT"])),
+        (["--config", "DEEP_ARRAY", "--command", "characteristics"], json_message(USAGE_TEXTS["DEEP_ARRAY"])),
     ], ids=["three-fields", "start-not-a-number", "fractional-points", "one-point", "infinite-bound",
             "overflowing-span", "empty-range", "wrong-variable", "eit-classify-csv", "no-config",
             "phi-sweep-of-explicit", "huge-phi", "huge-rate", "master-sweep-undriven",
-            "inelastic-spectrum-undriven"])
+            "inelastic-spectrum-undriven", "5001-digit-integer", "deep-array"])
     def test_usage_error_is_one_json_line(self, capsys, tmp_path, sep_config, argv, message):
         configs = {name: write_config(tmp_path, raw, name=f"{name}.json") for name, raw in USAGE_CONFIGS.items()}
+        for name, text in USAGE_TEXTS.items():
+            (tmp_path / f"{name}.json").write_text(text)
+            configs[name] = str(tmp_path / f"{name}.json")
         argv = [dict(configs, CONFIG=sep_config).get(arg, arg) for arg in argv]
         code, out, err = run_main(capsys, *argv)
         assert (code, out) == (2, "")
@@ -1375,10 +1397,43 @@ class TestScaleCovariance:
             assert code == ref_code == 0, (command, sweep)
             assert scale_deviation(fields, reference, s, relative=False) <= 1e-14, (command, sweep)
 
+    #: the master-equation commands, on the grids of SCALE_COMMANDS
+    MASTER_COMMANDS = [("master-sweep", "delta_a:-6:6:41"), ("inelastic-spectrum", "nu:-40:40:201")]
+
+    @pytest.mark.parametrize("s", [1e-300, 1e154, 1e300])
+    @pytest.mark.parametrize("geometry", ["separate", "nested", "explicit"])
+    def test_master_commands_at_extreme_scales(self, tmp_path, geometry, s):
+        # the generator is built in the power-of-4 unit of the quantities:
+        # in raw units its norm overflowed at 1e154, and at 1e-300 the
+        # steady state found no stationary direction
+        unit, scaled = (scaled_config(geometry, math.pi / 2, -1.0, x) for x in (1.0, s))
+        for command, sweep in self.MASTER_COMMANDS:
+            code, _, fields = run_scaled(scaled, command, sweep, s, tmp_path)
+            ref_code, _, reference = run_scaled(unit, command, sweep, 1.0, tmp_path)
+            assert code == ref_code == 0, (command, sweep)
+            assert scale_deviation(fields, reference, s) <= SCALE_TOL_DEFAULT, (command, sweep)
+
     #: the one-photon commands, ``characteristics`` and the benchmark's phi grids
     EXACT_COMMANDS = ONE_PHOTON_COMMANDS + [("characteristics", None)] + [
         (command, "phi:0.05:3.09:301") for command in ("spectrum", "characteristics", "loci", "fano")
     ]
+
+    @staticmethod
+    def exact_at_power_of_4(commands, geometry, k, directory):
+        """How many of ``commands`` compute on the config of ``geometry``
+        scaled by s = 4^k; each that does is bit-identical to s = 1 once s
+        is divided out, and each that does not fails as at s = 1."""
+        s = 4.0**k
+        unit, scaled = (scaled_config(geometry, math.pi / 2, -1.0, x) for x in (1.0, s))
+        computed = 0
+        for command, sweep in commands:
+            code, kind, fields = run_scaled(scaled, command, sweep, s, directory)
+            ref_code, ref_kind, reference = run_scaled(unit, command, sweep, 1.0, directory)
+            assert (code, kind) == (ref_code, ref_kind), (command, sweep)
+            if code == 0:
+                assert scale_deviation(fields, reference, s, relative=False) == 0.0, (command, sweep)
+                computed += 1
+        return computed
 
     @pytest.mark.parametrize("k", [-270, -60, -10, 10, 60, 270])
     @pytest.mark.parametrize("geometry", ["separate", "braided", "nested", "explicit"])
@@ -1386,19 +1441,19 @@ class TestScaleCovariance:
         # scaling by a power of 4 is exact in every floating-point step of the
         # one-photon path, square roots included: the outputs are bit-identical
         # once s is divided out
-        s = 4.0**k
-        unit, scaled = (scaled_config(geometry, math.pi / 2, -1.0, x) for x in (1.0, s))
-        computed = 0
-        for command, sweep in self.EXACT_COMMANDS:
-            code, kind, fields = run_scaled(scaled, command, sweep, s, tmp_path)
-            ref_code, ref_kind, reference = run_scaled(unit, command, sweep, 1.0, tmp_path)
-            assert (code, kind) == (ref_code, ref_kind), (command, sweep)
-            if code == 0:
-                assert scale_deviation(fields, reference, s, relative=False) == 0.0, (command, sweep)
-                computed += 1
+        computed = self.exact_at_power_of_4(self.EXACT_COMMANDS, geometry, k, tmp_path)
         # an explicit config has no phi sweeps, and braided phi = pi/2 is
         # decoupled, so eit-spectrum exits 3 at every scale
         assert computed == {"explicit": 4, "braided": 10}.get(geometry, len(self.EXACT_COMMANDS))
+
+    @pytest.mark.parametrize("k", [-270, -60, -10, 10, 60, 128, 270])
+    @pytest.mark.parametrize("geometry", ["separate", "braided", "nested", "explicit"])
+    def test_master_commands_exact_at_powers_of_4(self, tmp_path, geometry, k):
+        # the master equation computes in the rate unit of the quantities,
+        # a power of 4 that scales with s: its outputs are bit-identical too
+        computed = self.exact_at_power_of_4(self.MASTER_COMMANDS, geometry, k, tmp_path)
+        # braided phi = pi/2 is decoherence-free: no unique steady state
+        assert computed == (0 if geometry == "braided" else len(self.MASTER_COMMANDS))
 
     def test_fano_at_1e154_is_finite_and_quiet(self, tmp_path):
         path = write_config(tmp_path, scaled_config("nested", math.pi / 2, -1.0, 1e154))

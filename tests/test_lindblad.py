@@ -28,11 +28,11 @@ from gawqed.lindblad import (
     SIGMA_MINUS_A,
     SIGMA_MINUS_B,
     SteadyStateError,
+    _channel_moments,
     _dissipator,
     _master_form,
     _steady_state,
     _vec,
-    incoherent_channel_flux,
     master_sweep,
 )
 from gawqed.scattering import _amplitude_arrays
@@ -101,8 +101,8 @@ class TestGenerator:
             cfg = random_system(rng)
             drive = DriveSpec(float(rng.uniform(1e-4, 0.1)), float(rng.uniform(-6, 6)))
             reference = reference_liouvillian(cfg, drive)
-            f0, f1 = _master_form(cfg, drive.alpha)[:2]
-            affine = f0 + drive.frequency_detuning * f1
+            f0, f1, *_, unit = _master_form(cfg, drive.alpha)
+            affine = unit * (f0 + (drive.frequency_detuning / unit) * f1)
             bound = 1e-15 * np.linalg.norm(reference)
             assert np.max(np.abs(affine - _HERMITIAN_BASIS.conj().T @ reference @ _HERMITIAN_BASIS)) <= bound
             assert np.max(np.abs(build_liouvillian(cfg, drive) - reference)) <= bound
@@ -604,12 +604,12 @@ def fallback_points(monkeypatch):
 def direct_sweep_message(cfg, amplitude_sq, grid):
     """The error of solving the points of the grid directly in turn, and
     the number of points solved up to and including the failing one."""
-    f0, f1 = lindblad._master_form(cfg, math.sqrt(amplitude_sq))[:2]
+    f0, f1, *_, unit = lindblad._master_form(cfg, math.sqrt(amplitude_sq))
     solved = 0
     with pytest.raises(SteadyStateError) as info:
         for delta in grid:
             solved += 1
-            _steady_state(f0 + delta * f1)
+            _steady_state(f0 + (delta / unit) * f1)
     return str(info.value), solved
 
 
@@ -755,6 +755,15 @@ class TestQuench:
         assert res.T < 1.0
 
 
+def incoherent_channel_flux(cfg, drive):
+    """Equal-time incoherent flux of each channel (the spectrum's integral):
+    the per-channel moments of :func:`master_sweep` at one point, the output
+    coefficients of ``_master_form`` being in its rate unit u."""
+    rho = master_sweep(cfg, drive.amplitude_sq, drive.frequency_detuning).rho
+    *_, c_t, c_r, _, unit = _master_form(cfg, drive.alpha)
+    return tuple(unit * float(_channel_moments(rho, coeffs)[1][0]) for coeffs in (c_t, c_r))
+
+
 class TestSpectrum:
     def test_zero_drive_silent(self):
         cfg = symmetric_config(Topology.SEPARATE, 0.6)
@@ -795,9 +804,9 @@ class TestSpectrumOracle:
     def direct_spectrum(cfg, drive, nu):
         liouv = build_liouvillian(cfg, drive)
         rho = null_vector_states(liouv[None])[0]
-        c_t, c_r = _master_form(cfg, drive.alpha)[2:4]
+        *_, c_t, c_r, _, unit = _master_form(cfg, drive.alpha)
         channels = []
-        for coeffs in (c_t, c_r):
+        for coeffs in (math.sqrt(unit) * c_t, math.sqrt(unit) * c_r):
             op = coeffs[0] * SIGMA_MINUS_A + coeffs[1] * SIGMA_MINUS_B
             fluct = op - np.trace(rho @ op) * np.eye(4)
             shifted = 1j * nu[:, None, None] * np.eye(16) - liouv
