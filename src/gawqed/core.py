@@ -293,8 +293,6 @@ def classify_topology(cfg: SystemConfig) -> Topology:
     nested: a1 < b1 <= b2 < a2 (the inner atom may collapse to one point).
     Any other coincidence pattern is rejected.
     """
-    if min(cfg.atom_b.phases) < min(cfg.atom_a.phases):
-        raise TopologyError("atom b owns the leftmost coupling point")
     a1, a2 = cfg.atom_a.phases
     b1, b2 = cfg.atom_b.phases
     if a1 < a2 <= b1 < b2:

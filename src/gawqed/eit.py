@@ -25,7 +25,6 @@ while the roots stay purely imaginary, i.e. while 4 |control| < bright width.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -108,7 +107,8 @@ def sa_basis(cfg: SystemConfig, delta_a: float | np.ndarray) -> SABasisQuantitie
     Gamma_S,A = (Gamma_a + Gamma_b)/2 +- Gamma_ab,
     Gamma_SA = (Gamma_a - Gamma_b)/2,
     Delta_S,A = (delta'_a + delta'_b)/2 -+ g_ab, and
-    Omega_S,A = (Omega_a +- Omega_b)/sqrt(2) at unit drive amplitude.
+    Omega_S,A = (Omega_a +- Omega_b)/sqrt(2), Omega_j = sqrt2 w_j being the
+    master equation's drives at unit amplitude.
 
     ``delta_a`` may be an array; Delta_S and Delta_A then follow its shape.
     g_SA does not depend on the probe detuning and is evaluated at
@@ -119,9 +119,7 @@ def sa_basis(cfg: SystemConfig, delta_a: float | np.ndarray) -> SABasisQuantitie
     eff_a = d_a - ch.lamb_a
     eff_b = d_b - ch.lamb_b
     eff_a0, eff_b0 = -ch.lamb_a, cfg.delta_ab - ch.lamb_b
-    theta_ref = min(p for atom in (cfg.atom_a, cfg.atom_b) for p in atom.phases)
-    omega_a = math.sqrt(2.0) * cmath.exp(-1j * theta_ref) * ch.w_a
-    omega_b = math.sqrt(2.0) * cmath.exp(-1j * theta_ref) * ch.w_b
+    omega_a, omega_b = math.sqrt(2.0) * ch.w_a, math.sqrt(2.0) * ch.w_b
     return SABasisQuantities(
         g_sa=-0.5 * (eff_a0 - eff_b0),
         gamma_s=0.5 * (ch.gamma_a + ch.gamma_b) + ch.gamma_ab,

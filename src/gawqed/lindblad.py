@@ -6,7 +6,9 @@ individual and collective decay plus the photon-mediated exchange coupling,
 and input-output relations convert steady-state atomic moments into
 transmission, reflection, and the inelastically scattered flux.  Photon
 number conservation (F / |alpha|^2 = 1 - T - R) and the weak-drive limit
-against the one-photon amplitudes are the headline cross-checks.
+against the one-photon amplitudes are the headline cross-checks.  Drives and
+outputs carry the coupling points' own phases, as the closed form does, so
+that limit holds for the complex t and r, not only for T and R.
 
 Basis ordering is fixed as {gg, ge, eg, ee} (first letter = atom a) and the
 Liouvillian acts on column-stacked density matrices, so the 16 x 16 generator
@@ -32,7 +34,6 @@ point of a sweep that the pencil does not accept (:func:`_steady_states`).
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -73,7 +74,7 @@ class DriveSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.amplitude_sq >= 0.0:
-            raise GawqedError(f"amplitude_sq must be >= 0, got {self.amplitude_sq}")
+            raise ConfigError(f"amplitude_sq must be >= 0, got {self.amplitude_sq}")
 
     @property
     def alpha(self) -> float:
@@ -201,44 +202,36 @@ _CERTIFIED_BOUND = 1.0 / (100.0 * math.sqrt(2.0) * STATIONARY_TOL)
 _PENCIL_CONDITION = 1e5
 
 
-def _master_form(
-    cfg: SystemConfig, alpha: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, complex, float]:
-    """(F0, F1, c_t, c_r, through_phase, u): the real form
+def _master_form(cfg: SystemConfig, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(F0, F1, c, u): the real form
     F(delta) / u = F0 + (delta / u) F1 = B^H L(delta) B / u of the generator,
     B the unitary of :data:`_HERMITIAN_BASIS`, delta the drive detuning and
     u the config's :func:`~gawqed.core.rate_unit`, and the per-atom
-    coefficients of the output operators divided by sqrt(u).
+    coefficients c of the output operators divided by sqrt(u).
 
     H = lamb_a n_a + (lamb_b - delta_ab) n_b + g_ab (s_a^+ s_b + s_b^+ s_a)
     - (i/2) sum_j (Omega_j s_j^+ - Omega_j^* s_j) - delta (n_a + n_b), with
     each drive written as Re Omega_j (-i/2)(s_j^+ - s_j)
     + Im Omega_j (s_j^+ + s_j)/2, and the dissipators carry Gamma_a, Gamma_b
-    and Gamma_ab: F0 = sum_k c_k _FORMS[k] with these ten real
-    coefficients c, each divided by u.  The outputs are
-    b_t = alpha through_phase + sum_j c_t[j] sigma_j^- and
-    b_r = sum_j c_r[j] sigma_j^-, with phases referenced to the leftmost
-    point and the transmitted output evaluated at the rightmost one:
-    c_r[j] = e^{-i theta_first} w_j / sqrt2,
-    c_t[j] = e^{i theta_last} conj(w_j) / sqrt2 and
-    through_phase = e^{i (theta_last - theta_first)}, w_j the atom's coupling
-    phasor from ``characteristics(cfg)``.  The drives are
-    Omega_j = 2 alpha c_r[j] = sum_n sqrt(2 gamma_jn) alpha e^{i (theta_jn - theta_first)}.
+    and Gamma_ab: F0 = sum_k x_k _FORMS[k] with these ten real
+    coefficients x, each divided by u.  Every phase is the coupling points'
+    own, as in the closed form and the real-space solve: c[j] = w_j / sqrt2,
+    w_j the atom's coupling phasor from ``characteristics(cfg)``, the drives
+    are Omega_j = 2 alpha c[j] = sum_n sqrt(2 gamma_jn) alpha e^{i theta_jn},
+    and the outputs are b_r = sum_j c[j] sigma_j^- and
+    b_t = alpha + sum_j conj(c[j]) sigma_j^-.
     """
     ch = characteristics(cfg)
     unit, root = (float(x) for x in rate_unit((cfg.atom_a.rates, cfg.atom_b.rates)))
-    theta_first = cfg.atom_a.points[0].phase_coord
-    theta_last = max(cfg.atom_a.phases + cfg.atom_b.phases)
-    w = np.array([ch.w_a, ch.w_b]) / root / math.sqrt(2.0)
-    c_t, c_r = cmath.exp(1j * theta_last) * w.conj(), cmath.exp(-1j * theta_first) * w
-    om_a, om_b = 2.0 * (alpha / root) * c_r
+    c = np.array([ch.w_a, ch.w_b]) / root / math.sqrt(2.0)
+    om_a, om_b = 2.0 * (alpha / root) * c
     coefficients = np.array([
         ch.lamb_a / unit, (ch.lamb_b - cfg.delta_ab) / unit, ch.g_ab / unit,
         om_a.real, om_a.imag, om_b.real, om_b.imag,
         ch.gamma_a / unit, ch.gamma_b / unit, ch.gamma_ab / unit,
     ])
     f0 = np.tensordot(coefficients, _FORMS, axes=1)
-    return f0, _DETUNING_FORM, c_t, c_r, cmath.exp(1j * (theta_last - theta_first)), unit
+    return f0, _DETUNING_FORM, c, unit
 
 
 def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
@@ -512,14 +505,14 @@ def master_sweep(
     if amplitude_sq <= 0.0:
         raise GawqedError("master-equation scattering requires a nonzero drive")
     detuning = np.atleast_1d(np.asarray(detuning, dtype=float))
-    f0, f1, c_t, c_r, through_phase, unit = _master_form(cfg, math.sqrt(amplitude_sq))
+    f0, f1, c, unit = _master_form(cfg, math.sqrt(amplitude_sq))
     rho = _steady_states(f0, f1, detuning / unit)
     amplitude_sq = amplitude_sq / unit  # as the flux below, in the unit u
     alpha = math.sqrt(amplitude_sq)
 
     flux = np.zeros(len(detuning))
     amplitudes = []
-    for coeffs, offset in ((c_t, through_phase * alpha), (c_r, 0.0)):
+    for coeffs, offset in ((c.conj(), alpha), (c, 0.0)):
         mean, channel_flux = _channel_moments(rho, coeffs)
         flux += channel_flux
         amplitudes.append((offset + mean) / alpha)
@@ -533,12 +526,14 @@ def master_sweep(
 def scattering_from_master(cfg: SystemConfig, drive: DriveSpec) -> LindbladResult:
     """Steady-state transmission, reflection, and inelastic flux.
 
-    t and r come from the coherent part of the output fields; the inelastic
-    flux F is the frequency-integrated incoherent output, computed from the
-    equal-time second moments (for a stationary process this equals the
-    integral of the inelastic power spectrum).  ``conservation_residual`` is
-    |F / |alpha|^2 - (1 - T - R)|.  This is the one-point case of
-    :func:`master_sweep`.
+    t and r come from the coherent part of the output fields, in the phase
+    reference of the closed form (:func:`_master_form`): they tend to
+    :func:`gawqed.scattering.amplitudes_general`'s t and r as |alpha|^2
+    goes to 0.  The inelastic flux F is the frequency-integrated incoherent
+    output, computed from the equal-time second moments (for a stationary
+    process this equals the integral of the inelastic power spectrum).
+    ``conservation_residual`` is |F / |alpha|^2 - (1 - T - R)|.  This is
+    the one-point case of :func:`master_sweep`.
     """
     sweep = master_sweep(cfg, drive.amplitude_sq, drive.frequency_detuning)
     return LindbladResult(
@@ -569,12 +564,12 @@ def inelastic_spectrum(
     actually contributes (transmitted channel first).
     """
     nu = np.asarray(nu_grid, dtype=float)
-    f0, f1, c_t, c_r, _, unit = _master_form(cfg, drive.alpha)
+    f0, f1, c, unit = _master_form(cfg, drive.alpha)
     form = f0 + (drive.frequency_detuning / unit) * f1
     rho = _steady_state(form)
     eigvals, eigvecs = np.linalg.eig(form)
 
-    ops = np.stack([_channel_operator(c_t), _channel_operator(c_r)])
+    ops = np.stack([_channel_operator(c.conj()), _channel_operator(c)])
     fluct = ops - np.einsum("ij,cji->c", rho, ops)[:, None, None] * _ID4
     # coordinates tr(H_k X) of dB rho_ss (the initial vector) and of dB'
     # (tr(dB' sum_k v_k H_k) = observer . v), two channels each

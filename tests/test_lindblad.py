@@ -21,7 +21,7 @@ from gawqed import (
     symmetric_config,
 )
 from gawqed import cli, lindblad
-from gawqed.core import Geometries, detunings, rate_scale
+from gawqed.core import ConfigError, Geometries, detunings, rate_scale
 from gawqed.lindblad import (
     _HERMITIAN_BASIS,
     STATIONARY_TOL,
@@ -53,10 +53,9 @@ def single_atom_eit_config():
 
 
 def reference_rabi_amplitudes(cfg, alpha):
-    """Omega_j = sum_n sqrt(2 gamma_jn) alpha e^{i phase from a1}, point by point."""
-    theta_ref = cfg.atom_a.points[0].phase_coord
+    """Omega_j = sum_n sqrt(2 gamma_jn) alpha e^{i theta_jn}, point by point."""
     return tuple(
-        sum(math.sqrt(2.0 * p.bare_rate) * alpha * cmath.exp(1j * (p.phase_coord - theta_ref)) for p in atom.points)
+        sum(math.sqrt(2.0 * p.bare_rate) * alpha * cmath.exp(1j * p.phase_coord) for p in atom.points)
         for atom in (cfg.atom_a, cfg.atom_b)
     )
 
@@ -493,6 +492,32 @@ class TestNonFinite:
             solve_in_turn([degenerate, bad])
 
 
+def drawn_configs():
+    """The oracle-check draws of seed 0 as configs, their detunings and
+    the closed form's t and r there."""
+    geoms, delta, _ = cli._random_draws(np.random.default_rng(0), 300)
+    cfgs = [
+        SystemConfig(*(
+            GiantAtom(label, tuple(CouplingPoint(float(p), float(g))
+                                   for p, g in zip(geoms.phases[k, j], geoms.rates[k, j])))
+            for j, label in enumerate("ab")
+        ), delta_ab=float(geoms.delta_ab[k]))
+        for k in range(len(geoms))
+    ]
+    return cfgs, delta, *_amplitude_arrays(geoms, delta)
+
+
+class TestDriveSpec:
+    @pytest.mark.parametrize("values, message", [
+        ((math.nan, 0.0), "amplitude_sq must be finite"),
+        ((0.01, math.inf), "frequency_detuning must be finite"),
+        ((-1.0, 0.0), "amplitude_sq must be >= 0"),
+    ], ids=["nan-flux", "inf-detuning", "negative-flux"])
+    def test_invalid_drive_is_a_config_error(self, values, message):
+        with pytest.raises(ConfigError, match=message):
+            DriveSpec(*values)
+
+
 class TestScattering:
     @pytest.mark.parametrize(
         "cfg",
@@ -532,16 +557,7 @@ class TestScattering:
         # the oracle-check draws of seed 0: the master T and R approach the
         # closed form as |alpha|^2 -> 0, the deviation ten times smaller per
         # decade wherever it is above rounding
-        geoms, delta, _ = cli._random_draws(np.random.default_rng(0), 300)
-        t, r = _amplitude_arrays(geoms, delta)
-        cfgs = [
-            SystemConfig(*(
-                GiantAtom(label, tuple(CouplingPoint(float(p), float(g))
-                                       for p, g in zip(geoms.phases[k, j], geoms.rates[k, j])))
-                for j, label in enumerate("ab")
-            ), delta_ab=float(geoms.delta_ab[k]))
-            for k in range(len(geoms))
-        ]
+        cfgs, delta, t, r = drawn_configs()
         deviations = []
         for amplitude_sq in (1e-4, 1e-5):
             sweeps = [master_sweep(cfg, amplitude_sq, d) for cfg, d in zip(cfgs, delta)]
@@ -551,6 +567,15 @@ class TestScattering:
         assert above.sum() >= 290
         ratio = deviations[0][above] / deviations[1][above]
         assert np.all((8.0 <= ratio) & (ratio <= 12.0))
+
+    def test_random_configs_share_the_closed_form_phases(self):
+        # the complex t and r, not only T and R: the Richardson limit of
+        # alpha^2 = 1e-7 and 1e-8 is the closed form's, phase included
+        cfgs, delta, t, r = drawn_configs()
+        for cfg, d, want_t, want_r in zip(cfgs, delta, t, r):
+            weak, weaker = (master_sweep(cfg, amplitude_sq, d) for amplitude_sq in (1e-7, 1e-8))
+            assert abs((10.0 * weaker.t[0] - weak.t[0]) / 9.0 - want_t) <= 1e-12
+            assert abs((10.0 * weaker.r[0] - weak.r[0]) / 9.0 - want_r) <= 1e-12
 
     def test_conservation_randomized(self):
         rng = np.random.default_rng(9)
@@ -760,8 +785,8 @@ def incoherent_channel_flux(cfg, drive):
     the per-channel moments of :func:`master_sweep` at one point, the output
     coefficients of ``_master_form`` being in its rate unit u."""
     rho = master_sweep(cfg, drive.amplitude_sq, drive.frequency_detuning).rho
-    *_, c_t, c_r, _, unit = _master_form(cfg, drive.alpha)
-    return tuple(unit * float(_channel_moments(rho, coeffs)[1][0]) for coeffs in (c_t, c_r))
+    *_, c, unit = _master_form(cfg, drive.alpha)
+    return tuple(unit * float(_channel_moments(rho, coeffs)[1][0]) for coeffs in (c.conj(), c))
 
 
 class TestSpectrum:
@@ -804,9 +829,9 @@ class TestSpectrumOracle:
     def direct_spectrum(cfg, drive, nu):
         liouv = build_liouvillian(cfg, drive)
         rho = null_vector_states(liouv[None])[0]
-        *_, c_t, c_r, _, unit = _master_form(cfg, drive.alpha)
+        *_, c, unit = _master_form(cfg, drive.alpha)
         channels = []
-        for coeffs in (math.sqrt(unit) * c_t, math.sqrt(unit) * c_r):
+        for coeffs in (math.sqrt(unit) * c.conj(), math.sqrt(unit) * c):
             op = coeffs[0] * SIGMA_MINUS_A + coeffs[1] * SIGMA_MINUS_B
             fluct = op - np.trace(rho @ op) * np.eye(4)
             shifted = 1j * nu[:, None, None] * np.eye(16) - liouv
