@@ -213,18 +213,20 @@ class Geometries:
         The formulas are those of :func:`characteristics`; every term is an
         elementwise function of its own geometry's numbers, so a geometry's
         fields do not depend on the rest of the stack.  Each geometry is
-        computed in its :func:`rate_unit`; scaling back by that power of 4 is
-        exact, so the unit changes no bit where the products of two rates do
-        not leave the range of doubles.  Raises
+        computed on its rates divided by its :func:`rate_scale` s, which lie
+        in [0, 1], so that no product of two rates overflows, and scaled
+        back by s (w by sqrt s).  Scaling every rate by
+        a power of 4 scales s by the same, and sqrt s by its root, exactly:
+        the fields then scale exactly too.  Raises
         :class:`QuantityOverflowError`, naming the first field (in the
         order of :class:`CharQuantities`) that exceeds
         :data:`QUANTITY_LIMIT` in magnitude (or is nan) in some geometry.
         """
         phases = self.phases
-        unit, root_unit = (x[:, None] for x in rate_unit(self.rates))
-        rates = self.rates / unit[..., None]
+        scale = rate_scale(self.rates)[:, None]
+        rates = self.rates / scale[..., None]
         roots = np.sqrt(rates)
-        # real and imaginary part of w_j / sqrt(unit), [geometry, atom]
+        # real and imaginary part of w_j / sqrt(scale), [geometry, atom]
         re = np.sum(roots * np.cos(phases), axis=-1)
         im = np.sum(roots * np.sin(phases), axis=-1)
         w = re + 1j * im
@@ -233,13 +235,13 @@ class Geometries:
         separation = (phases[:, 1, None, :] - phases[:, 0, :, None]).reshape(-1, 4)
         # rates near the largest double overflow a quantity: the check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
-            gamma = np.abs(w) ** 2 * unit
-            lamb = np.sqrt(rates[..., 0] * rates[..., 1]) * np.sin(spread) * unit
+            gamma = np.abs(w) ** 2 * scale
+            lamb = np.sqrt(rates[..., 0] * rates[..., 1]) * np.sin(spread) * scale
             # the pairs of one point of a and one of b, [geometry, 2 * point of a + point of b]
             root = np.sqrt(rates[:, 0, :, None] * rates[:, 1, None, :]).reshape(-1, 4)
-            g_ab = 0.5 * np.sum(root * np.sin(np.abs(separation)), axis=-1) * unit[:, 0]
-            gamma_ab = np.sum(root * np.cos(separation), axis=-1) * unit[:, 0]
-        w = w * root_unit
+            g_ab = 0.5 * np.sum(root * np.sin(np.abs(separation)), axis=-1) * scale[:, 0]
+            gamma_ab = np.sum(root * np.cos(separation), axis=-1) * scale[:, 0]
+        w = w * np.sqrt(scale)
         quantities = CharQuantities(
             lamb_a=lamb[:, 0],
             lamb_b=lamb[:, 1],
@@ -260,22 +262,15 @@ class Geometries:
 
 
 def rate_scale(rates) -> np.ndarray:
-    """Largest bare rate of ``rates`` [..., atom, point], one per config: the
-    scale of every "numerically zero" tolerance of the one-photon code."""
+    """Largest bare rate of ``rates`` [..., atom, point], one per config, and
+    1 for a config without rates: the unit of the characteristic quantities,
+    of the master generator and of every "numerically zero" tolerance."""
     rates = np.asarray(rates)
-    return np.maximum(
+    scale = np.maximum(
         np.maximum(rates[..., 0, 0], rates[..., 0, 1]),
         np.maximum(rates[..., 1, 0], rates[..., 1, 1]),
     )
-
-
-def rate_unit(rates) -> tuple[np.ndarray, np.ndarray]:
-    """(unit, root) of ``rates`` [..., atom, point], one per config: the unit
-    of every kernel, root**2, is the largest power of 4 at or below
-    :func:`rate_scale` (1/4 for zero rates).  The rates in it lie below 4, so
-    a product of two neither underflows nor overflows."""
-    root = np.ldexp(1.0, (np.frexp(rate_scale(rates))[1] - 1) // 2)
-    return root * root, root
+    return np.where(scale == 0.0, 1.0, scale)
 
 
 def detunings(cfg: SystemConfig, delta_a: float) -> tuple[float, float]:

@@ -84,8 +84,6 @@ class SABasisQuantities:
     gamma_sa: float
     delta_s: float
     delta_a_mode: float
-    omega_s: complex
-    omega_a_mode: complex
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,7 @@ def sa_basis(cfg: SystemConfig, delta_a: float | np.ndarray) -> SABasisQuantitie
     g_SA = -(delta'_a - delta'_b)/2 (primes: Lamb-shifted detunings),
     Gamma_S,A = (Gamma_a + Gamma_b)/2 +- Gamma_ab,
     Gamma_SA = (Gamma_a - Gamma_b)/2,
-    Delta_S,A = (delta'_a + delta'_b)/2 -+ g_ab, and
-    Omega_S,A = (Omega_a +- Omega_b)/sqrt(2), Omega_j = sqrt2 w_j being the
-    master equation's drives at unit amplitude.
+    and Delta_S,A = (delta'_a + delta'_b)/2 -+ g_ab.
 
     ``delta_a`` may be an array; Delta_S and Delta_A then follow its shape.
     g_SA does not depend on the probe detuning and is evaluated at
@@ -119,7 +115,6 @@ def sa_basis(cfg: SystemConfig, delta_a: float | np.ndarray) -> SABasisQuantitie
     eff_a = d_a - ch.lamb_a
     eff_b = d_b - ch.lamb_b
     eff_a0, eff_b0 = -ch.lamb_a, cfg.delta_ab - ch.lamb_b
-    omega_a, omega_b = math.sqrt(2.0) * ch.w_a, math.sqrt(2.0) * ch.w_b
     return SABasisQuantities(
         g_sa=-0.5 * (eff_a0 - eff_b0),
         gamma_s=0.5 * (ch.gamma_a + ch.gamma_b) + ch.gamma_ab,
@@ -127,8 +122,6 @@ def sa_basis(cfg: SystemConfig, delta_a: float | np.ndarray) -> SABasisQuantitie
         gamma_sa=0.5 * (ch.gamma_a - ch.gamma_b),
         delta_s=0.5 * (eff_a + eff_b) - ch.g_ab,
         delta_a_mode=0.5 * (eff_a + eff_b) + ch.g_ab,
-        omega_s=(omega_a + omega_b) / math.sqrt(2.0),
-        omega_a_mode=(omega_a - omega_b) / math.sqrt(2.0),
     )
 
 
@@ -264,7 +257,8 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
     dark/bright structure exists.
     """
     geoms = Geometries.of([cfg])
-    modes = _decay_modes(geoms, geoms.quantities())
+    ch = geoms.quantities()
+    modes = _decay_modes(geoms, ch)
     if modes.rank[0] != 1:
         return EitVerdict(
             Scheme.NONE, DarkState.NONE, Regime.NOT_APPLICABLE,
@@ -273,12 +267,11 @@ def classify_eit(cfg: SystemConfig) -> EitVerdict:
     scale = float(modes.scale[0])
     ztol = DECOUPLE_TOL * scale
     width = float(modes.width[0]) * scale
-    u_a, u_b = modes.bright[:, 0]
-    # at rank 1, Gamma = tr Gamma u u^T
-    if abs(width * (u_a**2 - u_b**2)) <= ztol:
-        scheme, dark = Scheme.COLLECTIVE_SA, DarkState.S if u_a * u_b < 0.0 else DarkState.A
-    elif abs(width * u_a * u_b) <= ztol:
-        scheme, dark = Scheme.SINGLE_ATOM, DarkState.EG if abs(u_a) < abs(u_b) else DarkState.GE
+    gamma_a, gamma_b, gamma_ab = ch.gamma_a[0], ch.gamma_b[0], ch.gamma_ab[0]
+    if abs(gamma_a - gamma_b) <= ztol:
+        scheme, dark = Scheme.COLLECTIVE_SA, DarkState.S if gamma_ab < 0.0 else DarkState.A
+    elif abs(gamma_ab) <= ztol:
+        scheme, dark = Scheme.SINGLE_ATOM, DarkState.EG if gamma_a < gamma_b else DarkState.GE
     else:
         scheme, dark = Scheme.DARK_MODE, DarkState.MIXED
     control = float(modes.coupling[0]) * scale

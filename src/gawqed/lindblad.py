@@ -18,15 +18,15 @@ The generator is assembled directly in its real Hermitian-basis form
 F = B^H L B (:func:`_master_form`): every term of :data:`_SUPEROPS` maps
 Hermitian matrices to Hermitian matrices and carries a real coefficient, so
 F is a real combination of the terms' real forms, projected once at import.
-It is built in the power-of-4 unit u of the one-photon quantities
-(:func:`gawqed.core.rate_unit`), its callers dividing detunings, frequencies
-and |alpha|^2 by u: every output is bit-identical under scaling by a power
-of 4, and F stays finite from rates of 1e-300 to 1e300.  Only
-:func:`build_liouvillian` returns the complex L = u B F B^H.  Steady
-states are solved on F, with the trace condition bordering the null-space
-problem, by one solver: the generator is affine in the drive detuning, so
-:func:`_pencil_steady_states` solves a whole grid from one
-eigendecomposition of the bordered pencil, and one point is the pencil
+It is built in the unit of the one-photon quantities, the config's largest
+bare rate s (:func:`gawqed.core.rate_scale`), its callers dividing
+detunings, frequencies and |alpha|^2 by s: every output is bit-identical
+under scaling by a power of 4, and F stays finite from rates of 1e-300 to
+1e300.  Only :func:`build_liouvillian` returns the complex
+L = s B F B^H.  Steady states are solved on F, with the trace condition
+bordering the null-space problem, by one solver: the generator is affine in
+the drive detuning, so :func:`_pencil_steady_states` solves a whole grid
+from one eigendecomposition of the bordered pencil, and one point is the pencil
 whose reference is that point.  :func:`_steady_state` turns a one-point
 verdict into its error, for :func:`steady_state`, the spectra and every
 point of a sweep that the pencil does not accept (:func:`_steady_states`).
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, GawqedError, SystemConfig, characteristics, rate_unit
+from .core import ConfigError, GawqedError, SystemConfig, characteristics, rate_scale
 
 #: |eigenvalue| <= this times ||L||_F is a stationary direction (all 16 for L = 0)
 STATIONARY_TOL = 1e-10
@@ -203,18 +203,18 @@ _PENCIL_CONDITION = 1e5
 
 
 def _master_form(cfg: SystemConfig, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(F0, F1, c, u): the real form
-    F(delta) / u = F0 + (delta / u) F1 = B^H L(delta) B / u of the generator,
+    """(F0, F1, c, s): the real form
+    F(delta) / s = F0 + (delta / s) F1 = B^H L(delta) B / s of the generator,
     B the unitary of :data:`_HERMITIAN_BASIS`, delta the drive detuning and
-    u the config's :func:`~gawqed.core.rate_unit`, and the per-atom
-    coefficients c of the output operators divided by sqrt(u).
+    s the config's :func:`~gawqed.core.rate_scale`, and the per-atom
+    coefficients c of the output operators divided by sqrt(s).
 
     H = lamb_a n_a + (lamb_b - delta_ab) n_b + g_ab (s_a^+ s_b + s_b^+ s_a)
     - (i/2) sum_j (Omega_j s_j^+ - Omega_j^* s_j) - delta (n_a + n_b), with
     each drive written as Re Omega_j (-i/2)(s_j^+ - s_j)
     + Im Omega_j (s_j^+ + s_j)/2, and the dissipators carry Gamma_a, Gamma_b
     and Gamma_ab: F0 = sum_k x_k _FORMS[k] with these ten real
-    coefficients x, each divided by u.  Every phase is the coupling points'
+    coefficients x, each divided by s.  Every phase is the coupling points'
     own, as in the closed form and the real-space solve: c[j] = w_j / sqrt2,
     w_j the atom's coupling phasor from ``characteristics(cfg)``, the drives
     are Omega_j = 2 alpha c[j] = sum_n sqrt(2 gamma_jn) alpha e^{i theta_jn},
@@ -222,7 +222,8 @@ def _master_form(cfg: SystemConfig, alpha: float) -> tuple[np.ndarray, np.ndarra
     b_t = alpha + sum_j conj(c[j]) sigma_j^-.
     """
     ch = characteristics(cfg)
-    unit, root = (float(x) for x in rate_unit((cfg.atom_a.rates, cfg.atom_b.rates)))
+    unit = float(rate_scale((cfg.atom_a.rates, cfg.atom_b.rates)))
+    root = math.sqrt(unit)
     c = np.array([ch.w_a, ch.w_b]) / root / math.sqrt(2.0)
     om_a, om_b = 2.0 * (alpha / root) * c
     coefficients = np.array([
@@ -240,7 +241,7 @@ def build_liouvillian(cfg: SystemConfig, drive: DriveSpec) -> np.ndarray:
     The Hamiltonian carries the Lamb-shifted detunings, the exchange coupling
     g_ab and the position-phased Rabi drives; dissipation consists of the two
     individual decays and the collective cross terms weighted by Gamma_ab.
-    It is L = u B F B^H of the real form F / u of :func:`_master_form`.
+    It is L = s B F B^H of the real form F / s of :func:`_master_form`.
     """
     f0, f1, *_, unit = _master_form(cfg, drive.alpha)
     form = f0 + (drive.frequency_detuning / unit) * f1
@@ -491,7 +492,7 @@ def master_sweep(
 
     Uses the real form F(delta) = F0 + delta F1 of the generator in the
     Hermitian basis (:func:`_master_form`), assembled once per sweep from
-    the real coefficients in the config's rate unit u, in which the grid,
+    the real coefficients in the config's rate scale s, in which the grid,
     |alpha|^2 and the flux are taken too.  Their bordered matrices form a
     pencil in delta, and one eigendecomposition of it
     (:func:`_pencil_steady_states`) gives the steady state of every grid
@@ -507,7 +508,7 @@ def master_sweep(
     detuning = np.atleast_1d(np.asarray(detuning, dtype=float))
     f0, f1, c, unit = _master_form(cfg, math.sqrt(amplitude_sq))
     rho = _steady_states(f0, f1, detuning / unit)
-    amplitude_sq = amplitude_sq / unit  # as the flux below, in the unit u
+    amplitude_sq = amplitude_sq / unit  # as the flux below, in the unit s
     alpha = math.sqrt(amplitude_sq)
 
     flux = np.zeros(len(detuning))
@@ -558,7 +559,7 @@ def inelastic_spectrum(
     F = B^H L B gives the modes, dB rho_ss and the observer dB' enter as
     coordinate vectors, and both channels share one resolvent
     1 / (i nu - lambda), contracted with a (16, 2) matrix of mode weights.
-    F, nu and the weights are in the config's rate unit u, and S(nu), a flux
+    F, nu and the weights are in the config's rate scale s, and S(nu), a flux
     per frequency, is the same in any unit.  Raises
     :class:`SpectrumSingularError` if nu hits an undamped eigenfrequency that
     actually contributes (transmitted channel first).

@@ -80,8 +80,8 @@ class DecayModes:
     H_eff = H - i Gamma / 2 on the delta_a axis, with
     H = [[lamb_a, g_ab], [g_ab, lamb_b - delta_ab]] and the decay matrix
     Gamma = Re(w w^H), w = (w_a, w_b), positive semidefinite with
-    eigenvalues (tr Gamma +- |w_a^2 + w_b^2|) / 2.  ``bright``, (2, N), is
-    its principal axis u, and v = (-u_b, u_a).  In the basis (u, v),
+    eigenvalues (tr Gamma +- |w_a^2 + w_b^2|) / 2, u its principal axis
+    and v = (-u_b, u_a).  In the basis (u, v),
     Gamma = diag(|w_u|^2, |w_v|^2) with the rotated phasors ``w_u`` = u.w
     and ``w_v`` = v.w, and H has e_u = u^T H u and e_v = v^T H v on its
     diagonal and the control c = u^T H v off it.  A real pole needs an
@@ -92,14 +92,14 @@ class DecayModes:
     rank 1 otherwise, EIT-like, transparent at ``dark_energy``.  Elsewhere
     the closed form's det (:func:`_mode_form`) has no real zero:
     |det| >= |w_u|^2 |w_v|^2 / 4 at rank 2, det ~ c^2 near e_v at rank 1.
-    ``scale`` is the :func:`~gawqed.core.rate_scale` of each geometry (1
-    where every rate is zero): the unit of the other fields (its square
-    root that of ``w_u`` and ``w_v``) and of every tolerance of the
-    one-photon kernels, so that they form no product of two rates.
+    ``scale`` is the :func:`~gawqed.core.rate_scale` of each geometry, the
+    one unit of the quantities and the master equation: here the unit of
+    the other fields (its square root that of ``w_u`` and ``w_v``) and of
+    every tolerance of the one-photon kernels, so that they form no product
+    of two rates.
     """
 
     rank: np.ndarray
-    bright: np.ndarray
     w_u: np.ndarray
     w_v: np.ndarray
     coupling: np.ndarray  # u^T H v
@@ -114,8 +114,6 @@ def _decay_modes(geoms: Geometries, ch: CharQuantities) -> DecayModes:
     """The :class:`DecayModes` of a stack, ``ch`` its quantities.  Rank,
     coupling and width count as zero up to ``DECOUPLE_TOL``."""
     scale = rate_scale(geoms.rates)
-    # with no rate at all, any unit will do
-    scale = np.where(scale > 0.0, scale, 1.0)
     root = np.sqrt(scale)
     w_a, w_b = ch.w_a / root, ch.w_b / root
     width = (ch.gamma_a + ch.gamma_b) / scale
@@ -138,7 +136,6 @@ def _decay_modes(geoms: Geometries, ch: CharQuantities) -> DecayModes:
     coupling = np.where(rank == 0, 0.0, ch.g_ab * cos_2 - half * sin_2) / scale
     return DecayModes(
         rank=rank,
-        bright=np.array([cos_chi, sin_chi]),
         w_u=cos_chi * w_a + sin_chi * w_b,
         w_v=cos_chi * w_b - sin_chi * w_a,
         coupling=coupling,

@@ -116,11 +116,10 @@ def maximum_symmetric_quantities(
     """Published per-topology closed forms of the S/A quantities.
 
     Equal bare rates gamma, equal spacing phi, leftmost point at phase 0.
-    Detunings and drives are reported at probe detuning delta_a = 0 and unit
-    drive amplitude.  Note: for the nested topology the published
-    g_SA = delta_ab/2 + gamma (sin phi - sin 3 phi)/2 carries the opposite
-    Lamb-shift sign from the general basis change in :func:`sa_basis`; this
-    function reproduces the published form.
+    Detunings are reported at probe detuning delta_a = 0.  Note: for the
+    nested topology the published g_SA = delta_ab/2 + gamma (sin phi -
+    sin 3 phi)/2 carries the opposite Lamb-shift sign from the general basis
+    change in :func:`sa_basis`; this function reproduces the published form.
     """
     c1, c2, c3 = math.cos(phi), math.cos(2 * phi), math.cos(3 * phi)
     gamma_s = gamma * (2 + 3 * c1 + 2 * c2 + c3)
@@ -146,16 +145,6 @@ def maximum_symmetric_quantities(
         raise GawqedError(f"unknown topology {topology!r}")
     eff_a, eff_b = -lamb_a, (delta_ab - lamb_b)
     mean = 0.5 * (eff_a + eff_b)
-    phase_pairs = {
-        Topology.SEPARATE: ((0.0, phi), (2 * phi, 3 * phi)),
-        Topology.BRAIDED: ((0.0, 2 * phi), (phi, 3 * phi)),
-        Topology.NESTED: ((0.0, 3 * phi), (phi, 2 * phi)),
-    }[topology]
-    w_a, w_b = (
-        math.sqrt(gamma) * (cmath.exp(1j * p[0]) + cmath.exp(1j * p[1]))
-        for p in phase_pairs
-    )
-    omega_a, omega_b = math.sqrt(2.0) * w_a, math.sqrt(2.0) * w_b
     return SABasisQuantities(
         g_sa=g_sa,
         gamma_s=gamma_s,
@@ -163,8 +152,6 @@ def maximum_symmetric_quantities(
         gamma_sa=gamma_sa,
         delta_s=mean - g_ab,
         delta_a_mode=mean + g_ab,
-        omega_s=(omega_a + omega_b) / math.sqrt(2.0),
-        omega_a_mode=(omega_a - omega_b) / math.sqrt(2.0),
     )
 
 

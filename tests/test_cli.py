@@ -701,6 +701,13 @@ class TestCommands:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "config"
 
+    def test_oracle_tolerance_must_be_a_number(self, capsys, monkeypatch):
+        monkeypatch.setenv("GAWQED_TOL", "1e-9x")
+        code, out, err = run_main(capsys, "--command", "oracle-check", "--sweep", "delta_a:0:1:5")
+        assert code == 2 and out == ""
+        report = json.loads(err)
+        assert report["error"] == "config" and "GAWQED_TOL is not a number: '1e-9x'" in report["message"]
+
     def test_oracle_nan_deviation_fails(self, capsys, monkeypatch):
         solve = cli._real_space_arrays
 
@@ -788,7 +795,7 @@ class TestExitCodes:
                                                 ("inelastic-spectrum", "nu:-1:1:3")])
     def test_non_finite_generator_is_3(self, capsys, tmp_path, command, sweep):
         # unit rates and |alpha|^2 = 1e308: the drive terms are ~1e154 in the
-        # rate unit, and the Frobenius norm of the generator overflows
+        # rate scale, and the Frobenius norm of the generator overflows
         path = write_config(tmp_path, {"symmetric": {"topology": "separate", "phi": 0.7},
                                        "drive": {"alpha_sq": 1e308, "detuning": 0.3}})
         code, out, err = run_main(capsys, "--config", path, "--command", command, "--sweep", sweep)
@@ -1389,7 +1396,7 @@ class TestScaleCovariance:
     @pytest.mark.parametrize("s", [1e-300, 1e-160, 1e-150, 1e-6, 1e6, 1e154, 1e300])
     def test_one_photon_commands_at_extreme_scales(self, tmp_path, s):
         # a product of two rates of 1e154 overflows, one of 1e-160 is subnormal:
-        # the quantities are computed in a power-of-4 unit near the rate scale
+        # the quantities are computed on the rates divided by the rate scale
         unit, scaled = (scaled_config("nested", math.pi / 2, -1.0, x) for x in (1.0, s))
         for command, sweep in self.ONE_PHOTON_COMMANDS:
             code, _, fields = run_scaled(scaled, command, sweep, s, tmp_path)
@@ -1403,7 +1410,7 @@ class TestScaleCovariance:
     @pytest.mark.parametrize("s", [1e-300, 1e154, 1e300])
     @pytest.mark.parametrize("geometry", ["separate", "nested", "explicit"])
     def test_master_commands_at_extreme_scales(self, tmp_path, geometry, s):
-        # the generator is built in the power-of-4 unit of the quantities:
+        # the generator is built in the rate scale of the quantities:
         # in raw units its norm overflowed at 1e154, and at 1e-300 the
         # steady state found no stationary direction
         unit, scaled = (scaled_config(geometry, math.pi / 2, -1.0, x) for x in (1.0, s))
@@ -1449,8 +1456,8 @@ class TestScaleCovariance:
     @pytest.mark.parametrize("k", [-270, -60, -10, 10, 60, 128, 270])
     @pytest.mark.parametrize("geometry", ["separate", "braided", "nested", "explicit"])
     def test_master_commands_exact_at_powers_of_4(self, tmp_path, geometry, k):
-        # the master equation computes in the rate unit of the quantities,
-        # a power of 4 that scales with s: its outputs are bit-identical too
+        # the master equation computes in the rate scale of the quantities,
+        # which scales exactly with s: its outputs are bit-identical too
         computed = self.exact_at_power_of_4(self.MASTER_COMMANDS, geometry, k, tmp_path)
         # braided phi = pi/2 is decoherence-free: no unique steady state
         assert computed == (0 if geometry == "braided" else len(self.MASTER_COMMANDS))

@@ -47,6 +47,22 @@ class TestValidation:
         with pytest.raises(ConfigError):
             GiantAtom("a", (CouplingPoint(1.0, 1.0), CouplingPoint(0.0, 1.0)))
 
+    def test_atom_label_and_point_count_rejected(self):
+        point = CouplingPoint(0.0, 1.0)
+        with pytest.raises(ConfigError, match="atom label must be 'a' or 'b'"):
+            GiantAtom("c", (point, point))
+        for points in ((point,), (point, point, point)):
+            with pytest.raises(ConfigError, match="exactly two coupling points"):
+                GiantAtom("a", points)
+
+    def test_config_labels_and_detuning_rejected(self):
+        cfg = make((0.0, 1.0), (2.0, 3.0))
+        with pytest.raises(ConfigError, match="atom_a must be labelled 'a'"):
+            SystemConfig(cfg.atom_b, cfg.atom_a)
+        for delta_ab in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="delta_ab must be finite"):
+                SystemConfig(cfg.atom_a, cfg.atom_b, delta_ab=delta_ab)
+
     def test_b_leftmost_rejected(self):
         atom_a = GiantAtom("a", (CouplingPoint(1.0, 1.0), CouplingPoint(2.0, 1.0)))
         atom_b = GiantAtom("b", (CouplingPoint(0.0, 1.0), CouplingPoint(3.0, 1.0)))
@@ -208,7 +224,11 @@ class TestStackedQuantities:
             np.zeros((7, 2, 2)),
         ]
         for rates in stacks:
-            assert rate_scale(rates).tobytes() == np.max(rates, axis=(-2, -1)).tobytes()
+            largest = np.max(rates, axis=(-2, -1))
+            scale = rate_scale(rates)
+            # a config without rates has the scale 1
+            assert (scale[largest == 0.0] == 1.0).all()
+            assert scale[largest > 0.0].tobytes() == largest[largest > 0.0].tobytes()
         cfg = random_system(rng)
         rates = (cfg.atom_a.rates, cfg.atom_b.rates)
         assert rate_scale(rates) == np.max(rates) == max(cfg.atom_a.rates + cfg.atom_b.rates)

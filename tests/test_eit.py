@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gawqed import (
     amplitudes_general,
     characteristics,
     classify_eit,
+    classify_topology,
     collective_eit_amplitudes,
     sa_basis,
     single_atom_eit_amplitudes,
@@ -28,6 +30,12 @@ from gawqed.scattering import _decay_modes
 
 from conftest import random_system
 from paper_forms import lambda_reference, maximum_symmetric_quantities
+
+
+def explicit(pa, pb, delta_ab=0.0, rates=(1.0, 1.0, 1.0, 1.0)):
+    atom_a = GiantAtom("a", (CouplingPoint(pa[0], rates[0]), CouplingPoint(pa[1], rates[1])))
+    atom_b = GiantAtom("b", (CouplingPoint(pb[0], rates[2]), CouplingPoint(pb[1], rates[3])))
+    return SystemConfig(atom_a, atom_b, delta_ab=delta_ab)
 
 
 def braided_single_atom(delta_ab_offset=0.0):
@@ -132,6 +140,25 @@ class TestCollectiveAmplitudes:
         with pytest.raises(EitPreconditionError, match="g_SA"):
             collective_eit_amplitudes(q, DarkState.S)
 
+    def test_dark_antisymmetric_mode_matches_general(self):
+        # the atoms' points 2 pi apart give them one phasor: sigma_A is dark
+        cfg = explicit((0.0, 1.0), (2 * np.pi, 2 * np.pi + 1.0), delta_ab=1.0)
+        assert classify_eit(cfg).dark_state is DarkState.A
+        phase = cmath.exp(1j * characteristics(cfg).alpha_a)
+        for delta in np.linspace(-6, 6, 41):
+            pt = collective_eit_amplitudes(sa_basis(cfg, float(delta)), DarkState.A, float(delta), phase)
+            gen = amplitudes_general(cfg, float(delta))
+            assert abs(pt.t - gen.t) < 1e-10
+            assert abs(pt.r - gen.r) < 1e-10
+
+    def test_dark_state_and_cross_decay_preconditions(self):
+        q = sa_basis(symmetric_config(Topology.SEPARATE, np.pi / 2, delta_ab=1.0), 0.0)
+        with pytest.raises(EitPreconditionError, match="must be S or A"):
+            collective_eit_amplitudes(q, DarkState.EG)
+        # Gamma_S = 0 forces Gamma_a = Gamma_b: only a q built by hand has both
+        with pytest.raises(EitPreconditionError, match="cross decay Gamma_SA"):
+            collective_eit_amplitudes(dataclasses.replace(q, gamma_sa=0.5), DarkState.S)
+
 
 class TestSingleAtomAmplitudes:
     def test_braided_matches_general(self):
@@ -190,6 +217,29 @@ class TestSingleAtomAmplitudes:
         assert ch.gamma_b == pytest.approx(0.0, abs=1e-9)
         assert ch.g_ab == pytest.approx(0.0, abs=1e-9)
 
+    def test_dark_atom_b_matches_general(self):
+        # braided, atom b's points pi apart
+        cfg = explicit((0.0, 2 * np.pi), (1.25 * np.pi, 2.25 * np.pi), delta_ab=0.3)
+        assert classify_eit(cfg).dark_state is DarkState.GE
+        for delta in np.linspace(-6, 6, 41):
+            pt = single_atom_eit_amplitudes(cfg, float(delta))
+            gen = amplitudes_general(cfg, float(delta))
+            assert abs(pt.t - gen.t) < 1e-10
+            assert abs(pt.r - gen.r) < 1e-10
+
+    def test_preconditions_reported(self):
+        with pytest.raises(EitPreconditionError, match="need exactly one decoupled atom"):
+            single_atom_eit_amplitudes(symmetric_config(Topology.BRAIDED, 0.3), 0.0)
+        # atom a 1e-7 off decoupling: Gamma_a ~ 1e-14 counts as zero, but
+        # Gamma_ab ~ 1e-7 |w_b| does not
+        near = explicit((0.0, np.pi + 1e-7), (0.25 * np.pi, 2.25 * np.pi))
+        with pytest.raises(EitPreconditionError, match="collective decay"):
+            single_atom_eit_amplitudes(near, 0.0)
+        # nested with the inner atom decoupled: g_ab vanishes with it
+        inner = explicit((0.0, 1.0 + np.pi + 0.2), (1.0, 1.0 + np.pi))
+        with pytest.raises(EitPreconditionError, match="exchange coupling g_ab is zero"):
+            single_atom_eit_amplitudes(inner, 0.0)
+
 
 class TestArrayEvaluation:
     def test_single_atom_grid_matches_points(self):
@@ -247,6 +297,21 @@ class TestClassify:
         v = classify_eit(nested_single_atom(0.0))
         assert v.scheme is Scheme.SINGLE_ATOM
         assert v.regime is Regime.EIT
+
+    @pytest.mark.parametrize("cfg", [
+        # equal spacing pi/4, rates with Gamma_a = Gamma_b
+        explicit((0.0, 0.75 * np.pi), (0.25 * np.pi, 0.5 * np.pi), delta_ab=0.5,
+                 rates=(np.cos(np.pi / 8) ** 2 / np.cos(3 * np.pi / 8) ** 2,) * 2 + (1.0, 1.0)),
+        # equal rates, atom a at (0, 3 phi) but atom b not at (phi, 2 phi)
+        explicit((0.0, 7.5 * np.pi), (2.5 * np.pi, 3.0 * np.pi), delta_ab=0.5),
+    ], ids=["unequal-rates", "unequal-spacing"])
+    def test_published_control_needs_the_symmetric_nested_geometry(self, cfg):
+        v = classify_eit(cfg)
+        assert classify_topology(cfg) is Topology.NESTED and v.scheme is Scheme.COLLECTIVE_SA
+        geoms = Geometries.of([cfg])
+        modes = _decay_modes(geoms, geoms.quantities())
+        assert v.note is None
+        assert v.control_strength == abs(modes.coupling[0]) * modes.scale[0]
 
     def test_plain_config_not_applicable(self):
         v = classify_eit(symmetric_config(Topology.SEPARATE, 0.3))

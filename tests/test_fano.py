@@ -242,6 +242,11 @@ class TestStackedCore:
                 _lorentz_arrays(Geometries.of(cfgs[261:]))
             assert rest.value.row == 19 and str(rest.value).startswith("negative channel width")
 
+    def test_symmetric_error_names_phi(self, monkeypatch):
+        fake_negative_width(monkeypatch, lambda geoms: np.ones(len(geoms), dtype=bool))
+        with pytest.raises(DecompositionError, match=r"^negative channel width: .* at phi=0\.7$"):
+            lorentz_decompose(Topology.SEPARATE, 0.7)
+
 
 class TestRegime:
     def test_separate_minus_dominant(self):

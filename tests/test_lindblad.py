@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from gawqed import (
     CouplingPoint,
@@ -783,7 +782,7 @@ class TestQuench:
 def incoherent_channel_flux(cfg, drive):
     """Equal-time incoherent flux of each channel (the spectrum's integral):
     the per-channel moments of :func:`master_sweep` at one point, the output
-    coefficients of ``_master_form`` being in its rate unit u."""
+    coefficients of ``_master_form`` being in its rate scale s."""
     rho = master_sweep(cfg, drive.amplitude_sq, drive.frequency_detuning).rho
     *_, c, unit = _master_form(cfg, drive.alpha)
     return tuple(unit * float(_channel_moments(rho, coeffs)[1][0]) for coeffs in (c.conj(), c))
@@ -805,13 +804,32 @@ class TestSpectrum:
         cfg = single_atom_eit_config()
         drive = DriveSpec(0.01, 0.9)
         flux_t, flux_r = incoherent_channel_flux(cfg, drive)
-
-        def channel(nu, name):
-            return float(getattr(inelastic_spectrum(cfg, drive, np.array([nu])), name)[0])
-
-        for name, moment in (("s_transmit", flux_t), ("s_reflect", flux_r)):
-            integral, _ = quad(lambda nu: channel(nu, name), -np.inf, np.inf, limit=400)
+        # the midpoint sum over nu = tan(theta), theta in (-pi/2, pi/2): it
+        # never evaluates the ends, where the resolvent sum's rounding of its
+        # 1/nu term is multiplied by nu^2
+        cells = 20000
+        theta = math.pi * ((np.arange(cells) + 0.5) / cells - 0.5)
+        nu = np.tan(theta)
+        spec = inelastic_spectrum(cfg, drive, nu)
+        for s, moment in ((spec.s_transmit, flux_t), (spec.s_reflect, flux_r)):
+            integral = math.pi / cells * np.sum(s * (1.0 + nu**2))
             assert integral == pytest.approx(moment, rel=1e-6)
+
+    def test_undamped_contributing_mode_raises(self, monkeypatch):
+        # every mode of a driven config is damped: strip the modes of their
+        # damping and probe at their frequencies
+        cfg, drive = single_atom_eit_config(), DriveSpec(0.01, 0.9)
+        f0, f1, *_, unit = _master_form(cfg, drive.alpha)
+        frequencies = np.linalg.eigvals(f0 + (drive.frequency_detuning / unit) * f1).imag
+        eig = np.linalg.eig
+
+        def undamped(a):
+            values, vectors = eig(a)
+            return 1j * values.imag, vectors
+
+        monkeypatch.setattr(np.linalg, "eig", undamped)
+        with pytest.raises(lindblad.SpectrumSingularError, match="undamped eigenfrequency"):
+            inelastic_spectrum(cfg, drive, unit * frequencies)
 
     def test_positive_where_fluorescing(self):
         cfg = single_atom_eit_config()

@@ -234,6 +234,16 @@ class TestStacks:
         _real_space_arrays(Geometries.of(cfgs[:260]), deltas[:260])
         _real_space_arrays(Geometries.of(cfgs[261:]), deltas[261:])
 
+    def test_ill_conditioned_system_raises(self):
+        # the oracle solves in the units of the rates: a rate 1e300 times the
+        # others leaves a residual far above 1e-8 |rhs| without a singular matrix
+        lopsided = SystemConfig(
+            GiantAtom("a", (CouplingPoint(0.0, 1.0), CouplingPoint(1.0, 1.0))),
+            GiantAtom("b", (CouplingPoint(2.0, 1.0), CouplingPoint(3.0, 1e300))),
+        )
+        with pytest.raises(OracleSingularError, match=r"ill-conditioned \(residual "):
+            solve_real_space(lopsided, 1.0)
+
 
 class TestTopologyForms:
     @pytest.mark.parametrize("kind", list(Topology))
