@@ -30,6 +30,13 @@ from one eigendecomposition of the bordered pencil, and one point is the pencil
 whose reference is that point.  :func:`_steady_state` turns a one-point
 verdict into its error, for :func:`steady_state`, the spectra and every
 point of a sweep that the pencil does not accept (:func:`_steady_states`).
+
+The inelastic spectrum (:func:`inelastic_spectrum`) takes the modes of F from
+one ``eig`` and sums their real partial fractions over fixed blocks of the
+frequency grid (:data:`SPECTRUM_BLOCK`), with no complex array and no BLAS
+call on the frequency axis, so its memory does not grow with the grid.  The
+stationary mode's weight is rounding, and at nu = 0, where its fraction is
+singular, it contributes 0.
 """
 
 from __future__ import annotations
@@ -45,6 +52,10 @@ from .core import ConfigError, GawqedError, SystemConfig, characteristics, rate_
 STATIONARY_TOL = 1e-10
 
 BASIS = ("gg", "ge", "eg", "ee")
+
+#: frequencies evaluated together by :func:`inelastic_spectrum` (a block
+#: holds a few (16, 256) real arrays, so the peak does not grow with the grid)
+SPECTRUM_BLOCK = 256
 
 _SM = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 _ID2 = np.eye(2, dtype=complex)
@@ -556,13 +567,24 @@ def inelastic_spectrum(
     Computes S(nu) = (1/pi) Re tr[dB' (i nu - L)^{-1} (dB rho_ss)] per channel
     via the quantum regression theorem, with dB the incoherent part of the
     output operator, in the Hermitian basis: one ``eig`` of the real form
-    F = B^H L B gives the modes, dB rho_ss and the observer dB' enter as
-    coordinate vectors, and both channels share one resolvent
-    1 / (i nu - lambda), contracted with a (16, 2) matrix of mode weights.
-    F, nu and the weights are in the config's rate scale s, and S(nu), a flux
-    per frequency, is the same in any unit.  Raises
-    :class:`SpectrumSingularError` if nu hits an undamped eigenfrequency that
-    actually contributes (transmitted channel first).
+    F = B^H L B gives the modes lambda_k = x_k + i y_k, and dB rho_ss and
+    the observer dB' enter as coordinate vectors, which give each channel
+    its mode weights a_k + i b_k.  A channel's S(nu) is then the sum of the
+    real parts of (a_k + i b_k) / (i nu - lambda_k), the partial fractions
+    (b_k d_k - a_k x_k) / (x_k^2 + d_k^2), d_k = nu - y_k, evaluated in
+    real arithmetic over blocks of ``SPECTRUM_BLOCK`` frequencies: no
+    complex array and no BLAS call runs on the nu axis, the working memory
+    does not grow with the grid, and S at a frequency has the same bits in
+    any grid.  F, nu and the weights are in the config's rate scale s, and
+    S(nu), a flux per frequency, is the same in any unit.
+
+    A term with |i nu - lambda_k| < 1e-12 ||F||_F is close and contributes 0.
+    So the stationary mode (lambda ~ 0) enters: its weight is rounding, as
+    dB rho_ss is traceless, and at nu = 0 it is close.  Raises
+    :class:`SpectrumSingularError` if a close term's mode actually
+    contributes (|a_k + i b_k| above the same bound), naming the first three
+    such nu in grid order of the transmitted channel, checked over the whole
+    grid, or else of the reflected one.
     """
     nu = np.asarray(nu_grid, dtype=float)
     f0, f1, c, unit = _master_form(cfg, drive.alpha)
@@ -579,16 +601,35 @@ def inelastic_spectrum(
     # C(t) = sum_k weights[k, c] e^{lambda_k t} for channel c
     weights = (observer @ eigvecs).T * np.linalg.solve(eigvecs, start.T)
 
-    scale = float(np.linalg.norm(form))
-    denom = 1j * (nu / unit)[:, None] - eigvals[None, :]
-    close = np.abs(denom) < 1e-12 * scale
-    if close.any():
-        for contributing in (np.abs(weights) > 1e-12 * scale).T:
-            singular = np.any(close[:, contributing], axis=1)
-            if singular.any():
-                raise SpectrumSingularError(
-                    f"resolvent singular at nu={nu[singular][:3]} (undamped eigenfrequency)"
-                )
-    resolvent = np.divide(1.0, denom, out=np.zeros_like(denom), where=~close)
-    s_transmit, s_reflect = (weights.T @ resolvent.T).real / math.pi
+    tol = 1e-12 * float(np.linalg.norm(form))
+    # |i nu - lambda_k| >= |x_k|: only modes with |x_k| < tol can be close;
+    # they move to the front, the first m
+    order = np.argsort(np.abs(eigvals.real) >= tol, kind="stable")
+    x, y, weights = eigvals.real[order], eigvals.imag[order], weights[order]
+    m = int(np.sum(np.abs(x) < tol))
+    frequency = nu / unit
+    close = np.hypot(x[:m], frequency[:, None] - y[:m]) < tol
+    for contributing in (np.abs(weights[:m]) > tol).T:
+        singular = np.any(close[:, contributing], axis=1)
+        if singular.any():
+            raise SpectrumSingularError(
+                f"resolvent singular at nu={nu[singular][:3]} (undamped eigenfrequency)"
+            )
+    # Re (a + ib) / (i nu - lambda) = b odd - a x even, with d = nu - y,
+    # even = 1 / (x^2 + d^2) and odd = d even = 1 / (d + x^2 / d), which
+    # stays finite where d^2 overflows; both are 0 at d = inf, which close
+    # terms are given
+    squares = (x * x)[:, None]
+    odd_weights, even_weights = weights.imag[..., None], (x[:, None] * weights.real)[..., None]
+    spectra = np.empty((2, len(nu)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for first in range(0, len(nu), SPECTRUM_BLOCK):
+            rows = slice(first, first + SPECTRUM_BLOCK)
+            d = frequency[rows] - y[:, None]
+            d[:m][close[rows].T] = np.inf
+            odd = 1.0 / (d + squares / d)
+            even = 1.0 / (squares + d * d)
+            terms = odd_weights * odd[:, None, :] - even_weights * even[:, None, :]
+            spectra[:, rows] = terms.sum(axis=0)
+    s_transmit, s_reflect = spectra / math.pi
     return SpectrumResult(nu=nu, s_transmit=s_transmit, s_reflect=s_reflect)

@@ -817,10 +817,11 @@ class TestSpectrum:
 
     def test_undamped_contributing_mode_raises(self, monkeypatch):
         # every mode of a driven config is damped: strip the modes of their
-        # damping and probe at their frequencies
+        # damping and probe at four of their frequencies, planted out of
+        # order in four blocks of a grid that lies above every frequency
         cfg, drive = single_atom_eit_config(), DriveSpec(0.01, 0.9)
         f0, f1, *_, unit = _master_form(cfg, drive.alpha)
-        frequencies = np.linalg.eigvals(f0 + (drive.frequency_detuning / unit) * f1).imag
+        frequencies = np.sort(np.linalg.eigvals(f0 + (drive.frequency_detuning / unit) * f1).imag)
         eig = np.linalg.eig
 
         def undamped(a):
@@ -828,8 +829,33 @@ class TestSpectrum:
             return 1j * values.imag, vectors
 
         monkeypatch.setattr(np.linalg, "eig", undamped)
-        with pytest.raises(lindblad.SpectrumSingularError, match="undamped eigenfrequency"):
-            inelastic_spectrum(cfg, drive, unit * frequencies)
+        block = lindblad.SPECTRUM_BLOCK
+        nu = np.linspace(2.0, 40.0, 3 * block + 1)
+        hits = [block - 1, block + 7, 2 * block, 3 * block]
+        nu[hits] = unit * frequencies[[-1, 0, -2, 1]]
+        with pytest.raises(lindblad.SpectrumSingularError) as raised:
+            inelastic_spectrum(cfg, drive, nu)
+        # the whole grid is checked at once: its first three singular nu, in
+        # grid order, each from another block
+        assert str(raised.value) == f"resolvent singular at nu={nu[hits[:3]]} (undamped eigenfrequency)"
+
+    def test_value_does_not_depend_on_the_grid(self):
+        # the partial fractions run over blocks of SPECTRUM_BLOCK frequencies:
+        # S at a frequency has the same bits in any grid, on both sides of
+        # every block seam of the grid and of its subgrid
+        cfg, amplitude_sq = figure_sets()[0]
+        drive = DriveSpec(amplitude_sq, 0.3)
+        nu = np.linspace(-40.0, 40.0, 4001)
+        full = inelastic_spectrum(cfg, drive, nu)
+        sub = inelastic_spectrum(cfg, drive, nu[::7])
+        assert np.array_equal(sub.s_transmit, full.s_transmit[::7])
+        assert np.array_equal(sub.s_reflect, full.s_reflect[::7])
+        block = lindblad.SPECTRUM_BLOCK
+        seams = [k for b in range(block, len(nu), block) for k in (b - 1, b)]
+        seams += [7 * k for b in range(block, len(sub.nu), block) for k in (b - 1, b)]
+        for k in seams:
+            one = inelastic_spectrum(cfg, drive, nu[k:k + 1])
+            assert (one.s_transmit[0], one.s_reflect[0]) == (full.s_transmit[k], full.s_reflect[k])
 
     def test_positive_where_fluorescing(self):
         cfg = single_atom_eit_config()
