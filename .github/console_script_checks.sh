@@ -8,9 +8,11 @@
 # two pairs of equal gaps give 8 stationary directions.  Then a master sweep
 # at rates of 1e154, which the rate unit keeps finite (exit 0), and a config
 # whose integer has more digits than Python converts (exit 2, one JSON line).
-# Last, the fig. 7a inelastic spectrum at 401 and at 40001 nu, whose peak RSS
-# (ru_maxrss of each child, from os.wait4) may grow by at most 4 MB between
-# the two: the spectrum is summed over fixed blocks of the grid.
+# Last, peak RSS (ru_maxrss of each child, from os.wait4): the fig. 7a
+# inelastic spectrum at 401 and at 40001 nu, whose peak may grow by at most
+# 4 MB between the two (the spectrum is summed over fixed blocks of the
+# grid), and a 2000-config oracle-check, which may peak at most 2 MB above a
+# one-config characteristics run (its draws import no numpy.random).
 #
 # Usage: bash .github/console_script_checks.sh  (with gawqed installed)
 set -euo pipefail
@@ -60,17 +62,27 @@ printf '%s\n' '{"symmetric": {"topology": "separate", "phi": 1.5707963267948966}
 python - "$tmp/fig7a.json" <<'EOF'
 import os, subprocess, sys
 
-peaks = []
-for points in (401, 40001):
-    child = subprocess.Popen(
-        ["gawqed", "--config", sys.argv[1], "--command", "inelastic-spectrum", "--sweep", f"nu:-40:40:{points}"],
-        stdout=subprocess.DEVNULL,
-    )
+
+def peak(*argv):
+    """The peak RSS in MB of one gawqed run."""
+    child = subprocess.Popen(["gawqed", *argv], stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
-        sys.exit(f"inelastic-spectrum at {points} nu failed")
-    peaks.append(usage.ru_maxrss / 1024)  # ru_maxrss is in kB on Linux
+        sys.exit(f"gawqed {' '.join(argv)} failed")
+    return usage.ru_maxrss / 1024  # ru_maxrss is in kB on Linux
+
+
+peaks = [
+    peak("--config", sys.argv[1], "--command", "inelastic-spectrum", "--sweep", f"nu:-40:40:{points}")
+    for points in (401, 40001)
+]
 print(f"inelastic-spectrum peak RSS: {peaks[0]:.1f} MB at 401 nu, {peaks[1]:.1f} MB at 40001 nu")
 if peaks[1] - peaks[0] > 4.0:
     sys.exit(f"peak RSS grew by {peaks[1] - peaks[0]:.1f} MB from 401 to 40001 nu (at most 4 MB)")
+
+oracle = peak("--command", "oracle-check", "--sweep", "delta_a:0:1:2000")
+one = peak("--config", sys.argv[1], "--command", "characteristics")
+print(f"peak RSS: {oracle:.1f} MB for a 2000-config oracle-check, {one:.1f} MB for one characteristics config")
+if oracle - one > 2.0:
+    sys.exit(f"oracle-check peaks {oracle - one:.1f} MB above one characteristics config (at most 2 MB)")
 EOF

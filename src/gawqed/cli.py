@@ -11,14 +11,17 @@ symmetric shortcut's geometry at every grid point and evaluate the stack
 in one call; ``fano`` decomposes, classifies and fits its spacings in
 stacks of 128, each stack in one call of each kernel.
 ``oracle-check`` draws its random configs straight into stacked geometry
-arrays, 128 at a time, each block from one ``rng.random`` call and without
-building a config object, and evaluates the closed form and the
-real-space solve on each block as one stack.  Rows are always written in
-grid order, so output files are deterministic.  Tables are handed to the
-writers as columns.  CSV floats are "%.17g": float columns are formatted
-by the vectorised kernel of ``gawqed._fmt17``, 256 rows at a time, byte
-for byte as ``format(v, ".17g")`` formats each value, on every platform;
-other columns go value by value through ``_fmt``.  JSON text is built
+arrays, 128 at a time and without building a config object, and evaluates
+the closed form and the real-space solve on each block as one stack.  The
+configs come from the SplitMix64 stream of seed 0, computed in numpy
+``uint64`` arithmetic: config n is doubles 11n ... 11n+10, so a block is
+computed from its config indices alone and ``numpy.random`` is never
+imported.  Rows are always written in grid order, so output files are
+deterministic.  Tables are handed to the writers as columns.  CSV floats
+are "%.17g": float columns are formatted by the vectorised kernel of
+``gawqed._fmt17``, 256 rows at a time, byte for byte as
+``format(v, ".17g")`` formats each value, on every platform; other
+columns go value by value through ``_fmt``.  JSON text is built
 column by column, 64 rows at a time (floats by ``float.__repr__``, null
 for a non-finite one; ints by ``int.__repr__``; strings and None by
 ``json.dumps`` of each distinct value), byte for byte as ``json.dump``
@@ -296,26 +299,43 @@ _DRAWN_TOPOLOGIES = tuple(topology.value for topology in POINT_ORDER)
 _DRAWN_POINTS = np.array(list(POINT_ORDER.values()))
 
 
+def _stream_doubles(first: int, count: int) -> np.ndarray:
+    """Doubles ``first`` ... ``first + count - 1`` of the SplitMix64 stream
+    (S. Vigna, public domain) of seed 0, in [0, 1).
+
+    Double k is the top 53 bits of mix((k + 1) gamma mod 2^64), times 2^-53,
+    gamma = 0x9E3779B97F4A7C15.  The ``uint64`` array arithmetic wraps
+    modulo 2^64 without a warning.
+    """
+    z = (np.arange(count, dtype=np.uint64) + np.uint64(first + 1)) * np.uint64(0x9E3779B97F4A7C15)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
 def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
-    """``rng.uniform(low, high)`` of the doubles ``u = rng.random()``, bit for bit."""
+    """The doubles ``u`` in [0, 1) scaled to [low, high)."""
     return low + (high - low) * u
 
 
-def _random_draws(rng: np.random.Generator, count: int) -> tuple[Geometries, np.ndarray, list[str]]:
-    """``count`` random configs, each with one probe detuning, as one stack.
+def _random_draws(start: int, count: int) -> tuple[Geometries, np.ndarray, list[str]]:
+    """Configs ``start`` ... ``start + count - 1`` of ``oracle-check``, each
+    with one probe detuning, as one stack.
 
     Returns the geometries, the detunings and the topology names.  Config n
-    is row n of one ``rng.random((count, 11))`` call, so it is bit for bit
-    what ``rng.random(11)`` draws for it, with any bit generator and however
-    the configs are split into blocks.  Its first column u gives the
-    topology, the integer part of 3 u; the other ten give four phases in
-    [0, 4 pi), sorted and dealt to (a1, a2, b1, b2) by the topology, the
-    rates of a1, a2, b1 and b2 in [0.05, 3), delta_ab in [-4, 4) and the
-    detuning in [-6, 6).  Every row is a valid config with atom a leftmost,
-    so no config is built; the drawn topology is the one
+    is doubles 11n ... 11n+10 of the SplitMix64 stream of seed 0, so it
+    does not depend on how the configs are split into blocks.  Its first
+    double u gives the topology, the integer part of 3 u; the other ten
+    give four phases in [0, 4 pi), sorted and dealt to (a1, a2, b1, b2) by
+    the topology, the rates of a1, a2, b1 and b2 in [0.05, 3), delta_ab in
+    [-4, 4) and the detuning in [-6, 6).  Every row is a valid config with
+    atom a leftmost, so no config is built; the drawn topology is the one
     :func:`~gawqed.core.classify_topology` gives, unless two phases tie.
     """
-    u = rng.random((count, 11))
+    u = _stream_doubles(11 * start, 11 * count).reshape(count, 11)
     kinds = (3.0 * u[:, 0]).astype(np.intp)
     sorted_phases = np.sort(_uniform(0.0, 4.0 * math.pi, u[:, 1:5]))
     phases = np.take_along_axis(sorted_phases, _DRAWN_POINTS[kinds], axis=1)
@@ -422,10 +442,9 @@ def _oracle_deviations(geoms: Geometries, delta: np.ndarray) -> tuple[np.ndarray
 
 def _run_oracle_check(count: int, out_path: str | None, fmt: str) -> int:
     tol = oracle_tolerance()
-    rng = np.random.default_rng(0)
     names, blocks = [], []
     for start in range(0, count, STACK_BLOCK):
-        geoms, delta, drawn = _random_draws(rng, min(STACK_BLOCK, count - start))
+        geoms, delta, drawn = _random_draws(start, min(STACK_BLOCK, count - start))
         names += drawn
         blocks.append((delta, *_oracle_deviations(geoms, delta)))
     delta, dev_t, dev_r = map(np.concatenate, zip(*blocks))
@@ -581,7 +600,14 @@ def _parse_sweep(text: str) -> tuple[str, np.ndarray]:
         raise ConfigError("sweep span stop - start must be finite")
     if not start < stop:
         raise ConfigError("sweep start must be below stop")
-    return variable, np.linspace(start, stop, points)
+    too_large = ConfigError(f"sweep of {points} points does not fit in memory")
+    # numpy holds no array of more than sys.maxsize bytes
+    if points > sys.maxsize // 8:
+        raise too_large
+    try:
+        return variable, np.linspace(start, stop, points)
+    except MemoryError as exc:
+        raise too_large from exc
 
 
 @functools.cache

@@ -51,14 +51,23 @@ def random_system(rng: np.random.Generator) -> SystemConfig:
     return dealt_config(kind, th.tolist(), rng.uniform(0.05, 3.0, 4).tolist(), float(rng.uniform(-4.0, 4.0)))
 
 
-def oracle_draw(rng: np.random.Generator) -> tuple[SystemConfig, float]:
-    """One random config of ``oracle-check`` and its probe detuning, drawn
-    config by config from one ``rng.random(11)`` call: the scalar reference
-    of the stacked draws (``cli._random_draws``)."""
-    u = rng.random(11).tolist()
+def splitmix64(seed: int, k: int) -> int:
+    """Output k of the SplitMix64 stream of ``seed``, in Python integers."""
+    mask = 2**64 - 1
+    z = (seed + (k + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def oracle_draw(n: int) -> tuple[SystemConfig, float]:
+    """Config n of ``oracle-check`` and its probe detuning, from doubles
+    11n ... 11n+10 of the SplitMix64 stream of seed 0 (double k is output k
+    shifted to its top 53 bits, times 2^-53): the scalar reference of the
+    stacked draws (``cli._random_draws``)."""
+    u = [(splitmix64(0, k) >> 11) * 2.0**-53 for k in range(11 * n, 11 * n + 11)]
 
     def uniform(low, high, x):
-        # rng.uniform(low, high) of the double x = rng.random()
         return low + (high - low) * x
 
     th = sorted(uniform(0.0, 4.0 * math.pi, x) for x in u[1:5])

@@ -40,7 +40,7 @@ from gawqed.core import ConfigError, Geometries, symmetric_config
 from gawqed.eit import EitVerdict
 from gawqed.scattering import OracleSingularError
 
-from conftest import fake_negative_width, oracle_draw, random_system, shift_probe_check
+from conftest import fake_negative_width, oracle_draw, random_system, shift_probe_check, splitmix64
 
 #: the config format as a JSON Schema: the oracle for ``validate_config``
 CONFIG_SCHEMA = {
@@ -285,6 +285,17 @@ class TestConfig:
         tomllib = pytest.importorskip("tomllib")
         project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
         assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
+
+    def test_oracle_check_does_not_import_numpy_random(self, tmp_path):
+        code = (
+            "import sys\nfrom gawqed.cli import main\n"
+            f"code = main(['--command', 'oracle-check', '--sweep', 'delta_a:0:1:300', '--out', {str(tmp_path / 'o.csv')!r}])\n"
+            "print(code, 'numpy.random' in sys.modules)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 False"
+        assert len((tmp_path / "o.csv").read_text().splitlines()) == 301
 
     def test_build_explicit(self):
         raw = {
@@ -908,6 +919,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == json.dumps({"error": "config", "message": message}) + "\n"
 
+    # 10**17 doubles (711 PiB) the allocator refuses outright, so the test
+    # touches no memory; 2**63 doubles are more bytes than numpy can index
+    @pytest.mark.parametrize("points", [10**17, 2**63])
+    def test_huge_sweep_is_one_json_line(self, capsys, points):
+        code, out, err = run_main(capsys, "--command", "oracle-check", "--sweep", f"delta_a:0:1:{points}")
+        assert (code, out) == (2, "")
+        assert err == json.dumps({"error": "config", "message": f"sweep of {points} points does not fit in memory"}) + "\n"
+
     def test_main_entry_point(self, sep_config, capsys):
         assert main(["--config", sep_config, "--command", "eit-classify"]) == 0
         verdict = json.loads(capsys.readouterr().out)
@@ -961,10 +980,9 @@ class TestStackedCommands:
                                 "--format", "json")
         assert code == 0
         report = json.loads(out)
-        rng = np.random.default_rng(0)
         assert len(report["rows"]) == 300
         for index, row in enumerate(report["rows"]):
-            cfg, delta = oracle_draw(rng)
+            cfg, delta = oracle_draw(index)
             assert (row["index"], row["topology"], row["delta_a"]) == (
                 index, classify_topology(cfg).value, delta
             )
@@ -974,19 +992,27 @@ class TestStackedCommands:
         worst = max(max(row["dev_t"], row["dev_r"]) for row in report["rows"])
         assert report["max_deviation"] == worst
 
+    def test_stream_reference_matches_published_outputs(self):
+        # the first outputs of SplitMix64 seeded with 1234567
+        assert [splitmix64(1234567, k) for k in range(5)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821,
+        ]
+
     def test_random_draws_match_config_by_config(self):
-        # block sizes around STACK_BLOCK, drawn in one stream
-        rng, reference = np.random.default_rng(7), np.random.default_rng(7)
-        for count in (1, 127, 128, 129, 300, 5000):
-            geoms, delta, names = cli._random_draws(rng, count)
-            cfgs, deltas = zip(*(oracle_draw(reference) for _ in range(count)))
+        # block sizes around STACK_BLOCK at several starts; the uint64
+        # wraparound must not warn
+        for start, count in itertools.product((0, 1, 300, 2**40 + 3), (1, 127, 128, 129, 300, 5000)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                geoms, delta, names = cli._random_draws(start, count)
+            cfgs, deltas = zip(*(oracle_draw(n) for n in range(start, start + count)))
             expected = Geometries.of(cfgs)
             for field in ("phases", "rates", "delta_ab"):
                 drawn, ref = getattr(geoms, field), getattr(expected, field)
                 assert drawn.shape == ref.shape and drawn.tobytes() == ref.tobytes(), field
             assert delta.tobytes() == np.array(deltas).tobytes()
             assert names == [classify_topology(cfg).value for cfg in cfgs]
-            assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_oracle_report_does_not_depend_on_the_block(self, capsys, monkeypatch):
         reports = []

@@ -494,7 +494,7 @@ class TestNonFinite:
 def drawn_configs():
     """The oracle-check draws of seed 0 as configs, their detunings and
     the closed form's t and r there."""
-    geoms, delta, _ = cli._random_draws(np.random.default_rng(0), 300)
+    geoms, delta, _ = cli._random_draws(0, 300)
     cfgs = [
         SystemConfig(*(
             GiantAtom(label, tuple(CouplingPoint(float(p), float(g))
