@@ -8,6 +8,8 @@
 # two pairs of equal gaps give 8 stationary directions.  Then a master sweep
 # at rates of 1e154, which the rate unit keeps finite (exit 0), and a config
 # whose integer has more digits than Python converts (exit 2, one JSON line).
+# Then a spectrum whose rates span 16 decades, (1, 1, 1, 1e16), whose t and r
+# must match the 50-digit reference of bench/reference.py within 1e-13.
 # Last, peak RSS (ru_maxrss of each child, from os.wait4): the fig. 7a
 # inelastic spectrum at 401 and at 40001 nu, whose peak may grow by at most
 # 4 MB between the two (the spectrum is summed over fixed blocks of the
@@ -57,6 +59,26 @@ gawqed --command characteristics --config "$tmp/long.json" > "$tmp/out" 2> "$tmp
 test "$code" -eq 2
 test ! -s "$tmp/out"
 cmp "$tmp/expected" "$tmp/err"
+
+printf '%s\n' '{"atoms": [{"points": [{"phase": 0, "rate": 1}, {"phase": 1, "rate": 1}]}, {"points": [{"phase": 2, "rate": 1}, {"phase": 3, "rate": 1e16}]}]}' > "$tmp/wide.json"
+gawqed --command spectrum --config "$tmp/wide.json" --sweep delta_a:-3:3:13 > "$tmp/wide.csv"
+python - "$tmp/wide.csv" "$(dirname "$0")/../bench" <<'EOF'
+import sys
+
+sys.path.insert(0, sys.argv[2])
+from reference import amplitudes
+
+atoms = [[(0.0, 1.0), (1.0, 1.0)], [(2.0, 1.0), (3.0, 1e16)]]
+with open(sys.argv[1]) as fh:
+    rows = [[float(v) for v in line.split(",")[:5]] for line in fh.read().splitlines()[1:]]
+worst = 0.0
+for delta, re_t, im_t, re_r, im_r in rows:
+    t, r = amplitudes(atoms, 0.0, delta)
+    worst = max(worst, abs(complex(re_t, im_t) - complex(t)), abs(complex(re_r, im_r) - complex(r)))
+print(f"spectrum at a rate span of 1e16: max |dt|, |dr| = {worst:.1e} over {len(rows)} detunings")
+if len(rows) != 13 or worst > 1e-13:
+    sys.exit("the spectrum at a rate span of 1e16 misses the 50-digit reference by more than 1e-13")
+EOF
 
 printf '%s\n' '{"symmetric": {"topology": "separate", "phi": 1.5707963267948966}, "delta_ab": 1.0, "drive": {"alpha_sq": 0.04, "detuning": 0.3}}' > "$tmp/fig7a.json"
 python - "$tmp/fig7a.json" <<'EOF'

@@ -26,7 +26,7 @@ from .core import (
     Topology,
     symmetric_config,
 )
-from .scattering import DECOUPLE_TOL, _amplitude_arrays, _decay_modes, _mode_form
+from .scattering import DECOUPLE_TOL, _amplitude_arrays, _decay_modes, _mode_form, _poles
 
 #: width ratio above which the broad channel counts as a continuum
 WIDTH_RATIO_THRESHOLD = 10.0
@@ -109,16 +109,8 @@ class FanoFit:
 def lorentz_pair(cfg: SystemConfig) -> LorentzPair:
     """Exact two-Lorentzian channel parameters of r for any configuration.
 
-    The poles of r in the probe detuning delta_a are the eigenvalues
-    z = Delta - i Gamma of the effective Hamiltonian
-    H = [[lamb_a - i Gamma_a/2, c], [c, lamb_b - delta_ab - i Gamma_b/2]],
-    c = g_ab - i Gamma_ab/2, and each channel's prefactor is chi = i Res / Gamma
-    with Res the residue of r at its pole.  'plus' is the pole whose
-    eigenvector overlaps more with the symmetric mode (sigma_a + sigma_b)/sqrt(2):
-    with z = mean +- s and s^2 = ((H_aa - H_bb)/2)^2 + c^2, that is mean + s
-    when Re(s c*) > 0.  On a tie (Re(s c*) = 0, or c numerically zero) plus
-    is mean + s for the principal square root s.  A channel of (numerically)
-    zero width, or one whose pole coincides with the other, gets chi = 0.
+    The poles are those of the kernel :func:`~gawqed.scattering._poles`; chi = i Res / Gamma,
+    Res r's residue at the pole, or 0 for a channel of (numerically) zero width or a double pole.
 
     Raises :class:`DecompositionError` for a negative width, else when the
     pair misses the general amplitude by more than ``DECOMPOSITION_TOL`` on
@@ -136,22 +128,14 @@ def _lorentz_arrays(geoms: Geometries) -> tuple[np.ndarray, ...]:
     (N,) arrays.  The width check and the probe check run over the whole
     stack; the first geometry in stack order that fails either raises the
     error of its one-geometry call (the width's where it fails both), with
-    ``row`` its index in the stack.  The poles and residues are formed in units
-    of the rate scale, r's numerator at the poles by
-    :func:`~gawqed.scattering._mode_form`."""
+    ``row`` its index in the stack.  In units of the rate scale, the poles come
+    from the kernel :func:`~gawqed.scattering._poles` and r's numerator at them
+    from :func:`~gawqed.scattering._mode_form`."""
     ch = geoms.quantities()
     modes = _decay_modes(geoms, ch)
     scale = modes.scale
-    h_aa = (ch.lamb_a - 0.5j * ch.gamma_a) / scale
-    h_bb = ((ch.lamb_b - geoms.delta_ab) - 0.5j * ch.gamma_b) / scale
-    c = (ch.g_ab - 0.5j * ch.gamma_ab) / scale
-    mean, half = 0.5 * (h_aa + h_bb), 0.5 * (h_aa - h_bb)
-    s = np.sqrt(half * half + c * c)
-    s = np.where((np.abs(c) > DECOUPLE_TOL) & ((s * c.conj()).real < 0.0), -s, s)
-    # (N, 2): the plus and the minus pole of each geometry
-    poles = np.stack([mean + s, mean - s], axis=1)
-    gaps = poles - poles[:, ::-1]
-    widths = -poles.imag
+    poles = _poles(geoms, ch, scale)
+    gaps, widths = poles - poles[:, ::-1], -poles.imag
     _, r_num, _ = _mode_form(modes, poles)
     with np.errstate(divide="ignore", invalid="ignore"):
         # det = -(x - z)(x - z'): r's residue at z is r_num(z) / -(z - z')

@@ -4,12 +4,13 @@ Two independent routes to the same spectra live here: the closed form in
 the basis of the decay modes (:class:`DecayModes`, :func:`_mode_form`),
 valid for every topology, unequal bare rates and detuned atoms, which the
 amplitudes, the residues of the Lorentz channels (:mod:`gawqed.fano`) and
-the peak and minimum loci all read; and the real-space oracle
-:func:`solve_real_space`, which solves the 10-unknown linear system of the
-piecewise plane-wave ansatz for a photon incident from the left.  The
-oracle knows nothing about Lamb shifts or collective decays, only about
-delta couplings at four positions, so agreement between the two is a
-strong end-to-end check.
+the peak and minimum loci all read, next to the one pole kernel
+:func:`_poles`, which forms H_eff's two poles for the channels (the smaller
+by Vieta); and the real-space oracle :func:`solve_real_space`, which solves
+the 10-unknown linear system of the piecewise plane-wave ansatz for a photon
+incident from the left.  The oracle knows nothing about Lamb shifts or
+collective decays, only about delta couplings at four positions, so
+agreement between the two is a strong end-to-end check.
 """
 
 from __future__ import annotations
@@ -122,25 +123,30 @@ def _decay_modes(geoms: Geometries, ch: CharQuantities) -> DecayModes:
     with np.errstate(invalid="ignore"):
         smallest = 2.0 * (w_a.conjugate() * w_b).imag ** 2 / (width + np.abs(w_a**2 + w_b**2))
     rank = np.where(width <= DECOUPLE_TOL, 0, np.where(smallest <= DECOUPLE_TOL, 1, 2))
-    # u = (cos chi, sin chi) along Gamma's principal axis, 2 chi the angle of
-    # (Gamma_a - Gamma_b, 2 Gamma_ab).  With H = mean + [[half, g_ab], [g_ab, -half]]
-    # the energies take the traceless part at that doubled angle, so that
-    # mean enters exactly and not times u^T u = 1 + rounding
-    two_chi = np.arctan2(2.0 * ch.gamma_ab, ch.gamma_a - ch.gamma_b)
-    cos_2, sin_2 = np.cos(two_chi), np.sin(two_chi)
-    cos_chi, sin_chi = np.cos(0.5 * two_chi), np.sin(0.5 * two_chi)
-    mean = 0.5 * (ch.lamb_a + (ch.lamb_b - geoms.delta_ab))
-    half = 0.5 * (ch.lamb_a - (ch.lamb_b - geoms.delta_ab))
-    split = half * cos_2 + ch.g_ab * sin_2
-    # without a bright mode nothing couples to the guide
-    coupling = np.where(rank == 0, 0.0, ch.g_ab * cos_2 - half * sin_2) / scale
+    # u = (cos chi, sin chi) along Gamma's principal axis, chi in (-pi/2, pi/2]
+    # and 2 chi the angle of (Gamma_a - Gamma_b, 2 Gamma_ab).  By half angles the
+    # smaller of cos chi and sin chi keeps its digits near chi = pi/2, where
+    # cos(fl(pi/2)) would not, and so do the energies, as the sums u^T H u and
+    # v^T H v with cos^2 chi, sin^2 chi and 2 cos chi sin chi = sin 2 chi
+    diff, cross = (ch.gamma_a - ch.gamma_b) / scale, 2.0 * ch.gamma_ab / scale
+    rho = np.hypot(diff, cross)
+    with np.errstate(invalid="ignore"):  # chi = 0 at rho = 0
+        cos_2, sin_2 = np.where(rho > 0.0, (diff / rho, cross / rho), ((1.0,), (0.0,)))
+    square = 0.5 * (1.0 + np.abs(cos_2))  # the larger of cos^2 chi and sin^2 chi
+    larger, smaller = np.sqrt(square), 0.25 * sin_2 * sin_2 / square
+    cos_chi = np.where(cos_2 >= 0.0, larger, 0.5 * np.abs(sin_2) / larger)
+    sin_chi = np.where(cos_2 >= 0.0, 0.5 * sin_2 / larger, np.where(sin_2 < 0.0, -larger, larger))
+    cos_sq, sin_sq = np.where(cos_2 >= 0.0, (square, smaller), (smaller, square))
+    h_aa, h_bb, h_ab = ch.lamb_a / scale, (ch.lamb_b - geoms.delta_ab) / scale, ch.g_ab / scale
+    # u^T H v; without a bright mode nothing couples to the guide
+    coupling = np.where(rank == 0, 0.0, cos_2 * h_ab - 0.5 * sin_2 * (h_aa - h_bb))
     return DecayModes(
         rank=rank,
         w_u=cos_chi * w_a + sin_chi * w_b,
         w_v=cos_chi * w_b - sin_chi * w_a,
         coupling=coupling,
-        bright_energy=(mean + split) / scale,
-        dark_energy=(mean - split) / scale,
+        bright_energy=cos_sq * h_aa + sin_sq * h_bb + sin_2 * h_ab,
+        dark_energy=sin_sq * h_aa + cos_sq * h_bb - sin_2 * h_ab,
         width=width,
         decoupled=(rank <= 1) & (np.abs(coupling) <= DECOUPLE_TOL),
         scale=scale,
@@ -162,9 +168,10 @@ def _mode_form(modes: DecayModes, x, root=None) -> tuple[np.ndarray, np.ndarray,
     per-geometry fields run down its first axis.
 
     Why det has no real zero outside the decoupled case: det = -(x - z)(x - z')
-    over the eigenvalues z, z' of H - i Gamma / 2, whose imaginary parts lie
-    in Gamma's numerical range [-|w_u|^2, -|w_v|^2] / 2 and sum to
-    -tr Gamma / 2, so |det| >= |w_u|^2 |w_v|^2 / 4 >= |w_v|^4 / 4 at rank 2.
+    over the eigenvalues z, z' of H - i Gamma / 2 (:func:`_poles`, the smaller
+    by Vieta as det H_eff over the larger).  Their imaginary parts lie in
+    Gamma's numerical range [-|w_u|^2, -|w_v|^2] / 2 and sum to -tr Gamma / 2,
+    so |det| >= |w_u|^2 |w_v|^2 / 4 >= |w_v|^4 / 4 at rank 2.
     At rank 1 with c != 0, det ~ c^2 near x = e_v.  In floating point,
     Im det = -(|w_u|^2 (x - e_v) + |w_v|^2 (x - e_u)) / 2 cancels only where
     (x - e_u)(x - e_v) <= 0, and there Re det is a sum of terms >= 0, at
@@ -191,6 +198,22 @@ def _mode_form(modes: DecayModes, x, root=None) -> tuple[np.ndarray, np.ndarray,
     r_num = 0.5 * (w_u**2 * k_v + w_v**2 * k_u) + 1j * c * w_u * w_v
     t_num = c * c - d_u * d_v - 0.25 * lam_u * lam_v
     return det, r_num, t_num
+
+
+def _poles(geoms: Geometries, ch: CharQuantities, scale: np.ndarray) -> np.ndarray:
+    """The (N, 2) plus and minus poles z = Delta - i Gamma of r in units of ``scale``, the
+    eigenvalues mean +- s of H_eff (:class:`DecayModes`) in the atom basis: the mode basis has no
+    plus, nor control at rank 0.  Plus, whose eigenvector is nearer (sigma_a + sigma_b)/sqrt(2), is
+    mean + s for the principal s, or mean - s where c = g_ab - i Gamma_ab/2 is numerically nonzero
+    and Re(s c*) < 0.  The smaller pole is det H_eff over the larger (Vieta), not mean -+ s."""
+    h_aa, c = (ch.lamb_a - 0.5j * ch.gamma_a) / scale, (ch.g_ab - 0.5j * ch.gamma_ab) / scale
+    h_bb = (ch.lamb_b - geoms.delta_ab - 0.5j * ch.gamma_b) / scale
+    mean, s = 0.5 * (h_aa + h_bb), np.sqrt(0.25 * (h_aa - h_bb) ** 2 + c * c)
+    s = np.where((np.abs(c) > DECOUPLE_TOL) & ((s * c.conj()).real < 0.0), -s, s)
+    flip = (s * mean.conj()).real < 0.0  # mean - s is the larger
+    big = mean + np.where(flip, -s, s)
+    small = (h_aa * h_bb - c * c) / np.where(big == 0.0, 1.0, big)
+    return np.where(flip, (small, big), (big, small)).T
 
 
 def _amplitude_arrays(

@@ -87,3 +87,11 @@ def dealt_config(kind: int, th: list[float], rates: list[float], delta_ab: float
     atom_a = GiantAtom("a", (CouplingPoint(pa[0], rates[0]), CouplingPoint(pa[1], rates[1])))
     atom_b = GiantAtom("b", (CouplingPoint(pb[0], rates[2]), CouplingPoint(pb[1], rates[3])))
     return SystemConfig(atom_a, atom_b, delta_ab=delta_ab)
+
+
+def wide_span_config(k: int, mirrored: bool = False) -> SystemConfig:
+    """The separate config with atom a at phases (0, 1), atom b at (2, 3),
+    delta_ab = 0 and unit rates but one of 10^k, on b2, or on a1 if
+    ``mirrored``: the rates span k decades."""
+    rates = [10.0**k, 1.0, 1.0, 1.0] if mirrored else [1.0, 1.0, 1.0, 10.0**k]
+    return dealt_config(0, [0.0, 1.0, 2.0, 3.0], rates, 0.0)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import importlib.util
 import io
 import itertools
 import json
@@ -40,7 +41,14 @@ from gawqed.core import ConfigError, Geometries, symmetric_config
 from gawqed.eit import EitVerdict
 from gawqed.scattering import OracleSingularError
 
-from conftest import fake_negative_width, oracle_draw, random_system, shift_probe_check, splitmix64
+from conftest import (
+    fake_negative_width,
+    oracle_draw,
+    random_system,
+    shift_probe_check,
+    splitmix64,
+    wide_span_config,
+)
 
 #: the config format as a JSON Schema: the oracle for ``validate_config``
 CONFIG_SCHEMA = {
@@ -1288,6 +1296,36 @@ def test_mp_reflectance_matches_closed_form():
         cfg = random_system(rng)
         delta = float(rng.uniform(-6.0, 6.0))
         assert mp_reflectance(cfg, delta) == pytest.approx(amplitudes_general(cfg, delta).R, abs=1e-10)
+
+
+def bench_reference():
+    """``bench/reference.py``, the benchmark's 50-digit real-space solve, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_spectrum_keeps_digits_across_rate_spans(capsys, tmp_path, mirrored):
+    # rates spanning k decades: the bright/dark rotation and the dark energy
+    # must keep the digits of the small rates.  The family stops at k = 22:
+    # from ~2e23 on the coupling falls under DECOUPLE_TOL times the largest
+    # rate, the dark mode counts as decoupled and r is wrong (an open fault)
+    reference = bench_reference()
+    for k in range(23):
+        cfg = wide_span_config(k, mirrored)
+        atoms = [[(p.phase_coord, p.bare_rate) for p in atom.points] for atom in (cfg.atom_a, cfg.atom_b)]
+        raw = {"atoms": [{"points": [{"phase": p, "rate": r} for p, r in atom]} for atom in atoms]}
+        path = write_config(tmp_path, raw)
+        code, out, _ = run_main(capsys, "--config", path, "--command", "spectrum", "--sweep", "delta_a:-3:3:13")
+        assert code == 0
+        for row in out.splitlines()[1:]:
+            delta, re_t, im_t, re_r, im_r = (float(v) for v in row.split(",")[:5])
+            t, r = reference.amplitudes(atoms, 0.0, delta)
+            assert abs(complex(re_t, im_t) - complex(t)) <= 1e-14, (k, delta)
+            assert abs(complex(re_r, im_r) - complex(r)) <= 1e-14, (k, delta)
 
 
 #: output fields that carry a rate or a detuning, so scale with the config

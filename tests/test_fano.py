@@ -1,6 +1,8 @@
 import cmath
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from gawqed.core import Geometries, rate_scale
 from gawqed.fano import DecompositionError, FanoRegimeError, LorentzPair, _lorentz_arrays
 from gawqed.scattering import DECOUPLE_TOL, _amplitude_arrays
 
-from conftest import fake_negative_width, random_system, shift_probe_check
+from conftest import fake_negative_width, random_system, shift_probe_check, wide_span_config
 from paper_forms import _topology_amplitude_arrays, amplitudes_topology, rabi_approximation
 
 
@@ -137,6 +139,42 @@ class TestPoleCore:
         ):
             v = vectors[:, np.argmin(np.abs(values - complex(centre, -width)))]
             assert (abs(v[0] + v[1]) > abs(v[0] - v[1])) == s_like
+
+    def test_rank_zero_poles_are_the_eigenvalues_of_h(self):
+        # braided phi = pi/2 does not couple to the guide (Gamma = 0), but
+        # H = [[0, g_ab], [g_ab, 0]] with g_ab = 1 still has the poles +-1,
+        # +1 on the symmetric mode: the mode basis, whose control is 0 at
+        # rank 0, would lose them
+        ch = characteristics(symmetric_config(Topology.BRAIDED, np.pi / 2))
+        assert ch.g_ab == pytest.approx(1.0, abs=1e-15)
+        pair = lorentz_decompose(Topology.BRAIDED, np.pi / 2)
+        assert pair.delta_plus == pytest.approx(1.0, abs=1e-15)
+        assert pair.delta_minus == pytest.approx(-1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_poles_keep_digits_across_rate_spans(self, mirrored):
+        # rates spanning 12 decades: the small pole is ~1e-12 of the large
+        # one, so it must not be formed as the difference mean - s
+        cfg = wide_span_config(12, mirrored)
+        pair = lorentz_pair(cfg)
+        poles = [complex(pair.delta_plus, -pair.gamma_plus), complex(pair.delta_minus, -pair.gamma_minus)]
+        for pole, exact in zip(sorted(poles, key=abs), sorted(mp_poles(cfg), key=abs)):
+            assert abs(pole - exact) <= 1e-14 * abs(exact), (pole, exact)
+
+
+def mp_poles(cfg: SystemConfig) -> list[complex]:
+    """The eigenvalues of H_eff to 50 digits, from the raw phases and rates:
+    H_eff = Sigma - diag(0, delta_ab), where the photon's Green function
+    -i exp(i |x - x'|) gives Sigma_jk = -i sum V_n V_m exp(i |theta_n - theta_m|)
+    over atom j's points n and atom k's points m (coupling V = sqrt(rate / 2))."""
+    with mpmath.workdps(50):
+        atoms = [[(mpmath.mpf(p.phase_coord), mpmath.sqrt(mpmath.mpf(p.bare_rate) / 2)) for p in atom.points]
+                 for atom in (cfg.atom_a, cfg.atom_b)]
+        h = mpmath.matrix(2, 2)
+        for j, k in itertools.product(range(2), repeat=2):
+            h[j, k] = -1j * sum(v * w * mpmath.expj(abs(th - ph)) for th, v in atoms[j] for ph, w in atoms[k])
+        h[1, 1] -= mpmath.mpf(cfg.delta_ab)
+        return [complex(z) for z in mpmath.eig(h, left=False, right=False)]
 
 
 def special_pairs():
